@@ -30,10 +30,6 @@ from .selfcheck import run_selfcheck
 
 def cmd_tree(args) -> int:
     x = io.read_tensor(args.input)
-    if x.ndim != 2 or x.shape[0] != args.height * args.width:
-        raise ValueError(
-            f"input tensor must be (H*W, C) = ({args.height * args.width}, C), got {x.shape}"
-        )
     fmap = FeatureMap(x.astype(np.float64), spatial=(args.height, args.width))
     graph = build_grid_graph(fmap, args.metric)
     edges, weights = boruvka_mst(graph)
@@ -42,24 +38,11 @@ def cmd_tree(args) -> int:
     return 0
 
 
-def _load_scan_inputs(args):
+def cmd_scan(args) -> int:
     x = io.read_tensor(args.input)
-    if x.ndim != 2:
-        raise ValueError(f"input tensor must be 2-D (L, C), got shape {x.shape}")
     tree = io.read_tree(args.tree)
     params = io.read_params(args.params)
-    length, channels, _ = params.shape
-    if x.shape != (length, channels):
-        raise ValueError(
-            f"input tensor shape {x.shape} does not match params (L, C) = ({length}, {channels})"
-        )
-    if tree.num_vertices != length:
-        raise ValueError(f"tree has {tree.num_vertices} vertices, params expect {length}")
-    return FeatureMap(x.astype(np.float64)), tree, params
-
-
-def cmd_scan(args) -> int:
-    fmap, tree, params = _load_scan_inputs(args)
+    fmap = FeatureMap(x.astype(np.float64))
     disc = discretize(params)
     if args.mode == "vision":
         h, _ = tree_scan_vision_forward(fmap, disc, tree)

@@ -9,6 +9,7 @@ parameters are plain JSON.  Affinity images are binary PGM (P5, maxval 255).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,7 @@ def read_tensor(path) -> np.ndarray:
         raise ValueError(f"tensor header {header_path}: layout must be 'row-major'")
     dtype = _DTYPES[tag]
     payload = payload_path.read_bytes()
-    expected = int(np.prod(shape)) * dtype.itemsize
+    expected = math.prod(shape) * dtype.itemsize
     if len(payload) != expected:
         raise ValueError(
             f"tensor payload {payload_path}: expected {expected} bytes for shape {shape}, got {len(payload)}"
@@ -86,9 +87,12 @@ def read_tree(path) -> SpanningTree:
     for key in required:
         if key not in obj:
             raise ValueError(f"tree file {path}: missing field {key!r}")
+    for key in ("num_vertices", "root"):
+        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
+            raise ValueError(f"tree file {path}: field {key!r} must be an integer, got {obj[key]!r}")
     tree = SpanningTree(
-        num_vertices=int(obj["num_vertices"]),
-        root=int(obj["root"]),
+        num_vertices=obj["num_vertices"],
+        root=obj["root"],
         parent=np.asarray(obj["parent"], dtype=np.int64),
         bfs_order=np.asarray(obj["bfs_order"], dtype=np.int64),
         edge_weight_to_parent=np.asarray(obj["edge_weight_to_parent"], dtype=np.float64),

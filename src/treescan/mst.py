@@ -2,7 +2,7 @@
 
 Boruvka contraction prunes the neighborhood graph down to the spanning tree
 of minimum total dissimilarity; ``root_tree`` then fixes a root and derives
-the parent/children/BFS structure the scan kernels traverse.  Ties are broken
+the parent/BFS structure the scan kernels traverse.  Ties are broken
 by the lexicographic (weight, u, v) order, which makes the result unique and
 bit-for-bit identical to a Kruskal run with the same rule.
 """
@@ -22,9 +22,11 @@ from .lattice import WeightedGraph
 class SpanningTree:
     """Rooted spanning tree in the arrays the scan kernels consume.
 
-    ``parent[root] == root``; ``bfs_order`` starts at the root and lists every
-    vertex after its parent; ``edge_weight_to_parent[i]`` is the weight of the
-    tree edge (i, parent[i]) and 0 at the root.
+    ``parent[root] == root``; ``bfs_order`` is breadth-first: it starts at
+    the root and lists each level of the tree after the level above it, the
+    children of each vertex together and in the order their parents appear;
+    ``edge_weight_to_parent[i]`` is the weight of the tree edge
+    (i, parent[i]) and 0 at the root.
     """
 
     num_vertices: int
@@ -34,30 +36,35 @@ class SpanningTree:
     edge_weight_to_parent: np.ndarray  # (L,) float64
 
     @cached_property
-    def children(self) -> list[np.ndarray]:
-        """Per-vertex child lists, each in ascending vertex order."""
+    def levels(self) -> list[np.ndarray]:
+        """``bfs_order`` cut into depth levels, each in BFS order.
+
+        Level k + 1 is the children of level k, so it ends where the running
+        sum of child counts in BFS order stands at the last vertex of level
+        k.  Raises ValueError unless every non-root vertex's parent lies in
+        the level before its own, i.e. unless ``bfs_order`` is breadth-first.
+        """
         n = self.num_vertices
-        kids = np.flatnonzero(np.arange(n) != self.root)
-        order = np.argsort(self.parent[kids], kind="stable")
-        kids = kids[order]
-        counts = np.bincount(self.parent[kids], minlength=n)
-        return np.split(kids, np.cumsum(counts)[:-1])
+        nonroot = np.flatnonzero(np.arange(n) != self.root)
+        reach = 1 + np.cumsum(np.bincount(self.parent[nonroot], minlength=n)[self.bfs_order])
+        ends = [1]
+        while ends[-1] < n and reach[ends[-1] - 1] > ends[-1]:
+            ends.append(int(reach[ends[-1] - 1]))
+        depth = np.full(n, -1, dtype=np.int64)
+        depth[self.bfs_order[: ends[-1]]] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+        if np.any(depth[self.parent[nonroot]] != depth[nonroot] - 1):
+            raise ValueError(
+                "bfs_order is not breadth-first: some vertex's parent is not in the level above it"
+            )
+        return np.split(self.bfs_order, ends[:-1])
 
     @cached_property
     def depths(self) -> np.ndarray:
-        depth = np.zeros(self.num_vertices, dtype=np.int64)
-        par = self.parent
-        for v in self.bfs_order[1:]:
-            depth[v] = depth[par[v]] + 1
+        """Depth of every vertex, read off ``levels``."""
+        depth = np.empty(self.num_vertices, dtype=np.int64)
+        for d, lv in enumerate(self.levels):
+            depth[lv] = d
         return depth
-
-    @cached_property
-    def levels(self) -> list[np.ndarray]:
-        """Vertex index arrays grouped by depth, ascending within each level."""
-        depth = self.depths
-        order = np.argsort(depth, kind="stable")
-        counts = np.bincount(depth)
-        return np.split(order, np.cumsum(counts)[:-1])
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError naming the first violation."""
@@ -76,11 +83,7 @@ class SpanningTree:
             raise ValueError("bfs_order is not a permutation of the vertices")
         if self.bfs_order[0] != self.root:
             raise ValueError("bfs_order must start at the root")
-        pos = np.empty(n, dtype=np.int64)
-        pos[self.bfs_order] = np.arange(n)
-        nonroot = np.flatnonzero(np.arange(n) != self.root)
-        if np.any(pos[self.parent[nonroot]] >= pos[nonroot]):
-            raise ValueError("bfs_order must list every vertex after its parent")
+        self.levels  # raises unless bfs_order is breadth-first
         w = self.edge_weight_to_parent
         if w.shape != (n,):
             raise ValueError("edge_weight_to_parent length must equal num_vertices")

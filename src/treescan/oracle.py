@@ -7,7 +7,7 @@ may be quadratic or worse; they exist to be trusted, not to be fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,10 @@ from .scan import DiscreteScanParams, GradBundle
 class FiniteDifferenceConfig:
     epsilon: float = 1e-5
     relative_tolerance: float = 1e-4
-    scheme: str = field(default="central")
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.relative_tolerance <= 0:
             raise ValueError("epsilon and relative_tolerance must be > 0")
-        if self.scheme != "central":
-            raise ValueError("only the central scheme is implemented")
 
 
 class _DisjointSet:

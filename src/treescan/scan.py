@@ -114,7 +114,15 @@ def discretize(params: ContinuousScanParams) -> DiscreteScanParams:
     return DiscreteScanParams(a_bar, b_bar)
 
 
-def _check_instance(x: FeatureMap, p: DiscreteScanParams, tree: SpanningTree | None = None) -> None:
+def _check_instance(
+    x: FeatureMap,
+    p: DiscreteScanParams,
+    tree: SpanningTree | None = None,
+    causal: bool = False,
+    **states: np.ndarray,
+) -> None:
+    """Shape checks shared by every kernel; ``states`` are (L, C, N) arrays
+    such as d_h, and ``causal`` requires the tree's root at the last token."""
     length, channels, _ = p.shape
     if x.data.shape != (length, channels):
         raise ValueError(
@@ -122,6 +130,14 @@ def _check_instance(x: FeatureMap, p: DiscreteScanParams, tree: SpanningTree | N
         )
     if tree is not None and tree.num_vertices != length:
         raise ValueError(f"tree has {tree.num_vertices} vertices, params expect {length}")
+    if causal and tree.root != tree.num_vertices - 1:
+        raise ValueError(
+            f"causal scan requires the tree to be rooted at the last token "
+            f"{tree.num_vertices - 1}, got root {tree.root}"
+        )
+    for name, arr in states.items():
+        if np.shape(arr) != p.shape:
+            raise ValueError(f"{name} shape {np.shape(arr)} does not match params shape {p.shape}")
 
 
 def sequential_selective_scan(x: FeatureMap, p: DiscreteScanParams) -> np.ndarray:
@@ -139,22 +155,40 @@ def sequential_selective_scan(x: FeatureMap, p: DiscreteScanParams) -> np.ndarra
     return h
 
 
-def _aggregate_up(tree: SpanningTree, unit: np.ndarray, a_bar: np.ndarray) -> np.ndarray:
-    """Leaf-to-root pass: out[i] = unit[i] + sum over children j of out[j]*a_bar[j]."""
-    out = unit.copy()
+def _up(tree: SpanningTree, u: np.ndarray, a_bar: np.ndarray) -> None:
+    """Leaf-to-root pass in place: u[i] += sum over children j of u[j] * a_bar[j]."""
     for lv in reversed(tree.levels[1:]):
-        np.add.at(out, tree.parent[lv], out[lv] * a_bar[lv])
-    return out
+        np.add.at(u, tree.parent[lv], u[lv] * a_bar[lv])
 
 
-def _propagate_down(tree: SpanningTree, agg: np.ndarray, a_bar: np.ndarray) -> np.ndarray:
-    """Root-to-leaf pass: out[root] = agg[root]; out[i] = (1 - a^2)*agg[i] + a*out[parent]."""
-    out = np.empty_like(agg)
-    out[tree.root] = agg[tree.root]
+def _down(tree: SpanningTree, u: np.ndarray, a_bar: np.ndarray) -> None:
+    """Root-to-leaf pass in place: u[i] += a_bar[i] * u[parent] below the root."""
     for lv in tree.levels[1:]:
-        a = a_bar[lv]
-        out[lv] = (1.0 - a * a) * agg[lv] + a * out[tree.parent[lv]]
+        u[lv] += a_bar[lv] * u[tree.parent[lv]]
+
+
+def _all_roots(tree: SpanningTree, agg: np.ndarray, a_bar: np.ndarray) -> np.ndarray:
+    """Turn ``agg`` into subtree sums in place (``_up``), then return the
+    aggregation over every vertex: (1 - a_bar^2) * agg pushed down by ``_down``,
+    with ``agg`` kept at the root."""
+    _up(tree, agg, a_bar)
+    out = (1.0 - a_bar * a_bar) * agg
+    out[tree.root] = agg[tree.root]
+    _down(tree, out, a_bar)
     return out
+
+
+def _gradients(x: FeatureMap, p: DiscreteScanParams, tree: SpanningTree, rho: np.ndarray,
+               d_a_edge) -> GradBundle:
+    """Gradient tail shared by both backward passes, given rho, the loss
+    gradient of each vertex's subtree sum.  ``d_a_edge(v, par)`` gives d_a_bar
+    at the non-root vertices v with parents par; d_a_bar is 0 at the root."""
+    d_x = np.sum(p.b_bar * rho, axis=2)
+    d_b_bar = x.data[:, :, None] * rho
+    d_a_bar = np.zeros_like(p.a_bar)
+    nonroot = np.flatnonzero(np.arange(tree.num_vertices) != tree.root)
+    d_a_bar[nonroot] = d_a_edge(nonroot, tree.parent[nonroot])
+    return GradBundle(d_x, d_a_bar, d_b_bar)
 
 
 def tree_scan_vision_forward(
@@ -168,9 +202,8 @@ def tree_scan_vision_forward(
     Returns ``(h, xi)``, both (L, C, N); the backward pass consumes xi.
     """
     _check_instance(x, p, tree)
-    unit = p.b_bar * x.data[:, :, None]
-    xi = _aggregate_up(tree, unit, p.a_bar)
-    h = _propagate_down(tree, xi, p.a_bar)
+    xi = p.b_bar * x.data[:, :, None]
+    h = _all_roots(tree, xi, p.a_bar)
     return h, xi
 
 
@@ -195,27 +228,14 @@ def tree_scan_vision_backward(
     ``xi`` and ``h`` must come from the matching forward call; that pairing
     is the caller's contract and cannot be checked here.
     """
-    _check_instance(x, p, tree)
-    d_h = np.asarray(d_h)
-    if d_h.shape != p.shape:
-        raise ValueError(f"d_h shape {d_h.shape} does not match params shape {p.shape}")
-    if xi.shape != p.shape or h.shape != p.shape:
-        raise ValueError("xi/h shapes do not match params shape")
-
-    eta = _aggregate_up(tree, d_h, p.a_bar)
-    rho = _propagate_down(tree, eta, p.a_bar)
-
-    d_x = np.sum(p.b_bar * rho, axis=2)
-    d_b_bar = x.data[:, :, None] * rho
-    d_a_bar = np.zeros_like(p.a_bar)
-    nonroot = np.flatnonzero(np.arange(tree.num_vertices) != tree.root)
-    par = tree.parent[nonroot]
-    d_a_bar[nonroot] = (
-        eta[nonroot] * h[par]
-        + xi[nonroot] * rho[par]
-        - 2.0 * p.a_bar[nonroot] * eta[nonroot] * xi[nonroot]
+    _check_instance(x, p, tree, d_h=d_h, xi=xi, h=h)
+    eta = np.array(d_h)
+    rho = _all_roots(tree, eta, p.a_bar)
+    a = p.a_bar
+    return _gradients(
+        x, p, tree, rho,
+        lambda v, par: eta[v] * h[par] + xi[v] * rho[par] - 2.0 * a[v] * eta[v] * xi[v],
     )
-    return GradBundle(d_x, d_a_bar, d_b_bar)
 
 
 def tree_scan_language_forward(
@@ -226,14 +246,10 @@ def tree_scan_language_forward(
     h[i] = xi[i] = b_bar[i]*x[i] + sum over children j of xi[j]*a_bar[j], so
     each token only sees its own subtree.  Raises unless tree.root == L - 1.
     """
-    _check_instance(x, p, tree)
-    if tree.root != tree.num_vertices - 1:
-        raise ValueError(
-            f"causal scan requires the tree to be rooted at the last token "
-            f"{tree.num_vertices - 1}, got root {tree.root}"
-        )
-    unit = p.b_bar * x.data[:, :, None]
-    return _aggregate_up(tree, unit, p.a_bar)
+    _check_instance(x, p, tree, causal=True)
+    h = p.b_bar * x.data[:, :, None]
+    _up(tree, h, p.a_bar)
+    return h
 
 
 def tree_scan_language_backward(
@@ -250,26 +266,10 @@ def tree_scan_language_backward(
     d_a_bar[i] = rho[parent] * h[i] (zero at the root, whose transition is
     unused).
     """
-    _check_instance(x, p, tree)
-    if tree.root != tree.num_vertices - 1:
-        raise ValueError(
-            f"causal scan requires the tree to be rooted at the last token "
-            f"{tree.num_vertices - 1}, got root {tree.root}"
-        )
-    d_h = np.asarray(d_h)
-    if d_h.shape != p.shape or h.shape != p.shape:
-        raise ValueError("h/d_h shapes do not match params shape")
-
-    rho = d_h.copy()
-    for lv in tree.levels[1:]:
-        rho[lv] = d_h[lv] + p.a_bar[lv] * rho[tree.parent[lv]]
-
-    d_x = np.sum(p.b_bar * rho, axis=2)
-    d_b_bar = x.data[:, :, None] * rho
-    d_a_bar = np.zeros_like(p.a_bar)
-    nonroot = np.flatnonzero(np.arange(tree.num_vertices) != tree.root)
-    d_a_bar[nonroot] = rho[tree.parent[nonroot]] * h[nonroot]
-    return GradBundle(d_x, d_a_bar, d_b_bar)
+    _check_instance(x, p, tree, causal=True, d_h=d_h, h=h)
+    rho = np.array(d_h)
+    _down(tree, rho, p.a_bar)
+    return _gradients(x, p, tree, rho, lambda v, par: rho[par] * h[v])
 
 
 def _edge_key_adjacency(tree: SpanningTree) -> list[list[tuple[int, int]]]:
@@ -282,6 +282,23 @@ def _edge_key_adjacency(tree: SpanningTree) -> list[list[tuple[int, int]]]:
             adj[v].append((u, v))  # edge (v, parent) keyed by child v
             adj[u].append((v, v))
     return adj
+
+
+def _path_products(adj, a_bar: np.ndarray, source: int, out: np.ndarray) -> np.ndarray:
+    """Fill out[j] with the per-lane product of a_bar along the tree path from
+    ``source`` to j (a depth-first walk over ``_edge_key_adjacency``)."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[source] = True
+    out[source] = 1.0
+    stack = [source]
+    while stack:
+        v = stack.pop()
+        for nb, key in adj[v]:
+            if not seen[nb]:
+                seen[nb] = True
+                out[nb] = out[v] * a_bar[key]
+                stack.append(nb)
+    return out
 
 
 def naive_tree_scan(
@@ -313,39 +330,29 @@ def naive_tree_scan(
     out = np.empty((len(targets),) + unit.shape[1:], dtype=unit.dtype)
     prod = np.empty_like(unit)
     for row, i in enumerate(targets):
-        seen = np.zeros(n, dtype=bool)
-        seen[i] = True
-        prod[i] = 1.0
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for nb, key in adj[v]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    prod[nb] = prod[v] * p.a_bar[key]
-                    stack.append(nb)
-        out[row] = np.einsum("lcn,lcn->cn", prod, unit)
+        out[row] = np.einsum("lcn,lcn->cn", _path_products(adj, p.a_bar, i, prod), unit)
     return out if roots == "all" else out[0]
 
 
-def _rms_normalize(h: np.ndarray) -> np.ndarray:
-    """Per-token RMS over the flattened (C, N) entries; zero stays zero."""
-    length = h.shape[0]
-    flat = h.reshape(length, -1)
+def _rms_normalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-token RMS normalization over the flattened (C, N) entries.
+
+    Returns ``(h / rms, safe_rms, live)``: tokens whose hidden state is all
+    zero (``live`` False) stay zero, and their ``safe_rms`` is 1.
+    """
+    flat = h.reshape(h.shape[0], -1)
     rms = np.sqrt(np.mean(flat * flat, axis=1))
-    safe = np.where(rms > 0.0, rms, 1.0)
-    scale = np.where(rms > 0.0, 1.0 / safe, 0.0)
-    return h * scale[:, None, None]
+    live = rms > 0.0
+    safe = np.where(live, rms, 1.0)
+    return h * np.where(live, 1.0 / safe, 0.0)[:, None, None], safe, live
 
 
-def output_projection(
-    h: np.ndarray, p: ContinuousScanParams, x: FeatureMap, norm: str = "rms"
-) -> FeatureMap:
+def output_projection(h: np.ndarray, p: ContinuousScanParams, x: FeatureMap) -> FeatureMap:
     """Project hidden states to output features.
 
-    y[i,c] = sum_n c_out[i,n] * norm(h)[i,c,n] + d[c] * x[i,c], where norm is
-    per-token RMS normalization over all C*N hidden entries ("rms") or a
-    pass-through ("identity", for testing).
+    y[i,c] = sum_n c_out[i,n] * hn[i,c,n] + d[c] * x[i,c], where hn is h
+    RMS-normalized per token over all C*N hidden entries (an all-zero token
+    stays zero).
     """
     if x.data.shape != p.shape[:2]:
         raise ValueError(
@@ -353,50 +360,30 @@ def output_projection(
         )
     if h.shape != p.shape:
         raise ValueError(f"hidden states shape {h.shape} inconsistent with params {p.shape}")
-    if norm == "rms":
-        hn = _rms_normalize(h)
-    elif norm == "identity":
-        hn = h
-    else:
-        raise ValueError("norm must be 'rms' or 'identity'")
+    hn, _, _ = _rms_normalize(h)
     y = np.einsum("ln,lcn->lc", p.c_out, hn) + p.d[None, :] * x.data
     return FeatureMap(y, spatial=x.spatial)
 
 
 def output_projection_backward(
-    h: np.ndarray,
-    p: ContinuousScanParams,
-    x: FeatureMap,
-    d_y: np.ndarray,
-    norm: str = "rms",
+    h: np.ndarray, p: ContinuousScanParams, x: FeatureMap, d_y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Local derivatives of ``output_projection``.
 
     Returns ``(d_h, d_c_out, d_d, d_x)`` for an upstream gradient d_y of
-    shape (L, C).  The RMS branch backpropagates through the per-token
+    shape (L, C).  It backpropagates through the per-token RMS
     normalization; tokens with all-zero hidden state get zero gradient.
     """
     d_y = np.asarray(d_y, dtype=np.float64)
     if d_y.shape != x.data.shape:
         raise ValueError("d_y must have the feature map's (L, C) shape")
-    length = h.shape[0]
-    if norm == "identity":
-        hn = h
-        d_hn = np.einsum("lc,ln->lcn", d_y, p.c_out)
-        d_h = d_hn
-    elif norm == "rms":
-        flat = h.reshape(length, -1)
-        m = flat.shape[1]
-        rms = np.sqrt(np.mean(flat * flat, axis=1))
-        safe = np.where(rms > 0.0, rms, 1.0)
-        hn = h * np.where(rms > 0.0, 1.0 / safe, 0.0)[:, None, None]
-        d_hn = np.einsum("lc,ln->lcn", d_y, p.c_out)
-        # d(h/r)/dh with r = sqrt(mean(h^2)): d_h = d_hn/r - h * <d_hn, h> / (m r^3)
-        inner = np.einsum("lcn,lcn->l", d_hn, h)
-        d_h = d_hn / safe[:, None, None] - h * (inner / (m * safe**3))[:, None, None]
-        d_h *= (rms > 0.0)[:, None, None]
-    else:
-        raise ValueError("norm must be 'rms' or 'identity'")
+    hn, safe, live = _rms_normalize(h)
+    m = h[0].size
+    d_hn = np.einsum("lc,ln->lcn", d_y, p.c_out)
+    # d(h/r)/dh with r = sqrt(mean(h^2)): d_h = d_hn/r - h * <d_hn, h> / (m r^3)
+    inner = np.einsum("lcn,lcn->l", d_hn, h)
+    d_h = d_hn / safe[:, None, None] - h * (inner / (m * safe**3))[:, None, None]
+    d_h *= live[:, None, None]
     d_c_out = np.einsum("lc,lcn->ln", d_y, hn)
     d_d = np.einsum("lc,lc->c", d_y, x.data)
     d_x = d_y * p.d[None, :]
@@ -427,17 +414,13 @@ def discretization_backward(
     return d_a, d_b, d_delta
 
 
-def affinity_map(
-    tree: SpanningTree, p: DiscreteScanParams, anchor: int, lane_reduce: str = "mean"
-) -> np.ndarray:
+def affinity_map(tree: SpanningTree, p: DiscreteScanParams, anchor: int) -> np.ndarray:
     """Mean path weight from every vertex to the anchor, an L-vector in [0, 1].
 
     Entry j is the lane-mean of the product of transition scalars along the
     tree path from j to the anchor; the anchor itself is exactly 1.  Requires
     every a_bar entry in (0, 1] so products stay in [0, 1].
     """
-    if lane_reduce != "mean":
-        raise ValueError("only lane_reduce='mean' is supported")
     n = tree.num_vertices
     if not 0 <= anchor < n:
         raise ValueError(f"anchor {anchor} out of range for {n} vertices")
@@ -445,17 +428,6 @@ def affinity_map(
         raise ValueError("params length does not match the tree")
     if np.any(p.a_bar > 1.0):
         raise ValueError("affinity map requires a_bar entries in (0, 1]")
-    adj = _edge_key_adjacency(tree)
     prod = np.empty(p.shape, dtype=np.float64)
-    seen = np.zeros(n, dtype=bool)
-    seen[anchor] = True
-    prod[anchor] = 1.0
-    stack = [anchor]
-    while stack:
-        v = stack.pop()
-        for nb, key in adj[v]:
-            if not seen[nb]:
-                seen[nb] = True
-                prod[nb] = prod[v] * p.a_bar[key]
-                stack.append(nb)
+    _path_products(_edge_key_adjacency(tree), p.a_bar, anchor, prod)
     return prod.reshape(n, -1).mean(axis=1)

@@ -197,19 +197,18 @@ class TestParameterChainRule:
                 gflat[k] = (hi - lo) / (2 * eps)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
-    @pytest.mark.parametrize("norm", ["identity", "rms"])
-    def test_output_projection_backward_matches_fd(self, norm):
+    def test_output_projection_backward_matches_fd(self):
         rng = np.random.default_rng(10)
         length, c, n = 4, 2, 3
         p = make_continuous(rng, length, c, n)
         x = FeatureMap(rng.standard_normal((length, c)))
         h = rng.standard_normal((length, c, n))
         d_y = rng.standard_normal((length, c))
-        d_h, d_c_out, d_d, d_x = output_projection_backward(h, p, x, d_y, norm=norm)
+        d_h, d_c_out, d_d, d_x = output_projection_backward(h, p, x, d_y)
 
         def loss(h_arr, c_arr, d_arr, x_arr):
             q = type(p)(a=p.a, b=p.b, c_out=c_arr, d=d_arr, delta=p.delta)
-            y = output_projection(h_arr, q, FeatureMap(x_arr), norm=norm)
+            y = output_projection(h_arr, q, FeatureMap(x_arr))
             return float(np.sum(d_y * y.data))
 
         eps = 1e-6

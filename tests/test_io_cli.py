@@ -5,7 +5,7 @@ import pytest
 
 from treescan import io
 from treescan.cli import main
-from treescan.mst import root_tree
+from treescan.mst import SpanningTree, root_tree
 from treescan.scan import ContinuousScanParams
 from treescan.selfcheck import random_tree
 
@@ -33,6 +33,13 @@ class TestTensorFile:
         io.write_tensor(tmp_path / "t", np.ones((2, 2)))
         (tmp_path / "t.bin").write_bytes(b"\x00" * 7)
         with pytest.raises(ValueError, match="payload"):
+            io.read_tensor(tmp_path / "t")
+        # 2**32 * 2**32 elements wrap a fixed-width product to 0, which the
+        # empty payload would match; the exact size must be demanded instead
+        (tmp_path / "t.json").write_text(json.dumps(
+            {"shape": [2**32, 2**32], "dtype": "f64", "layout": "row-major"}))
+        (tmp_path / "t.bin").write_bytes(b"")
+        with pytest.raises(ValueError, match=f"expected {8 * 2**64} bytes"):
             io.read_tensor(tmp_path / "t")
 
     def test_bad_header(self, tmp_path):
@@ -253,6 +260,28 @@ class TestCmdScan:
         h = io.read_tensor(tmp_path / "h.json")
         np.testing.assert_allclose(h.ravel(), 6.0, atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["x-rows", "tree-vertices", "3-d-input", "dfs-tree"])
+    def test_rejected_inputs_exit_2(self, tmp_path, capsys, case):
+        length = 4
+        write_simple_params(tmp_path, length)
+        x_shape = {"x-rows": (length + 1, 1), "3-d-input": (length, 1, 1)}.get(case, (length, 1))
+        io.write_tensor(tmp_path / "x", np.ones(x_shape))
+        if case == "dfs-tree":  # parents before children, but depth-first
+            tree = SpanningTree(4, 0, np.array([0, 0, 0, 1]), np.array([0, 1, 3, 2]), np.zeros(4))
+        else:
+            n = length + (case == "tree-vertices")
+            tree = root_tree(np.stack([np.arange(n - 1), np.arange(1, n)], axis=1),
+                             np.zeros(n - 1), n, 0)
+        io.write_tree(tmp_path / "tree.json", tree)
+        code = main([
+            "scan", "--input", str(tmp_path / "x.json"), "--tree", str(tmp_path / "tree.json"),
+            "--params", str(tmp_path / "params.json"), "--mode", "vision",
+            "--out", str(tmp_path / "h"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_deterministic_across_runs(self, tmp_path):
         self.make_chain_inputs(tmp_path, root=0)
         blobs = []
@@ -322,6 +351,22 @@ class TestCmdAffinity:
             "--out", str(tmp_path / "a.pgm"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("field,value", [("num_vertices", [3]), ("root", "0"),
+                                             ("num_vertices", 2.5), ("root", None)])
+    def test_malformed_tree_field_exit_2(self, tmp_path, capsys, field, value):
+        self.build_tree(tmp_path, 2, 2)
+        obj = json.loads((tmp_path / "tree.json").read_text())
+        obj[field] = value
+        (tmp_path / "tree.json").write_text(json.dumps(obj))
+        code = main([
+            "affinity", "--tree", str(tmp_path / "tree.json"), "--from-weights",
+            "--anchor", "0", "--height", "2", "--width", "2",
+            "--out", str(tmp_path / "a.pgm"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and field in err
 
     def test_params_xor_from_weights(self, tmp_path):
         self.build_tree(tmp_path, 2, 2)

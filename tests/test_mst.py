@@ -5,13 +5,14 @@ import pytest
 
 from treescan import (
     FeatureMap,
+    SpanningTree,
     WeightedGraph,
     boruvka_mst,
     build_grid_graph,
     kruskal_mst,
     root_tree,
 )
-from treescan.selfcheck import random_connected_graph
+from treescan.selfcheck import chain_tree, random_connected_graph
 
 
 def test_triangle_unique_mst():
@@ -109,13 +110,38 @@ class TestRootTree:
         t = root_tree(edges, np.zeros(3), 4, 3)
         assert t.bfs_order.tolist() == [3, 0, 1, 2]
         assert t.parent.tolist() == [3, 3, 3, 3]
-        assert [c.tolist() for c in t.children] == [[], [], [], [0, 1, 2]]
 
     def test_levels_and_depths(self):
         edges = np.array([[0, 1], [1, 2], [1, 3]])
         t = root_tree(edges, np.zeros(3), 4, 0)
         assert t.depths.tolist() == [0, 1, 2, 2]
         assert [lv.tolist() for lv in t.levels] == [[0], [1], [2, 3]]
+        # a long chain: L levels of one vertex each
+        n = 2000
+        chain = chain_tree(n)
+        assert len(chain.levels) == n
+        assert chain.depths.tolist() == list(range(n - 1, -1, -1))
+        # a star: the root, then one level of L - 1 leaves
+        star = root_tree(np.stack([np.zeros(9, dtype=np.int64), np.arange(1, 10)], axis=1),
+                         np.zeros(9), 10, 0)
+        assert [lv.tolist() for lv in star.levels] == [[0], list(range(1, 10))]
+        # random trees at every root: levels partition bfs_order, parents one level up
+        rng = np.random.default_rng(21)
+        g = random_connected_graph(rng, 40, extra_edges=30)
+        edges, weights = boruvka_mst(g)
+        for r in range(40):
+            t = root_tree(edges, weights, 40, r)
+            np.testing.assert_array_equal(np.concatenate(t.levels), t.bfs_order)
+            for k in range(1, len(t.levels)):
+                assert set(t.parent[t.levels[k]].tolist()) <= set(t.levels[k - 1].tolist())
+            nonroot = np.arange(40) != r
+            np.testing.assert_array_equal(t.depths[t.parent[nonroot]], t.depths[nonroot] - 1)
+        # a depth-first order lists parents first but is not breadth-first
+        dfs = SpanningTree(4, 0, np.array([0, 0, 0, 1]), np.array([0, 1, 3, 2]), np.zeros(4))
+        with pytest.raises(ValueError, match="breadth-first"):
+            dfs.levels
+        with pytest.raises(ValueError, match="breadth-first"):
+            dfs.validate()
 
     def test_not_a_tree_cycle(self):
         edges = np.array([[0, 1], [1, 2], [0, 2]])

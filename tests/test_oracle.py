@@ -191,5 +191,3 @@ def test_finite_difference_single_vertex_scan_is_linear():
 def test_finite_difference_config_validation():
     with pytest.raises(ValueError):
         FiniteDifferenceConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        FiniteDifferenceConfig(scheme="forward")

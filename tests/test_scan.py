@@ -155,6 +155,17 @@ class TestVisionForward:
             h, _ = tree_scan_vision_forward(x, p, tree)
             ref = naive_tree_scan(x, p, tree)
             assert np.max(np.abs(h - ref)) < 1e-9
+        # the extreme shapes: a deep chain (one vertex per level) and a star
+        # (one level of L - 1 leaves)
+        k = 150
+        star = root_tree(np.stack([np.zeros(k, dtype=np.int64), np.arange(1, k + 1)], axis=1),
+                         np.zeros(k), k + 1, 0)
+        for tree in (chain_tree(300), star):
+            n = tree.num_vertices
+            x = FeatureMap(rng.standard_normal((n, 2)))
+            p = DiscreteScanParams(rng.uniform(0.05, 0.95, (n, 2, 2)), rng.standard_normal((n, 2, 2)))
+            h, _ = tree_scan_vision_forward(x, p, tree)
+            assert np.max(np.abs(h - naive_tree_scan(x, p, tree))) < 1e-9
 
     def test_tree_size_mismatch(self, chain3_vision):
         x, p, tree = chain3_vision
@@ -306,23 +317,13 @@ class TestOutputProjection:
         y = output_projection(h, p, x)
         np.testing.assert_allclose(y.data, p.d[None, :] * x.data, atol=1e-14)
 
-    def test_projection_collapse_identity_norm(self):
-        rng = np.random.default_rng(17)
-        p = make_continuous(rng, 5, 2, 1)
-        p.c_out[:] = 1.0
-        p.d[:] = 0.0
-        x = FeatureMap(rng.standard_normal((5, 2)))
-        h = rng.standard_normal((5, 2, 1))
-        y = output_projection(h, p, x, norm="identity")
-        np.testing.assert_allclose(y.data, h[:, :, 0], atol=1e-15)
-
     def test_term_by_term_oracle(self):
         rng = np.random.default_rng(18)
         length, c, n = 4, 2, 3
         p = make_continuous(rng, length, c, n)
         x = FeatureMap(rng.standard_normal((length, c)))
         h = rng.standard_normal((length, c, n))
-        y = output_projection(h, p, x, norm="rms").data
+        y = output_projection(h, p, x).data
         for i in range(length):
             r = np.sqrt(np.mean(h[i] ** 2))
             for cc in range(c):
