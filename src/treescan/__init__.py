@@ -15,7 +15,8 @@ from .lattice import (
     vertex_dissimilarity,
 )
 from .mst import SpanningTree, boruvka_mst, root_tree
-from .oracle import FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst, path_product
+from .oracle import (FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst, path_product,
+                     sequential_selective_scan)
 from .scan import (
     ContinuousScanParams,
     DiscreteScanParams,
@@ -26,7 +27,6 @@ from .scan import (
     naive_tree_scan,
     output_projection,
     output_projection_backward,
-    sequential_selective_scan,
     tree_scan_language_backward,
     tree_scan_language_forward,
     tree_scan_vision_backward,
@@ -47,6 +47,7 @@ __all__ = [
     "finite_diff_gradients",
     "kruskal_mst",
     "path_product",
+    "sequential_selective_scan",
     "ContinuousScanParams",
     "DiscreteScanParams",
     "GradBundle",
@@ -56,7 +57,6 @@ __all__ = [
     "naive_tree_scan",
     "output_projection",
     "output_projection_backward",
-    "sequential_selective_scan",
     "tree_scan_language_backward",
     "tree_scan_language_forward",
     "tree_scan_vision_backward",

@@ -103,24 +103,33 @@ def _check_metric(metric: str) -> str:
     return metric
 
 
-def _pairwise_dissimilarity(metric: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise distance between matching rows of two (K, C) matrices."""
-    if metric == "euclidean":
-        return np.sqrt(np.sum((a - b) ** 2, axis=1))
+def _edge_weights(metric: str, x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Distance between the endpoint rows of ``x`` for every (u, v) edge.
+
+    Euclidean and cosine rescale rows by exact powers of two, so that finite
+    features near the float64 limits neither overflow nor underflow; inside
+    the normal range no bit of the result changes."""
+    u, v = edges[:, 0], edges[:, 1]
     if metric == "manhattan":
-        return np.sum(np.abs(a - b), axis=1)
+        return np.sum(np.abs(x[u] - x[v]), axis=1)
+    _, ex = np.frexp(np.max(np.abs(x), axis=1))
+    if metric == "euclidean":  # both rows share a factor, undone on the result
+        e = np.maximum(ex[u], ex[v])
+        diff = np.ldexp(x[u], -e[:, None]) - np.ldexp(x[v], -e[:, None])
+        return np.ldexp(np.sqrt(np.sum(diff * diff, axis=1)), e)
     # cosine: 1 - <a,b>/(|a||b|); a zero-norm endpoint counts as distance 1
     # (orthogonal-equivalent) so degenerate features never poison MST weights.
-    na = np.sqrt(np.sum(a * a, axis=1))
-    nb = np.sqrt(np.sum(b * b, axis=1))
-    denom = na * nb
+    x = np.ldexp(x, -ex[:, None])  # scale-invariant, so each row gets its own factor
+    norm = np.sqrt(np.sum(x * x, axis=1))
+    a, b = x[u], x[v]
+    denom = norm[u] * norm[v]
     dot = np.sum(a * b, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         dist = 1.0 - dot / denom
     dist = np.where(denom > 0.0, dist, 1.0)
     # identical vectors are exactly at distance 0; rounding in dot/denom would
     # otherwise leave one-ulp residue
-    equal = np.all(a == b, axis=1) & (denom > 0.0)
+    equal = np.all(a == b, axis=1) & (ex[u] == ex[v]) & (denom > 0.0)
     return np.clip(np.where(equal, 0.0, dist), 0.0, 2.0)
 
 
@@ -139,7 +148,7 @@ def vertex_dissimilarity(metric: str, a, b) -> float:
         raise ValueError("vectors must have length >= 1")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("inputs contain NaN or Inf")
-    return float(_pairwise_dissimilarity(metric, a[None, :], b[None, :])[0])
+    return float(_edge_weights(metric, np.stack([a, b]), np.array([[0, 1]]))[0])
 
 
 def build_grid_graph(feature: FeatureMap, metric: str = "cosine") -> WeightedGraph:
@@ -147,21 +156,18 @@ def build_grid_graph(feature: FeatureMap, metric: str = "cosine") -> WeightedGra
 
     Every horizontally or vertically adjacent pixel pair gets one edge whose
     weight is the dissimilarity of the two pixel features; the result has
-    H*(W-1) + W*(H-1) edges and is connected.  Edges are enumerated row-major,
-    horizontal block first.
+    H*(W-1) + W*(H-1) edges (none for a single pixel) and is connected.  Edges
+    are enumerated row-major, horizontal block first.
     """
     _check_metric(metric)
     if feature.spatial is None:
         raise ValueError("grid graph needs a feature map with a spatial shape")
     h, w = feature.spatial
-    if h * w < 2:
-        raise ValueError("single-pixel map has no edges")
     idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
     horiz = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
     vert = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
     edges = np.concatenate([horiz, vert], axis=0)
-    x = feature.data.astype(np.float64, copy=False)
-    weights = _pairwise_dissimilarity(metric, x[edges[:, 0]], x[edges[:, 1]])
+    weights = _edge_weights(metric, feature.data.astype(np.float64, copy=False), edges)
     return WeightedGraph(h * w, edges, weights)
 
 
@@ -187,6 +193,5 @@ def build_causal_graph(feature: FeatureMap, m: int = 3, metric: str = "cosine") 
     edges = np.concatenate(blocks, axis=0)
     order = np.lexsort((edges[:, 0], edges[:, 1]))
     edges = edges[order]
-    x = feature.data.astype(np.float64, copy=False)
-    weights = _pairwise_dissimilarity(metric, x[edges[:, 0]], x[edges[:, 1]])
+    weights = _edge_weights(metric, feature.data.astype(np.float64, copy=False), edges)
     return WeightedGraph(n, edges, weights)

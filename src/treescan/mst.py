@@ -9,7 +9,6 @@ bit-for-bit identical to a Kruskal run with the same rule.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,8 +35,8 @@ class SpanningTree:
     edge_weight_to_parent: np.ndarray  # (L,) float64
 
     @cached_property
-    def levels(self) -> list[np.ndarray]:
-        """``bfs_order`` cut into depth levels, each in BFS order.
+    def depths(self) -> np.ndarray:
+        """Depth of every vertex, read off ``bfs_order``.
 
         Level k + 1 is the children of level k, so it ends where the running
         sum of child counts in BFS order stands at the last vertex of level
@@ -56,15 +55,13 @@ class SpanningTree:
             raise ValueError(
                 "bfs_order is not breadth-first: some vertex's parent is not in the level above it"
             )
-        return np.split(self.bfs_order, ends[:-1])
+        return depth
 
     @cached_property
-    def depths(self) -> np.ndarray:
-        """Depth of every vertex, read off ``levels``."""
-        depth = np.empty(self.num_vertices, dtype=np.int64)
-        for d, lv in enumerate(self.levels):
-            depth[lv] = d
-        return depth
+    def levels(self) -> list[np.ndarray]:
+        """``bfs_order`` cut into depth levels, each in BFS order; raises
+        like ``depths`` unless ``bfs_order`` is breadth-first."""
+        return np.split(self.bfs_order, np.cumsum(np.bincount(self.depths))[:-1])
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError naming the first violation."""
@@ -93,69 +90,59 @@ class SpanningTree:
             raise ValueError("edge weight at the root must be 0")
 
 
-def _edge_order_keys(edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Rank edges by the strict total order (weight, u, v); returns rank per edge."""
-    order = np.lexsort((edges[:, 1], edges[:, 0], weights))
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return rank
-
-
 def boruvka_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Minimum spanning tree edges via Boruvka contraction.
 
-    Each round selects, for every component, its cheapest outgoing edge under
-    the (weight, u, v) total order, then contracts.  Returns ``(edges, weights)``
-    with edges sorted by (u, v); raises on disconnected inputs, naming an
-    unreached component.
+    Each round every component hooks its root onto the root across its
+    cheapest outgoing edge under the (weight, u, v) order (of two components
+    that pick the same edge, the smaller root stays a root), then pointer
+    jumping flattens the hooked forest.  Returns ``(edges, weights)`` sorted
+    by (u, v); raises on disconnected inputs, naming an unreached component.
     """
     n = graph.num_vertices
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
+    if n < 1:
+        raise ValueError("need at least 1 vertex")
     eu = graph.edges[:, 0]
     ev = graph.edges[:, 1]
-    rank = _edge_order_keys(graph.edges, graph.weights)
-    by_rank = np.argsort(rank, kind="stable")  # rank -> edge id
+    by_rank = np.lexsort((ev, eu, graph.weights))  # rank -> edge id
+    rank = np.empty_like(by_rank)
+    rank[by_rank] = np.arange(by_rank.size)
     sentinel = graph.num_edges
 
     comp = np.arange(n, dtype=np.int64)  # flattened component pointer per vertex
-    chosen: list[int] = []
-    num_components = n
-    while num_components > 1:
+    picks = [np.zeros(0, dtype=np.int64)]
+    while True:
         ru = comp[eu]
         rv = comp[ev]
         alive = ru != rv
         if not np.any(alive):
-            members = np.flatnonzero(comp == comp[0])
-            raise ValueError(
-                f"graph is disconnected: component of vertex 0 = {members.tolist()} "
-                f"cannot reach the remaining {n - members.size} vertices"
-            )
+            break
         cheapest = np.full(n, sentinel, dtype=np.int64)
         np.minimum.at(cheapest, ru[alive], rank[alive])
         np.minimum.at(cheapest, rv[alive], rank[alive])
-        edge_ids = by_rank[np.unique(cheapest[cheapest < sentinel])]
-        for e in edge_ids:
-            # comp may be one hop stale mid-round; chase to the true roots
-            a = int(eu[e])
-            while comp[a] != a:
-                a = int(comp[a])
-            b = int(ev[e])
-            while comp[b] != b:
-                b = int(comp[b])
-            if a != b:
-                comp[b] = a
-                chosen.append(int(e))
-                num_components -= 1
+        roots = np.flatnonzero(cheapest < sentinel)
+        e = by_rank[cheapest[roots]]
+        picks.append(e)
+        across = np.where(ru[e] == roots, rv[e], ru[e])
+        mutual = cheapest[across] == cheapest[roots]
+        hook = np.arange(n, dtype=np.int64)
+        hook[roots] = np.where(mutual, np.minimum(roots, across), across)
+        comp = hook[comp]
         while True:
             nxt = comp[comp]
             if np.array_equal(nxt, comp):
                 break
             comp = nxt
 
-    chosen_arr = np.array(sorted(chosen), dtype=np.int64)
-    edges = graph.edges[chosen_arr]
-    weights = graph.weights[chosen_arr]
+    chosen = np.unique(np.concatenate(picks))  # a shared pick appears twice
+    if chosen.size != n - 1:
+        members = np.flatnonzero(comp == comp[0])
+        raise ValueError(
+            f"graph is disconnected: component of vertex 0 = {members.tolist()} "
+            f"cannot reach the remaining {n - members.size} vertices"
+        )
+    edges = graph.edges[chosen]
+    weights = graph.weights[chosen]
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     return edges[order], weights[order]
 
@@ -163,9 +150,10 @@ def boruvka_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
 def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: int) -> SpanningTree:
     """Root an undirected spanning tree at ``root`` via breadth-first traversal.
 
-    Children are visited in ascending vertex order, so the BFS order and the
-    resulting arrays are deterministic.  Raises if the edge set is not a tree
-    over exactly ``num_vertices`` vertices.
+    The walk reads one adjacency in compressed sparse rows, each row sorted,
+    so children are visited in ascending vertex order.  Raises if the edge
+    set is not a tree over exactly ``num_vertices`` vertices, naming the
+    first bad edge (out of range or a self-loop) or the unreachable vertices.
     """
     edges = np.asarray(edges, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -176,34 +164,31 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
             f"a spanning tree over {num_vertices} vertices needs exactly "
             f"{num_vertices - 1} edges, got {edges.shape[0]}"
         )
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(num_vertices)]
-    for (u, v), w in zip(edges.tolist(), weights.tolist()):
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices) or u == v:
-            raise ValueError(f"bad edge ({u}, {v})")
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    for lst in adj:
-        lst.sort()
+    eu, ev = edges[:, 0], edges[:, 1]
+    bad = np.flatnonzero(((edges < 0) | (edges >= num_vertices)).any(axis=1) | (eu == ev))
+    if bad.size:
+        raise ValueError(f"bad edge ({eu[bad[0]]}, {ev[bad[0]]})")
+    src = np.concatenate([eu, ev])
+    dst = np.concatenate([ev, eu])
+    order = np.lexsort((dst, src))
+    starts = np.searchsorted(src[order], np.arange(num_vertices + 1)).tolist()
+    nbrs = dst[order].tolist()
 
-    parent = np.full(num_vertices, -1, dtype=np.int64)
-    weight_to_parent = np.zeros(num_vertices, dtype=np.float64)
-    bfs = np.empty(num_vertices, dtype=np.int64)
+    parent = [-1] * num_vertices
     parent[root] = root
-    bfs[0] = root
-    filled = 1
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for nb, w in adj[v]:
+    bfs = [root]
+    for v in bfs:  # the list grows as vertices are reached
+        for nb in nbrs[starts[v]:starts[v + 1]]:
             if parent[nb] < 0:
                 parent[nb] = v
-                weight_to_parent[nb] = w
-                bfs[filled] = nb
-                filled += 1
-                queue.append(nb)
-    if filled != num_vertices:
+                bfs.append(nb)
+    parent = np.array(parent, dtype=np.int64)
+    if len(bfs) != num_vertices:
         missing = np.flatnonzero(parent < 0)
         raise ValueError(
             f"edge set is not a spanning tree: vertices {missing.tolist()} unreachable from root"
         )
-    return SpanningTree(num_vertices, int(root), parent, bfs, weight_to_parent)
+    weight_to_parent = np.zeros(num_vertices, dtype=np.float64)
+    weight_to_parent[np.where(parent[eu] == ev, eu, ev)] = weights
+    return SpanningTree(num_vertices, int(root), parent, np.array(bfs, dtype=np.int64),
+                        weight_to_parent)

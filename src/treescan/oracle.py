@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import WeightedGraph
+from .lattice import FeatureMap, WeightedGraph
 from .mst import SpanningTree
 from .scan import DiscreteScanParams, GradBundle
 
@@ -51,8 +51,8 @@ def kruskal_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     algorithm's output exactly under the shared tie rule.
     """
     n = graph.num_vertices
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
+    if n < 1:
+        raise ValueError("need at least 1 vertex")
     order = np.lexsort((graph.edges[:, 1], graph.edges[:, 0], graph.weights))
     ds = _DisjointSet(n)
     keep = []
@@ -73,6 +73,23 @@ def kruskal_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     weights = graph.weights[keep_arr]
     out = np.lexsort((edges[:, 1], edges[:, 0]))
     return edges[out], weights[out]
+
+
+def sequential_selective_scan(x: FeatureMap, p: DiscreteScanParams) -> np.ndarray:
+    """Plain chain recurrence h[i] = a_bar[i] * h[i-1] + b_bar[i] * x[i].
+
+    The state prior is zero, so h[0] = b_bar[0] * x[0] and a_bar[0] is never
+    used.  Returns hidden states of shape (L, C, N).
+    """
+    if x.data.shape != p.shape[:2]:
+        raise ValueError(f"feature map shape {x.data.shape} does not match params "
+                         f"(L, C) = {p.shape[:2]}")
+    u = p.b_bar * x.data[:, :, None]
+    h = np.empty_like(u)
+    h[0] = u[0]
+    for i in range(1, u.shape[0]):
+        h[i] = p.a_bar[i] * h[i - 1] + u[i]
+    return h
 
 
 def path_product(tree: SpanningTree, p: DiscreteScanParams, i: int, j: int) -> np.ndarray:

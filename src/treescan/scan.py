@@ -140,21 +140,6 @@ def _check_instance(
             raise ValueError(f"{name} shape {np.shape(arr)} does not match params shape {p.shape}")
 
 
-def sequential_selective_scan(x: FeatureMap, p: DiscreteScanParams) -> np.ndarray:
-    """Plain chain recurrence h[i] = a_bar[i] * h[i-1] + b_bar[i] * x[i].
-
-    The state prior is zero, so h[0] = b_bar[0] * x[0] and a_bar[0] is never
-    used.  Returns hidden states of shape (L, C, N).
-    """
-    _check_instance(x, p)
-    u = p.b_bar * x.data[:, :, None]
-    h = np.empty_like(u)
-    h[0] = u[0]
-    for i in range(1, u.shape[0]):
-        h[i] = p.a_bar[i] * h[i - 1] + u[i]
-    return h
-
-
 def _up(tree: SpanningTree, u: np.ndarray, a_bar: np.ndarray) -> None:
     """Leaf-to-root pass in place: u[i] += sum over children j of u[j] * a_bar[j]."""
     for lv in reversed(tree.levels[1:]):

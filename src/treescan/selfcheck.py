@@ -13,12 +13,12 @@ import numpy as np
 
 from .lattice import FeatureMap, WeightedGraph
 from .mst import SpanningTree, boruvka_mst, root_tree
-from .oracle import FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst
+from .oracle import (FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst,
+                     sequential_selective_scan)
 from .scan import (
     DiscreteScanParams,
     GradBundle,
     naive_tree_scan,
-    sequential_selective_scan,
     tree_scan_language_backward,
     tree_scan_language_forward,
     tree_scan_vision_backward,

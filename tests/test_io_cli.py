@@ -164,6 +164,25 @@ class TestCmdTree:
             outs.append((tmp_path / name).read_text())
         assert outs[0] == outs[1]
 
+    def test_single_pixel_tree_then_scan(self, tmp_path):
+        # one vertex, no edges: the scan reduces to h = b_bar * x
+        x = np.array([[0.5, -2.0, 3.0]])
+        io.write_tensor(tmp_path / "x", x)
+        p = write_simple_params(tmp_path, 1, channels=3, states=2)
+        code = main([
+            "tree", "--input", str(tmp_path / "x.json"), "--height", "1",
+            "--width", "1", "--out", str(tmp_path / "tree.json"),
+        ])
+        assert code == 0
+        code = main([
+            "scan", "--input", str(tmp_path / "x.json"), "--tree", str(tmp_path / "tree.json"),
+            "--params", str(tmp_path / "params.json"), "--mode", "vision",
+            "--out", str(tmp_path / "h"),
+        ])
+        assert code == 0
+        b_bar = p.delta[:, :, None] * p.b[:, None, :]
+        np.testing.assert_array_equal(io.read_tensor(tmp_path / "h.json"), b_bar * x[:, :, None])
+
     def test_bad_metric_usage_error(self, tmp_path):
         io.write_tensor(tmp_path / "x", np.ones((4, 1)))
         with pytest.raises(SystemExit) as exc:

@@ -74,6 +74,15 @@ class TestVertexDissimilarity:
         d1 = vertex_dissimilarity("cosine", a, b)
         dk = vertex_dissimilarity("cosine", 2.0 * a, 7.0 * b)
         assert dk == pytest.approx(d1, abs=1e-12)
+        # near the float64 limits: no overflow to inf, no underflow to a zero norm
+        for k in (1e200, 1e-200):
+            for metric in ("euclidean", "manhattan"):
+                dk = vertex_dissimilarity(metric, k * a, k * b)
+                assert dk == pytest.approx(k * vertex_dissimilarity(metric, a, b), rel=1e-12)
+            assert vertex_dissimilarity("cosine", k * a, b) == pytest.approx(d1, abs=1e-12)
+            assert vertex_dissimilarity("cosine", a, k * b) == pytest.approx(d1, abs=1e-12)
+        assert vertex_dissimilarity("cosine", [1e-200, 0.0], [1.0, 3.0]) == pytest.approx(
+            1.0 - 1.0 / np.sqrt(10.0), rel=1e-12)
 
 
 class TestFeatureMap:
@@ -126,8 +135,6 @@ class TestGridGraph:
     def test_edge_count_formula_exhaustive(self):
         for h in range(1, 65):
             for w in range(1, 65):
-                if h * w < 2:
-                    continue
                 f = FeatureMap(np.zeros((h * w, 1)), spatial=(h, w))
                 g = build_grid_graph(f, "euclidean")
                 assert g.num_edges == h * (w - 1) + w * (h - 1)
@@ -139,9 +146,10 @@ class TestGridGraph:
             g = build_grid_graph(f)
             assert bfs_reachable(g.num_vertices, g.edges)
 
-    def test_single_pixel_errors(self):
-        with pytest.raises(ValueError):
-            build_grid_graph(FeatureMap(np.zeros((1, 1)), spatial=(1, 1)))
+    def test_single_pixel_is_edgeless(self):
+        g = build_grid_graph(FeatureMap(np.zeros((1, 1)), spatial=(1, 1)))
+        assert g.num_vertices == 1
+        assert g.edges.shape == (0, 2) and g.weights.shape == (0,)
 
     def test_missing_spatial_errors(self):
         with pytest.raises(ValueError):

@@ -8,11 +8,24 @@ from treescan import (
     SpanningTree,
     WeightedGraph,
     boruvka_mst,
+    build_causal_graph,
     build_grid_graph,
     kruskal_mst,
     root_tree,
 )
 from treescan.selfcheck import chain_tree, random_connected_graph
+
+
+def construction_cases():
+    """A 40x40 constant image (every weight ties), a causal m=3 graph, a chain
+    and a single pixel: the tie-heavy, deep and edgeless shapes."""
+    rng = np.random.default_rng(5)
+    return [
+        build_grid_graph(FeatureMap(np.ones((1, 2)), spatial=(1, 1)), "cosine"),
+        build_grid_graph(FeatureMap(np.ones((1600, 2)), spatial=(40, 40)), "cosine"),
+        build_causal_graph(FeatureMap(rng.standard_normal((500, 4))), m=3),
+        build_causal_graph(FeatureMap(rng.standard_normal((300, 4))), m=1),
+    ]
 
 
 def test_triangle_unique_mst():
@@ -43,11 +56,15 @@ def test_matches_kruskal_on_random_graph():
 
 def test_matches_kruskal_exactly_with_distinct_weights():
     rng = np.random.default_rng(9)
+    graphs = construction_cases()
     for _ in range(40):
         n = int(rng.integers(2, 200))
         g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 2 * n)), distinct=True)
+        graphs.append(g)
+    for g in graphs:
         be, bw = boruvka_mst(g)
         ke, kw = kruskal_mst(g)
+        assert be.shape == ke.shape == (g.num_vertices - 1, 2)
         assert be.tolist() == ke.tolist()
         np.testing.assert_array_equal(bw, kw)
 
@@ -55,18 +72,24 @@ def test_matches_kruskal_exactly_with_distinct_weights():
 def test_tie_breaking_is_deterministic_and_matches_kruskal():
     # constant image: every edge weight ties at zero
     f = FeatureMap(np.ones((12, 2)), spatial=(3, 4))
-    g = build_grid_graph(f, "cosine")
-    be, _ = boruvka_mst(g)
-    ke, _ = kruskal_mst(g)
-    assert be.tolist() == ke.tolist()
-    be2, _ = boruvka_mst(g)
-    assert be.tolist() == be2.tolist()
+    for g in [build_grid_graph(f, "cosine")] + construction_cases():
+        be, _ = boruvka_mst(g)
+        ke, _ = kruskal_mst(g)
+        assert be.tolist() == ke.tolist()
+        be2, _ = boruvka_mst(g)
+        assert be.tolist() == be2.tolist()
 
 
 def test_disconnected_graph_reports_component():
     g = WeightedGraph(4, np.array([[0, 1], [2, 3]]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="disconnected"):
         boruvka_mst(g)
+    # a forest of three trees: the error names vertex 0's component
+    forest = WeightedGraph(7, np.array([[0, 4], [1, 2], [2, 3], [4, 6], [3, 5]]),
+                           np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    with pytest.raises(ValueError, match=r"component of vertex 0 = \[0, 4, 6\] "
+                                         r"cannot reach the remaining 4 vertices"):
+        boruvka_mst(forest)
 
 
 def test_cut_property_exhaustive_small():
@@ -110,6 +133,11 @@ class TestRootTree:
         t = root_tree(edges, np.zeros(3), 4, 3)
         assert t.bfs_order.tolist() == [3, 0, 1, 2]
         assert t.parent.tolist() == [3, 3, 3, 3]
+        # centre between its leaves, edges unsorted: children still ascend
+        edges = np.array([[2, 4], [0, 2], [2, 3], [1, 2]])
+        t = root_tree(edges, np.array([0.5, 1.0, 2.0, 3.0]), 5, 2)
+        assert t.bfs_order.tolist() == [2, 0, 1, 3, 4]
+        assert t.edge_weight_to_parent.tolist() == [1.0, 3.0, 0.0, 2.0, 0.5]
 
     def test_levels_and_depths(self):
         edges = np.array([[0, 1], [1, 2], [1, 3]])
@@ -147,16 +175,28 @@ class TestRootTree:
         edges = np.array([[0, 1], [1, 2], [0, 2]])
         with pytest.raises(ValueError):
             root_tree(edges, np.zeros(3), 4, 0)
+        # a self-loop is a cycle of one edge; the first bad edge is named
+        edges = np.array([[0, 1], [2, 2], [3, 3]])
+        with pytest.raises(ValueError, match=r"bad edge \(2, 2\)"):
+            root_tree(edges, np.zeros(3), 4, 0)
 
     def test_not_a_tree_disconnected(self):
         edges = np.array([[0, 1], [0, 1], [2, 3]])
         with pytest.raises(ValueError, match="unreachable|duplicate|tree"):
+            root_tree(edges, np.zeros(3), 4, 0)
+        # a duplicate edge leaves too few distinct edges to span
+        edges = np.array([[0, 1], [1, 2], [2, 1]])
+        with pytest.raises(ValueError, match=r"vertices \[3\] unreachable"):
             root_tree(edges, np.zeros(3), 4, 0)
 
     def test_root_out_of_range(self):
         edges, w = self.path()
         with pytest.raises(ValueError):
             root_tree(edges, w, 3, 3)
+        # an edge endpoint out of range; the first bad edge is named
+        edges = np.array([[0, 1], [1, 4], [-1, 2]])
+        with pytest.raises(ValueError, match=r"bad edge \(1, 4\)"):
+            root_tree(edges, np.zeros(3), 4, 0)
 
     def test_invariants_for_every_root(self):
         rng = np.random.default_rng(3)
