@@ -3,11 +3,15 @@
 A tensor on disk is a pair of sibling files: ``name.json`` holds the header
 ``{"shape": [...], "dtype": "f32"|"f64", "layout": "row-major"}`` and
 ``name.bin`` holds the raw little-endian payload.  Trees and continuous scan
-parameters are plain JSON.  Affinity images are binary PGM (P5, maxval 255).
+parameters are one JSON object each, whose array fields are
+``{"shape": [...], "dtype": "f64"|"i64", "data": "<base64>"}``: the data is
+the base64 of the array's little-endian row-major bytes.  Affinity images are
+binary PGM (P5, maxval 255).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from pathlib import Path
@@ -17,7 +21,87 @@ import numpy as np
 from .mst import SpanningTree
 from .scan import ContinuousScanParams
 
-_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "i64": np.dtype("<i8")}
+_TENSOR_TAGS = ("f32", "f64")
+_TREE_SCALARS = ("num_vertices", "root")
+_TREE_FIELDS = {"parent": "i64", "bfs_order": "i64", "edge_weight_to_parent": "f64"}
+_PARAMS_FIELDS = {"a": "f64", "b": "f64", "c_out": "f64", "d": "f64", "delta": "f64"}
+
+
+def _load_json_object(path, what: str) -> dict:
+    """Parse a JSON file whose top level must be an object."""
+    try:
+        obj = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _shape_and_dtype(where: str, header, tags) -> tuple[list[int], np.dtype]:
+    """The header check shared by tensor headers and array fields: ``shape``
+    a nonempty list of positive ints, ``dtype`` one of ``tags``."""
+    if not isinstance(header, dict):
+        raise ValueError(f"{where} must be a JSON object with shape and dtype, "
+                         f"got {type(header).__name__}")
+    shape = header.get("shape")
+    if not isinstance(shape, list) or not shape or not all(
+        isinstance(s, int) and not isinstance(s, bool) and s >= 1 for s in shape
+    ):
+        raise ValueError(f"{where}: shape must be a nonempty list of positive ints")
+    tag = header.get("dtype")
+    if tag not in tags:
+        raise ValueError(f"{where}: dtype must be {' or '.join(map(repr, tags))}, got {tag!r}")
+    return shape, _DTYPES[tag]
+
+
+def _from_bytes(where: str, payload: bytes, shape: list[int], dtype: np.dtype) -> np.ndarray:
+    """A writable native-order array from little-endian row-major bytes."""
+    expected = math.prod(shape) * dtype.itemsize
+    if len(payload) != expected:
+        raise ValueError(f"{where}: expected {expected} bytes for shape {shape}, got {len(payload)}")
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+
+
+def _encode(array: np.ndarray, tag: str) -> dict:
+    arr = np.ascontiguousarray(array, dtype=_DTYPES[tag])
+    return {"shape": list(arr.shape), "dtype": tag,
+            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _decode(where: str, field, tag: str) -> np.ndarray:
+    shape, dtype = _shape_and_dtype(where, field, (tag,))
+    data = field.get("data")
+    if not isinstance(data, str):
+        raise ValueError(f"{where}: data must be a base64 string")
+    try:
+        payload = base64.b64decode(data, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{where}: data is not valid base64: {exc}") from exc
+    return _from_bytes(where, payload, shape, dtype)
+
+
+def _read_fields(path, what: str, fields: dict[str, str], scalars=()) -> dict:
+    """Load a tree or params file: every key of ``fields`` decoded as an array
+    of its dtype tag, every key of ``scalars`` checked to be an integer."""
+    obj = _load_json_object(path, what)
+    for key in (*scalars, *fields):
+        if key not in obj:
+            raise ValueError(f"{what} {path}: missing field {key!r}")
+    for key in scalars:
+        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
+            raise ValueError(f"{what} {path}: field {key!r} must be an integer, got {obj[key]!r}")
+    out = {key: obj[key] for key in scalars}
+    for key, tag in fields.items():
+        out[key] = _decode(f"{what} {path}: field {key!r}", obj[key], tag)
+    return out
+
+
+def _write_fields(path, fields: dict[str, str], source, scalars=()) -> None:
+    obj = {key: getattr(source, key) for key in scalars}
+    obj.update((key, _encode(getattr(source, key), tag)) for key, tag in fields.items())
+    Path(path).write_text(json.dumps(obj) + "\n")
 
 
 def _tensor_paths(path) -> tuple[Path, Path]:
@@ -42,93 +126,33 @@ def write_tensor(path, array: np.ndarray) -> None:
 def read_tensor(path) -> np.ndarray:
     """Load a header/payload tensor, validating the header invariants."""
     header_path, payload_path = _tensor_paths(path)
-    try:
-        header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"tensor header {header_path} is not valid JSON: {exc}") from exc
-    shape = header.get("shape")
-    if not isinstance(shape, list) or not shape or not all(
-        isinstance(s, int) and s >= 1 for s in shape
-    ):
-        raise ValueError(f"tensor header {header_path}: shape must be a nonempty list of positive ints")
-    tag = header.get("dtype")
-    if tag not in _DTYPES:
-        raise ValueError(f"tensor header {header_path}: dtype must be 'f32' or 'f64', got {tag!r}")
+    header = _load_json_object(header_path, "tensor header")
+    where = f"tensor header {header_path}"
+    shape, dtype = _shape_and_dtype(where, header, _TENSOR_TAGS)
     if header.get("layout") != "row-major":
-        raise ValueError(f"tensor header {header_path}: layout must be 'row-major'")
-    dtype = _DTYPES[tag]
-    payload = payload_path.read_bytes()
-    expected = math.prod(shape) * dtype.itemsize
-    if len(payload) != expected:
-        raise ValueError(
-            f"tensor payload {payload_path}: expected {expected} bytes for shape {shape}, got {len(payload)}"
-        )
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        raise ValueError(f"{where}: layout must be 'row-major'")
+    return _from_bytes(f"tensor payload {payload_path}", payload_path.read_bytes(), shape, dtype)
 
 
 def write_tree(path, tree: SpanningTree) -> None:
-    obj = {
-        "num_vertices": tree.num_vertices,
-        "root": tree.root,
-        "parent": tree.parent.tolist(),
-        "bfs_order": tree.bfs_order.tolist(),
-        "edge_weight_to_parent": tree.edge_weight_to_parent.tolist(),
-    }
-    Path(path).write_text(json.dumps(obj) + "\n")
+    _write_fields(path, _TREE_FIELDS, tree, scalars=_TREE_SCALARS)
 
 
 def read_tree(path) -> SpanningTree:
     """Load a tree file and validate every structural invariant before use."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"tree file {path} is not valid JSON: {exc}") from exc
-    required = ("num_vertices", "root", "parent", "bfs_order", "edge_weight_to_parent")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f"tree file {path}: missing field {key!r}")
-    for key in ("num_vertices", "root"):
-        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
-            raise ValueError(f"tree file {path}: field {key!r} must be an integer, got {obj[key]!r}")
-    tree = SpanningTree(
-        num_vertices=obj["num_vertices"],
-        root=obj["root"],
-        parent=np.asarray(obj["parent"], dtype=np.int64),
-        bfs_order=np.asarray(obj["bfs_order"], dtype=np.int64),
-        edge_weight_to_parent=np.asarray(obj["edge_weight_to_parent"], dtype=np.float64),
-    )
+    tree = SpanningTree(**_read_fields(path, "tree file", _TREE_FIELDS, scalars=_TREE_SCALARS))
     tree.validate()
     return tree
 
 
 def write_params(path, params: ContinuousScanParams) -> None:
-    obj = {
-        "a": params.a.tolist(),
-        "b": params.b.tolist(),
-        "c_out": params.c_out.tolist(),
-        "d": params.d.tolist(),
-        "delta": params.delta.tolist(),
-    }
-    Path(path).write_text(json.dumps(obj) + "\n")
+    _write_fields(path, _PARAMS_FIELDS, params)
 
 
 def read_params(path) -> ContinuousScanParams:
-    """Load continuous scan parameters; shape and positivity checks happen in
-    the container's constructor."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"params file {path} is not valid JSON: {exc}") from exc
-    for key in ("a", "b", "c_out", "d", "delta"):
-        if key not in obj:
-            raise ValueError(f"params file {path}: missing field {key!r}")
-    return ContinuousScanParams(
-        a=np.asarray(obj["a"], dtype=np.float64),
-        b=np.asarray(obj["b"], dtype=np.float64),
-        c_out=np.asarray(obj["c_out"], dtype=np.float64),
-        d=np.asarray(obj["d"], dtype=np.float64),
-        delta=np.asarray(obj["delta"], dtype=np.float64),
-    )
+    """Load continuous scan parameters; shape, finiteness and positivity
+    checks happen in the container's constructor."""
+    return ContinuousScanParams(**_read_fields(path, "params file", _PARAMS_FIELDS))
 
 
 def write_pgm(path, image: np.ndarray) -> None:

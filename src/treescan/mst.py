@@ -76,7 +76,7 @@ class SpanningTree:
             raise ValueError("exactly one vertex may be its own parent")
         if np.any(self.parent < 0) or np.any(self.parent >= n):
             raise ValueError("parent index out of range")
-        if np.sort(self.bfs_order).tolist() != list(range(n)):
+        if not np.array_equal(np.sort(self.bfs_order), np.arange(n)):
             raise ValueError("bfs_order is not a permutation of the vertices")
         if self.bfs_order[0] != self.root:
             raise ValueError("bfs_order must start at the root")

@@ -1,7 +1,12 @@
+import base64
 import json
+from contextlib import redirect_stderr
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from treescan import io
 from treescan.cli import main
@@ -12,6 +17,31 @@ from treescan.selfcheck import random_tree
 
 def rng():
     return np.random.default_rng(99)
+
+
+LITTLE_ENDIAN = {"f64": "<f8", "i64": "<i8"}
+
+
+def encode_array(arr):
+    """A tree/params array field, encoded independently of ``io``."""
+    tag = {"f": "f64", "i": "i64"}[arr.dtype.kind]
+    raw = np.ascontiguousarray(arr, dtype=LITTLE_ENDIAN[tag]).tobytes()
+    return {"shape": list(arr.shape), "dtype": tag, "data": base64.b64encode(raw).decode("ascii")}
+
+
+def decode_array(field):
+    raw = base64.b64decode(field["data"])
+    return np.frombuffer(raw, dtype=LITTLE_ENDIAN[field["dtype"]]).reshape(field["shape"]).copy()
+
+
+def edit_file(path, edit):
+    """Decode a tree or params file's array fields, let ``edit`` change the
+    object in place (arrays or any other field), and write it back encoded."""
+    obj = json.loads(path.read_text())
+    obj = {k: decode_array(v) if isinstance(v, dict) else v for k, v in obj.items()}
+    edit(obj)
+    obj = {k: encode_array(v) if isinstance(v, np.ndarray) else v for k, v in obj.items()}
+    path.write_text(json.dumps(obj))
 
 
 class TestTensorFile:
@@ -64,18 +94,18 @@ class TestTreeFile:
     def test_corrupt_parent_rejected(self, tmp_path):
         tree = random_tree(rng(), 8)
         io.write_tree(tmp_path / "t.json", tree)
-        obj = json.loads((tmp_path / "t.json").read_text())
-        obj["parent"][obj["root"]] = (obj["root"] + 1) % 8
-        (tmp_path / "t.json").write_text(json.dumps(obj))
+
+        def corrupt(obj):
+            obj["parent"][obj["root"]] = (obj["root"] + 1) % 8
+
+        edit_file(tmp_path / "t.json", corrupt)
         with pytest.raises(ValueError, match="parent"):
             io.read_tree(tmp_path / "t.json")
 
     def test_bad_bfs_order_rejected(self, tmp_path):
         tree = random_tree(rng(), 8)
         io.write_tree(tmp_path / "t.json", tree)
-        obj = json.loads((tmp_path / "t.json").read_text())
-        obj["bfs_order"] = list(reversed(obj["bfs_order"]))
-        (tmp_path / "t.json").write_text(json.dumps(obj))
+        edit_file(tmp_path / "t.json", lambda obj: obj.update(bfs_order=obj["bfs_order"][::-1]))
         with pytest.raises(ValueError, match="bfs_order"):
             io.read_tree(tmp_path / "t.json")
 
@@ -99,6 +129,102 @@ class TestParamsFile:
         (tmp_path / "p.json").write_text('{"a": [[1.0]]}')
         with pytest.raises(ValueError, match="missing field"):
             io.read_params(tmp_path / "p.json")
+
+
+def assert_same_array(back, orig):
+    assert back.dtype == orig.dtype and back.dtype.isnative and back.flags.writeable
+    assert back.shape == orig.shape and back.tobytes() == orig.tobytes()
+
+
+EXTREMES = np.array([-0.0, 5e-324, 1.7e308, -1.7e308, 1.0, -5e-324])
+
+# each case turns a well-formed array field into a malformed one, and names a
+# word the rejection must contain
+MALFORMED = {
+    "non-base64": (lambda f: {**f, "data": "*" + f["data"][1:]}, "base64"),
+    "byte-count": (lambda f: {**f, "data": encode_array(decode_array(f)[:-1])["data"]}, "bytes"),
+    "unknown-dtype": (lambda f: {**f, "dtype": "f16"}, "dtype"),
+    "mismatched-dtype": (lambda f: {**f, "dtype": {"f64": "i64", "i64": "f64"}[f["dtype"]]},
+                         "dtype"),
+    "shape-not-list": (lambda f: {**f, "shape": f["shape"][0]}, "shape"),
+    "negative-shape": (lambda f: {**f, "shape": [-s for s in f["shape"]]}, "shape"),
+    "bool-shape": (lambda f: {**f, "shape": [True, *f["shape"]]}, "shape"),
+    "list-form": (lambda f: decode_array(f).tolist(), "JSON object"),
+}
+
+
+def write_scan_inputs(tmp_path, length=4):
+    """x, a chain tree rooted at 0 and params: a valid ``scan`` call."""
+    io.write_tensor(tmp_path / "x", np.ones((length, 1)))
+    edges = np.stack([np.arange(length - 1), np.arange(1, length)], axis=1)
+    io.write_tree(tmp_path / "tree.json", root_tree(edges, np.ones(length - 1), length, 0))
+    write_simple_params(tmp_path, length)
+    return ["scan", "--input", str(tmp_path / "x.json"), "--tree", str(tmp_path / "tree.json"),
+            "--params", str(tmp_path / "params.json"), "--mode", "vision",
+            "--out", str(tmp_path / "h")]
+
+
+class TestArrayEncoding:
+    def test_tree_round_trip_bit_exact(self, tmp_path):
+        tree = random_tree(rng(), 7, root=2)
+        weights = np.where(np.arange(7) == 2, -0.0, np.abs(EXTREMES[np.arange(7) % 6]))
+        tree = SpanningTree(7, 2, tree.parent, tree.bfs_order, weights)
+        io.write_tree(tmp_path / "t.json", tree)
+        back = io.read_tree(tmp_path / "t.json")
+        assert (back.num_vertices, back.root) == (7, 2)
+        for name in ("parent", "bfs_order", "edge_weight_to_parent"):
+            assert_same_array(getattr(back, name), getattr(tree, name))
+        assert back.parent.dtype == np.int64
+        # the stored bytes are the little-endian row-major array
+        obj = json.loads((tmp_path / "t.json").read_text())
+        assert obj["parent"]["dtype"] == "i64" and obj["edge_weight_to_parent"]["dtype"] == "f64"
+        assert decode_array(obj["edge_weight_to_parent"]).tobytes() == weights.tobytes()
+
+    def test_params_round_trip_bit_exact(self, tmp_path):
+        p = ContinuousScanParams(
+            a=EXTREMES.reshape(2, 3),
+            b=EXTREMES[::-1].reshape(2, 3),
+            c_out=EXTREMES.reshape(2, 3),
+            d=EXTREMES[:2],
+            delta=np.array([[5e-324, 1.7e308]] * 2),
+        )
+        io.write_params(tmp_path / "p.json", p)
+        q = io.read_params(tmp_path / "p.json")
+        for name in ("a", "b", "c_out", "d", "delta"):
+            assert_same_array(getattr(q, name), getattr(p, name))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("name,field", [("tree.json", "parent"),
+                                            ("tree.json", "edge_weight_to_parent"),
+                                            ("params.json", "a"), ("params.json", "delta")])
+    def test_malformed_field_rejected(self, tmp_path, capsys, case, name, field):
+        argv = write_scan_inputs(tmp_path)
+        garble, word = MALFORMED[case]
+        obj = json.loads((tmp_path / name).read_text())
+        obj[field] = garble(obj[field])
+        (tmp_path / name).write_text(json.dumps(obj))
+        reader = io.read_tree if name == "tree.json" else io.read_params
+        with pytest.raises(ValueError, match=f"{name}: field '{field}'.*{word}"):
+            reader(tmp_path / name)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("text", ["[]", "null", "3", '"s"', "[1]"])
+    @pytest.mark.parametrize("name", ["x.json", "tree.json", "params.json"])
+    def test_top_level_not_an_object_exit_2(self, tmp_path, capsys, name, text):
+        argv = write_scan_inputs(tmp_path)
+        (tmp_path / name).write_text(text)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and name in err
+
+    def test_bool_in_tensor_shape_rejected(self, tmp_path):
+        io.write_tensor(tmp_path / "t", np.ones((1, 1)))
+        (tmp_path / "t.json").write_text(json.dumps(
+            {"shape": [True, 1], "dtype": "f64", "layout": "row-major"}))
+        with pytest.raises(ValueError, match="shape"):
+            io.read_tensor(tmp_path / "t")
 
 
 class TestPgm:
@@ -375,9 +501,7 @@ class TestCmdAffinity:
                                              ("num_vertices", 2.5), ("root", None)])
     def test_malformed_tree_field_exit_2(self, tmp_path, capsys, field, value):
         self.build_tree(tmp_path, 2, 2)
-        obj = json.loads((tmp_path / "tree.json").read_text())
-        obj[field] = value
-        (tmp_path / "tree.json").write_text(json.dumps(obj))
+        edit_file(tmp_path / "tree.json", lambda obj: obj.update({field: value}))
         code = main([
             "affinity", "--tree", str(tmp_path / "tree.json"), "--from-weights",
             "--anchor", "0", "--height", "2", "--width", "2",
@@ -428,3 +552,70 @@ class TestCmdSelfcheck:
         assert main(["selfcheck", "--negative-control"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+FILE_KEYS = {
+    "x.json": ("shape", "dtype", "layout"),
+    "tree.json": ("num_vertices", "root", "parent", "bfs_order", "edge_weight_to_parent"),
+    "params.json": ("a", "b", "c_out", "d", "delta"),
+}
+ARRAY_FILES = st.sampled_from([(name, key) for name in ("tree.json", "params.json")
+                               for key in FILE_KEYS[name] if key not in ("num_vertices", "root")])
+MUTATIONS = st.one_of(
+    st.tuples(st.just("replace"), st.sampled_from([(n, k) for n in FILE_KEYS for k in FILE_KEYS[n]]),
+              st.sampled_from([None, "shape", "dtype", "data"]), JSON_VALUES),
+    st.tuples(st.just("truncate"), ARRAY_FILES, st.integers(0, 40)),
+    st.tuples(st.just("garble"), ARRAY_FILES, st.integers(0, 40), st.characters()),
+    st.tuples(st.just("bytes"), st.sampled_from(["x.json", "x.bin", "tree.json", "params.json"]),
+              st.binary(max_size=64)),
+    st.tuples(st.just("bytes"), st.sampled_from(list(FILE_KEYS)),
+              JSON_VALUES.map(lambda v: json.dumps(v).encode())),
+)
+
+
+def mutate(tmp_path, mutation):
+    kind, target, *rest = mutation
+    if kind == "bytes":
+        (tmp_path / target).write_bytes(rest[0])
+        return
+    name, key = target
+    obj = json.loads((tmp_path / name).read_text())
+    if kind == "replace":
+        sub, value = rest
+        if sub is not None and isinstance(obj[key], dict):
+            obj[key][sub] = value
+        else:
+            obj[key] = value
+    else:
+        data = obj[key]["data"]
+        if kind == "truncate":
+            obj[key]["data"] = data[: rest[0] % len(data)]
+        else:
+            i = rest[0] % len(data)
+            obj[key]["data"] = data[:i] + rest[1] + data[i + 1:]
+    (tmp_path / name).write_text(json.dumps(obj))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=MUTATIONS)
+def test_fuzz_readers_and_cli(tmp_path, mutation):
+    """Whatever the files hold, the CLI exits 0 or 2 with at most one
+    ``error:`` line on stderr, and no exception escapes."""
+    scan = write_scan_inputs(tmp_path)
+    affinity = ["affinity", "--tree", str(tmp_path / "tree.json"), "--params",
+                str(tmp_path / "params.json"), "--anchor", "1", "--height", "2",
+                "--width", "2", "--out", str(tmp_path / "a.pgm")]
+    mutate(tmp_path, mutation)
+    for argv in (scan, affinity):
+        stderr = StringIO()
+        with redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 2)
+        assert err == "" or (len(err.splitlines()) == 1 and err.startswith("error:"))
