@@ -48,6 +48,8 @@ def cmd_scan(args) -> int:
         h, _ = tree_scan_vision_forward(fmap, disc, tree)
     else:
         h = tree_scan_language_forward(fmap, disc, tree)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("scan output contains NaN or Inf: the states overflowed float64")
     io.write_tensor(args.out, h)
     return 0
 
@@ -145,7 +147,10 @@ def main(argv=None) -> int:
     if args.command == "affinity" and bool(args.params) == bool(args.from_weights):
         parser.error("affinity needs exactly one of --params or --from-weights")
     try:
-        return args.fn(args)
+        # Overflow is reported by the explicit finiteness checks (parameters,
+        # scan output), so numpy's own warnings would only add stderr lines.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

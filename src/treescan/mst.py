@@ -22,8 +22,9 @@ class SpanningTree:
     """Rooted spanning tree in the arrays the scan kernels consume.
 
     ``parent[root] == root``; ``bfs_order`` is breadth-first: it starts at
-    the root and lists each level of the tree after the level above it, the
-    children of each vertex together and in the order their parents appear;
+    the root and lists each level of the tree after the level above it, in
+    any order within a level (``root_tree`` lists the children of each
+    vertex together, ascending, in the order their parents appear);
     ``edge_weight_to_parent[i]`` is the weight of the tree edge
     (i, parent[i]) and 0 at the root.
     """
@@ -45,10 +46,11 @@ class SpanningTree:
         """
         n = self.num_vertices
         nonroot = np.flatnonzero(np.arange(n) != self.root)
-        reach = 1 + np.cumsum(np.bincount(self.parent[nonroot], minlength=n)[self.bfs_order])
+        counts = np.bincount(self.parent[nonroot], minlength=n)[self.bfs_order]
+        reach = (1 + np.cumsum(counts)).tolist()
         ends = [1]
         while ends[-1] < n and reach[ends[-1] - 1] > ends[-1]:
-            ends.append(int(reach[ends[-1] - 1]))
+            ends.append(reach[ends[-1] - 1])
         depth = np.full(n, -1, dtype=np.int64)
         depth[self.bfs_order[: ends[-1]]] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
         if np.any(depth[self.parent[nonroot]] != depth[nonroot] - 1):
@@ -58,10 +60,28 @@ class SpanningTree:
         return depth
 
     @cached_property
+    def level_bounds(self) -> list[int]:
+        """Start of every level in ``bfs_order``, then ``num_vertices``: level
+        k is ``bfs_order[level_bounds[k]:level_bounds[k + 1]]``.  Python ints,
+        so the scans slice with them at no conversion cost; raises like
+        ``depths`` unless ``bfs_order`` is breadth-first."""
+        return [0] + np.cumsum(np.bincount(self.depths)).tolist()
+
+    @cached_property
+    def ppos(self) -> np.ndarray:
+        """BFS position of the parent of the vertex at each BFS position (0
+        at the root, position 0): the parent array of the tree relabelled by
+        ``bfs_order``, on which every level is a contiguous slice."""
+        pos = np.empty(self.num_vertices, dtype=np.int64)
+        pos[self.bfs_order] = np.arange(self.num_vertices)
+        return pos[self.parent[self.bfs_order]]
+
+    @cached_property
     def levels(self) -> list[np.ndarray]:
-        """``bfs_order`` cut into depth levels, each in BFS order; raises
-        like ``depths`` unless ``bfs_order`` is breadth-first."""
-        return np.split(self.bfs_order, np.cumsum(np.bincount(self.depths))[:-1])
+        """``bfs_order`` cut into depth levels (views), each in BFS order;
+        raises like ``depths`` unless ``bfs_order`` is breadth-first."""
+        b = self.level_bounds
+        return [self.bfs_order[lo:hi] for lo, hi in zip(b, b[1:])]
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError naming the first violation."""

@@ -12,6 +12,12 @@ O(L^2); the two-pass dynamic program below does it in O(L): a leaf-to-root
 pass accumulates subtree sums (xi), then a root-to-leaf pass combines each
 subtree sum with the complement flowing down from the parent.  The backward
 pass has the same structure run on the output gradients.
+
+The passes run on copies in BFS-position layout: row k holds vertex
+``tree.bfs_order[k]``, so the root is row 0, level k is the contiguous slice
+``tree.level_bounds[k]:tree.level_bounds[k + 1]`` and ``tree.ppos`` gives each
+row's parent row.  Each kernel gathers its inputs into this layout once, walks
+one level slice per step, and scatters its outputs back to vertex order once.
 """
 
 from __future__ import annotations
@@ -140,39 +146,48 @@ def _check_instance(
             raise ValueError(f"{name} shape {np.shape(arr)} does not match params shape {p.shape}")
 
 
-def _up(tree: SpanningTree, u: np.ndarray, a_bar: np.ndarray) -> None:
-    """Leaf-to-root pass in place: u[i] += sum over children j of u[j] * a_bar[j]."""
-    for lv in reversed(tree.levels[1:]):
-        np.add.at(u, tree.parent[lv], u[lv] * a_bar[lv])
+def _up(tree: SpanningTree, u: np.ndarray, a: np.ndarray) -> None:
+    """Leaf-to-root pass in place on BFS-position arrays: u[i] += sum over
+    children j of u[j] * a[j], one level slice at a time."""
+    bounds, ppos = tree.level_bounds, tree.ppos
+    for lo, hi in reversed(list(zip(bounds[1:-1], bounds[2:]))):
+        np.add.at(u, ppos[lo:hi], u[lo:hi] * a[lo:hi])
 
 
-def _down(tree: SpanningTree, u: np.ndarray, a_bar: np.ndarray) -> None:
-    """Root-to-leaf pass in place: u[i] += a_bar[i] * u[parent] below the root."""
-    for lv in tree.levels[1:]:
-        u[lv] += a_bar[lv] * u[tree.parent[lv]]
+def _down(tree: SpanningTree, u: np.ndarray, a: np.ndarray) -> None:
+    """Root-to-leaf pass in place on BFS-position arrays: u[i] += a[i] *
+    u[parent] below the root, one level slice at a time."""
+    bounds, ppos = tree.level_bounds, tree.ppos
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        u[lo:hi] += a[lo:hi] * u.take(ppos[lo:hi], axis=0)
 
 
-def _all_roots(tree: SpanningTree, agg: np.ndarray, a_bar: np.ndarray) -> np.ndarray:
-    """Turn ``agg`` into subtree sums in place (``_up``), then return the
-    aggregation over every vertex: (1 - a_bar^2) * agg pushed down by ``_down``,
-    with ``agg`` kept at the root."""
-    _up(tree, agg, a_bar)
-    out = (1.0 - a_bar * a_bar) * agg
-    out[tree.root] = agg[tree.root]
-    _down(tree, out, a_bar)
+def _to_vertices(order: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Scatter a BFS-position array (row k is vertex ``order[k]``) back to vertex order."""
+    out = np.empty_like(u)
+    out[order] = u
+    return out
+
+
+def _all_roots(tree: SpanningTree, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """On BFS-position arrays, turn ``agg`` into subtree sums in place
+    (``_up``), then return the aggregation over every vertex: (1 - a^2) *
+    agg pushed down by ``_down``, with ``agg`` kept at the root."""
+    _up(tree, agg, a)
+    out = (1.0 - a * a) * agg
+    out[0] = agg[0]
+    _down(tree, out, a)
     return out
 
 
 def _gradients(x: FeatureMap, p: DiscreteScanParams, tree: SpanningTree, rho: np.ndarray,
-               d_a_edge) -> GradBundle:
+               d_a_bar: np.ndarray) -> GradBundle:
     """Gradient tail shared by both backward passes, given rho, the loss
-    gradient of each vertex's subtree sum.  ``d_a_edge(v, par)`` gives d_a_bar
-    at the non-root vertices v with parents par; d_a_bar is 0 at the root."""
+    gradient of each vertex's subtree sum, and ``d_a_bar`` computed on whole
+    arrays; its root row, whose transition is unused, is set to 0 here."""
+    d_a_bar[tree.root] = 0.0
     d_x = np.sum(p.b_bar * rho, axis=2)
     d_b_bar = x.data[:, :, None] * rho
-    d_a_bar = np.zeros_like(p.a_bar)
-    nonroot = np.flatnonzero(np.arange(tree.num_vertices) != tree.root)
-    d_a_bar[nonroot] = d_a_edge(nonroot, tree.parent[nonroot])
     return GradBundle(d_x, d_a_bar, d_b_bar)
 
 
@@ -187,9 +202,10 @@ def tree_scan_vision_forward(
     Returns ``(h, xi)``, both (L, C, N); the backward pass consumes xi.
     """
     _check_instance(x, p, tree)
-    xi = p.b_bar * x.data[:, :, None]
-    h = _all_roots(tree, xi, p.a_bar)
-    return h, xi
+    order = tree.bfs_order
+    xi = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
+    h = _all_roots(tree, xi, p.a_bar.take(order, axis=0))
+    return _to_vertices(order, h), _to_vertices(order, xi)
 
 
 def tree_scan_vision_backward(
@@ -214,12 +230,14 @@ def tree_scan_vision_backward(
     is the caller's contract and cannot be checked here.
     """
     _check_instance(x, p, tree, d_h=d_h, xi=xi, h=h)
-    eta = np.array(d_h)
-    rho = _all_roots(tree, eta, p.a_bar)
-    a = p.a_bar
+    order = tree.bfs_order
+    eta = np.asarray(d_h).take(order, axis=0)
+    rho = _all_roots(tree, eta, p.a_bar.take(order, axis=0))
+    eta, rho = _to_vertices(order, eta), _to_vertices(order, rho)
+    par = tree.parent
     return _gradients(
         x, p, tree, rho,
-        lambda v, par: eta[v] * h[par] + xi[v] * rho[par] - 2.0 * a[v] * eta[v] * xi[v],
+        eta * h.take(par, axis=0) + xi * rho.take(par, axis=0) - 2.0 * p.a_bar * eta * xi,
     )
 
 
@@ -232,9 +250,10 @@ def tree_scan_language_forward(
     each token only sees its own subtree.  Raises unless tree.root == L - 1.
     """
     _check_instance(x, p, tree, causal=True)
-    h = p.b_bar * x.data[:, :, None]
-    _up(tree, h, p.a_bar)
-    return h
+    order = tree.bfs_order
+    h = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
+    _up(tree, h, p.a_bar.take(order, axis=0))
+    return _to_vertices(order, h)
 
 
 def tree_scan_language_backward(
@@ -252,9 +271,11 @@ def tree_scan_language_backward(
     unused).
     """
     _check_instance(x, p, tree, causal=True, d_h=d_h, h=h)
-    rho = np.array(d_h)
-    _down(tree, rho, p.a_bar)
-    return _gradients(x, p, tree, rho, lambda v, par: rho[par] * h[v])
+    order = tree.bfs_order
+    rho = np.asarray(d_h).take(order, axis=0)
+    _down(tree, rho, p.a_bar.take(order, axis=0))
+    rho = _to_vertices(order, rho)
+    return _gradients(x, p, tree, rho, rho.take(tree.parent, axis=0) * h)
 
 
 def _edge_key_adjacency(tree: SpanningTree) -> list[list[tuple[int, int]]]:

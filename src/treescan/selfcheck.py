@@ -8,10 +8,11 @@ compare the fast kernels against the brute-force references.
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 import numpy as np
 
-from .lattice import FeatureMap, WeightedGraph
+from .lattice import FeatureMap, WeightedGraph, build_causal_graph
 from .mst import SpanningTree, boruvka_mst, root_tree
 from .oracle import (FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst,
                      sequential_selective_scan)
@@ -109,6 +110,33 @@ def align_chain_params(p: DiscreteScanParams) -> DiscreteScanParams:
     return DiscreteScanParams(a, p.b_bar)
 
 
+def causal_tree(rng: np.random.Generator, num_tokens: int) -> SpanningTree:
+    """Minimum spanning tree of a noise token sequence's causal m=3 graph,
+    rooted at the last token: about num_tokens / 2 levels of ~2 vertices."""
+    graph = build_causal_graph(FeatureMap(rng.standard_normal((num_tokens, 4))), m=3)
+    edges, weights = boruvka_mst(graph)
+    return root_tree(edges, weights, num_tokens, num_tokens - 1)
+
+
+def naive_scan_at(
+    x: FeatureMap, p: DiscreteScanParams, tree: SpanningTree, vertex: int
+) -> np.ndarray:
+    """Row ``vertex`` of ``naive_tree_scan(x, p, tree)`` in O(L), shape (C, N).
+
+    The tree is re-rooted at ``vertex`` and each edge's transition moved to
+    the edge's child under the new rooting, so the reference's single-root
+    mode aggregates at that vertex; this reaches trees far too large for the
+    quadratic all-roots mode.
+    """
+    n = tree.num_vertices
+    nonroot = np.flatnonzero(np.arange(n) != tree.root)
+    edges = np.stack([nonroot, tree.parent[nonroot]], axis=1)
+    rerooted = root_tree(edges, np.zeros(n - 1), n, vertex)
+    key = np.where(tree.parent == rerooted.parent, np.arange(n), rerooted.parent)
+    moved = DiscreteScanParams(p.a_bar[key], p.b_bar)
+    return naive_tree_scan(x, moved, rerooted, roots="single", force=True)
+
+
 def relative_gradient_error(analytic: GradBundle, reference: GradBundle) -> float:
     """Worst componentwise |a - r| / max(|a|, |r|, GRAD_DENOM_FLOOR)."""
     worst = 0.0
@@ -139,17 +167,44 @@ def check_mst(seed: int) -> tuple[bool, str]:
     return True, f"n={n} total={total_b:.6f}"
 
 
-def check_scan_equivalence(seed: int, perturb: bool = False) -> tuple[bool, str]:
+def scan_equivalence_instance(
+    rng: np.random.Generator, shape: str
+) -> tuple[FeatureMap, DiscreteScanParams, SpanningTree]:
+    """A random tree of up to 128 vertices, or one of the deep shapes: a
+    2000-chain, a causal m=3 tree of ~2000 levels, or a 2000-chain whose
+    a_bar is 1 - 1e-12 in every lane, so every vertex sees all others."""
+    if shape == "random":
+        n = int(rng.integers(2, 129))
+        return random_scan_instance(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    tree = causal_tree(rng, 4000) if shape == "causal" else chain_tree(2000)
+    n = tree.num_vertices
+    if shape == "near-one":
+        a_bar = np.full((n, 2, 2), 1.0 - 1e-12)
+    else:
+        a_bar = rng.uniform(0.05, 0.95, (n, 2, 2))
+    x = FeatureMap(rng.standard_normal((n, 2)))
+    return x, DiscreteScanParams(a_bar, rng.standard_normal((n, 2, 2))), tree
+
+
+def check_scan_equivalence(
+    seed: int, perturb: bool = False, shape: str = "random"
+) -> tuple[bool, str]:
+    """Vision forward against ``naive_tree_scan`` (1e-9) and the two-traversal
+    identity (1e-12): at every vertex of a random tree, and at the root, the
+    deepest vertex and three random ones of a deep tree."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 129))
-    c = int(rng.integers(1, 4))
-    s = int(rng.integers(1, 4))
-    x, p, tree = random_scan_instance(rng, n, c, s)
+    x, p, tree = scan_equivalence_instance(rng, shape)
+    n, c, s = p.shape
     h, xi = tree_scan_vision_forward(x, p, tree)
     if perturb:
         h = h + 1e-6
-    ref = naive_tree_scan(x, p, tree, roots="all")
-    diff = float(np.max(np.abs(h - ref)))
+    if shape == "random":
+        at = np.arange(n)
+        ref = naive_tree_scan(x, p, tree, roots="all")
+    else:
+        at = np.unique([tree.root, tree.bfs_order[-1], *rng.integers(0, n, 3)])
+        ref = np.stack([naive_scan_at(x, p, tree, int(v)) for v in at])
+    diff = float(np.max(np.abs(h[at] - ref)))
     if diff >= 1e-9:
         return False, f"max abs diff {diff:.3e} >= 1e-9"
     nonroot = np.flatnonzero(np.arange(n) != tree.root)
@@ -159,7 +214,7 @@ def check_scan_equivalence(seed: int, perturb: bool = False) -> tuple[bool, str]
     )
     if ident >= 1e-12:
         return False, f"two-traversal identity violated by {ident:.3e}"
-    return True, f"L={n} C={c} N={s} diff={diff:.1e}"
+    return True, f"{shape} L={n} C={c} N={s} levels={len(tree.level_bounds) - 1} diff={diff:.1e}"
 
 
 def check_gradients_vision(seed: int) -> tuple[bool, str]:
@@ -217,11 +272,12 @@ def check_chain_reduction(seed: int) -> tuple[bool, str]:
 
 
 _SUITE = (
-    ("mst-equivalence", check_mst, 25),
-    ("scan-equivalence", check_scan_equivalence, 40),
-    ("gradients-vision", check_gradients_vision, 8),
-    ("gradients-language", check_gradients_language, 8),
-    ("chain-reduction", check_chain_reduction, 12),
+    ("mst-equivalence", [check_mst] * 25),
+    ("scan-equivalence", [check_scan_equivalence] * 40
+     + [partial(check_scan_equivalence, shape=s) for s in ("chain", "causal", "near-one")]),
+    ("gradients-vision", [check_gradients_vision] * 8),
+    ("gradients-language", [check_gradients_language] * 8),
+    ("chain-reduction", [check_chain_reduction] * 12),
 )
 
 
@@ -233,9 +289,9 @@ def run_selfcheck(base_seed: int = 20240601, perturb: bool = False, out=None) ->
     """
     out = out or sys.stdout
     all_ok = True
-    for group, (name, fn, count) in enumerate(_SUITE):
+    for group, (name, checks) in enumerate(_SUITE):
         group_ok = True
-        for k in range(count):
+        for k, fn in enumerate(checks):
             seed = base_seed + 100000 * group + k
             if name == "scan-equivalence":
                 ok, detail = fn(seed, perturb=perturb)
@@ -243,7 +299,7 @@ def run_selfcheck(base_seed: int = 20240601, perturb: bool = False, out=None) ->
                 ok, detail = fn(seed)
             print(f"{'ok  ' if ok else 'FAIL'} {name:<20} seed={seed} {detail}", file=out)
             group_ok &= ok
-        print(f"---- {name}: {'pass' if group_ok else 'FAIL'} ({count} instances)", file=out)
+        print(f"---- {name}: {'pass' if group_ok else 'FAIL'} ({len(checks)} instances)", file=out)
         all_ok &= group_ok
     print(f"self-check: {'all checks passed' if all_ok else 'FAILURES detected'}", file=out)
     return all_ok

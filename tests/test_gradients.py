@@ -21,13 +21,14 @@ from treescan import (
     tree_scan_vision_forward,
 )
 from treescan.selfcheck import (
+    GRAD_DENOM_FLOOR,
     align_chain_params,
     chain_tree,
     random_scan_instance,
     relative_gradient_error,
 )
 
-from test_scan import make_continuous, single_vertex_tree
+from test_scan import STRESS_TREES, make_continuous, single_vertex_tree, stress_instance
 
 
 def vision_backward_of(x, p, tree, d_h):
@@ -167,6 +168,58 @@ class TestLanguageBackward:
         x, p, tree = random_scan_instance(rng, 10, 1, 1, root=0)
         with pytest.raises(ValueError, match="last token"):
             tree_scan_language_backward(x, p, tree, np.zeros(p.shape), np.zeros(p.shape))
+
+
+def directional_error(forward, analytic, x, p, w, rng):
+    """Relative error of the analytic gradients' inner product with one random
+    direction in (x, a_bar, b_bar) against a central difference of
+    loss = sum(w * forward(...)) along it; scales to any L, unlike a full sweep."""
+    eps = FiniteDifferenceConfig().epsilon
+    base = (x.data, p.a_bar, p.b_bar)
+    direction = [rng.standard_normal(arr.shape) for arr in base]
+
+    def loss(sign):
+        moved = [arr + sign * eps * d for arr, d in zip(base, direction)]
+        return float(np.sum(w * forward(*moved)))
+
+    numeric = (loss(1.0) - loss(-1.0)) / (2.0 * eps)
+    exact = sum(float(np.sum(g * d)) for g, d in
+                zip((analytic.d_x, analytic.d_a_bar, analytic.d_b_bar), direction))
+    return abs(numeric - exact) / max(abs(numeric), abs(exact), GRAD_DENOM_FLOOR)
+
+
+class TestLayoutStress:
+    @pytest.mark.parametrize("a_kind", ["random", "near-one"])
+    @pytest.mark.parametrize("tree_name", STRESS_TREES)
+    def test_backward_kernels_match_fd(self, tree_name, a_kind):
+        x, p, tree = stress_instance(tree_name, a_kind)
+        rng = np.random.default_rng(2)
+        w = rng.standard_normal(p.shape)
+        cfg = FiniteDifferenceConfig()
+
+        def vision(xa, aa, ba):
+            return tree_scan_vision_forward(FeatureMap(xa), DiscreteScanParams(aa, ba), tree)[0]
+
+        def language(xa, aa, ba):
+            return tree_scan_language_forward(FeatureMap(xa), DiscreteScanParams(aa, ba), tree)
+
+        h, xi = tree_scan_vision_forward(x, p, tree)
+        h_lang = tree_scan_language_forward(x, p, tree)
+        cases = (
+            (vision, lambda: tree_scan_vision_backward(x, p, tree, xi, h, w)),
+            (language, lambda: tree_scan_language_backward(x, p, tree, h_lang, w)),
+        )
+        for forward, backward in cases:
+            g = backward()
+            if tree.num_vertices <= 64:
+                ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w, cfg)
+                assert relative_gradient_error(g, ref) < cfg.relative_tolerance
+            assert directional_error(forward, g, x, p, w, rng) < cfg.relative_tolerance
+            assert np.all(g.d_a_bar[tree.root] == 0.0)
+            again = backward()
+            for first, second in ((g.d_x, again.d_x), (g.d_a_bar, again.d_a_bar),
+                                  (g.d_b_bar, again.d_b_bar)):
+                assert first.tobytes() == second.tobytes()
 
 
 class TestParameterChainRule:

@@ -1,13 +1,18 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import treescan
 from treescan import io
 from treescan.cli import main
 from treescan.mst import SpanningTree, root_tree
@@ -426,6 +431,47 @@ class TestCmdScan:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @staticmethod
+    def write_overflow_inputs(tmp_path, case):
+        """Finite, valid files whose scan overflows float64: a huge input
+        with every a_bar < 1, a 2000-chain with a_bar = exp(0.4) > 1, or
+        a = 1000 so that discretization itself overflows."""
+        length, a, b = {"huge-input": (4, -0.1, 1e308), "a-bar-above-1": (2000, 0.4, 1.0),
+                        "exp-overflow": (4, 1000.0, 1.0)}[case]
+        io.write_tensor(tmp_path / "x", np.ones((length, 1)))
+        chain = np.stack([np.arange(length - 1), np.arange(1, length)], axis=1)
+        tree = root_tree(chain, np.zeros(length - 1), length, length - 1)
+        io.write_tree(tmp_path / "tree.json", tree)
+        io.write_params(tmp_path / "params.json", ContinuousScanParams(
+            a=np.array([[a]]), b=np.full((length, 1), b), c_out=np.ones((length, 1)),
+            d=np.zeros(1), delta=np.ones((length, 1)),
+        ))
+        return ["scan", "--input", str(tmp_path / "x.json"), "--tree", str(tmp_path / "tree.json"),
+                "--params", str(tmp_path / "params.json"), "--out", str(tmp_path / "h")]
+
+    @pytest.mark.parametrize("mode", ["vision", "language"])
+    @pytest.mark.parametrize("case", ["huge-input", "a-bar-above-1"])
+    def test_non_finite_output_rejected(self, tmp_path, capsys, case, mode):
+        code = main(self.write_overflow_inputs(tmp_path, case) + ["--mode", mode])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: scan output contains NaN or Inf")
+        assert not (tmp_path / "h.json").exists() and not (tmp_path / "h.bin").exists()
+
+    @pytest.mark.parametrize("case", ["exp-overflow", "huge-input"])
+    def test_overflow_prints_one_error_line_outside_pytest(self, tmp_path, case):
+        # pytest captures numpy's RuntimeWarnings, so only a separate
+        # interpreter shows whether they reach stderr
+        src = str(Path(treescan.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        argv = self.write_overflow_inputs(tmp_path, case) + ["--mode", "vision"]
+        proc = subprocess.run([sys.executable, "-m", "treescan", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
     def test_deterministic_across_runs(self, tmp_path):
         self.make_chain_inputs(tmp_path, root=0)

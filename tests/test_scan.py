@@ -5,6 +5,7 @@ from treescan import (
     ContinuousScanParams,
     DiscreteScanParams,
     FeatureMap,
+    SpanningTree,
     affinity_map,
     discretize,
     naive_tree_scan,
@@ -14,11 +15,79 @@ from treescan import (
     tree_scan_language_forward,
     tree_scan_vision_forward,
 )
-from treescan.selfcheck import align_chain_params, chain_tree, random_scan_instance
+from treescan.selfcheck import (
+    align_chain_params,
+    causal_tree,
+    chain_tree,
+    naive_scan_at,
+    random_scan_instance,
+)
 
 
 def single_vertex_tree():
     return root_tree(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 1, 0)
+
+
+STRESS_TREES = ("shuffled-levels", "chain-5000", "causal-2000", "L1", "L2")
+
+
+def stress_instance(tree_name, a_kind, seed=0):
+    """An instance on a tree whose BFS-position layout the level walks must
+    get right, every one rooted at its last token so that both modes apply.
+    ``shuffled-levels`` is built directly: within each level the vertices
+    are neither ascending nor grouped by parent, and vertex 1's two children
+    sit apart in level 2.  ``a_kind`` "near-one" sets every a_bar to 1 - 1e-12."""
+    rng = np.random.default_rng(seed)
+    tree = {
+        "shuffled-levels": lambda: SpanningTree(
+            9, 8, np.array([6, 8, 3, 8, 3, 1, 1, 2, 8]),
+            np.array([8, 3, 1, 5, 2, 6, 4, 0, 7]), np.zeros(9)),
+        "chain-5000": lambda: chain_tree(5000),
+        "causal-2000": lambda: causal_tree(rng, 2000),
+        "L1": single_vertex_tree,
+        "L2": lambda: chain_tree(2),
+    }[tree_name]()
+    tree.validate()
+    n, c, s = tree.num_vertices, 2, 2
+    if a_kind == "near-one":
+        a_bar = np.full((n, c, s), 1.0 - 1e-12)
+    else:
+        a_bar = rng.uniform(0.05, 0.95, (n, c, s))
+    x = FeatureMap(rng.standard_normal((n, c)))
+    return x, DiscreteScanParams(a_bar, rng.standard_normal((n, c, s))), tree
+
+
+def subtree_only(p, tree, vertex):
+    """``p`` with b_bar zeroed outside ``vertex``'s subtree, so that a full
+    aggregation at ``vertex`` is the causal (subtree) one."""
+    inside = [False] * tree.num_vertices
+    inside[vertex] = True
+    parent = tree.parent.tolist()
+    for v in tree.bfs_order.tolist()[1:]:
+        inside[v] = inside[v] or inside[parent[v]]
+    return DiscreteScanParams(p.a_bar, p.b_bar * np.array(inside)[:, None, None])
+
+
+class TestLayoutStress:
+    @pytest.mark.parametrize("a_kind", ["random", "near-one"])
+    @pytest.mark.parametrize("tree_name", STRESS_TREES)
+    def test_forward_kernels_match_naive(self, tree_name, a_kind):
+        x, p, tree = stress_instance(tree_name, a_kind)
+        n = tree.num_vertices
+        rng = np.random.default_rng(1)
+        at = np.unique([tree.root, tree.bfs_order[-1], *rng.integers(0, n, 4)])
+        h, xi = tree_scan_vision_forward(x, p, tree)
+        h_lang = tree_scan_language_forward(x, p, tree)
+        for v in at.tolist():
+            assert np.max(np.abs(h[v] - naive_scan_at(x, p, tree, v))) < 1e-9
+            causal_ref = naive_scan_at(x, subtree_only(p, tree, v), tree, v)
+            assert np.max(np.abs(h_lang[v] - causal_ref)) < 1e-9
+        if n <= 64:
+            assert np.max(np.abs(h - naive_tree_scan(x, p, tree))) < 1e-9
+        np.testing.assert_array_equal(h_lang, xi)  # both are the subtree sums
+        again = tree_scan_vision_forward(x, p, tree)
+        assert again[0].tobytes() == h.tobytes() and again[1].tobytes() == xi.tobytes()
+        assert tree_scan_language_forward(x, p, tree).tobytes() == h_lang.tobytes()
 
 
 def make_continuous(rng, length, channels, states):
