@@ -88,8 +88,8 @@ class WeightedGraph:
             raise ValueError("edges must satisfy u < v (canonical order, no self-loops)")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
             raise ValueError("edge weights must be finite and >= 0")
-        keys = u * self.num_vertices + v
-        if np.unique(keys).size != keys.size:
+        keys = np.sort(u * self.num_vertices + v)
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges")
 
     @property

@@ -23,8 +23,8 @@ class SpanningTree:
 
     ``parent[root] == root``; ``bfs_order`` is breadth-first: it starts at
     the root and lists each level of the tree after the level above it, in
-    any order within a level (``root_tree`` lists the children of each
-    vertex together, ascending, in the order their parents appear);
+    any order within a level (``root_tree`` orders each level by parent,
+    then vertex);
     ``edge_weight_to_parent[i]`` is the weight of the tree edge
     (i, parent[i]) and 0 at the root.
     """
@@ -130,7 +130,7 @@ def boruvka_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     sentinel = graph.num_edges
 
     comp = np.arange(n, dtype=np.int64)  # flattened component pointer per vertex
-    picks = [np.zeros(0, dtype=np.int64)]
+    picked = np.zeros(graph.num_edges, dtype=bool)  # a shared pick is set twice
     while True:
         ru = comp[eu]
         rv = comp[ev]
@@ -142,7 +142,7 @@ def boruvka_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
         np.minimum.at(cheapest, rv[alive], rank[alive])
         roots = np.flatnonzero(cheapest < sentinel)
         e = by_rank[cheapest[roots]]
-        picks.append(e)
+        picked[e] = True
         across = np.where(ru[e] == roots, rv[e], ru[e])
         mutual = cheapest[across] == cheapest[roots]
         hook = np.arange(n, dtype=np.int64)
@@ -154,7 +154,7 @@ def boruvka_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
                 break
             comp = nxt
 
-    chosen = np.unique(np.concatenate(picks))  # a shared pick appears twice
+    chosen = np.flatnonzero(picked)
     if chosen.size != n - 1:
         members = np.flatnonzero(comp == comp[0])
         raise ValueError(
@@ -168,47 +168,94 @@ def boruvka_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: int) -> SpanningTree:
-    """Root an undirected spanning tree at ``root`` via breadth-first traversal.
+    """Root an undirected spanning tree at ``root`` via its Euler tour.
 
-    The walk reads one adjacency in compressed sparse rows, each row sorted,
-    so children are visited in ascending vertex order.  Raises if the edge
-    set is not a tree over exactly ``num_vertices`` vertices, naming the
-    first bad edge (out of range or a self-loop) or the unreachable vertices.
+    Each arc u -> v is followed by the arc after v -> u around v; the tour
+    this walks from the root is ranked by pointer doubling.  An arc the tour
+    takes before its twin points down and names a parent, and the running
+    sum of +1 down, -1 up gives depths (``_euler_tour``).  ``bfs_order`` lists
+    the vertices by (depth, parent, vertex).  Raises if the edge set is not a
+    tree over exactly ``num_vertices`` vertices, naming the first bad edge
+    (out of range or a self-loop) or the unreachable vertices.
     """
     edges = np.asarray(edges, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    if not 0 <= root < num_vertices:
+    n = num_vertices
+    if not 0 <= root < n:
         raise ValueError("root out of range")
-    if edges.shape != (num_vertices - 1, 2):
+    if edges.shape != (n - 1, 2):
         raise ValueError(
-            f"a spanning tree over {num_vertices} vertices needs exactly "
-            f"{num_vertices - 1} edges, got {edges.shape[0]}"
+            f"a spanning tree over {n} vertices needs exactly {n - 1} edges, got {edges.shape[0]}"
         )
     eu, ev = edges[:, 0], edges[:, 1]
-    bad = np.flatnonzero(((edges < 0) | (edges >= num_vertices)).any(axis=1) | (eu == ev))
+    bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1) | (eu == ev))
     if bad.size:
         raise ValueError(f"bad edge ({eu[bad[0]]}, {ev[bad[0]]})")
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    order = np.lexsort((dst, src))
-    starts = np.searchsorted(src[order], np.arange(num_vertices + 1)).tolist()
-    nbrs = dst[order].tolist()
-
-    parent = [-1] * num_vertices
-    parent[root] = root
-    bfs = [root]
-    for v in bfs:  # the list grows as vertices are reached
-        for nb in nbrs[starts[v]:starts[v + 1]]:
-            if parent[nb] < 0:
-                parent[nb] = v
-                bfs.append(nb)
-    parent = np.array(parent, dtype=np.int64)
-    if len(bfs) != num_vertices:
-        missing = np.flatnonzero(parent < 0)
+    parent, depth = _euler_tour(eu, ev, n, root)
+    if not np.all(depth[np.arange(n) != root]):
         raise ValueError(
-            f"edge set is not a spanning tree: vertices {missing.tolist()} unreachable from root"
+            f"edge set is not a spanning tree: vertices {_unreachable(eu, ev, n, root)} "
+            f"unreachable from root"
         )
-    weight_to_parent = np.zeros(num_vertices, dtype=np.float64)
+    weight_to_parent = np.zeros(n, dtype=np.float64)
     weight_to_parent[np.where(parent[eu] == ev, eu, ev)] = weights
-    return SpanningTree(num_vertices, int(root), parent, np.array(bfs, dtype=np.int64),
-                        weight_to_parent)
+    bfs_order = np.argsort(depth * n + parent, kind="stable")  # by (depth, parent, vertex)
+    return SpanningTree(n, int(root), parent, bfs_order, weight_to_parent)
+
+
+def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parent and depth of every vertex, read off the Euler tour from ``root``
+    of the n - 1 edges (eu, ev).  Unless the tour covers every arc, i.e. the
+    edges are a tree, every depth is left 0.
+
+    Arc k < n - 1 is edge k forwards and arc k + n - 1 its twin; slots list
+    the arcs grouped by tail.  The tour is cut where it re-enters the root and
+    ranked by pointer doubling in ceil(log2(arcs)) rounds, so the faces of a
+    graph with a cycle, which never reach the cut, just stay unranked.
+    """
+    parent = np.full(n, root, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    arcs = 2 * (n - 1)
+    by_tail = np.argsort(np.concatenate([eu, ev]), kind="stable")  # slot -> arc
+    tail = np.concatenate([eu, ev])[by_tail]
+    head = np.concatenate([ev, eu])[by_tail]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
+    if starts[root] == starts[root + 1]:  # no arcs at the root (or n == 1)
+        return parent, depth
+    slot = np.empty(arcs, dtype=np.int64)
+    slot[by_tail] = np.arange(arcs)
+    twin = slot[(by_tail + (n - 1)) % arcs]  # slot of each slot's reverse arc
+    nxt = twin + 1  # successor: the arc after the twin around the head, cyclically
+    wrap = nxt == starts[head + 1]
+    nxt[wrap] = starts[head[wrap]]
+    last = twin[starts[root + 1] - 1]  # re-enters the root just before its first arc
+    nxt[last] = last
+    dist = np.ones(arcs, dtype=np.int64)  # arcs left to the end of the tour
+    dist[last] = 0
+    for _ in range((arcs - 1).bit_length()):  # Wyllie list ranking
+        dist += dist.take(nxt)
+        nxt = nxt.take(nxt)
+    if np.all(nxt == last):
+        rank = (arcs - 1) - dist
+        down = dist > dist[twin]  # the tour takes it before its twin
+        step = np.empty(arcs, dtype=np.int64)
+        step[rank] = np.where(down, 1, -1)
+        parent[head[down]] = tail[down]
+        depth[head[down]] = np.cumsum(step)[rank[down]]
+    return parent, depth
+
+
+def _unreachable(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> list[int]:
+    """Vertices not joined to ``root`` by the edges, ascending: components by
+    min-label hooking and pointer jumping (the error path of ``root_tree``)."""
+    comp = np.arange(n, dtype=np.int64)
+    while True:
+        cu, cv = comp[eu], comp[ev]
+        hook = np.arange(n, dtype=np.int64)
+        np.minimum.at(hook, cu, cv)
+        np.minimum.at(hook, cv, cu)
+        if np.array_equal(hook, np.arange(n)):
+            return np.flatnonzero(comp != comp[root]).tolist()
+        comp = hook[comp]
+        while not np.array_equal(comp[comp], comp):
+            comp = comp[comp]

@@ -75,6 +75,49 @@ def kruskal_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     return edges[out], weights[out]
 
 
+def bfs_root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int,
+                  root: int) -> SpanningTree:
+    """Root an undirected spanning tree by a plain breadth-first walk.
+
+    Children are visited in ascending vertex order and levels come out in
+    the order their parents were reached.  Raises like ``mst.root_tree``
+    (same messages) unless the edge set is a tree over ``num_vertices``.
+    """
+    edges = np.asarray(edges, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if not 0 <= root < num_vertices:
+        raise ValueError("root out of range")
+    if edges.shape != (num_vertices - 1, 2):
+        raise ValueError(
+            f"a spanning tree over {num_vertices} vertices needs exactly "
+            f"{num_vertices - 1} edges, got {edges.shape[0]}"
+        )
+    nbrs: list[list[int]] = [[] for _ in range(num_vertices)]
+    for u, v in edges.tolist():
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices) or u == v:
+            raise ValueError(f"bad edge ({u}, {v})")
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    parent = [-1] * num_vertices
+    parent[root] = root
+    bfs = [root]
+    for v in bfs:  # the list grows as vertices are reached
+        for nb in sorted(nbrs[v]):
+            if parent[nb] < 0:
+                parent[nb] = v
+                bfs.append(nb)
+    if len(bfs) != num_vertices:
+        missing = [v for v in range(num_vertices) if parent[v] < 0]
+        raise ValueError(
+            f"edge set is not a spanning tree: vertices {missing} unreachable from root"
+        )
+    weight_to_parent = np.zeros(num_vertices, dtype=np.float64)
+    for (u, v), w in zip(edges.tolist(), weights.tolist()):
+        weight_to_parent[u if parent[u] == v else v] = w
+    return SpanningTree(num_vertices, int(root), np.array(parent, dtype=np.int64),
+                        np.array(bfs, dtype=np.int64), weight_to_parent)
+
+
 def sequential_selective_scan(x: FeatureMap, p: DiscreteScanParams) -> np.ndarray:
     """Plain chain recurrence h[i] = a_bar[i] * h[i-1] + b_bar[i] * x[i].
 

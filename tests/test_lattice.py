@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treescan import FeatureMap, build_causal_graph, build_grid_graph, vertex_dissimilarity
+from treescan import (FeatureMap, WeightedGraph, build_causal_graph, build_grid_graph,
+                      vertex_dissimilarity)
 
 from conftest import bfs_reachable
 
@@ -101,6 +102,19 @@ class TestFeatureMap:
     def test_wrong_rank(self):
         with pytest.raises(ValueError):
             FeatureMap(np.zeros(4))
+
+
+class TestWeightedGraph:
+    def test_duplicate_edges_rejected(self):
+        # the duplicate pair is the first and the last edge, far apart in edge order
+        edges = np.array([[0, 3], [1, 2], [0, 1], [2, 3], [0, 3]])
+        with pytest.raises(ValueError, match="^duplicate edges$"):
+            WeightedGraph(4, edges, np.ones(5))
+        with pytest.raises(ValueError, match="^duplicate edges$"):
+            WeightedGraph(4, np.array([[1, 2], [1, 2]]), np.ones(2))
+        g = WeightedGraph(4, edges[:4], np.ones(4))  # u * L + v keys differ: 3, 6, 1, 11
+        assert g.num_edges == 4
+        assert WeightedGraph(1, np.zeros((0, 2)), np.zeros(0)).num_edges == 0
 
 
 class TestGridGraph:

@@ -13,6 +13,7 @@ from treescan import (
     kruskal_mst,
     root_tree,
 )
+from treescan.oracle import bfs_root_tree
 from treescan.selfcheck import chain_tree, random_connected_graph
 
 
@@ -212,3 +213,119 @@ class TestRootTree:
                 if v != t.root
             }
             assert rebuilt == undirected  # re-rooting preserves the edge set
+
+
+def assert_rooting_matches_reference(edges, weights, n, root):
+    """``root_tree`` against the list-BFS reference: the same parents, depths
+    and weights, and ``bfs_order`` sorted by (depth, parent, vertex), so each
+    parent's children sit together, ascending."""
+    t = root_tree(edges, weights, n, root)
+    ref = bfs_root_tree(edges, weights, n, root)
+    np.testing.assert_array_equal(t.parent, ref.parent)
+    np.testing.assert_array_equal(t.depths, ref.depths)
+    np.testing.assert_array_equal(t.edge_weight_to_parent, ref.edge_weight_to_parent)
+    np.testing.assert_array_equal(t.bfs_order, np.lexsort((np.arange(n), t.parent, t.depths)))
+    t.validate()
+    return t
+
+
+def assert_same_rooting_error(edges, n, root):
+    with pytest.raises(ValueError) as ref:
+        bfs_root_tree(edges, np.zeros(len(edges)), n, root)
+    with pytest.raises(ValueError) as got:
+        root_tree(edges, np.zeros(len(edges)), n, root)
+    assert str(got.value) == str(ref.value)
+
+
+def shuffled(rng, edges, weights):
+    """The same undirected edges in random order, each flipped at random."""
+    perm = rng.permutation(len(edges))
+    edges, weights = edges[perm].copy(), weights[perm]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip][:, ::-1]
+    return edges, weights
+
+
+class TestRootTreeAgainstReference:
+    def test_construction_cases_every_root(self):
+        rng = np.random.default_rng(31)
+        for g in construction_cases():
+            edges, weights = boruvka_mst(g)
+            n = g.num_vertices
+            for r in sorted({0, n - 1, *rng.integers(0, n, 5).tolist()}):
+                assert_rooting_matches_reference(edges, weights, n, r)
+
+    def test_random_trees_every_root(self):
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            edges, weights = boruvka_mst(random_connected_graph(rng, n, extra_edges=n))
+            edges, weights = shuffled(rng, edges, weights)
+            for r in range(n):
+                assert_rooting_matches_reference(edges, weights, n, r)
+
+    def test_long_chain(self):
+        n = 50000
+        rng = np.random.default_rng(33)
+        edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+        weights = rng.random(n - 1)
+        for r in (n - 1, 0, n // 2 + 7):
+            t = assert_rooting_matches_reference(edges, weights, n, r)
+            assert t.depths.max() == max(r, n - 1 - r)
+        t = assert_rooting_matches_reference(*shuffled(rng, edges, weights), n, n - 1)
+        assert len(t.levels) == n
+
+    def test_wide_star(self):
+        n = 5001
+        rng = np.random.default_rng(34)
+        centre = 1234
+        leaves = np.flatnonzero(np.arange(n) != centre)
+        edges, weights = shuffled(
+            rng, np.stack([leaves, np.full(n - 1, centre)], axis=1), rng.random(n - 1))
+        t = assert_rooting_matches_reference(edges, weights, n, centre)
+        assert [lv.tolist() for lv in t.levels] == [[centre], leaves.tolist()]
+        t = assert_rooting_matches_reference(edges, weights, n, 17)
+        assert t.levels[2].tolist() == leaves[leaves != 17].tolist()
+
+    def test_one_and_two_vertices(self):
+        t = assert_rooting_matches_reference(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 1, 0)
+        assert t.bfs_order.tolist() == [0] and t.parent.tolist() == [0]
+        for edge in ([0, 1], [1, 0]):
+            for r in (0, 1):
+                t = assert_rooting_matches_reference(np.array([edge]), np.array([0.5]), 2, r)
+                assert t.bfs_order.tolist() == [r, 1 - r]
+                assert t.edge_weight_to_parent.tolist() == [0.5 * r, 0.5 * (1 - r)]
+
+    def test_existing_non_trees_give_the_reference_error(self):
+        cases = [
+            (np.array([[0, 1], [1, 2], [0, 2]]), 4, 0),
+            (np.array([[0, 1], [2, 2], [3, 3]]), 4, 0),
+            (np.array([[0, 1], [0, 1], [2, 3]]), 4, 0),
+            (np.array([[0, 1], [1, 2], [2, 1]]), 4, 0),
+            (np.array([[0, 1], [1, 2]]), 3, 3),
+            (np.array([[0, 1], [1, 4], [-1, 2]]), 4, 0),
+            (np.array([[0, 1], [1, 2]]), 4, 0),
+            (np.array([[1, 2], [2, 3], [1, 3]]), 4, 0),  # the root has no edge
+            (np.array([[0, 1]]), 1, 0),
+        ]
+        for edges, n, root in cases:
+            assert_same_rooting_error(edges, n, root)
+
+    def test_random_cycles_and_duplicates_give_the_reference_error(self):
+        rng = np.random.default_rng(35)
+        for _ in range(60):
+            n = int(rng.integers(3, 60))
+            if rng.random() < 0.5:  # one tree edge swapped for a copy of another
+                tree, _ = boruvka_mst(random_connected_graph(rng, n))
+                k, j = rng.choice(n - 1, size=2, replace=False)
+                edges = tree.copy()
+                edges[k] = tree[j]
+            else:  # n - 1 random pairs: a cycle, so not spanning, unless they form a tree
+                u = rng.integers(0, n, n - 1)
+                edges = np.stack([u, (u + rng.integers(1, n, n - 1)) % n], axis=1)
+            edges, _ = shuffled(rng, edges, np.zeros(n - 1))
+            for root in (0, int(rng.integers(0, n))):
+                try:
+                    bfs_root_tree(edges, np.zeros(n - 1), n, root)
+                except ValueError:
+                    assert_same_rooting_error(edges, n, root)
