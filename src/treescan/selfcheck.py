@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .lattice import FeatureMap, WeightedGraph, build_causal_graph
+from .lattice import FeatureMap, WeightedGraph, build_causal_graph, build_grid_graph
 from .mst import SpanningTree, boruvka_mst, root_tree
 from .oracle import (FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst,
                      sequential_selective_scan)
@@ -53,7 +53,7 @@ def random_connected_graph(
         if u == v:
             continue
         pairs.add((min(int(u), int(v)), max(int(u), int(v))))
-    edges = np.array(sorted(pairs), dtype=np.int64)
+    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
     m = len(edges)
     if distinct:
         weights = rng.permutation(m).astype(np.float64) / max(m, 1) + 0.5
@@ -118,6 +118,19 @@ def causal_tree(rng: np.random.Generator, num_tokens: int) -> SpanningTree:
     return root_tree(edges, weights, num_tokens, num_tokens - 1)
 
 
+def smooth_grid_tree(rng: np.random.Generator, height: int = 32, width: int = 512,
+                     blur: int = 7) -> SpanningTree:
+    """Minimum spanning tree of a box-blurred noise image's grid graph, rooted
+    at pixel 0: smooth features make long winding paths, ~1300 levels at the
+    default 32 x 512."""
+    noise = rng.standard_normal((height + blur - 1, width + blur - 1, 4))
+    sums = np.pad(noise, ((1, 0), (1, 0), (0, 0))).cumsum(0).cumsum(1)
+    box = sums[blur:, blur:] - sums[:-blur, blur:] - sums[blur:, :-blur] + sums[:-blur, :-blur]
+    graph = build_grid_graph(FeatureMap(box.reshape(height * width, 4), spatial=(height, width)))
+    edges, weights = boruvka_mst(graph)
+    return root_tree(edges, weights, height * width, 0)
+
+
 def naive_scan_at(
     x: FeatureMap, p: DiscreteScanParams, tree: SpanningTree, vertex: int
 ) -> np.ndarray:
@@ -170,13 +183,19 @@ def check_mst(seed: int) -> tuple[bool, str]:
 def scan_equivalence_instance(
     rng: np.random.Generator, shape: str
 ) -> tuple[FeatureMap, DiscreteScanParams, SpanningTree]:
-    """A random tree of up to 128 vertices, or one of the deep shapes: a
-    2000-chain, a causal m=3 tree of ~2000 levels, or a 2000-chain whose
-    a_bar is 1 - 1e-12 in every lane, so every vertex sees all others."""
+    """A random tree of 1 to 128 vertices, or one of the deep shapes: a
+    2000-chain, a causal m=3 tree of ~2000 levels, a smooth-grid tree of
+    ~1300 levels, or a 2000-chain whose a_bar is 1 - 1e-12 in every lane, so
+    every vertex sees all others."""
     if shape == "random":
-        n = int(rng.integers(2, 129))
+        n = int(rng.integers(1, 129))
         return random_scan_instance(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-    tree = causal_tree(rng, 4000) if shape == "causal" else chain_tree(2000)
+    if shape == "causal":
+        tree = causal_tree(rng, 4000)
+    elif shape == "smooth-grid":
+        tree = smooth_grid_tree(rng)
+    else:
+        tree = chain_tree(2000)
     n = tree.num_vertices
     if shape == "near-one":
         a_bar = np.full((n, 2, 2), 1.0 - 1e-12)
@@ -210,7 +229,8 @@ def check_scan_equivalence(
     nonroot = np.flatnonzero(np.arange(n) != tree.root)
     a = p.a_bar[nonroot]
     ident = np.max(
-        np.abs(h[nonroot] - (a * h[tree.parent[nonroot]] + (1.0 - a * a) * xi[nonroot]))
+        np.abs(h[nonroot] - (a * h[tree.parent[nonroot]] + (1.0 - a * a) * xi[nonroot])),
+        initial=0.0,
     )
     if ident >= 1e-12:
         return False, f"two-traversal identity violated by {ident:.3e}"
@@ -219,7 +239,7 @@ def check_scan_equivalence(
 
 def check_gradients_vision(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 21))
+    n = int(rng.integers(1, 21))
     c = int(rng.integers(1, 3))
     s = int(rng.integers(1, 3))
     x, p, tree = random_scan_instance(rng, n, c, s)
@@ -239,7 +259,7 @@ def check_gradients_vision(seed: int) -> tuple[bool, str]:
 
 def check_gradients_language(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 21))
+    n = int(rng.integers(1, 21))
     c = int(rng.integers(1, 3))
     s = int(rng.integers(1, 3))
     x, p, tree = random_scan_instance(rng, n, c, s, root=n - 1)
@@ -274,7 +294,8 @@ def check_chain_reduction(seed: int) -> tuple[bool, str]:
 _SUITE = (
     ("mst-equivalence", [check_mst] * 25),
     ("scan-equivalence", [check_scan_equivalence] * 40
-     + [partial(check_scan_equivalence, shape=s) for s in ("chain", "causal", "near-one")]),
+     + [partial(check_scan_equivalence, shape=s)
+        for s in ("chain", "causal", "smooth-grid", "near-one")]),
     ("gradients-vision", [check_gradients_vision] * 8),
     ("gradients-language", [check_gradients_language] * 8),
     ("chain-reduction", [check_chain_reduction] * 12),

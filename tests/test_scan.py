@@ -11,6 +11,7 @@ from treescan import (
     naive_tree_scan,
     output_projection,
     root_tree,
+    scan,
     sequential_selective_scan,
     tree_scan_language_forward,
     tree_scan_vision_forward,
@@ -20,6 +21,7 @@ from treescan.selfcheck import (
     causal_tree,
     chain_tree,
     naive_scan_at,
+    random_connected_graph,
     random_scan_instance,
 )
 
@@ -347,6 +349,14 @@ class TestNaiveScan:
         h = naive_tree_scan(x, p, single_vertex_tree())
         assert h[0, 0, 0] == 6.0
 
+    def test_single_token_random_instance(self):
+        rng = np.random.default_rng(19)
+        assert random_connected_graph(rng, 1).edges.shape == (0, 2)
+        x, p, tree = random_scan_instance(rng, 1, 2, 3)
+        h, _ = tree_scan_vision_forward(x, p, tree)
+        np.testing.assert_array_equal(h, naive_tree_scan(x, p, tree))
+        np.testing.assert_array_equal(h, p.b_bar * x.data[:, :, None])
+
     def test_unit_transitions_sum_everything(self):
         rng = np.random.default_rng(13)
         x, p, tree = random_scan_instance(rng, 25, 2, 2)
@@ -363,14 +373,16 @@ class TestNaiveScan:
         only_root = naive_tree_scan(x, p, tree, roots="single")
         np.testing.assert_allclose(only_root, full[tree.root], atol=0)
 
-    def test_guard(self):
-        rng = np.random.default_rng(15)
-        x, p, tree = random_scan_instance(rng, 2, 1, 1)
-        big = 5000
+    def test_guard_value(self):
+        assert scan.NAIVE_SCAN_GUARD == 4096
+
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(scan, "NAIVE_SCAN_GUARD", 64)  # the quadratic scan stays cheap
+        big = 100
         xb = FeatureMap(np.ones((big, 1)))
         pb = DiscreteScanParams(np.full((big, 1, 1), 0.5), np.ones((big, 1, 1)))
         tb = chain_tree(big)
-        with pytest.raises(ValueError, match="force"):
+        with pytest.raises(ValueError, match="refusing L = 100 > 64 without force"):
             naive_tree_scan(xb, pb, tb)
         h = naive_tree_scan(xb, pb, tb, force=True)  # allowed when forced
         assert h.shape == (big, 1, 1)
