@@ -186,7 +186,7 @@ def _gradients(x: FeatureMap, p: DiscreteScanParams, tree: SpanningTree, rho: np
     gradient of each vertex's subtree sum, and ``d_a_bar`` computed on whole
     arrays; its root row, whose transition is unused, is set to 0 here."""
     d_a_bar[tree.root] = 0.0
-    d_x = np.sum(p.b_bar * rho, axis=2)
+    d_x = np.einsum("lcn,lcn->lc", p.b_bar, rho)
     d_b_bar = x.data[:, :, None] * rho
     return GradBundle(d_x, d_a_bar, d_b_bar)
 
