@@ -205,19 +205,22 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
 
 def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.ndarray, np.ndarray]:
     """Parent and depth of every vertex, read off the Euler tour from ``root``
-    of the n - 1 edges (eu, ev).  Unless the tour covers every arc, i.e. the
-    edges are a tree, every depth is left 0.
+    of the n - 1 edges (eu, ev); unless the tour covers every arc, every depth
+    is left 0.  With n - 1 edges, a vertex left at depth 0 besides the root
+    means the edges are no tree.
 
     Arc k < n - 1 is edge k forwards and arc k + n - 1 its twin; slots list
     the arcs grouped by tail.  The tour is cut where it re-enters the root and
-    ranked by pointer doubling in ceil(log2(arcs)) rounds, so the faces of a
-    graph with a cycle, which never reach the cut, just stay unranked.
+    ranked by pointer doubling in ceil(log2(arcs)) rounds, enough for a tour
+    of every arc; the other closed walks of a graph with a cycle never reach
+    the cut, and the bound stops them too.
     """
     parent = np.full(n, root, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
     arcs = 2 * (n - 1)
-    by_tail = np.argsort(np.concatenate([eu, ev]), kind="stable")  # slot -> arc
-    tail = np.concatenate([eu, ev])[by_tail]
+    tails = np.concatenate([eu, ev])
+    by_tail = np.argsort(tails, kind="stable")  # slot -> arc
+    tail = tails[by_tail]
     head = np.concatenate([ev, eu])[by_tail]
     starts = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
     if starts[root] == starts[root + 1]:  # no arcs at the root (or n == 1)

@@ -118,17 +118,16 @@ def causal_tree(rng: np.random.Generator, num_tokens: int) -> SpanningTree:
     return root_tree(edges, weights, num_tokens, num_tokens - 1)
 
 
-def smooth_grid_tree(rng: np.random.Generator, height: int = 32, width: int = 512,
-                     blur: int = 7) -> SpanningTree:
-    """Minimum spanning tree of a box-blurred noise image's grid graph, rooted
-    at pixel 0: smooth features make long winding paths, ~1300 levels at the
-    default 32 x 512."""
-    noise = rng.standard_normal((height + blur - 1, width + blur - 1, 4))
+def smooth_grid_tree(rng: np.random.Generator) -> SpanningTree:
+    """Minimum spanning tree of a 32 x 512 grid of 7 x 7 box-blurred noise,
+    rooted at pixel 0: smooth features make long winding paths, ~1300 levels."""
+    h, w, k = 32, 512, 7
+    noise = rng.standard_normal((h + k - 1, w + k - 1, 4))
     sums = np.pad(noise, ((1, 0), (1, 0), (0, 0))).cumsum(0).cumsum(1)
-    box = sums[blur:, blur:] - sums[:-blur, blur:] - sums[blur:, :-blur] + sums[:-blur, :-blur]
-    graph = build_grid_graph(FeatureMap(box.reshape(height * width, 4), spatial=(height, width)))
+    box = sums[k:, k:] - sums[:-k, k:] - sums[k:, :-k] + sums[:-k, :-k]
+    graph = build_grid_graph(FeatureMap(box.reshape(h * w, 4), spatial=(h, w)))
     edges, weights = boruvka_mst(graph)
-    return root_tree(edges, weights, height * width, 0)
+    return root_tree(edges, weights, h * w, 0)
 
 
 def naive_scan_at(

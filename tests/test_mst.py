@@ -229,12 +229,13 @@ def assert_rooting_matches_reference(edges, weights, n, root):
     return t
 
 
-def assert_same_rooting_error(edges, n, root):
+def same_rooting_error(edges, n, root):
     with pytest.raises(ValueError) as ref:
         bfs_root_tree(edges, np.zeros(len(edges)), n, root)
     with pytest.raises(ValueError) as got:
         root_tree(edges, np.zeros(len(edges)), n, root)
     assert str(got.value) == str(ref.value)
+    return str(got.value)
 
 
 def shuffled(rng, edges, weights):
@@ -297,19 +298,20 @@ class TestRootTreeAgainstReference:
                 assert t.edge_weight_to_parent.tolist() == [0.5 * r, 0.5 * (1 - r)]
 
     def test_existing_non_trees_give_the_reference_error(self):
+        unreachable = "edge set is not a spanning tree: vertices {} unreachable from root"
         cases = [
-            (np.array([[0, 1], [1, 2], [0, 2]]), 4, 0),
-            (np.array([[0, 1], [2, 2], [3, 3]]), 4, 0),
-            (np.array([[0, 1], [0, 1], [2, 3]]), 4, 0),
-            (np.array([[0, 1], [1, 2], [2, 1]]), 4, 0),
-            (np.array([[0, 1], [1, 2]]), 3, 3),
-            (np.array([[0, 1], [1, 4], [-1, 2]]), 4, 0),
-            (np.array([[0, 1], [1, 2]]), 4, 0),
-            (np.array([[1, 2], [2, 3], [1, 3]]), 4, 0),  # the root has no edge
-            (np.array([[0, 1]]), 1, 0),
+            ([[0, 1], [1, 2], [0, 2]], 4, 0, unreachable.format([3])),
+            ([[0, 1], [2, 2], [3, 3]], 4, 0, "bad edge (2, 2)"),
+            ([[0, 1], [0, 1], [2, 3]], 4, 0, unreachable.format([2, 3])),
+            ([[0, 1], [1, 2], [2, 1]], 4, 0, unreachable.format([3])),
+            ([[1, 2], [2, 3], [1, 3]], 4, 0, unreachable.format([1, 2, 3])),  # root has no edge
+            ([[0, 1], [1, 2]], 3, 3, "root out of range"),
+            ([[0, 1], [1, 4], [-1, 2]], 4, 0, "bad edge (1, 4)"),
+            ([[0, 1], [1, 2]], 4, 0, "a spanning tree over 4 vertices needs exactly 3 edges, got 2"),
+            ([[0, 1]], 1, 0, "a spanning tree over 1 vertices needs exactly 0 edges, got 1"),
         ]
-        for edges, n, root in cases:
-            assert_same_rooting_error(edges, n, root)
+        for edges, n, root, message in cases:
+            assert same_rooting_error(np.array(edges), n, root) == message
 
     def test_random_cycles_and_duplicates_give_the_reference_error(self):
         rng = np.random.default_rng(35)
@@ -328,4 +330,4 @@ class TestRootTreeAgainstReference:
                 try:
                     bfs_root_tree(edges, np.zeros(n - 1), n, root)
                 except ValueError:
-                    assert_same_rooting_error(edges, n, root)
+                    same_rooting_error(edges, n, root)
