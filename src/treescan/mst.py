@@ -11,10 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import WeightedGraph
+
+
+class ScanSchedule(NamedTuple):
+    """Row layout of the scan walks: row k holds vertex ``order[k]`` and
+    ``ppos[k]`` is its parent's row (the root is row 0, its own parent).
+    ``steps`` has one ``(lo, hi, blocks)`` per level below the root, root
+    side first: the level is rows lo:hi, and ``blocks`` is (lo, hi) or, in a
+    rank-major schedule, lo, the start of each later rank block, then hi."""
+
+    order: np.ndarray
+    ppos: np.ndarray
+    steps: list[tuple[int, int, tuple[int, ...]]]
 
 
 @dataclass(eq=False)
@@ -37,7 +50,8 @@ class SpanningTree:
 
     @cached_property
     def depths(self) -> np.ndarray:
-        """Depth of every vertex, read off ``bfs_order``.
+        """Depth of every vertex, read off ``bfs_order`` (``root_tree`` fills
+        it in with the depths it computed).
 
         Level k + 1 is the children of level k, so it ends where the running
         sum of child counts in BFS order stands at the last vertex of level
@@ -82,6 +96,49 @@ class SpanningTree:
         raises like ``depths`` unless ``bfs_order`` is breadth-first."""
         b = self.level_bounds
         return [self.bfs_order[lo:hi] for lo, hi in zip(b, b[1:])]
+
+    @cached_property
+    def _widest_level(self) -> int:
+        """Number of vertices in the widest level."""
+        return int(np.diff(self.level_bounds).max())
+
+    @cached_property
+    def _bfs_schedule(self) -> ScanSchedule:
+        """The scan layout on ``bfs_order``: one step per level, no rank blocks."""
+        b = self.level_bounds
+        return ScanSchedule(self.bfs_order, self.ppos,
+                            [(lo, hi, (lo, hi)) for lo, hi in zip(b[1:-1], b[2:])])
+
+    @cached_property
+    def _rank_schedule(self) -> ScanSchedule:
+        """The scan layout on a rank-major reordering of every level.
+
+        A row's rank is the number of rows before it in its level, in
+        ``bfs_order``, that share its parent.  Each level lists its rank-0
+        rows, then its rank-1 rows, and so on, each block in BFS order, so a
+        block holds every parent row at most once and each parent meets its
+        children in BFS order, block by block.
+        """
+        n = self.num_vertices
+        b = self.level_bounds
+        level = np.repeat(np.arange(len(b) - 1), np.diff(b))
+        # every parent lies in the level above its child, so below the root
+        # a stable sort on ppos is one on (level, ppos)
+        by_parent = 1 + np.argsort(self.ppos[1:], kind="stable")
+        parent = self.ppos[by_parent]
+        first = np.flatnonzero(np.diff(parent, prepend=-1))  # start of each sibling run
+        rank = np.zeros(n, dtype=np.int64)
+        rank[by_parent] = np.arange(n - 1) - np.repeat(first, np.diff(first, append=n - 1))
+        key = level * n + rank
+        rows = np.argsort(key, kind="stable")  # new row -> BFS position
+        key = key[rows]
+        pos = np.empty(n, dtype=np.int64)
+        pos[rows] = np.arange(n)
+        starts = np.append(np.flatnonzero(np.diff(key, prepend=-1)), n)  # of blocks and levels
+        at = np.searchsorted(starts, b).tolist()
+        starts = starts.tolist()
+        steps = [(starts[i], starts[j], tuple(starts[i : j + 1])) for i, j in zip(at[1:-1], at[2:])]
+        return ScanSchedule(self.bfs_order[rows], pos[self.ppos[rows]], steps)
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError naming the first violation."""
@@ -200,7 +257,9 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
     weight_to_parent = np.zeros(n, dtype=np.float64)
     weight_to_parent[np.where(parent[eu] == ev, eu, ev)] = weights
     bfs_order = np.argsort(depth * n + parent, kind="stable")  # by (depth, parent, vertex)
-    return SpanningTree(n, int(root), parent, bfs_order, weight_to_parent)
+    tree = SpanningTree(n, int(root), parent, bfs_order, weight_to_parent)
+    tree.depths = depth  # breadth-first by construction, nothing to re-derive
+    return tree
 
 
 def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.ndarray, np.ndarray]:

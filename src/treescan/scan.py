@@ -13,11 +13,18 @@ pass accumulates subtree sums (xi), then a root-to-leaf pass combines each
 subtree sum with the complement flowing down from the parent.  The backward
 pass has the same structure run on the output gradients.
 
-The passes run on copies in BFS-position layout: row k holds vertex
-``tree.bfs_order[k]``, so the root is row 0, level k is the contiguous slice
-``tree.level_bounds[k]:tree.level_bounds[k + 1]`` and ``tree.ppos`` gives each
-row's parent row.  Each kernel gathers its inputs into this layout once, walks
-one level slice per step, and scatters its outputs back to vertex order once.
+The passes run on copies in a level layout that ``SpanningTree`` caches as a
+``ScanSchedule``: row k holds vertex ``order[k]``, the root is row 0, every
+level is a contiguous slice and ``ppos`` gives each row's parent row.  Each
+kernel gathers its inputs into the layout once, walks one level per step, and
+scatters its outputs back to vertex order once.  The leaf-to-root step of a
+level with at least ``RANK_BLOCK_MIN`` rows x lanes is one plain indexed add
+per rank block (a block holds no parent twice); a narrower level takes one
+``np.add.at``.  Unless some level of the tree is that wide at the call's lane
+count, the layout is ``bfs_order`` itself; otherwise it is the rank-major
+order, in which each level lists every parent's first child, then every
+second child, and so on.  Either way each parent adds its children in BFS
+order, so both layouts give bitwise identical results.
 """
 
 from __future__ import annotations
@@ -27,9 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FeatureMap
-from .mst import SpanningTree
+from .mst import ScanSchedule, SpanningTree
 
 NAIVE_SCAN_GUARD = 4096
+# Rows x lanes from which a level's leaf-to-root step is cheaper as one plain
+# indexed add per rank block than as one np.add.at over the level (measured
+# on the benchmark workloads' trees, 2-core VM).
+RANK_BLOCK_MIN = 500
 
 
 @dataclass
@@ -146,37 +157,51 @@ def _check_instance(
             raise ValueError(f"{name} shape {np.shape(arr)} does not match params shape {p.shape}")
 
 
-def _up(tree: SpanningTree, u: np.ndarray, a: np.ndarray) -> None:
-    """Leaf-to-root pass in place on BFS-position arrays: u[i] += sum over
-    children j of u[j] * a[j], one level slice at a time."""
-    bounds, ppos = tree.level_bounds, tree.ppos
-    for lo, hi in reversed(list(zip(bounds[1:-1], bounds[2:]))):
-        np.add.at(u, ppos[lo:hi], u[lo:hi] * a[lo:hi])
+def _schedule(tree: SpanningTree, lanes: int) -> ScanSchedule:
+    """The rank-major schedule if some level has at least ``RANK_BLOCK_MIN``
+    rows x lanes, else the BFS one, whose steps hold no rank blocks: ``_up``
+    never takes them there, as no level reaches the bound."""
+    if tree._widest_level * lanes >= RANK_BLOCK_MIN:
+        return tree._rank_schedule
+    return tree._bfs_schedule
 
 
-def _down(tree: SpanningTree, u: np.ndarray, a: np.ndarray) -> None:
-    """Root-to-leaf pass in place on BFS-position arrays: u[i] += a[i] *
+def _up(s: ScanSchedule, u: np.ndarray, a: np.ndarray) -> None:
+    """Leaf-to-root pass in place on schedule-row arrays: u[i] += sum over
+    children j of u[j] * a[j], one level at a time, by rank blocks where the
+    level has at least ``RANK_BLOCK_MIN`` rows x lanes."""
+    lanes, ppos = u[0].size, s.ppos
+    for lo, hi, blocks in reversed(s.steps):
+        if (hi - lo) * lanes >= RANK_BLOCK_MIN:
+            for b, e in zip(blocks, blocks[1:]):
+                u[ppos[b:e]] += u[b:e] * a[b:e]
+        else:
+            np.add.at(u, ppos[lo:hi], u[lo:hi] * a[lo:hi])
+
+
+def _down(s: ScanSchedule, u: np.ndarray, a: np.ndarray) -> None:
+    """Root-to-leaf pass in place on schedule-row arrays: u[i] += a[i] *
     u[parent] below the root, one level slice at a time."""
-    bounds, ppos = tree.level_bounds, tree.ppos
-    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+    ppos = s.ppos
+    for lo, hi, _ in s.steps:
         u[lo:hi] += a[lo:hi] * u.take(ppos[lo:hi], axis=0)
 
 
 def _to_vertices(order: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Scatter a BFS-position array (row k is vertex ``order[k]``) back to vertex order."""
+    """Scatter a schedule-row array (row k is vertex ``order[k]``) back to vertex order."""
     out = np.empty_like(u)
     out[order] = u
     return out
 
 
-def _all_roots(tree: SpanningTree, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """On BFS-position arrays, turn ``agg`` into subtree sums in place
+def _all_roots(s: ScanSchedule, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """On schedule-row arrays, turn ``agg`` into subtree sums in place
     (``_up``), then return the aggregation over every vertex: (1 - a^2) *
     agg pushed down by ``_down``, with ``agg`` kept at the root."""
-    _up(tree, agg, a)
+    _up(s, agg, a)
     out = (1.0 - a * a) * agg
     out[0] = agg[0]
-    _down(tree, out, a)
+    _down(s, out, a)
     return out
 
 
@@ -202,10 +227,10 @@ def tree_scan_vision_forward(
     Returns ``(h, xi)``, both (L, C, N); the backward pass consumes xi.
     """
     _check_instance(x, p, tree)
-    order = tree.bfs_order
-    xi = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
-    h = _all_roots(tree, xi, p.a_bar.take(order, axis=0))
-    return _to_vertices(order, h), _to_vertices(order, xi)
+    s = _schedule(tree, p.a_bar[0].size)
+    xi = (p.b_bar * x.data[:, :, None]).take(s.order, axis=0)
+    h = _all_roots(s, xi, p.a_bar.take(s.order, axis=0))
+    return _to_vertices(s.order, h), _to_vertices(s.order, xi)
 
 
 def tree_scan_vision_backward(
@@ -230,10 +255,10 @@ def tree_scan_vision_backward(
     is the caller's contract and cannot be checked here.
     """
     _check_instance(x, p, tree, d_h=d_h, xi=xi, h=h)
-    order = tree.bfs_order
-    eta = np.asarray(d_h).take(order, axis=0)
-    rho = _all_roots(tree, eta, p.a_bar.take(order, axis=0))
-    eta, rho = _to_vertices(order, eta), _to_vertices(order, rho)
+    s = _schedule(tree, p.a_bar[0].size)
+    eta = np.asarray(d_h).take(s.order, axis=0)
+    rho = _all_roots(s, eta, p.a_bar.take(s.order, axis=0))
+    eta, rho = _to_vertices(s.order, eta), _to_vertices(s.order, rho)
     par = tree.parent
     return _gradients(
         x, p, tree, rho,
@@ -250,10 +275,10 @@ def tree_scan_language_forward(
     each token only sees its own subtree.  Raises unless tree.root == L - 1.
     """
     _check_instance(x, p, tree, causal=True)
-    order = tree.bfs_order
-    h = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
-    _up(tree, h, p.a_bar.take(order, axis=0))
-    return _to_vertices(order, h)
+    s = _schedule(tree, p.a_bar[0].size)
+    h = (p.b_bar * x.data[:, :, None]).take(s.order, axis=0)
+    _up(s, h, p.a_bar.take(s.order, axis=0))
+    return _to_vertices(s.order, h)
 
 
 def tree_scan_language_backward(
@@ -271,10 +296,10 @@ def tree_scan_language_backward(
     unused).
     """
     _check_instance(x, p, tree, causal=True, d_h=d_h, h=h)
-    order = tree.bfs_order
-    rho = np.asarray(d_h).take(order, axis=0)
-    _down(tree, rho, p.a_bar.take(order, axis=0))
-    rho = _to_vertices(order, rho)
+    s = _schedule(tree, p.a_bar[0].size)
+    rho = np.asarray(d_h).take(s.order, axis=0)
+    _down(s, rho, p.a_bar.take(s.order, axis=0))
+    rho = _to_vertices(s.order, rho)
     return _gradients(x, p, tree, rho, rho.take(tree.parent, axis=0) * h)
 
 

@@ -16,6 +16,7 @@ from .lattice import FeatureMap, WeightedGraph, build_causal_graph, build_grid_g
 from .mst import SpanningTree, boruvka_mst, root_tree
 from .oracle import (FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst,
                      sequential_selective_scan)
+from . import scan
 from .scan import (
     DiscreteScanParams,
     GradBundle,
@@ -118,16 +119,17 @@ def causal_tree(rng: np.random.Generator, num_tokens: int) -> SpanningTree:
     return root_tree(edges, weights, num_tokens, num_tokens - 1)
 
 
-def smooth_grid_tree(rng: np.random.Generator) -> SpanningTree:
+def smooth_grid_tree(rng: np.random.Generator, root_last: bool = False) -> SpanningTree:
     """Minimum spanning tree of a 32 x 512 grid of 7 x 7 box-blurred noise,
-    rooted at pixel 0: smooth features make long winding paths, ~1300 levels."""
+    rooted at pixel 0 (or the last pixel): smooth features make long winding
+    paths, ~1300 levels."""
     h, w, k = 32, 512, 7
     noise = rng.standard_normal((h + k - 1, w + k - 1, 4))
     sums = np.pad(noise, ((1, 0), (1, 0), (0, 0))).cumsum(0).cumsum(1)
     box = sums[k:, k:] - sums[:-k, k:] - sums[k:, :-k] + sums[:-k, :-k]
     graph = build_grid_graph(FeatureMap(box.reshape(h * w, 4), spatial=(h, w)))
     edges, weights = boruvka_mst(graph)
-    return root_tree(edges, weights, h * w, 0)
+    return root_tree(edges, weights, h * w, h * w - 1 if root_last else 0)
 
 
 def naive_scan_at(
@@ -147,6 +149,30 @@ def naive_scan_at(
     key = np.where(tree.parent == rerooted.parent, np.arange(n), rerooted.parent)
     moved = DiscreteScanParams(p.a_bar[key], p.b_bar)
     return naive_tree_scan(x, moved, rerooted, roots="single", force=True)
+
+
+def rank_block_levels(tree: SpanningTree, lanes: int) -> int:
+    """Number of levels whose leaf-to-root step takes rank blocks at ``lanes``."""
+    return int(np.count_nonzero(np.diff(tree.level_bounds)[1:] * lanes >= scan.RANK_BLOCK_MIN))
+
+
+def directional_error(forward, analytic: GradBundle, x: FeatureMap, p: DiscreteScanParams,
+                      w: np.ndarray, rng: np.random.Generator) -> float:
+    """Relative error of the analytic gradients' inner product with one random
+    direction in (x, a_bar, b_bar) against a central difference of
+    loss = sum(w * forward(...)) along it; scales to any L, unlike a full sweep."""
+    eps = FiniteDifferenceConfig().epsilon
+    base = (x.data, p.a_bar, p.b_bar)
+    direction = [rng.standard_normal(arr.shape) for arr in base]
+
+    def loss(sign):
+        moved = [arr + sign * eps * d for arr, d in zip(base, direction)]
+        return float(np.sum(w * forward(*moved)))
+
+    numeric = (loss(1.0) - loss(-1.0)) / (2.0 * eps)
+    exact = sum(float(np.sum(g * d)) for g, d in
+                zip((analytic.d_x, analytic.d_a_bar, analytic.d_b_bar), direction))
+    return abs(numeric - exact) / max(abs(numeric), abs(exact), GRAD_DENOM_FLOOR)
 
 
 def relative_gradient_error(analytic: GradBundle, reference: GradBundle) -> float:
@@ -184,24 +210,28 @@ def scan_equivalence_instance(
 ) -> tuple[FeatureMap, DiscreteScanParams, SpanningTree]:
     """A random tree of 1 to 128 vertices, or one of the deep shapes: a
     2000-chain, a causal m=3 tree of ~2000 levels, a smooth-grid tree of
-    ~1300 levels, or a 2000-chain whose a_bar is 1 - 1e-12 in every lane, so
-    every vertex sees all others."""
+    ~1300 levels, the smooth grid rooted at its last pixel with C = N = 8
+    ("wide-grid", wide enough that the leaf-to-root pass takes rank blocks on
+    some levels), or a 2000-chain whose a_bar is 1 - 1e-12 in every lane, so
+    every vertex sees all others.  Deep shapes other than "wide-grid" have
+    C = N = 2."""
     if shape == "random":
         n = int(rng.integers(1, 129))
         return random_scan_instance(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
     if shape == "causal":
         tree = causal_tree(rng, 4000)
-    elif shape == "smooth-grid":
-        tree = smooth_grid_tree(rng)
+    elif shape in ("smooth-grid", "wide-grid"):
+        tree = smooth_grid_tree(rng, root_last=shape == "wide-grid")
     else:
         tree = chain_tree(2000)
     n = tree.num_vertices
+    c, s = (8, 8) if shape == "wide-grid" else (2, 2)
     if shape == "near-one":
-        a_bar = np.full((n, 2, 2), 1.0 - 1e-12)
+        a_bar = np.full((n, c, s), 1.0 - 1e-12)
     else:
-        a_bar = rng.uniform(0.05, 0.95, (n, 2, 2))
-    x = FeatureMap(rng.standard_normal((n, 2)))
-    return x, DiscreteScanParams(a_bar, rng.standard_normal((n, 2, 2))), tree
+        a_bar = rng.uniform(0.05, 0.95, (n, c, s))
+    x = FeatureMap(rng.standard_normal((n, c)))
+    return x, DiscreteScanParams(a_bar, rng.standard_normal((n, c, s))), tree
 
 
 def check_scan_equivalence(
@@ -233,46 +263,54 @@ def check_scan_equivalence(
     )
     if ident >= 1e-12:
         return False, f"two-traversal identity violated by {ident:.3e}"
-    return True, f"{shape} L={n} C={c} N={s} levels={len(tree.level_bounds) - 1} diff={diff:.1e}"
+    return True, (f"{shape} L={n} C={c} N={s} levels={len(tree.level_bounds) - 1} "
+                  f"rank-block levels={rank_block_levels(tree, c * s)} diff={diff:.1e}")
 
 
-def check_gradients_vision(seed: int) -> tuple[bool, str]:
+def _check_gradients(seed: int, shape: str, causal: bool) -> tuple[bool, str]:
+    """Analytic gradients of the language (``causal``) or vision scan against
+    finite differences: all of them on a random tree of 1 to 20 vertices, or
+    one random directional derivative on the "wide-grid" instance."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 21))
-    c = int(rng.integers(1, 3))
-    s = int(rng.integers(1, 3))
-    x, p, tree = random_scan_instance(rng, n, c, s)
+    if shape == "random":
+        n = int(rng.integers(1, 21))
+        c = int(rng.integers(1, 3))
+        s = int(rng.integers(1, 3))
+        x, p, tree = random_scan_instance(rng, n, c, s, root=n - 1 if causal else None)
+    else:
+        x, p, tree = scan_equivalence_instance(rng, shape)
     w = rng.standard_normal(p.shape)
-    h, xi = tree_scan_vision_forward(x, p, tree)
-    analytic = tree_scan_vision_backward(x, p, tree, xi, h, w)
+    if causal:
+        h = tree_scan_language_forward(x, p, tree)
+        analytic = tree_scan_language_backward(x, p, tree, h, w)
+    else:
+        h, xi = tree_scan_vision_forward(x, p, tree)
+        analytic = tree_scan_vision_backward(x, p, tree, xi, h, w)
 
     def forward(xa, aa, ba):
-        hh, _ = tree_scan_vision_forward(FeatureMap(xa), DiscreteScanParams(aa, ba), tree)
-        return hh
+        fx, fp = FeatureMap(xa), DiscreteScanParams(aa, ba)
+        if causal:
+            return tree_scan_language_forward(fx, fp, tree)
+        return tree_scan_vision_forward(fx, fp, tree)[0]
 
     cfg = FiniteDifferenceConfig()
-    ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w, cfg)
-    err = relative_gradient_error(analytic, ref)
-    return err < cfg.relative_tolerance, f"L={n} rel_err={err:.2e}"
+    n, c, s = p.shape
+    if shape == "random":
+        ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w, cfg)
+        err = relative_gradient_error(analytic, ref)
+        return err < cfg.relative_tolerance, f"L={n} rel_err={err:.2e}"
+    err = directional_error(forward, analytic, x, p, w, rng)
+    return err < cfg.relative_tolerance, (
+        f"{shape} L={n} C={c} N={s} rank-block levels={rank_block_levels(tree, c * s)} "
+        f"directional rel_err={err:.2e}")
 
 
-def check_gradients_language(seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 21))
-    c = int(rng.integers(1, 3))
-    s = int(rng.integers(1, 3))
-    x, p, tree = random_scan_instance(rng, n, c, s, root=n - 1)
-    w = rng.standard_normal(p.shape)
-    h = tree_scan_language_forward(x, p, tree)
-    analytic = tree_scan_language_backward(x, p, tree, h, w)
+def check_gradients_vision(seed: int, shape: str = "random") -> tuple[bool, str]:
+    return _check_gradients(seed, shape, causal=False)
 
-    def forward(xa, aa, ba):
-        return tree_scan_language_forward(FeatureMap(xa), DiscreteScanParams(aa, ba), tree)
 
-    cfg = FiniteDifferenceConfig()
-    ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w, cfg)
-    err = relative_gradient_error(analytic, ref)
-    return err < cfg.relative_tolerance, f"L={n} rel_err={err:.2e}"
+def check_gradients_language(seed: int, shape: str = "random") -> tuple[bool, str]:
+    return _check_gradients(seed, shape, causal=True)
 
 
 def check_chain_reduction(seed: int) -> tuple[bool, str]:
@@ -294,9 +332,11 @@ _SUITE = (
     ("mst-equivalence", [check_mst] * 25),
     ("scan-equivalence", [check_scan_equivalence] * 40
      + [partial(check_scan_equivalence, shape=s)
-        for s in ("chain", "causal", "smooth-grid", "near-one")]),
-    ("gradients-vision", [check_gradients_vision] * 8),
-    ("gradients-language", [check_gradients_language] * 8),
+        for s in ("chain", "causal", "smooth-grid", "near-one", "wide-grid")]),
+    ("gradients-vision", [check_gradients_vision] * 8
+     + [partial(check_gradients_vision, shape="wide-grid")]),
+    ("gradients-language", [check_gradients_language] * 8
+     + [partial(check_gradients_language, shape="wide-grid")]),
     ("chain-reduction", [check_chain_reduction] * 12),
 )
 

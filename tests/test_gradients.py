@@ -14,6 +14,7 @@ from treescan import (
     output_projection_backward,
     path_product,
     root_tree,
+    scan,
     sequential_selective_scan,
     tree_scan_language_backward,
     tree_scan_language_forward,
@@ -21,14 +22,20 @@ from treescan import (
     tree_scan_vision_forward,
 )
 from treescan.selfcheck import (
-    GRAD_DENOM_FLOOR,
     align_chain_params,
     chain_tree,
+    directional_error,
     random_scan_instance,
     relative_gradient_error,
 )
 
-from test_scan import STRESS_TREES, make_continuous, single_vertex_tree, stress_instance
+from test_scan import (
+    STRESS_TREES,
+    UP_BRANCH_TREES,
+    make_continuous,
+    single_vertex_tree,
+    stress_instance,
+)
 
 
 def vision_backward_of(x, p, tree, d_h):
@@ -170,24 +177,6 @@ class TestLanguageBackward:
             tree_scan_language_backward(x, p, tree, np.zeros(p.shape), np.zeros(p.shape))
 
 
-def directional_error(forward, analytic, x, p, w, rng):
-    """Relative error of the analytic gradients' inner product with one random
-    direction in (x, a_bar, b_bar) against a central difference of
-    loss = sum(w * forward(...)) along it; scales to any L, unlike a full sweep."""
-    eps = FiniteDifferenceConfig().epsilon
-    base = (x.data, p.a_bar, p.b_bar)
-    direction = [rng.standard_normal(arr.shape) for arr in base]
-
-    def loss(sign):
-        moved = [arr + sign * eps * d for arr, d in zip(base, direction)]
-        return float(np.sum(w * forward(*moved)))
-
-    numeric = (loss(1.0) - loss(-1.0)) / (2.0 * eps)
-    exact = sum(float(np.sum(g * d)) for g, d in
-                zip((analytic.d_x, analytic.d_a_bar, analytic.d_b_bar), direction))
-    return abs(numeric - exact) / max(abs(numeric), abs(exact), GRAD_DENOM_FLOOR)
-
-
 class TestLayoutStress:
     @pytest.mark.parametrize("a_kind", ["random", "near-one"])
     @pytest.mark.parametrize("tree_name", STRESS_TREES)
@@ -220,6 +209,25 @@ class TestLayoutStress:
             for first, second in ((g.d_x, again.d_x), (g.d_a_bar, again.d_a_bar),
                                   (g.d_b_bar, again.d_b_bar)):
                 assert first.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("tree_name", UP_BRANCH_TREES)
+    def test_up_branches_give_identical_gradients(self, tree_name, monkeypatch):
+        """Rank blocks on every level (bound 0), np.add.at on every level (a
+        huge bound) and the default mix give the same gradient bytes."""
+        x, p, tree = stress_instance(tree_name, "random")
+        w = np.random.default_rng(3).standard_normal(p.shape)
+
+        def gradients():
+            h, xi = tree_scan_vision_forward(x, p, tree)
+            h_lang = tree_scan_language_forward(x, p, tree)
+            return [g.tobytes() for bundle in (tree_scan_vision_backward(x, p, tree, xi, h, w),
+                                               tree_scan_language_backward(x, p, tree, h_lang, w))
+                    for g in (bundle.d_x, bundle.d_a_bar, bundle.d_b_bar)]
+
+        default = gradients()
+        for bound in (0, 2**62):
+            monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
+            assert gradients() == default
 
 
 class TestParameterChainRule:

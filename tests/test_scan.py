@@ -23,6 +23,9 @@ from treescan.selfcheck import (
     naive_scan_at,
     random_connected_graph,
     random_scan_instance,
+    random_tree,
+    rank_block_levels,
+    smooth_grid_tree,
 )
 
 
@@ -31,6 +34,8 @@ def single_vertex_tree():
 
 
 STRESS_TREES = ("shuffled-levels", "chain-5000", "causal-2000", "L1", "L2")
+# plus a tree whose leaf-to-root pass mixes rank blocks and np.add.at at C = N = 8
+UP_BRANCH_TREES = STRESS_TREES + ("wide-grid",)
 
 
 def stress_instance(tree_name, a_kind, seed=0):
@@ -38,7 +43,8 @@ def stress_instance(tree_name, a_kind, seed=0):
     get right, every one rooted at its last token so that both modes apply.
     ``shuffled-levels`` is built directly: within each level the vertices
     are neither ascending nor grouped by parent, and vertex 1's two children
-    sit apart in level 2.  ``a_kind`` "near-one" sets every a_bar to 1 - 1e-12."""
+    sit apart in level 2.  ``a_kind`` "near-one" sets every a_bar to 1 - 1e-12.
+    Every tree but "wide-grid" (C = N = 8) has C = N = 2."""
     rng = np.random.default_rng(seed)
     tree = {
         "shuffled-levels": lambda: SpanningTree(
@@ -48,9 +54,11 @@ def stress_instance(tree_name, a_kind, seed=0):
         "causal-2000": lambda: causal_tree(rng, 2000),
         "L1": single_vertex_tree,
         "L2": lambda: chain_tree(2),
+        "wide-grid": lambda: smooth_grid_tree(rng, root_last=True),
     }[tree_name]()
     tree.validate()
-    n, c, s = tree.num_vertices, 2, 2
+    n = tree.num_vertices
+    c, s = (8, 8) if tree_name == "wide-grid" else (2, 2)
     if a_kind == "near-one":
         a_bar = np.full((n, c, s), 1.0 - 1e-12)
     else:
@@ -90,6 +98,59 @@ class TestLayoutStress:
         again = tree_scan_vision_forward(x, p, tree)
         assert again[0].tobytes() == h.tobytes() and again[1].tobytes() == xi.tobytes()
         assert tree_scan_language_forward(x, p, tree).tobytes() == h_lang.tobytes()
+
+    @pytest.mark.parametrize("tree_name", UP_BRANCH_TREES)
+    def test_up_branches_give_identical_outputs(self, tree_name, monkeypatch):
+        """Rank blocks on every level (bound 0), np.add.at on every level (a
+        huge bound) and the default mix give the same output bytes."""
+        x, p, tree = stress_instance(tree_name, "random")
+        if tree_name == "wide-grid":
+            assert 0 < rank_block_levels(tree, 64) < len(tree.levels) - 1
+
+        def outputs():
+            h, xi = tree_scan_vision_forward(x, p, tree)
+            return [h.tobytes(), xi.tobytes(), tree_scan_language_forward(x, p, tree).tobytes()]
+
+        default = outputs()
+        for bound in (0, 2**62):
+            monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
+            assert outputs() == default
+
+
+def assert_rank_schedule(tree):
+    """The rank-major schedule reorders each level of ``bfs_order`` in place,
+    keeps the root at row 0, repeats no parent row within a rank block and
+    keeps every parent's children in their ``bfs_order`` order."""
+    order, ppos, steps = tree._rank_schedule
+    b = tree.level_bounds
+    assert [(lo, hi) for lo, hi, _ in steps] == list(zip(b[1:-1], b[2:]))
+    for lo, hi in zip(b, b[1:]):
+        np.testing.assert_array_equal(np.sort(order[lo:hi]), np.sort(tree.bfs_order[lo:hi]))
+    assert order[0] == tree.root and ppos[0] == 0
+    np.testing.assert_array_equal(order[ppos[1:]], tree.parent[order[1:]])
+    for lo, hi, blocks in steps:
+        assert blocks[0] == lo and blocks[-1] == hi
+        for start, end in zip(blocks, blocks[1:]):
+            assert end > start and np.unique(ppos[start:end]).size == end - start
+
+    def children(rows):
+        return rows[1:][np.argsort(tree.parent[rows[1:]], kind="stable")]
+    np.testing.assert_array_equal(children(order), children(tree.bfs_order))
+
+
+class TestRankSchedule:
+    @pytest.mark.parametrize("tree_name", UP_BRANCH_TREES)
+    def test_stress_trees(self, tree_name):
+        assert_rank_schedule(stress_instance(tree_name, "random")[2])
+
+    def test_random_trees_and_a_star(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            assert_rank_schedule(random_tree(rng, int(rng.integers(1, 200))))
+        star = np.stack([np.zeros(49, dtype=np.int64), np.arange(1, 50)], axis=1)
+        tree = root_tree(star, np.ones(49), 50, 0)
+        assert_rank_schedule(tree)
+        assert len(tree._rank_schedule.steps[0][2]) == 50  # one block per child of the centre
 
 
 def make_continuous(rng, length, channels, states):
