@@ -9,7 +9,7 @@ bit-for-bit identical to a Kruskal run with the same rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -22,8 +22,9 @@ class ScanSchedule(NamedTuple):
     """Row layout of the scan walks: row k holds vertex ``order[k]`` and
     ``ppos[k]`` is its parent's row (the root is row 0, its own parent).
     ``steps`` has one ``(lo, hi, blocks)`` per level below the root, root
-    side first: the level is rows lo:hi, and ``blocks`` is (lo, hi) or, in a
-    rank-major schedule, lo, the start of each later rank block, then hi."""
+    side first: the level is rows lo:hi, and ``blocks`` is () on a level in
+    ``bfs_order`` order or, on a rank-major level, lo, the start of each later
+    rank block, then hi."""
 
     order: np.ndarray
     ppos: np.ndarray
@@ -47,6 +48,7 @@ class SpanningTree:
     parent: np.ndarray  # (L,) int64
     bfs_order: np.ndarray  # (L,) int64
     edge_weight_to_parent: np.ndarray  # (L,) float64
+    _schedules: dict[int, ScanSchedule] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def depths(self) -> np.ndarray:
@@ -97,48 +99,48 @@ class SpanningTree:
         b = self.level_bounds
         return [self.bfs_order[lo:hi] for lo, hi in zip(b, b[1:])]
 
-    @cached_property
-    def _widest_level(self) -> int:
-        """Number of vertices in the widest level."""
-        return int(np.diff(self.level_bounds).max())
-
-    @cached_property
-    def _bfs_schedule(self) -> ScanSchedule:
-        """The scan layout on ``bfs_order``: one step per level, no rank blocks."""
-        b = self.level_bounds
-        return ScanSchedule(self.bfs_order, self.ppos,
-                            [(lo, hi, (lo, hi)) for lo, hi in zip(b[1:-1], b[2:])])
-
-    @cached_property
-    def _rank_schedule(self) -> ScanSchedule:
-        """The scan layout on a rank-major reordering of every level.
+    def _scan_schedule(self, min_rows: int) -> ScanSchedule:
+        """The scan layout on ``bfs_order`` with every level below the root of
+        at least ``min_rows`` rows reordered rank-major; cached per ``min_rows``.
 
         A row's rank is the number of rows before it in its level, in
-        ``bfs_order``, that share its parent.  Each level lists its rank-0
-        rows, then its rank-1 rows, and so on, each block in BFS order, so a
-        block holds every parent row at most once and each parent meets its
-        children in BFS order, block by block.
+        ``bfs_order``, that share its parent.  A reordered level lists its
+        rank-0 rows, then its rank-1 rows, and so on, each block in BFS order,
+        so a block holds every parent row at most once and each parent meets
+        its children in BFS order, block by block.
         """
-        n = self.num_vertices
-        b = self.level_bounds
-        level = np.repeat(np.arange(len(b) - 1), np.diff(b))
-        # every parent lies in the level above its child, so below the root
-        # a stable sort on ppos is one on (level, ppos)
-        by_parent = 1 + np.argsort(self.ppos[1:], kind="stable")
-        parent = self.ppos[by_parent]
-        first = np.flatnonzero(np.diff(parent, prepend=-1))  # start of each sibling run
-        rank = np.zeros(n, dtype=np.int64)
-        rank[by_parent] = np.arange(n - 1) - np.repeat(first, np.diff(first, append=n - 1))
-        key = level * n + rank
-        rows = np.argsort(key, kind="stable")  # new row -> BFS position
-        key = key[rows]
-        pos = np.empty(n, dtype=np.int64)
-        pos[rows] = np.arange(n)
-        starts = np.append(np.flatnonzero(np.diff(key, prepend=-1)), n)  # of blocks and levels
-        at = np.searchsorted(starts, b).tolist()
-        starts = starts.tolist()
-        steps = [(starts[i], starts[j], tuple(starts[i : j + 1])) for i, j in zip(at[1:-1], at[2:])]
-        return ScanSchedule(self.bfs_order[rows], pos[self.ppos[rows]], steps)
+        if min_rows in self._schedules:
+            return self._schedules[min_rows]
+        n, b = self.num_vertices, self.level_bounds
+        order, ppos = self.bfs_order, self.ppos
+        steps = [(lo, hi, ()) for lo, hi in zip(b[1:-1], b[2:])]
+        sizes = np.diff(b)
+        wide = np.flatnonzero(sizes[1:] >= min_rows) + 1  # levels below the root
+        if wide.size:
+            lens = sizes[wide]
+            level = np.repeat(wide, lens)
+            shift = np.asarray(b)[wide] - np.cumsum(lens) + lens  # level start - rows before it
+            rows = np.arange(lens.sum()) + np.repeat(shift, lens)  # BFS positions, ascending
+            # every parent lies in the level above its child, so a stable sort
+            # of these rows on ppos is one on (level, ppos)
+            by_parent = np.argsort(ppos[rows], kind="stable")
+            m = rows.size
+            first = np.flatnonzero(np.diff(ppos[rows[by_parent]], prepend=-1))  # sibling runs
+            rank = np.empty(m, dtype=np.int64)
+            rank[by_parent] = np.arange(m) - np.repeat(first, np.diff(first, append=m))
+            key = level * n + rank
+            by_key = np.argsort(key, kind="stable")
+            moved = rows[by_key]  # the BFS position that each of the rows now holds
+            pos = np.arange(n)  # BFS position -> row
+            pos[moved] = rows
+            order, ppos = order.copy(), pos[ppos]
+            order[rows], ppos[rows] = order[moved], ppos[moved]
+            starts = rows[np.flatnonzero(np.diff(key[by_key], prepend=-1))].tolist()  # of blocks
+            at = np.searchsorted(starts, b).tolist()
+            for i in wide.tolist():
+                steps[i - 1] = (b[i], b[i + 1], (*starts[at[i] : at[i + 1]], b[i + 1]))
+        self._schedules[min_rows] = ScanSchedule(order, ppos, steps)
+        return self._schedules[min_rows]
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError naming the first violation."""
@@ -157,7 +159,7 @@ class SpanningTree:
             raise ValueError("bfs_order is not a permutation of the vertices")
         if self.bfs_order[0] != self.root:
             raise ValueError("bfs_order must start at the root")
-        self.levels  # raises unless bfs_order is breadth-first
+        self.level_bounds  # raises unless bfs_order is breadth-first
         w = self.edge_weight_to_parent
         if w.shape != (n,):
             raise ValueError("edge_weight_to_parent length must equal num_vertices")
@@ -170,58 +172,58 @@ class SpanningTree:
 def boruvka_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Minimum spanning tree edges via Boruvka contraction.
 
-    Each round every component hooks its root onto the root across its
-    cheapest outgoing edge under the (weight, u, v) order (of two components
-    that pick the same edge, the smaller root stays a root), then pointer
-    jumping flattens the hooked forest.  Returns ``(edges, weights)`` sorted
-    by (u, v); raises on disconnected inputs, naming an unreached component.
+    Each round runs on components labelled 0..k-1 and the edges between them.
+    Every component takes its minimum weight, then its first edge at that
+    weight in (u, v) order, i.e. its cheapest edge under the (weight, u, v)
+    order, and hooks onto the component across it (of two that pick the same
+    edge, the smaller label stays a root); pointer jumping flattens the hooks,
+    the roots are relabelled 0..k'-1 and edges inside a component dropped.
+    Returns ``(edges, weights)`` sorted by (u, v); raises on disconnected
+    inputs, naming vertex 0's component.
     """
     n = graph.num_vertices
     if n < 1:
         raise ValueError("need at least 1 vertex")
-    eu = graph.edges[:, 0]
-    ev = graph.edges[:, 1]
-    by_rank = np.lexsort((ev, eu, graph.weights))  # rank -> edge id
-    rank = np.empty_like(by_rank)
-    rank[by_rank] = np.arange(by_rank.size)
-    sentinel = graph.num_edges
+    eu, ev = graph.edges[:, 0], graph.edges[:, 1]
+    # position -> edge id, so positions are the (u, v) order; the stable sort
+    # merges the presorted runs that the graph builders emit
+    order = np.argsort(eu * n + ev, kind="stable")
+    u, v, w = eu[order], ev[order], graph.weights[order]
+    pos = np.arange(order.size)
+    picked = np.zeros(order.size, dtype=bool)  # by position; a shared pick is set twice
+    k = n
+    while pos.size:
+        best = np.full(k, np.inf)
+        np.minimum.at(best, u, w)
+        np.minimum.at(best, v, w)
+        first = np.full(k, pos.size)  # pick's index in the live edges, kept in position order
+        at_u = np.flatnonzero(w == best[u])
+        at_v = np.flatnonzero(w == best[v])
+        np.minimum.at(first, u[at_u], at_u)
+        np.minimum.at(first, v[at_v], at_v)
+        roots = np.flatnonzero(first < pos.size)
+        e = first[roots]
+        picked[pos[e]] = True
+        across = u[e] + v[e] - roots
+        hook = np.arange(k)
+        hook[roots] = np.where(first[across] == e, np.minimum(roots, across), across)
+        while not np.array_equal(nxt := hook[hook], hook):
+            hook = nxt
+        is_root = hook == np.arange(k)
+        label = (np.cumsum(is_root) - 1)[hook]
+        k = int(np.count_nonzero(is_root))
+        u, v = label[u], label[v]
+        live = np.flatnonzero(u != v)
+        u, v, w, pos = u[live], v[live], w[live], pos[live]
 
-    comp = np.arange(n, dtype=np.int64)  # flattened component pointer per vertex
-    picked = np.zeros(graph.num_edges, dtype=bool)  # a shared pick is set twice
-    while True:
-        ru = comp[eu]
-        rv = comp[ev]
-        alive = ru != rv
-        if not np.any(alive):
-            break
-        cheapest = np.full(n, sentinel, dtype=np.int64)
-        np.minimum.at(cheapest, ru[alive], rank[alive])
-        np.minimum.at(cheapest, rv[alive], rank[alive])
-        roots = np.flatnonzero(cheapest < sentinel)
-        e = by_rank[cheapest[roots]]
-        picked[e] = True
-        across = np.where(ru[e] == roots, rv[e], ru[e])
-        mutual = cheapest[across] == cheapest[roots]
-        hook = np.arange(n, dtype=np.int64)
-        hook[roots] = np.where(mutual, np.minimum(roots, across), across)
-        comp = hook[comp]
-        while True:
-            nxt = comp[comp]
-            if np.array_equal(nxt, comp):
-                break
-            comp = nxt
-
-    chosen = np.flatnonzero(picked)
+    chosen = order[picked]
     if chosen.size != n - 1:
-        members = np.flatnonzero(comp == comp[0])
+        members = np.setdiff1d(np.arange(n), _unreachable(eu[chosen], ev[chosen], n, 0))
         raise ValueError(
             f"graph is disconnected: component of vertex 0 = {members.tolist()} "
             f"cannot reach the remaining {n - members.size} vertices"
         )
-    edges = graph.edges[chosen]
-    weights = graph.weights[chosen]
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return edges[order], weights[order]
+    return np.take(graph.edges, chosen, axis=0), graph.weights[chosen]
 
 
 def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: int) -> SpanningTree:

@@ -17,14 +17,13 @@ The passes run on copies in a level layout that ``SpanningTree`` caches as a
 ``ScanSchedule``: row k holds vertex ``order[k]``, the root is row 0, every
 level is a contiguous slice and ``ppos`` gives each row's parent row.  Each
 kernel gathers its inputs into the layout once, walks one level per step, and
-scatters its outputs back to vertex order once.  The leaf-to-root step of a
-level with at least ``RANK_BLOCK_MIN`` rows x lanes is one plain indexed add
-per rank block (a block holds no parent twice); a narrower level takes one
-``np.add.at``.  Unless some level of the tree is that wide at the call's lane
-count, the layout is ``bfs_order`` itself; otherwise it is the rank-major
-order, in which each level lists every parent's first child, then every
-second child, and so on.  Either way each parent adds its children in BFS
-order, so both layouts give bitwise identical results.
+scatters its outputs back to vertex order once.  The layout is ``bfs_order``,
+except that a level with at least ``RANK_BLOCK_MIN`` rows x lanes is
+reordered rank-major: it lists every parent's first child, then every second
+child, and so on.  The leaf-to-root step of such a level is one plain indexed
+add per rank block (a block holds no parent twice); any other level takes one
+``np.add.at``.  Either way each parent adds its children in BFS order, so the
+results are bitwise identical to a walk of ``bfs_order`` alone.
 """
 
 from __future__ import annotations
@@ -158,21 +157,18 @@ def _check_instance(
 
 
 def _schedule(tree: SpanningTree, lanes: int) -> ScanSchedule:
-    """The rank-major schedule if some level has at least ``RANK_BLOCK_MIN``
-    rows x lanes, else the BFS one, whose steps hold no rank blocks: ``_up``
-    never takes them there, as no level reaches the bound."""
-    if tree._widest_level * lanes >= RANK_BLOCK_MIN:
-        return tree._rank_schedule
-    return tree._bfs_schedule
+    """The tree's scan layout with rank blocks on every level of at least
+    ``RANK_BLOCK_MIN`` rows x lanes (with no lanes, any layout serves)."""
+    return tree._scan_schedule(-(-RANK_BLOCK_MIN // max(lanes, 1)))
 
 
 def _up(s: ScanSchedule, u: np.ndarray, a: np.ndarray) -> None:
     """Leaf-to-root pass in place on schedule-row arrays: u[i] += sum over
     children j of u[j] * a[j], one level at a time, by rank blocks where the
-    level has at least ``RANK_BLOCK_MIN`` rows x lanes."""
-    lanes, ppos = u[0].size, s.ppos
+    schedule has them and by one ``np.add.at`` elsewhere."""
+    ppos = s.ppos
     for lo, hi, blocks in reversed(s.steps):
-        if (hi - lo) * lanes >= RANK_BLOCK_MIN:
+        if blocks:
             for b, e in zip(blocks, blocks[1:]):
                 u[ppos[b:e]] += u[b:e] * a[b:e]
         else:

@@ -191,18 +191,25 @@ def relative_gradient_error(analytic: GradBundle, reference: GradBundle) -> floa
 # ---------------------------------------------------------------------------
 # individual checks; each returns (ok, detail)
 
-def check_mst(seed: int) -> tuple[bool, str]:
+def check_mst(seed: int, tie_levels: int = 0) -> tuple[bool, str]:
+    """Boruvka against Kruskal on a random graph with distinct weights, or,
+    with ``tie_levels`` k > 0, with weights drawn from {0, ..., k - 1}: the
+    shared (weight, u, v) tie order makes the edges and weights equal."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 257))
-    graph = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 3 * n)), distinct=True)
+    graph = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 3 * n)),
+                                   distinct=not tie_levels)
+    if tie_levels:
+        graph = WeightedGraph(n, graph.edges, rng.integers(0, tie_levels, graph.num_edges))
     be, bw = boruvka_mst(graph)
     ke, kw = kruskal_mst(graph)
     total_b, total_k = float(bw.sum()), float(kw.sum())
     if abs(total_b - total_k) > 1e-9:
         return False, f"totals differ: {total_b} vs {total_k}"
-    if not np.array_equal(be, ke):
-        return False, "edge sets differ under distinct weights"
-    return True, f"n={n} total={total_b:.6f}"
+    if not (np.array_equal(be, ke) and np.array_equal(bw, kw)):
+        return False, "edges or weights differ"
+    ties = f" weight levels={tie_levels}" if tie_levels else ""
+    return True, f"n={n}{ties} total={total_b:.6f}"
 
 
 def scan_equivalence_instance(
@@ -329,7 +336,8 @@ def check_chain_reduction(seed: int) -> tuple[bool, str]:
 
 
 _SUITE = (
-    ("mst-equivalence", [check_mst] * 25),
+    ("mst-equivalence", [check_mst] * 25
+     + [partial(check_mst, tie_levels=k) for k in (1, 2, 4) for _ in range(4)]),
     ("scan-equivalence", [check_scan_equivalence] * 40
      + [partial(check_scan_equivalence, shape=s)
         for s in ("chain", "causal", "smooth-grid", "near-one", "wide-grid")]),

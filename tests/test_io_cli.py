@@ -158,6 +158,19 @@ MALFORMED = {
 }
 
 
+def assert_one_error_line_outside_pytest(argv):
+    """``python -m treescan *argv`` in a fresh interpreter exits 2 with one
+    ``error:`` line on stderr.  pytest captures numpy's RuntimeWarnings, so
+    only a separate interpreter shows whether they reach stderr."""
+    src = str(Path(treescan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "treescan", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), proc.stderr
+
+
 def write_scan_inputs(tmp_path, length=4):
     """x, a chain tree rooted at 0 and params: a valid ``scan`` call."""
     io.write_tensor(tmp_path / "x", np.ones((length, 1)))
@@ -462,16 +475,8 @@ class TestCmdScan:
 
     @pytest.mark.parametrize("case", ["exp-overflow", "huge-input"])
     def test_overflow_prints_one_error_line_outside_pytest(self, tmp_path, case):
-        # pytest captures numpy's RuntimeWarnings, so only a separate
-        # interpreter shows whether they reach stderr
-        src = str(Path(treescan.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         argv = self.write_overflow_inputs(tmp_path, case) + ["--mode", "vision"]
-        proc = subprocess.run([sys.executable, "-m", "treescan", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2
-        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+        assert_one_error_line_outside_pytest(argv)
 
     def test_deterministic_across_runs(self, tmp_path):
         self.make_chain_inputs(tmp_path, root=0)
@@ -665,3 +670,35 @@ def test_fuzz_readers_and_cli(tmp_path, mutation):
         err = stderr.getvalue()
         assert code in (0, 2)
         assert err == "" or (len(err.splitlines()) == 1 and err.startswith("error:"))
+
+
+def _set_item(path, key, index, value):
+    def edit(obj):
+        obj[key][index] = value
+    edit_file(path, edit)
+
+
+# malformed inputs for ``python -m treescan``: each edits the files of a valid
+# ``scan`` call (``write_scan_inputs``) and names the command it breaks
+SUBPROCESS_CASES = {
+    "non-finite-params": ("scan", lambda d: _set_item(d / "params.json", "b", 2, np.nan)),
+    "infinite-features": ("tree", lambda d: io.write_tensor(d / "x", np.array([[1.0], [np.inf],
+                                                                                [0.0], [1.0]]))),
+    "bad-tree-field": ("scan", lambda d: edit_file(d / "tree.json", lambda o: o.update(parent="x"))),
+    "parent-out-of-range": ("scan", lambda d: _set_item(d / "tree.json", "parent", 3, 9)),
+    "truncated-payload": ("scan", lambda d: (d / "x.bin").write_bytes((d / "x.bin").read_bytes()[:5])),
+    "truncated-json": ("scan", lambda d: (d / "params.json").write_text('{"a": {"shape": [1, ')),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBPROCESS_CASES))
+def test_malformed_inputs_outside_pytest(tmp_path, case):
+    """A real ``python -m treescan`` on a malformed file exits 2 and prints
+    exactly one ``error:`` line, with no numpy warning besides it."""
+    command, corrupt = SUBPROCESS_CASES[case]
+    argv = write_scan_inputs(tmp_path)
+    if command == "tree":
+        argv = ["tree", "--input", str(tmp_path / "x.json"), "--height", "2", "--width", "2",
+                "--out", str(tmp_path / "t.json")]
+    corrupt(tmp_path)
+    assert_one_error_line_outside_pytest(argv)

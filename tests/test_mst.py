@@ -55,6 +55,13 @@ def test_matches_kruskal_on_random_graph():
     assert bw.sum() == pytest.approx(kw.sum(), abs=1e-12)
 
 
+def assert_same_as_kruskal(g):
+    be, bw = boruvka_mst(g)
+    ke, kw = kruskal_mst(g)
+    assert be.shape == ke.shape == (g.num_vertices - 1, 2)
+    assert be.tobytes() == ke.tobytes() and bw.tobytes() == kw.tobytes()
+
+
 def test_matches_kruskal_exactly_with_distinct_weights():
     rng = np.random.default_rng(9)
     graphs = construction_cases()
@@ -63,11 +70,31 @@ def test_matches_kruskal_exactly_with_distinct_weights():
         g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 2 * n)), distinct=True)
         graphs.append(g)
     for g in graphs:
-        be, bw = boruvka_mst(g)
-        ke, kw = kruskal_mst(g)
-        assert be.shape == ke.shape == (g.num_vertices - 1, 2)
-        assert be.tolist() == ke.tolist()
-        np.testing.assert_array_equal(bw, kw)
+        assert_same_as_kruskal(g)
+
+
+@pytest.mark.parametrize("weights", ["levels-4", "zero", "continuous"])
+def test_matches_kruskal_exactly_under_ties(weights):
+    """Random connected graphs with chords, from L = 1, with weights drawn
+    from {0, 1, 2, 3}, all zero or continuous: the contracted rounds pick
+    the (weight, u, v) minimum, so the edges and weights equal Kruskal's."""
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        n = int(rng.integers(1, 120))
+        g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 3 * n)))
+        draw = {"levels-4": lambda m: rng.integers(0, 4, m).astype(np.float64),
+                "zero": np.zeros, "continuous": rng.random}[weights]
+        assert_same_as_kruskal(WeightedGraph(n, g.edges, draw(g.num_edges)))
+
+
+@pytest.mark.parametrize("metric", ["cosine", "manhattan"])
+def test_matches_kruskal_exactly_on_tied_grids(metric):
+    """A 64x64 constant image (every weight ties) and a 4-level quantized
+    one (a few distinct weights)."""
+    rng = np.random.default_rng(23)
+    quantized = np.floor(rng.random((64 * 64, 3)) * 4) / 4
+    for data in (np.ones((64 * 64, 3)), quantized):
+        assert_same_as_kruskal(build_grid_graph(FeatureMap(data, spatial=(64, 64)), metric))
 
 
 def test_tie_breaking_is_deterministic_and_matches_kruskal():
@@ -91,6 +118,22 @@ def test_disconnected_graph_reports_component():
     with pytest.raises(ValueError, match=r"component of vertex 0 = \[0, 4, 6\] "
                                          r"cannot reach the remaining 4 vertices"):
         boruvka_mst(forest)
+    # an edgeless vertex 0
+    with pytest.raises(ValueError, match=r"component of vertex 0 = \[0\] "
+                                         r"cannot reach the remaining 2 vertices$"):
+        boruvka_mst(WeightedGraph(3, np.array([[1, 2]]), np.array([0.5])))
+
+
+def test_disconnected_after_several_rounds():
+    """Two trees of four vertices whose middle edges are their heaviest:
+    round 1 joins each tree into two pairs, round 2 joins the pairs, and
+    then no edge is left between the trees."""
+    edges = np.array([[0, 3], [3, 5], [5, 6], [1, 2], [2, 4], [4, 7]])
+    weights = np.array([1.0, 5.0, 1.0, 2.0, 6.0, 2.0])
+    with pytest.raises(ValueError) as err:
+        boruvka_mst(WeightedGraph(8, edges, weights))
+    assert str(err.value) == ("graph is disconnected: component of vertex 0 = [0, 3, 5, 6] "
+                              "cannot reach the remaining 4 vertices")
 
 
 def test_cut_property_exhaustive_small():

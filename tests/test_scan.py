@@ -117,11 +117,12 @@ class TestLayoutStress:
             assert outputs() == default
 
 
-def assert_rank_schedule(tree):
-    """The rank-major schedule reorders each level of ``bfs_order`` in place,
-    keeps the root at row 0, repeats no parent row within a rank block and
-    keeps every parent's children in their ``bfs_order`` order."""
-    order, ppos, steps = tree._rank_schedule
+def assert_rank_schedule(tree, min_rows=0):
+    """The schedule reorders each level of ``bfs_order`` in place, keeps the
+    root at row 0, repeats no parent row within a rank block and keeps every
+    parent's children in their ``bfs_order`` order; at ``min_rows`` 0 every
+    level below the root is rank-major."""
+    order, ppos, steps = tree._scan_schedule(min_rows)
     b = tree.level_bounds
     assert [(lo, hi) for lo, hi, _ in steps] == list(zip(b[1:-1], b[2:]))
     for lo, hi in zip(b, b[1:]):
@@ -129,7 +130,7 @@ def assert_rank_schedule(tree):
     assert order[0] == tree.root and ppos[0] == 0
     np.testing.assert_array_equal(order[ppos[1:]], tree.parent[order[1:]])
     for lo, hi, blocks in steps:
-        assert blocks[0] == lo and blocks[-1] == hi
+        assert (blocks[0], blocks[-1]) == (lo, hi) if hi - lo >= min_rows else blocks == ()
         for start, end in zip(blocks, blocks[1:]):
             assert end > start and np.unique(ppos[start:end]).size == end - start
 
@@ -150,7 +151,40 @@ class TestRankSchedule:
         star = np.stack([np.zeros(49, dtype=np.int64), np.arange(1, 50)], axis=1)
         tree = root_tree(star, np.ones(49), 50, 0)
         assert_rank_schedule(tree)
-        assert len(tree._rank_schedule.steps[0][2]) == 50  # one block per child of the centre
+        assert len(tree._scan_schedule(0).steps[0][2]) == 50  # one block per child of the centre
+
+    def test_one_wide_level_at_three_lanes(self, monkeypatch):
+        """A tree whose only level of at least ceil(500 / 3) = 167 rows is
+        level 2 (200 rows, 20 under each of 10 parents): at 3 lanes only that
+        level is reordered, into 20 rank blocks of one child per parent, and
+        every other row keeps its ``bfs_order`` row.  Outputs are the same
+        bytes at bounds 0, 500 and 1e12."""
+        mid = np.repeat(np.arange(1, 11), 20)  # parents of vertices 11..210
+        low = np.arange(11, 211, 2)  # every other level-2 vertex has one child
+        parent = np.concatenate([[0], np.zeros(10, dtype=np.int64), mid, low])
+        n = parent.size
+        edges = n - 1 - np.stack([np.arange(1, n), parent[1:]], axis=1)  # rooted at the last token
+        tree = root_tree(edges, np.ones(n - 1), n, n - 1)
+        assert np.diff(tree.level_bounds).tolist() == [1, 10, 200, 100]
+        assert_rank_schedule(tree, 167)
+        order, _, steps = scan._schedule(tree, 3)
+        lo, hi = tree.level_bounds[2:4]
+        np.testing.assert_array_equal(np.delete(order, np.s_[lo:hi]),
+                                      np.delete(tree.bfs_order, np.s_[lo:hi]))
+        assert [len(blocks) for _, _, blocks in steps] == [0, 21, 0]
+        np.testing.assert_array_equal(tree.parent[order[lo:lo + 10]], tree.bfs_order[1:11])
+        rng = np.random.default_rng(4)
+        x = FeatureMap(rng.standard_normal((n, 3)))
+        p = DiscreteScanParams(rng.uniform(0.05, 0.95, (n, 3, 1)), rng.standard_normal((n, 3, 1)))
+
+        def outputs():
+            h, xi = tree_scan_vision_forward(x, p, tree)
+            return [h.tobytes(), xi.tobytes(), tree_scan_language_forward(x, p, tree).tobytes()]
+
+        default = outputs()
+        for bound in (0, 500, 10**12):
+            monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
+            assert outputs() == default
 
 
 def make_continuous(rng, length, channels, states):
