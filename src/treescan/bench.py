@@ -58,11 +58,14 @@ def _time_runs(fn, repeat: int) -> list[float]:
 def run_benchmark(sizes: list[int], repeat: int = 10, seed: int = 0) -> dict:
     """Median scan times per size plus t(size[k+1]) / t(size[k]) ratios.
 
-    The quadratic reference is only run for sizes within its guard.  Returns
-    a JSON-serializable report.
+    Every size must be at least 2.  The quadratic reference is only run for
+    sizes within its guard.  Returns a JSON-serializable report.
     """
     if len(sizes) < 2:
         raise ValueError("need at least 2 sizes to form ratios")
+    small = [s for s in sizes if s < 2]
+    if small:
+        raise ValueError(f"every size must be at least 2, got {small[0]}")
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
     entries = []

@@ -88,7 +88,7 @@ class WeightedGraph:
             raise ValueError("edges must satisfy u < v (canonical order, no self-loops)")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
             raise ValueError("edge weights must be finite and >= 0")
-        keys = np.sort(u * self.num_vertices + v)
+        keys = np.sort(u * self.num_vertices + v, kind="stable")  # merges presorted runs
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges")
 

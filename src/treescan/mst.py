@@ -9,26 +9,12 @@ bit-for-bit identical to a Kruskal run with the same rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import WeightedGraph
-
-
-class ScanSchedule(NamedTuple):
-    """Row layout of the scan walks: row k holds vertex ``order[k]`` and
-    ``ppos[k]`` is its parent's row (the root is row 0, its own parent).
-    ``steps`` has one ``(lo, hi, blocks)`` per level below the root, root
-    side first: the level is rows lo:hi, and ``blocks`` is () on a level in
-    ``bfs_order`` order or, on a rank-major level, lo, the start of each later
-    rank block, then hi."""
-
-    order: np.ndarray
-    ppos: np.ndarray
-    steps: list[tuple[int, int, tuple[int, ...]]]
 
 
 @dataclass(eq=False)
@@ -37,8 +23,9 @@ class SpanningTree:
 
     ``parent[root] == root``; ``bfs_order`` is breadth-first: it starts at
     the root and lists each level of the tree after the level above it, in
-    any order within a level (``root_tree`` orders each level by parent,
-    then vertex);
+    any order within a level (``root_tree`` orders each level by sibling
+    rank, parent, then vertex, where a vertex's rank is the number of its
+    siblings with a smaller id);
     ``edge_weight_to_parent[i]`` is the weight of the tree edge
     (i, parent[i]) and 0 at the root.
     """
@@ -48,7 +35,6 @@ class SpanningTree:
     parent: np.ndarray  # (L,) int64
     bfs_order: np.ndarray  # (L,) int64
     edge_weight_to_parent: np.ndarray  # (L,) float64
-    _schedules: dict[int, ScanSchedule] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def depths(self) -> np.ndarray:
@@ -93,54 +79,24 @@ class SpanningTree:
         return pos[self.parent[self.bfs_order]]
 
     @cached_property
+    def run_bounds(self) -> list[int]:
+        """Start of every run of ``bfs_order`` within a level in which the
+        parent ids climb, then ``num_vertices``; Python ints, like
+        ``level_bounds``, which it contains.  A run holds no parent twice, and
+        on a level that ``root_tree`` ordered the runs are its rank blocks:
+        every parent's first child, then every second child, and so on."""
+        par = self.parent[self.bfs_order]
+        cut = np.zeros(self.num_vertices + 1, dtype=bool)
+        cut[1:-1] = par[1:] <= par[:-1]
+        cut[self.level_bounds] = True
+        return np.flatnonzero(cut).tolist()
+
+    @cached_property
     def levels(self) -> list[np.ndarray]:
         """``bfs_order`` cut into depth levels (views), each in BFS order;
         raises like ``depths`` unless ``bfs_order`` is breadth-first."""
         b = self.level_bounds
         return [self.bfs_order[lo:hi] for lo, hi in zip(b, b[1:])]
-
-    def _scan_schedule(self, min_rows: int) -> ScanSchedule:
-        """The scan layout on ``bfs_order`` with every level below the root of
-        at least ``min_rows`` rows reordered rank-major; cached per ``min_rows``.
-
-        A row's rank is the number of rows before it in its level, in
-        ``bfs_order``, that share its parent.  A reordered level lists its
-        rank-0 rows, then its rank-1 rows, and so on, each block in BFS order,
-        so a block holds every parent row at most once and each parent meets
-        its children in BFS order, block by block.
-        """
-        if min_rows in self._schedules:
-            return self._schedules[min_rows]
-        n, b = self.num_vertices, self.level_bounds
-        order, ppos = self.bfs_order, self.ppos
-        steps = [(lo, hi, ()) for lo, hi in zip(b[1:-1], b[2:])]
-        sizes = np.diff(b)
-        wide = np.flatnonzero(sizes[1:] >= min_rows) + 1  # levels below the root
-        if wide.size:
-            lens = sizes[wide]
-            level = np.repeat(wide, lens)
-            shift = np.asarray(b)[wide] - np.cumsum(lens) + lens  # level start - rows before it
-            rows = np.arange(lens.sum()) + np.repeat(shift, lens)  # BFS positions, ascending
-            # every parent lies in the level above its child, so a stable sort
-            # of these rows on ppos is one on (level, ppos)
-            by_parent = np.argsort(ppos[rows], kind="stable")
-            m = rows.size
-            first = np.flatnonzero(np.diff(ppos[rows[by_parent]], prepend=-1))  # sibling runs
-            rank = np.empty(m, dtype=np.int64)
-            rank[by_parent] = np.arange(m) - np.repeat(first, np.diff(first, append=m))
-            key = level * n + rank
-            by_key = np.argsort(key, kind="stable")
-            moved = rows[by_key]  # the BFS position that each of the rows now holds
-            pos = np.arange(n)  # BFS position -> row
-            pos[moved] = rows
-            order, ppos = order.copy(), pos[ppos]
-            order[rows], ppos[rows] = order[moved], ppos[moved]
-            starts = rows[np.flatnonzero(np.diff(key[by_key], prepend=-1))].tolist()  # of blocks
-            at = np.searchsorted(starts, b).tolist()
-            for i in wide.tolist():
-                steps[i - 1] = (b[i], b[i + 1], (*starts[at[i] : at[i + 1]], b[i + 1]))
-        self._schedules[min_rows] = ScanSchedule(order, ppos, steps)
-        return self._schedules[min_rows]
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError naming the first violation."""
@@ -233,9 +189,11 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
     this walks from the root is ranked by pointer doubling.  An arc the tour
     takes before its twin points down and names a parent, and the running
     sum of +1 down, -1 up gives depths (``_euler_tour``).  ``bfs_order`` lists
-    the vertices by (depth, parent, vertex).  Raises if the edge set is not a
-    tree over exactly ``num_vertices`` vertices, naming the first bad edge
-    (out of range or a self-loop) or the unreachable vertices.
+    the vertices by (depth, sibling rank, parent, vertex), so that each level
+    is rank-major: every parent's first child, then every second child, and
+    so on.  Raises if the edge set is not a tree over exactly
+    ``num_vertices`` vertices, naming the first bad edge (out of range or a
+    self-loop) or the unreachable vertices.
     """
     edges = np.asarray(edges, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -250,7 +208,7 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
     bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1) | (eu == ev))
     if bad.size:
         raise ValueError(f"bad edge ({eu[bad[0]]}, {ev[bad[0]]})")
-    parent, depth = _euler_tour(eu, ev, n, root)
+    parent, depth, kids, rank = _euler_tour(eu, ev, n, root)
     if not np.all(depth[np.arange(n) != root]):
         raise ValueError(
             f"edge set is not a spanning tree: vertices {_unreachable(eu, ev, n, root)} "
@@ -258,37 +216,44 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
         )
     weight_to_parent = np.zeros(n, dtype=np.float64)
     weight_to_parent[np.where(parent[eu] == ev, eu, ev)] = weights
-    bfs_order = np.argsort(depth * n + parent, kind="stable")  # by (depth, parent, vertex)
+    # kids are in (parent, vertex) order, so a stable sort on (depth, rank) is by all four
+    by_level = np.argsort(depth[kids] * n + rank, kind="stable")
+    bfs_order = np.concatenate([[root], kids[by_level]])
     tree = SpanningTree(n, int(root), parent, bfs_order, weight_to_parent)
     tree.depths = depth  # breadth-first by construction, nothing to re-derive
     return tree
 
 
-def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.ndarray, np.ndarray]:
+def _euler_tour(
+    eu: np.ndarray, ev: np.ndarray, n: int, root: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Parent and depth of every vertex, read off the Euler tour from ``root``
-    of the n - 1 edges (eu, ev); unless the tour covers every arc, every depth
-    is left 0.  With n - 1 edges, a vertex left at depth 0 besides the root
-    means the edges are no tree.
+    of the n - 1 edges (eu, ev), and the children in (parent, vertex) order
+    with their sibling ranks; unless the tour covers every arc, every depth
+    is left 0 and no child is listed.  With n - 1 edges, a vertex left at
+    depth 0 besides the root means the edges are no tree.
 
     Arc k < n - 1 is edge k forwards and arc k + n - 1 its twin; slots list
-    the arcs grouped by tail.  The tour is cut where it re-enters the root and
-    ranked by pointer doubling in ceil(log2(arcs)) rounds, enough for a tour
-    of every arc; the other closed walks of a graph with a cycle never reach
-    the cut, and the bound stops them too.
+    the arcs by (tail, head), so a vertex's arcs to its children run in
+    ascending child order and a child's rank is the number of down arcs
+    before its own in its parent's slots.  The tour is cut where it re-enters
+    the root and ranked by pointer doubling in ceil(log2(arcs)) rounds, enough
+    for a tour of every arc; the other closed walks of a graph with a cycle
+    never reach the cut, and the bound stops them too.
     """
     parent = np.full(n, root, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
+    kids = rank = np.zeros(0, dtype=np.int64)
     arcs = 2 * (n - 1)
-    tails = np.concatenate([eu, ev])
-    by_tail = np.argsort(tails, kind="stable")  # slot -> arc
-    tail = tails[by_tail]
-    head = np.concatenate([ev, eu])[by_tail]
+    tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+    by_arc = np.argsort(tails * n + heads, kind="stable")  # slot -> arc
+    tail, head = tails[by_arc], heads[by_arc]
     starts = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
     if starts[root] == starts[root + 1]:  # no arcs at the root (or n == 1)
-        return parent, depth
+        return parent, depth, kids, rank
     slot = np.empty(arcs, dtype=np.int64)
-    slot[by_tail] = np.arange(arcs)
-    twin = slot[(by_tail + (n - 1)) % arcs]  # slot of each slot's reverse arc
+    slot[by_arc] = np.arange(arcs)
+    twin = slot[(by_arc + (n - 1)) % arcs]  # slot of each slot's reverse arc
     nxt = twin + 1  # successor: the arc after the twin around the head, cyclically
     wrap = nxt == starts[head + 1]
     nxt[wrap] = starts[head[wrap]]
@@ -300,13 +265,17 @@ def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.n
         dist += dist.take(nxt)
         nxt = nxt.take(nxt)
     if np.all(nxt == last):
-        rank = (arcs - 1) - dist
+        step_at = (arcs - 1) - dist  # each arc's step of the tour
         down = dist > dist[twin]  # the tour takes it before its twin
         step = np.empty(arcs, dtype=np.int64)
-        step[rank] = np.where(down, 1, -1)
-        parent[head[down]] = tail[down]
-        depth[head[down]] = np.cumsum(step)[rank[down]]
-    return parent, depth
+        step[step_at] = np.where(down, 1, -1)
+        at = np.flatnonzero(down)
+        kids = head[at]
+        parent[kids] = tail[at]
+        depth[kids] = np.cumsum(step)[step_at[at]]
+        before = np.cumsum(down) - down  # down arcs in earlier slots; the k-th has k
+        rank = np.arange(n - 1) - before[starts[tail[at]]]
+    return parent, depth, kids, rank
 
 
 def _unreachable(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> list[int]:

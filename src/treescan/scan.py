@@ -13,27 +13,28 @@ pass accumulates subtree sums (xi), then a root-to-leaf pass combines each
 subtree sum with the complement flowing down from the parent.  The backward
 pass has the same structure run on the output gradients.
 
-The passes run on copies in a level layout that ``SpanningTree`` caches as a
-``ScanSchedule``: row k holds vertex ``order[k]``, the root is row 0, every
-level is a contiguous slice and ``ppos`` gives each row's parent row.  Each
-kernel gathers its inputs into the layout once, walks one level per step, and
-scatters its outputs back to vertex order once.  The layout is ``bfs_order``,
-except that a level with at least ``RANK_BLOCK_MIN`` rows x lanes is
-reordered rank-major: it lists every parent's first child, then every second
-child, and so on.  The leaf-to-root step of such a level is one plain indexed
-add per rank block (a block holds no parent twice); any other level takes one
-``np.add.at``.  Either way each parent adds its children in BFS order, so the
-results are bitwise identical to a walk of ``bfs_order`` alone.
+The passes run on copies of the arrays in BFS position order: row k holds
+vertex ``tree.bfs_order[k]``, the root is row 0, every level is a contiguous
+slice (``tree.level_bounds``) and ``tree.ppos`` gives each row's parent row.
+Each kernel gathers its inputs into that order once, walks one level per
+step, and scatters its outputs back to vertex order once.  The leaf-to-root
+step of a level with at least ``RANK_BLOCK_MIN`` rows x lanes is one plain
+indexed add per run of ``tree.run_bounds`` (a run holds no parent twice; on a
+``root_tree`` level the runs are its rank blocks: every parent's first child,
+then every second child, and so on); any other level takes one
+``np.add.at``.  Either way each parent adds its children in ``bfs_order``
+order, so both give bitwise identical results.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import FeatureMap
-from .mst import ScanSchedule, SpanningTree
+from .mst import SpanningTree
 
 NAIVE_SCAN_GUARD = 4096
 # Rows x lanes from which a level's leaf-to-root step is cheaper as one plain
@@ -156,48 +157,47 @@ def _check_instance(
             raise ValueError(f"{name} shape {np.shape(arr)} does not match params shape {p.shape}")
 
 
-def _schedule(tree: SpanningTree, lanes: int) -> ScanSchedule:
-    """The tree's scan layout with rank blocks on every level of at least
-    ``RANK_BLOCK_MIN`` rows x lanes (with no lanes, any layout serves)."""
-    return tree._scan_schedule(-(-RANK_BLOCK_MIN // max(lanes, 1)))
-
-
-def _up(s: ScanSchedule, u: np.ndarray, a: np.ndarray) -> None:
-    """Leaf-to-root pass in place on schedule-row arrays: u[i] += sum over
-    children j of u[j] * a[j], one level at a time, by rank blocks where the
-    schedule has them and by one ``np.add.at`` elsewhere."""
-    ppos = s.ppos
-    for lo, hi, blocks in reversed(s.steps):
-        if blocks:
-            for b, e in zip(blocks, blocks[1:]):
-                u[ppos[b:e]] += u[b:e] * a[b:e]
+def _up(tree: SpanningTree, u: np.ndarray, a: np.ndarray) -> None:
+    """Leaf-to-root pass in place on BFS-position arrays: u[i] += sum over
+    children j of u[j] * a[j], one level at a time, by runs of
+    ``tree.run_bounds`` on a level of at least ``RANK_BLOCK_MIN`` rows x
+    lanes and by one ``np.add.at`` elsewhere."""
+    b, ppos = tree.level_bounds, tree.ppos
+    lanes = u[0].size
+    for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
+        if (hi - lo) * lanes >= RANK_BLOCK_MIN:
+            runs = tree.run_bounds
+            i = bisect_left(runs, lo)
+            j = bisect_left(runs, hi, i)
+            for s, e in zip(runs[i:j], runs[i + 1 : j + 1]):
+                u[ppos[s:e]] += u[s:e] * a[s:e]
         else:
             np.add.at(u, ppos[lo:hi], u[lo:hi] * a[lo:hi])
 
 
-def _down(s: ScanSchedule, u: np.ndarray, a: np.ndarray) -> None:
-    """Root-to-leaf pass in place on schedule-row arrays: u[i] += a[i] *
+def _down(tree: SpanningTree, u: np.ndarray, a: np.ndarray) -> None:
+    """Root-to-leaf pass in place on BFS-position arrays: u[i] += a[i] *
     u[parent] below the root, one level slice at a time."""
-    ppos = s.ppos
-    for lo, hi, _ in s.steps:
+    b, ppos = tree.level_bounds, tree.ppos
+    for lo, hi in zip(b[1:-1], b[2:]):
         u[lo:hi] += a[lo:hi] * u.take(ppos[lo:hi], axis=0)
 
 
 def _to_vertices(order: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Scatter a schedule-row array (row k is vertex ``order[k]``) back to vertex order."""
+    """Scatter a BFS-position array (row k is vertex ``order[k]``) back to vertex order."""
     out = np.empty_like(u)
     out[order] = u
     return out
 
 
-def _all_roots(s: ScanSchedule, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """On schedule-row arrays, turn ``agg`` into subtree sums in place
+def _all_roots(tree: SpanningTree, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """On BFS-position arrays, turn ``agg`` into subtree sums in place
     (``_up``), then return the aggregation over every vertex: (1 - a^2) *
     agg pushed down by ``_down``, with ``agg`` kept at the root."""
-    _up(s, agg, a)
+    _up(tree, agg, a)
     out = (1.0 - a * a) * agg
     out[0] = agg[0]
-    _down(s, out, a)
+    _down(tree, out, a)
     return out
 
 
@@ -223,10 +223,10 @@ def tree_scan_vision_forward(
     Returns ``(h, xi)``, both (L, C, N); the backward pass consumes xi.
     """
     _check_instance(x, p, tree)
-    s = _schedule(tree, p.a_bar[0].size)
-    xi = (p.b_bar * x.data[:, :, None]).take(s.order, axis=0)
-    h = _all_roots(s, xi, p.a_bar.take(s.order, axis=0))
-    return _to_vertices(s.order, h), _to_vertices(s.order, xi)
+    order = tree.bfs_order
+    xi = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
+    h = _all_roots(tree, xi, p.a_bar.take(order, axis=0))
+    return _to_vertices(order, h), _to_vertices(order, xi)
 
 
 def tree_scan_vision_backward(
@@ -251,10 +251,10 @@ def tree_scan_vision_backward(
     is the caller's contract and cannot be checked here.
     """
     _check_instance(x, p, tree, d_h=d_h, xi=xi, h=h)
-    s = _schedule(tree, p.a_bar[0].size)
-    eta = np.asarray(d_h).take(s.order, axis=0)
-    rho = _all_roots(s, eta, p.a_bar.take(s.order, axis=0))
-    eta, rho = _to_vertices(s.order, eta), _to_vertices(s.order, rho)
+    order = tree.bfs_order
+    eta = np.asarray(d_h).take(order, axis=0)
+    rho = _all_roots(tree, eta, p.a_bar.take(order, axis=0))
+    eta, rho = _to_vertices(order, eta), _to_vertices(order, rho)
     par = tree.parent
     return _gradients(
         x, p, tree, rho,
@@ -271,10 +271,10 @@ def tree_scan_language_forward(
     each token only sees its own subtree.  Raises unless tree.root == L - 1.
     """
     _check_instance(x, p, tree, causal=True)
-    s = _schedule(tree, p.a_bar[0].size)
-    h = (p.b_bar * x.data[:, :, None]).take(s.order, axis=0)
-    _up(s, h, p.a_bar.take(s.order, axis=0))
-    return _to_vertices(s.order, h)
+    order = tree.bfs_order
+    h = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
+    _up(tree, h, p.a_bar.take(order, axis=0))
+    return _to_vertices(order, h)
 
 
 def tree_scan_language_backward(
@@ -292,10 +292,10 @@ def tree_scan_language_backward(
     unused).
     """
     _check_instance(x, p, tree, causal=True, d_h=d_h, h=h)
-    s = _schedule(tree, p.a_bar[0].size)
-    rho = np.asarray(d_h).take(s.order, axis=0)
-    _down(s, rho, p.a_bar.take(s.order, axis=0))
-    rho = _to_vertices(s.order, rho)
+    order = tree.bfs_order
+    rho = np.asarray(d_h).take(order, axis=0)
+    _down(tree, rho, p.a_bar.take(order, axis=0))
+    rho = _to_vertices(order, rho)
     return _gradients(x, p, tree, rho, rho.take(tree.parent, axis=0) * h)
 
 

@@ -678,27 +678,47 @@ def _set_item(path, key, index, value):
     edit_file(path, edit)
 
 
-# malformed inputs for ``python -m treescan``: each edits the files of a valid
-# ``scan`` call (``write_scan_inputs``) and names the command it breaks
+def _scan_case(corrupt):
+    """A valid ``scan`` call whose files ``corrupt`` then edits."""
+    def argv(d):
+        scan = write_scan_inputs(d)
+        corrupt(d)
+        return scan
+    return argv
+
+
+def _tree_case(corrupt):
+    """A valid ``tree`` call on a 2x2 image whose files ``corrupt`` then edits."""
+    def argv(d):
+        write_scan_inputs(d)
+        corrupt(d)
+        return ["tree", "--input", str(d / "x.json"), "--height", "2", "--width", "2",
+                "--out", str(d / "t.json")]
+    return argv
+
+
+def _bench_case(sizes):
+    return lambda d: ["bench", f"--sizes={sizes}", "--repeat", "1", "--out", str(d / "r.json")]
+
+
+# malformed inputs for ``python -m treescan``: each builds the argv of a call
+# in a fresh directory
 SUBPROCESS_CASES = {
-    "non-finite-params": ("scan", lambda d: _set_item(d / "params.json", "b", 2, np.nan)),
-    "infinite-features": ("tree", lambda d: io.write_tensor(d / "x", np.array([[1.0], [np.inf],
-                                                                                [0.0], [1.0]]))),
-    "bad-tree-field": ("scan", lambda d: edit_file(d / "tree.json", lambda o: o.update(parent="x"))),
-    "parent-out-of-range": ("scan", lambda d: _set_item(d / "tree.json", "parent", 3, 9)),
-    "truncated-payload": ("scan", lambda d: (d / "x.bin").write_bytes((d / "x.bin").read_bytes()[:5])),
-    "truncated-json": ("scan", lambda d: (d / "params.json").write_text('{"a": {"shape": [1, ')),
+    "non-finite-params": _scan_case(lambda d: _set_item(d / "params.json", "b", 2, np.nan)),
+    "infinite-features": _tree_case(lambda d: io.write_tensor(d / "x", np.array([[1.0], [np.inf],
+                                                                                 [0.0], [1.0]]))),
+    "bad-tree-field": _scan_case(lambda d: edit_file(d / "tree.json", lambda o: o.update(parent="x"))),
+    "parent-out-of-range": _scan_case(lambda d: _set_item(d / "tree.json", "parent", 3, 9)),
+    "truncated-payload": _scan_case(lambda d: (d / "x.bin").write_bytes((d / "x.bin").read_bytes()[:5])),
+    "truncated-json": _scan_case(lambda d: (d / "params.json").write_text('{"a": {"shape": [1, ')),
+    "bench-size-zero": _bench_case("0,4"),
+    "bench-size-negative": _bench_case("-5,4"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SUBPROCESS_CASES))
 def test_malformed_inputs_outside_pytest(tmp_path, case):
-    """A real ``python -m treescan`` on a malformed file exits 2 and prints
+    """A real ``python -m treescan`` on a malformed input exits 2 and prints
     exactly one ``error:`` line, with no numpy warning besides it."""
-    command, corrupt = SUBPROCESS_CASES[case]
-    argv = write_scan_inputs(tmp_path)
-    if command == "tree":
-        argv = ["tree", "--input", str(tmp_path / "x.json"), "--height", "2", "--width", "2",
-                "--out", str(tmp_path / "t.json")]
-    corrupt(tmp_path)
+    argv = SUBPROCESS_CASES[case](tmp_path)
     assert_one_error_line_outside_pytest(argv)

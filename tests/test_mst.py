@@ -258,16 +258,30 @@ class TestRootTree:
             assert rebuilt == undirected  # re-rooting preserves the edge set
 
 
+def sibling_ranks(parent, root):
+    """Each vertex's number of siblings with a smaller id (0 at the root)."""
+    rank = np.zeros(len(parent), dtype=np.int64)
+    seen = {}
+    for v, p in enumerate(parent.tolist()):
+        if v != root:
+            rank[v] = seen.get(p, 0)
+            seen[p] = rank[v] + 1
+    return rank
+
+
 def assert_rooting_matches_reference(edges, weights, n, root):
     """``root_tree`` against the list-BFS reference: the same parents, depths
-    and weights, and ``bfs_order`` sorted by (depth, parent, vertex), so each
-    parent's children sit together, ascending."""
+    and weights, and ``bfs_order`` sorted by (depth, sibling rank, parent,
+    vertex), so each level lists every parent's first child, then every
+    second child, and so on."""
     t = root_tree(edges, weights, n, root)
     ref = bfs_root_tree(edges, weights, n, root)
     np.testing.assert_array_equal(t.parent, ref.parent)
     np.testing.assert_array_equal(t.depths, ref.depths)
     np.testing.assert_array_equal(t.edge_weight_to_parent, ref.edge_weight_to_parent)
-    np.testing.assert_array_equal(t.bfs_order, np.lexsort((np.arange(n), t.parent, t.depths)))
+    rank = sibling_ranks(ref.parent, root)
+    np.testing.assert_array_equal(t.bfs_order,
+                                  np.lexsort((np.arange(n), ref.parent, rank, ref.depths)))
     t.validate()
     return t
 

@@ -8,6 +8,7 @@ from treescan import (
     SpanningTree,
     affinity_map,
     discretize,
+    io,
     naive_tree_scan,
     output_projection,
     root_tree,
@@ -78,6 +79,16 @@ def subtree_only(p, tree, vertex):
     return DiscreteScanParams(p.a_bar, p.b_bar * np.array(inside)[:, None, None])
 
 
+def scan_outputs(x, p, tree):
+    """Output bytes of the vision forward pass (h, xi) and, on a tree rooted
+    at its last token, of the language forward pass."""
+    h, xi = tree_scan_vision_forward(x, p, tree)
+    out = [h.tobytes(), xi.tobytes()]
+    if tree.root == tree.num_vertices - 1:
+        out.append(tree_scan_language_forward(x, p, tree).tobytes())
+    return out
+
+
 class TestLayoutStress:
     @pytest.mark.parametrize("a_kind", ["random", "near-one"])
     @pytest.mark.parametrize("tree_name", STRESS_TREES)
@@ -106,59 +117,60 @@ class TestLayoutStress:
         x, p, tree = stress_instance(tree_name, "random")
         if tree_name == "wide-grid":
             assert 0 < rank_block_levels(tree, 64) < len(tree.levels) - 1
-
-        def outputs():
-            h, xi = tree_scan_vision_forward(x, p, tree)
-            return [h.tobytes(), xi.tobytes(), tree_scan_language_forward(x, p, tree).tobytes()]
-
-        default = outputs()
+        default = scan_outputs(x, p, tree)
         for bound in (0, 2**62):
             monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
-            assert outputs() == default
+            assert scan_outputs(x, p, tree) == default
 
 
-def assert_rank_schedule(tree, min_rows=0):
-    """The schedule reorders each level of ``bfs_order`` in place, keeps the
-    root at row 0, repeats no parent row within a rank block and keeps every
-    parent's children in their ``bfs_order`` order; at ``min_rows`` 0 every
-    level below the root is rank-major."""
-    order, ppos, steps = tree._scan_schedule(min_rows)
-    b = tree.level_bounds
-    assert [(lo, hi) for lo, hi, _ in steps] == list(zip(b[1:-1], b[2:]))
-    for lo, hi in zip(b, b[1:]):
-        np.testing.assert_array_equal(np.sort(order[lo:hi]), np.sort(tree.bfs_order[lo:hi]))
-    assert order[0] == tree.root and ppos[0] == 0
-    np.testing.assert_array_equal(order[ppos[1:]], tree.parent[order[1:]])
-    for lo, hi, blocks in steps:
-        assert (blocks[0], blocks[-1]) == (lo, hi) if hi - lo >= min_rows else blocks == ()
-        for start, end in zip(blocks, blocks[1:]):
-            assert end > start and np.unique(ppos[start:end]).size == end - start
-
-    def children(rows):
-        return rows[1:][np.argsort(tree.parent[rows[1:]], kind="stable")]
-    np.testing.assert_array_equal(children(order), children(tree.bfs_order))
+def assert_rank_runs(tree, rank_major=True):
+    """``run_bounds`` cuts every level of ``bfs_order`` into consecutive runs,
+    and no run holds a parent twice, so a leaf-to-root step run by run adds
+    each parent's children in their ``bfs_order`` order.  With
+    ``rank_major`` (a ``root_tree`` layout), run k of a level is its rank
+    block: the k-th smallest child of every parent with more than k
+    children, parents ascending."""
+    runs, b = tree.run_bounds, tree.level_bounds
+    assert runs[0] == 0 and runs[-1] == tree.num_vertices
+    assert set(b) <= set(runs) and all(s < e for s, e in zip(runs, runs[1:]))
+    par = tree.parent[tree.bfs_order]
+    for s, e in zip(runs, runs[1:]):
+        assert np.unique(par[s:e]).size == e - s
+    if not rank_major:
+        return
+    kids = {}
+    for v in range(tree.num_vertices):
+        if v != tree.root:
+            kids.setdefault(int(tree.parent[v]), []).append(v)
+    for lo, hi in zip(b[1:-1], b[2:]):
+        parents = sorted(set(tree.parent[tree.bfs_order[lo:hi]].tolist()))
+        blocks = [[kids[q][k] for q in parents if len(kids[q]) > k]
+                  for k in range(max(len(kids[q]) for q in parents))]
+        assert tree.bfs_order[lo:hi].tolist() == [v for block in blocks for v in block]
+        assert runs[runs.index(lo):runs.index(hi) + 1] == (
+            lo + np.cumsum([0] + [len(block) for block in blocks])).tolist()
 
 
 class TestRankSchedule:
     @pytest.mark.parametrize("tree_name", UP_BRANCH_TREES)
     def test_stress_trees(self, tree_name):
-        assert_rank_schedule(stress_instance(tree_name, "random")[2])
+        assert_rank_runs(stress_instance(tree_name, "random")[2],
+                         rank_major=tree_name != "shuffled-levels")
 
     def test_random_trees_and_a_star(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            assert_rank_schedule(random_tree(rng, int(rng.integers(1, 200))))
+            assert_rank_runs(random_tree(rng, int(rng.integers(1, 200))))
         star = np.stack([np.zeros(49, dtype=np.int64), np.arange(1, 50)], axis=1)
         tree = root_tree(star, np.ones(49), 50, 0)
-        assert_rank_schedule(tree)
-        assert len(tree._scan_schedule(0).steps[0][2]) == 50  # one block per child of the centre
+        assert_rank_runs(tree)
+        assert tree.run_bounds == list(range(51))  # one run per child of the centre
 
     def test_one_wide_level_at_three_lanes(self, monkeypatch):
         """A tree whose only level of at least ceil(500 / 3) = 167 rows is
         level 2 (200 rows, 20 under each of 10 parents): at 3 lanes only that
-        level is reordered, into 20 rank blocks of one child per parent, and
-        every other row keeps its ``bfs_order`` row.  Outputs are the same
-        bytes at bounds 0, 500 and 1e12."""
+        level takes runs, 20 rank blocks of one child per parent.  Outputs
+        are the same bytes at bounds 0, 500 and 1e12."""
         mid = np.repeat(np.arange(1, 11), 20)  # parents of vertices 11..210
         low = np.arange(11, 211, 2)  # every other level-2 vertex has one child
         parent = np.concatenate([[0], np.zeros(10, dtype=np.int64), mid, low])
@@ -166,25 +178,39 @@ class TestRankSchedule:
         edges = n - 1 - np.stack([np.arange(1, n), parent[1:]], axis=1)  # rooted at the last token
         tree = root_tree(edges, np.ones(n - 1), n, n - 1)
         assert np.diff(tree.level_bounds).tolist() == [1, 10, 200, 100]
-        assert_rank_schedule(tree, 167)
-        order, _, steps = scan._schedule(tree, 3)
+        assert rank_block_levels(tree, 3) == 1
+        assert_rank_runs(tree)
         lo, hi = tree.level_bounds[2:4]
-        np.testing.assert_array_equal(np.delete(order, np.s_[lo:hi]),
-                                      np.delete(tree.bfs_order, np.s_[lo:hi]))
-        assert [len(blocks) for _, _, blocks in steps] == [0, 21, 0]
-        np.testing.assert_array_equal(tree.parent[order[lo:lo + 10]], tree.bfs_order[1:11])
+        runs = tree.run_bounds
+        assert runs[runs.index(lo):runs.index(hi) + 1] == list(range(lo, hi + 1, 10))
+        np.testing.assert_array_equal(tree.parent[tree.bfs_order[lo:lo + 10]], tree.bfs_order[1:11])
         rng = np.random.default_rng(4)
         x = FeatureMap(rng.standard_normal((n, 3)))
         p = DiscreteScanParams(rng.uniform(0.05, 0.95, (n, 3, 1)), rng.standard_normal((n, 3, 1)))
-
-        def outputs():
-            h, xi = tree_scan_vision_forward(x, p, tree)
-            return [h.tobytes(), xi.tobytes(), tree_scan_language_forward(x, p, tree).tobytes()]
-
-        default = outputs()
+        default = scan_outputs(x, p, tree)
         for bound in (0, 500, 10**12):
             monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
-            assert outputs() == default
+            assert scan_outputs(x, p, tree) == default
+
+    def test_tree_file_in_parent_vertex_order(self, tmp_path, monkeypatch):
+        """A tree file whose levels are ordered by (parent, vertex), as files
+        written before the rank-major order were, loads and scans to the
+        same bytes as the rank-major tree, on either branch of the
+        leaf-to-root step; its wide levels take more, shorter runs."""
+        x, p, tree = stress_instance("wide-grid", "random")
+        n = tree.num_vertices
+        old_order = np.lexsort((np.arange(n), tree.parent, tree.depths))
+        assert not np.array_equal(old_order, tree.bfs_order)
+        io.write_tree(tmp_path / "old.json", SpanningTree(
+            n, tree.root, tree.parent, old_order, tree.edge_weight_to_parent))
+        old = io.read_tree(tmp_path / "old.json")
+        np.testing.assert_array_equal(old.bfs_order, old_order)
+        assert old.level_bounds == tree.level_bounds
+        assert_rank_runs(old, rank_major=False)
+        assert len(old.run_bounds) > len(tree.run_bounds)
+        for bound in (0, scan.RANK_BLOCK_MIN, 2**62):
+            monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
+            assert scan_outputs(x, p, old) == scan_outputs(x, p, tree)
 
 
 def make_continuous(rng, length, channels, states):
