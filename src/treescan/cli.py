@@ -55,6 +55,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_affinity(args) -> int:
+    if args.height <= 0 or args.width <= 0:
+        raise ValueError(f"--height and --width must be positive, got {args.height}, {args.width}")
+    if not (np.isfinite(args.delta) and args.delta >= 0):
+        raise ValueError(f"--delta must be finite and >= 0, got {args.delta}")
     tree = io.read_tree(args.tree)
     n = tree.num_vertices
     if args.height * args.width != n:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FeatureMap
-from .mst import SpanningTree
+from .mst import SpanningTree, root_tree
 
 NAIVE_SCAN_GUARD = 4096
 # Rows x lanes from which a level's leaf-to-root step is cheaper as one plain
@@ -90,7 +90,8 @@ class ContinuousScanParams:
 
 @dataclass
 class DiscreteScanParams:
-    """Per-token transition and input scalars, shape (L, C, N) each."""
+    """Per-token transition and input scalars, shape (L, C, N) each; a zero
+    transition (``discretize``'s exp underflowing) cuts its edge."""
 
     a_bar: np.ndarray
     b_bar: np.ndarray
@@ -102,8 +103,8 @@ class DiscreteScanParams:
             raise ValueError("a_bar and b_bar must both be (L, C, N)")
         if not (np.all(np.isfinite(self.a_bar)) and np.all(np.isfinite(self.b_bar))):
             raise ValueError("discrete parameters contain NaN or Inf")
-        if np.any(self.a_bar <= 0):
-            raise ValueError("a_bar entries must be strictly positive")
+        if np.any(self.a_bar < 0):
+            raise ValueError("a_bar entries must be >= 0")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -133,13 +134,14 @@ def discretize(params: ContinuousScanParams) -> DiscreteScanParams:
 
 def _check_instance(
     x: FeatureMap,
-    p: DiscreteScanParams,
+    p: DiscreteScanParams | ContinuousScanParams,
     tree: SpanningTree | None = None,
     causal: bool = False,
     **states: np.ndarray,
 ) -> None:
-    """Shape checks shared by every kernel; ``states`` are (L, C, N) arrays
-    such as d_h, and ``causal`` requires the tree's root at the last token."""
+    """Shape checks shared by every kernel and the output projection;
+    ``states`` are (L, C, N) arrays such as d_h, and ``causal`` requires the
+    tree's root at the last token."""
     length, channels, _ = p.shape
     if x.data.shape != (length, channels):
         raise ValueError(
@@ -299,66 +301,61 @@ def tree_scan_language_backward(
     return _gradients(x, p, tree, rho, rho.take(tree.parent, axis=0) * h)
 
 
-def _edge_key_adjacency(tree: SpanningTree) -> list[list[tuple[int, int]]]:
-    """Undirected adjacency with each edge tagged by the vertex that keys it."""
-    n = tree.num_vertices
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for v in range(n):
-        u = int(tree.parent[v])
-        if u != v:
-            adj[v].append((u, v))  # edge (v, parent) keyed by child v
-            adj[u].append((v, v))
-    return adj
-
-
-def _path_products(adj, a_bar: np.ndarray, source: int, out: np.ndarray) -> np.ndarray:
-    """Fill out[j] with the per-lane product of a_bar along the tree path from
-    ``source`` to j (a depth-first walk over ``_edge_key_adjacency``)."""
-    seen = np.zeros(len(adj), dtype=bool)
-    seen[source] = True
-    out[source] = 1.0
-    stack = [source]
-    while stack:
-        v = stack.pop()
-        for nb, key in adj[v]:
-            if not seen[nb]:
-                seen[nb] = True
-                out[nb] = out[v] * a_bar[key]
-                stack.append(nb)
-    return out
-
-
 def naive_tree_scan(
     x: FeatureMap,
     p: DiscreteScanParams,
     tree: SpanningTree,
-    roots: str = "all",
+    roots: str | list[int] | np.ndarray = "all",
     force: bool = False,
 ) -> np.ndarray:
     """Direct quadratic evaluation of the tree aggregation; the reference
     the fast kernels are checked against.
 
-    For each requested root i it walks the tree accumulating path-weight
-    products and sums weight * b_bar[j] * x[j] over all j.  ``roots="all"``
-    returns (L, C, N); ``roots="single"`` evaluates only the tree root and
-    returns (C, N).  Refuses L > 4096 unless ``force=True``.
+    For each requested vertex i it walks the tree depth-first from i,
+    multiplying a_bar along each path (crossing the edge between v and its
+    parent multiplies by a_bar[v]), and sums weight * b_bar[j] * x[j] over
+    all j.  ``roots="all"`` returns (L, C, N); ``roots="single"`` evaluates
+    only the tree root and returns (C, N); a sequence of vertex ids returns
+    their rows, (len(roots), C, N).  Refuses L > 4096 unless ``force=True``.
     """
     _check_instance(x, p, tree)
-    if roots not in ("all", "single"):
-        raise ValueError("roots must be 'all' or 'single'")
     n = tree.num_vertices
+    if isinstance(roots, str) and roots in ("all", "single"):
+        targets = range(n) if roots == "all" else [tree.root]
+    else:
+        ids = np.asarray(roots)  # any other string has ndim 0
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise ValueError("roots must be 'all', 'single' or a sequence of vertex ids")
+        bad = ids[(ids < 0) | (ids >= n)]
+        if bad.size:
+            raise ValueError(f"root id {bad[0]} out of range for {n} vertices")
+        targets = ids.tolist()
     if n > NAIVE_SCAN_GUARD and not force:
         raise ValueError(
             f"naive scan is O(L^2); refusing L = {n} > {NAIVE_SCAN_GUARD} without force=True"
         )
     unit = p.b_bar * x.data[:, :, None]
-    adj = _edge_key_adjacency(tree)
-    targets = range(n) if roots == "all" else [tree.root]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (neighbour, edge key)
+    for v, u in enumerate(tree.parent.tolist()):
+        if u != v:
+            adj[v].append((u, v))  # edge (v, parent) keyed by child v
+            adj[u].append((v, v))
     out = np.empty((len(targets),) + unit.shape[1:], dtype=unit.dtype)
     prod = np.empty_like(unit)
-    for row, i in enumerate(targets):
-        out[row] = np.einsum("lcn,lcn->cn", _path_products(adj, p.a_bar, i, prod), unit)
-    return out if roots == "all" else out[0]
+    for row, source in enumerate(targets):
+        seen = [False] * n
+        seen[source] = True
+        prod[source] = 1.0
+        stack = [source]
+        while stack:
+            v = stack.pop()
+            for nb, key in adj[v]:
+                if not seen[nb]:
+                    seen[nb] = True
+                    prod[nb] = prod[v] * p.a_bar[key]
+                    stack.append(nb)
+        out[row] = np.einsum("lcn,lcn->cn", prod, unit)
+    return out[0] if isinstance(roots, str) and roots == "single" else out
 
 
 def _rms_normalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -381,12 +378,7 @@ def output_projection(h: np.ndarray, p: ContinuousScanParams, x: FeatureMap) -> 
     RMS-normalized per token over all C*N hidden entries (an all-zero token
     stays zero).
     """
-    if x.data.shape != p.shape[:2]:
-        raise ValueError(
-            f"feature map shape {x.data.shape} does not match params (L, C) = {p.shape[:2]}"
-        )
-    if h.shape != p.shape:
-        raise ValueError(f"hidden states shape {h.shape} inconsistent with params {p.shape}")
+    _check_instance(x, p, h=h)
     hn, _, _ = _rms_normalize(h)
     y = np.einsum("ln,lcn->lc", p.c_out, hn) + p.d[None, :] * x.data
     return FeatureMap(y, spatial=x.spatial)
@@ -401,6 +393,7 @@ def output_projection_backward(
     shape (L, C).  It backpropagates through the per-token RMS
     normalization; tokens with all-zero hidden state get zero gradient.
     """
+    _check_instance(x, p, h=h)
     d_y = np.asarray(d_y, dtype=np.float64)
     if d_y.shape != x.data.shape:
         raise ValueError("d_y must have the feature map's (L, C) shape")
@@ -431,8 +424,9 @@ def discretization_backward(
     """
     d_a_bar = np.asarray(d_a_bar, dtype=np.float64)
     d_b_bar = np.asarray(d_b_bar, dtype=np.float64)
-    if d_a_bar.shape != p.shape or d_b_bar.shape != p.shape:
-        raise ValueError("gradient shapes must match the (L, C, N) parameter shape")
+    for name, arr in (("d_a_bar", d_a_bar), ("d_b_bar", d_b_bar), ("disc", disc)):
+        if arr.shape != p.shape:
+            raise ValueError(f"{name} shape {arr.shape} does not match params shape {p.shape}")
     d_a = np.einsum("lcn,lc,lcn->cn", d_a_bar, p.delta, disc.a_bar)
     d_b = np.einsum("lcn,lc->ln", d_b_bar, p.delta)
     d_delta = np.einsum("lcn,cn,lcn->lc", d_a_bar, p.a, disc.a_bar) + np.einsum(
@@ -445,8 +439,11 @@ def affinity_map(tree: SpanningTree, p: DiscreteScanParams, anchor: int) -> np.n
     """Mean path weight from every vertex to the anchor, an L-vector in [0, 1].
 
     Entry j is the lane-mean of the product of transition scalars along the
-    tree path from j to the anchor; the anchor itself is exactly 1.  Requires
-    every a_bar entry in (0, 1] so products stay in [0, 1].
+    tree path from j to the anchor; the anchor itself is exactly 1.  The
+    products are one root-to-leaf pass (``_down``) from a unit vector on the
+    tree rooted at the anchor, each edge's transition moved to the edge's
+    child under that rooting.  Requires every a_bar entry in [0, 1] so
+    products stay in [0, 1].
     """
     n = tree.num_vertices
     if not 0 <= anchor < n:
@@ -454,7 +451,13 @@ def affinity_map(tree: SpanningTree, p: DiscreteScanParams, anchor: int) -> np.n
     if p.shape[0] != n:
         raise ValueError("params length does not match the tree")
     if np.any(p.a_bar > 1.0):
-        raise ValueError("affinity map requires a_bar entries in (0, 1]")
-    prod = np.empty(p.shape, dtype=np.float64)
-    _path_products(_edge_key_adjacency(tree), p.a_bar, anchor, prod)
-    return prod.reshape(n, -1).mean(axis=1)
+        raise ValueError("affinity map requires a_bar entries in [0, 1]")
+    nonroot = np.flatnonzero(np.arange(n) != tree.root)
+    anchored = root_tree(np.stack([nonroot, tree.parent[nonroot]], axis=1), np.zeros(n - 1), n,
+                         anchor)
+    key = np.where(tree.parent == anchored.parent, np.arange(n), anchored.parent)
+    order = anchored.bfs_order
+    prod = np.zeros(p.shape)
+    prod[0] = 1.0
+    _down(anchored, prod, p.a_bar.take(key[order], axis=0))
+    return _to_vertices(order, prod).reshape(n, -1).mean(axis=1)

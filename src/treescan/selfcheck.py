@@ -132,25 +132,6 @@ def smooth_grid_tree(rng: np.random.Generator, root_last: bool = False) -> Spann
     return root_tree(edges, weights, h * w, h * w - 1 if root_last else 0)
 
 
-def naive_scan_at(
-    x: FeatureMap, p: DiscreteScanParams, tree: SpanningTree, vertex: int
-) -> np.ndarray:
-    """Row ``vertex`` of ``naive_tree_scan(x, p, tree)`` in O(L), shape (C, N).
-
-    The tree is re-rooted at ``vertex`` and each edge's transition moved to
-    the edge's child under the new rooting, so the reference's single-root
-    mode aggregates at that vertex; this reaches trees far too large for the
-    quadratic all-roots mode.
-    """
-    n = tree.num_vertices
-    nonroot = np.flatnonzero(np.arange(n) != tree.root)
-    edges = np.stack([nonroot, tree.parent[nonroot]], axis=1)
-    rerooted = root_tree(edges, np.zeros(n - 1), n, vertex)
-    key = np.where(tree.parent == rerooted.parent, np.arange(n), rerooted.parent)
-    moved = DiscreteScanParams(p.a_bar[key], p.b_bar)
-    return naive_tree_scan(x, moved, rerooted, roots="single", force=True)
-
-
 def rank_block_levels(tree: SpanningTree, lanes: int) -> int:
     """Number of levels whose leaf-to-root step takes rank blocks at ``lanes``."""
     return int(np.count_nonzero(np.diff(tree.level_bounds)[1:] * lanes >= scan.RANK_BLOCK_MIN))
@@ -255,10 +236,9 @@ def check_scan_equivalence(
         h = h + 1e-6
     if shape == "random":
         at = np.arange(n)
-        ref = naive_tree_scan(x, p, tree, roots="all")
     else:
         at = np.unique([tree.root, tree.bfs_order[-1], *rng.integers(0, n, 3)])
-        ref = np.stack([naive_scan_at(x, p, tree, int(v)) for v in at])
+    ref = naive_tree_scan(x, p, tree, roots=at, force=True)
     diff = float(np.max(np.abs(h[at] - ref)))
     if diff >= 1e-9:
         return False, f"max abs diff {diff:.3e} >= 1e-9"

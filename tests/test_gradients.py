@@ -285,3 +285,24 @@ class TestParameterChainRule:
                 flat[k] = orig
                 gflat[k] = (hi - lo) / (2 * eps)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
+
+    @pytest.mark.parametrize("h_shape,x_shape", [((4, 2, 1), (4, 2)), ((4, 1, 3), (4, 2)),
+                                                 ((4, 2, 3), (4, 1))])
+    def test_output_projection_rejects_mismatched_shapes(self, h_shape, x_shape):
+        """h of shape (L, C, 1) or (L, 1, N), or x of shape (L, 1), against
+        (L, C, N) params: an error, not a broadcast."""
+        rng = np.random.default_rng(11)
+        p = make_continuous(rng, 4, 2, 3)
+        x = FeatureMap(rng.standard_normal(x_shape))
+        h = rng.standard_normal(h_shape)
+        with pytest.raises(ValueError, match="does not match params"):
+            output_projection_backward(h, p, x, np.ones(x_shape))
+        with pytest.raises(ValueError, match="does not match params"):
+            output_projection(h, p, x)
+
+    def test_discretization_backward_rejects_mismatched_disc(self):
+        rng = np.random.default_rng(12)
+        p = make_continuous(rng, 5, 2, 2)
+        disc = DiscreteScanParams(np.full((5, 2, 1), 0.5), np.ones((5, 2, 1)))
+        with pytest.raises(ValueError, match="disc shape"):
+            discretization_backward(p, disc, np.ones((5, 2, 2)), np.ones((5, 2, 2)))

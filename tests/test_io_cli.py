@@ -158,15 +158,21 @@ MALFORMED = {
 }
 
 
-def assert_one_error_line_outside_pytest(argv):
-    """``python -m treescan *argv`` in a fresh interpreter exits 2 with one
-    ``error:`` line on stderr.  pytest captures numpy's RuntimeWarnings, so
-    only a separate interpreter shows whether they reach stderr."""
+def run_python(args, cwd=None):
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    treescan.  pytest captures numpy's RuntimeWarnings, so only a separate
+    interpreter shows whether they reach stderr."""
     src = str(Path(treescan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-m", "treescan", *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
+
+
+def assert_one_error_line_outside_pytest(argv):
+    """``python -m treescan *argv`` in a fresh interpreter exits 2 with one
+    ``error:`` line on stderr."""
+    proc = run_python(["-m", "treescan", *argv])
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:"), proc.stderr
 
@@ -562,6 +568,21 @@ class TestCmdAffinity:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--height", "-4", "--width", "-4"], "--height"),
+        (["--height", "0", "--width", "4"], "--height"),
+        (["--height", "4", "--width", "4", "--delta", "-1"], "--delta"),
+        (["--height", "4", "--width", "4", "--delta", "nan"], "--delta"),
+        (["--height", "4", "--width", "4", "--delta", "inf"], "--delta"),
+    ])
+    def test_bad_flags_named(self, tmp_path, capsys, flags, named):
+        write_scan_inputs(tmp_path, length=16)
+        code = main(["affinity", "--tree", str(tmp_path / "tree.json"), "--from-weights",
+                     "--anchor", "0", "--out", str(tmp_path / "a.pgm"), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and named in err
+
     def test_params_xor_from_weights(self, tmp_path):
         self.build_tree(tmp_path, 2, 2)
         with pytest.raises(SystemExit) as exc:
@@ -701,6 +722,15 @@ def _bench_case(sizes):
     return lambda d: ["bench", f"--sizes={sizes}", "--repeat", "1", "--out", str(d / "r.json")]
 
 
+def _affinity_case(*flags):
+    """An ``affinity --from-weights`` call on a 16-vertex chain tree, with ``flags``."""
+    def argv(d):
+        write_scan_inputs(d, length=16)
+        return ["affinity", "--tree", str(d / "tree.json"), "--from-weights", "--anchor", "0",
+                "--out", str(d / "a.pgm"), *flags]
+    return argv
+
+
 # malformed inputs for ``python -m treescan``: each builds the argv of a call
 # in a fresh directory
 SUBPROCESS_CASES = {
@@ -713,6 +743,9 @@ SUBPROCESS_CASES = {
     "truncated-json": _scan_case(lambda d: (d / "params.json").write_text('{"a": {"shape": [1, ')),
     "bench-size-zero": _bench_case("0,4"),
     "bench-size-negative": _bench_case("-5,4"),
+    "affinity-negative-size": _affinity_case("--height", "-4", "--width", "-4"),
+    "affinity-negative-delta": _affinity_case("--height", "4", "--width", "4", "--delta", "-1"),
+    "affinity-nan-delta": _affinity_case("--height", "4", "--width", "4", "--delta", "nan"),
 }
 
 
@@ -722,3 +755,16 @@ def test_malformed_inputs_outside_pytest(tmp_path, case):
     exactly one ``error:`` line, with no numpy warning besides it."""
     argv = SUBPROCESS_CASES[case](tmp_path)
     assert_one_error_line_outside_pytest(argv)
+
+
+def test_underflowing_transitions_scan_outside_pytest(tmp_path):
+    """a = -1 and delta = 800 round every a_bar to exactly 0, i.e. every
+    edge cut: a valid scan that exits 0 with nothing on stderr, h = b_bar * x."""
+    argv = write_scan_inputs(tmp_path)
+    io.write_params(tmp_path / "params.json", ContinuousScanParams(
+        a=np.array([[-1.0]]), b=np.full((4, 1), 3.0), c_out=np.ones((4, 1)), d=np.zeros(1),
+        delta=np.full((4, 1), 800.0),
+    ))
+    proc = run_python(["-m", "treescan", *argv])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    np.testing.assert_array_equal(io.read_tensor(tmp_path / "h.json").ravel(), 2400.0)

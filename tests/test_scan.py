@@ -11,6 +11,7 @@ from treescan import (
     io,
     naive_tree_scan,
     output_projection,
+    path_product,
     root_tree,
     scan,
     sequential_selective_scan,
@@ -21,7 +22,6 @@ from treescan.selfcheck import (
     align_chain_params,
     causal_tree,
     chain_tree,
-    naive_scan_at,
     random_connected_graph,
     random_scan_instance,
     random_tree,
@@ -99,10 +99,10 @@ class TestLayoutStress:
         at = np.unique([tree.root, tree.bfs_order[-1], *rng.integers(0, n, 4)])
         h, xi = tree_scan_vision_forward(x, p, tree)
         h_lang = tree_scan_language_forward(x, p, tree)
+        assert np.max(np.abs(h[at] - naive_tree_scan(x, p, tree, roots=at, force=True))) < 1e-9
         for v in at.tolist():
-            assert np.max(np.abs(h[v] - naive_scan_at(x, p, tree, v))) < 1e-9
-            causal_ref = naive_scan_at(x, subtree_only(p, tree, v), tree, v)
-            assert np.max(np.abs(h_lang[v] - causal_ref)) < 1e-9
+            causal_ref = naive_tree_scan(x, subtree_only(p, tree, v), tree, roots=[v], force=True)
+            assert np.max(np.abs(h_lang[v] - causal_ref[0])) < 1e-9
         if n <= 64:
             assert np.max(np.abs(h - naive_tree_scan(x, p, tree))) < 1e-9
         np.testing.assert_array_equal(h_lang, xi)  # both are the subtree sums
@@ -278,6 +278,22 @@ class TestDiscretize:
                 delta=np.array([[0.0]]),
             )
 
+    def test_underflow_to_zero_accepted(self):
+        # delta * a = -800 rounds exp to exactly 0: a cut edge, not an error
+        p = ContinuousScanParams(
+            a=np.array([[-1.0]]),
+            b=np.ones((2, 1)),
+            c_out=np.ones((2, 1)),
+            d=np.zeros(1),
+            delta=np.full((2, 1), 800.0),
+        )
+        assert np.all(discretize(p).a_bar == 0.0)
+
+    @pytest.mark.parametrize("bad", [-1e-300, -1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_transitions_rejected(self, bad):
+        with pytest.raises(ValueError, match="a_bar|NaN"):
+            DiscreteScanParams(np.array([0.5, bad]).reshape(2, 1, 1), np.ones((2, 1, 1)))
+
 
 class TestSequentialScan:
     def test_memoryless(self):
@@ -358,6 +374,21 @@ class TestVisionForward:
             p = DiscreteScanParams(rng.uniform(0.05, 0.95, (n, 2, 2)), rng.standard_normal((n, 2, 2)))
             h, _ = tree_scan_vision_forward(x, p, tree)
             assert np.max(np.abs(h - naive_tree_scan(x, p, tree))) < 1e-9
+
+    def test_zero_transitions_match_naive(self):
+        """Exact zeros (cut edges) in about a third of the lanes: both modes
+        against ``naive_tree_scan`` at 1e-9, L = 1 and 2 included."""
+        rng = np.random.default_rng(30)
+        for n in [1, 2, *rng.integers(3, 40, 18).tolist()]:
+            x, p, tree = random_scan_instance(rng, n, int(rng.integers(1, 4)),
+                                              int(rng.integers(1, 4)), root=n - 1)
+            p = DiscreteScanParams(np.where(rng.random(p.shape) < 0.3, 0.0, p.a_bar), p.b_bar)
+            h, _ = tree_scan_vision_forward(x, p, tree)
+            assert np.max(np.abs(h - naive_tree_scan(x, p, tree))) < 1e-9
+            h_lang = tree_scan_language_forward(x, p, tree)
+            for v in range(n):
+                causal_ref = naive_tree_scan(x, subtree_only(p, tree, v), tree, roots=[v])
+                assert np.max(np.abs(h_lang[v] - causal_ref[0])) < 1e-9
 
     def test_tree_size_mismatch(self, chain3_vision):
         x, p, tree = chain3_vision
@@ -441,8 +472,6 @@ class TestLanguageForward:
         x, p, tree = random_scan_instance(rng, n, 2, 2, root=n - 1)
         h = tree_scan_language_forward(x, p, tree)
         # brute force: h[i] = sum over j in subtree(i) of pathweight * b*x
-        from treescan import path_product
-
         descendants = [set([v]) for v in range(n)]
         for v in reversed(tree.bfs_order.tolist()):
             if v != tree.root:
@@ -493,6 +522,31 @@ class TestNaiveScan:
         full = naive_tree_scan(x, p, tree, roots="all")
         only_root = naive_tree_scan(x, p, tree, roots="single")
         np.testing.assert_allclose(only_root, full[tree.root], atol=0)
+
+    def test_rows_at_vertex_ids(self):
+        """A sequence of ids gives the matching rows of the all-roots mode,
+        byte for byte, on random trees with L = 1 and 2 among them."""
+        rng = np.random.default_rng(27)
+        for n in [1, 2, *rng.integers(3, 60, 20).tolist()]:
+            x, p, tree = random_scan_instance(rng, n, int(rng.integers(1, 4)),
+                                              int(rng.integers(1, 4)))
+            full = naive_tree_scan(x, p, tree, roots="all")
+            ids = rng.integers(0, n, int(rng.integers(1, 6)))
+            assert naive_tree_scan(x, p, tree, roots=ids).tobytes() == full[ids].tobytes()
+            rows = naive_tree_scan(x, p, tree, roots=list(range(n)))
+            assert rows.tobytes() == full.tobytes()
+            assert naive_tree_scan(x, p, tree, roots=[tree.root])[0].tobytes() == \
+                naive_tree_scan(x, p, tree, roots="single").tobytes()
+
+    @pytest.mark.parametrize("roots,match", [
+        ("every", "roots must be"), ("ALL", "roots must be"), ([1.0], "roots must be"),
+        ([[0]], "roots must be"), ([5], "root id 5 out of range"),
+        ([0, -1], "root id -1 out of range"),
+    ])
+    def test_bad_roots_rejected(self, roots, match):
+        x, p, tree = random_scan_instance(np.random.default_rng(28), 5, 1, 1)
+        with pytest.raises(ValueError, match=match):
+            naive_tree_scan(x, p, tree, roots=roots)
 
     def test_guard_value(self):
         assert scan.NAIVE_SCAN_GUARD == 4096
@@ -588,6 +642,24 @@ class TestAffinityMap:
         for v in range(40):
             if v != anchor:
                 assert vals[v] <= vals[int(anchored.parent[v])] + 1e-15
+
+    def test_matches_path_product_oracle(self):
+        """Every anchor of 30 random trees, L = 1 and 2 among them, against
+        the lane mean of ``oracle.path_product`` within 1e-12."""
+        rng = np.random.default_rng(29)
+        for n in [1, 2, *rng.integers(3, 30, 28).tolist()]:
+            x, p, tree = random_scan_instance(rng, n, int(rng.integers(1, 4)),
+                                              int(rng.integers(1, 4)))
+            for anchor in range(n):
+                expected = [path_product(tree, p, anchor, j).mean() for j in range(n)]
+                np.testing.assert_allclose(affinity_map(tree, p, anchor), expected,
+                                           rtol=0, atol=1e-12)
+
+    def test_zero_transition_cuts_the_path(self):
+        tree = root_tree(np.array([[0, 1], [1, 2]]), np.zeros(2), 3, 0)
+        p = DiscreteScanParams(np.array([1.0, 0.0, 0.5]).reshape(3, 1, 1), np.ones((3, 1, 1)))
+        np.testing.assert_array_equal(affinity_map(tree, p, 0), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(affinity_map(tree, p, 2), [0.0, 0.5, 1.0])
 
     def test_invalid_anchor(self):
         rng = np.random.default_rng(24)
