@@ -645,21 +645,18 @@ class TestAffinityMap:
 
     def test_matches_path_product_oracle(self):
         """Every anchor of 30 random trees, L = 1 and 2 among them, against
-        the lane mean of ``oracle.path_product`` within 1e-12."""
+        the lane mean of ``oracle.path_product`` within 1e-12; every other
+        tree has exact zeros (cut edges) in about a third of the lanes."""
         rng = np.random.default_rng(29)
-        for n in [1, 2, *rng.integers(3, 30, 28).tolist()]:
+        for k, n in enumerate([1, 2, *rng.integers(3, 30, 28).tolist()]):
             x, p, tree = random_scan_instance(rng, n, int(rng.integers(1, 4)),
                                               int(rng.integers(1, 4)))
+            if k % 2:
+                p = DiscreteScanParams(np.where(rng.random(p.shape) < 0.3, 0.0, p.a_bar), p.b_bar)
             for anchor in range(n):
                 expected = [path_product(tree, p, anchor, j).mean() for j in range(n)]
                 np.testing.assert_allclose(affinity_map(tree, p, anchor), expected,
                                            rtol=0, atol=1e-12)
-
-    def test_zero_transition_cuts_the_path(self):
-        tree = root_tree(np.array([[0, 1], [1, 2]]), np.zeros(2), 3, 0)
-        p = DiscreteScanParams(np.array([1.0, 0.0, 0.5]).reshape(3, 1, 1), np.ones((3, 1, 1)))
-        np.testing.assert_array_equal(affinity_map(tree, p, 0), [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(affinity_map(tree, p, 2), [0.0, 0.5, 1.0])
 
     def test_invalid_anchor(self):
         rng = np.random.default_rng(24)
