@@ -101,20 +101,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--metric", choices=METRICS, default="cosine")
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--out", required=True, help="output tree JSON file")
+    p.add_argument("--out", required=True, help="output tree file")
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("scan", help="run a tree scan and write hidden states")
     p.add_argument("--input", required=True, help="feature tensor of shape (L, C)")
-    p.add_argument("--tree", required=True, help="tree JSON file")
-    p.add_argument("--params", required=True, help="continuous parameter JSON file")
+    p.add_argument("--tree", required=True, help="tree file, as written by tree")
+    p.add_argument("--params", required=True, help="continuous scan parameter file")
     p.add_argument("--mode", choices=("vision", "language"), required=True)
     p.add_argument("--out", required=True, help="output tensor, shape (L, C, N)")
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("affinity", help="render the path-weight map of an anchor pixel")
     p.add_argument("--tree", required=True)
-    p.add_argument("--params", help="continuous parameter JSON file")
+    p.add_argument("--params", help="continuous scan parameter file")
     p.add_argument(
         "--from-weights",
         action="store_true",
@@ -151,6 +151,8 @@ def main(argv=None) -> int:
     if args.command == "affinity" and bool(args.params) == bool(args.from_weights):
         parser.error("affinity needs exactly one of --params or --from-weights")
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"{args.command} --seed must be >= 0, got {args.seed}")
         # Overflow is reported by the explicit finiteness checks (parameters,
         # scan output), so numpy's own warnings would only add stderr lines.
         with np.errstate(all="ignore"):

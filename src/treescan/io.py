@@ -2,18 +2,19 @@
 
 A tensor on disk is a pair of sibling files: ``name.json`` holds the header
 ``{"shape": [...], "dtype": "f32"|"f64", "layout": "row-major"}`` and
-``name.bin`` holds the raw little-endian payload.  Trees and continuous scan
-parameters are one JSON object each, whose array fields are
-``{"shape": [...], "dtype": "f64"|"i64", "data": "<base64>"}``: the data is
-the base64 of the array's little-endian row-major bytes.  Affinity images are
-binary PGM (P5, maxval 255).
+``name.bin`` holds the raw little-endian payload.  A tree or continuous scan
+parameter file is laid out like NumPy's ``.npy``: one JSON header line with the
+integer scalars and ``{"shape": [...], "dtype": "f64"|"i64"}`` per array field,
+space-padded to a multiple of 64 bytes, then the fields' little-endian
+row-major bytes back to back, in the format's field order, up to the end of
+the file.  Affinity images are binary PGM (P5, maxval 255).
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +27,26 @@ _TENSOR_TAGS = ("f32", "f64")
 _TREE_SCALARS = ("num_vertices", "root")
 _TREE_FIELDS = {"parent": "i64", "bfs_order": "i64", "edge_weight_to_parent": "f64"}
 _PARAMS_FIELDS = {"a": "f64", "b": "f64", "c_out": "f64", "d": "f64", "delta": "f64"}
+_ALIGN = 64  # the first payload's offset; every payload is then 8-byte aligned
 
 
-def _load_json_object(path, what: str) -> dict:
-    """Parse a JSON file whose top level must be an object."""
+def _json_object(raw: bytes, where: str) -> dict:
+    """Parse JSON text whose top level must be an object."""
     try:
-        obj = json.loads(Path(path).read_bytes())
+        obj = json.loads(raw)
     except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{where} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} {path} must hold a JSON object, got {type(obj).__name__}")
+        raise ValueError(f"{where} must hold a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def _read_buffer(path) -> bytearray:
+    """The whole file, read once into a writable buffer."""
+    with open(path, "rb") as f:
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        del buf[f.readinto(buf):]
+    return buf
 
 
 def _shape_and_dtype(where: str, header, tags) -> tuple[list[int], np.dtype]:
@@ -56,52 +66,56 @@ def _shape_and_dtype(where: str, header, tags) -> tuple[list[int], np.dtype]:
     return shape, _DTYPES[tag]
 
 
-def _from_bytes(where: str, payload: bytes, shape: list[int], dtype: np.dtype) -> np.ndarray:
-    """A writable native-order array from little-endian row-major bytes."""
+def _from_bytes(where: str, payload, shape: list[int], dtype: np.dtype) -> np.ndarray:
+    """A native-order array over little-endian row-major bytes; a view, so
+    writable when ``payload`` is, on a little-endian machine."""
     expected = math.prod(shape) * dtype.itemsize
     if len(payload) != expected:
         raise ValueError(f"{where}: expected {expected} bytes for shape {shape}, got {len(payload)}")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
-
-
-def _encode(array: np.ndarray, tag: str) -> dict:
-    arr = np.ascontiguousarray(array, dtype=_DTYPES[tag])
-    return {"shape": list(arr.shape), "dtype": tag,
-            "data": base64.b64encode(arr.tobytes()).decode("ascii")}
-
-
-def _decode(where: str, field, tag: str) -> np.ndarray:
-    shape, dtype = _shape_and_dtype(where, field, (tag,))
-    data = field.get("data")
-    if not isinstance(data, str):
-        raise ValueError(f"{where}: data must be a base64 string")
-    try:
-        payload = base64.b64decode(data, validate=True)
-    except ValueError as exc:
-        raise ValueError(f"{where}: data is not valid base64: {exc}") from exc
-    return _from_bytes(where, payload, shape, dtype)
+    return np.frombuffer(payload, dtype).reshape(shape).astype(dtype.newbyteorder("="), copy=False)
 
 
 def _read_fields(path, what: str, fields: dict[str, str], scalars=()) -> dict:
-    """Load a tree or params file: every key of ``fields`` decoded as an array
-    of its dtype tag, every key of ``scalars`` checked to be an integer."""
-    obj = _load_json_object(path, what)
+    """Load a tree or params file: every key of ``scalars`` checked to be an
+    integer, every key of ``fields`` an array of its dtype tag."""
+    where, buf = f"{what} {path}", _read_buffer(path)
+    end = buf.find(b"\n")
+    header = _json_object(buf[:end] if end >= 0 else buf, f"{where}: header line")
+    if any(isinstance(v, dict) and "data" in v for v in header.values()):
+        raise ValueError(f"{where} is in the old base64 format; write it again with this version")
     for key in (*scalars, *fields):
-        if key not in obj:
-            raise ValueError(f"{what} {path}: missing field {key!r}")
+        if key not in header:
+            raise ValueError(f"{where}: missing field {key!r}")
     for key in scalars:
-        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
-            raise ValueError(f"{what} {path}: field {key!r} must be an integer, got {obj[key]!r}")
-    out = {key: obj[key] for key in scalars}
-    for key, tag in fields.items():
-        out[key] = _decode(f"{what} {path}: field {key!r}", obj[key], tag)
+        if not isinstance(header[key], int) or isinstance(header[key], bool):
+            raise ValueError(f"{where}: field {key!r} must be an integer, got {header[key]!r}")
+    specs = {key: _shape_and_dtype(f"{where}: field {key!r}", header[key], (tag,))
+             for key, tag in fields.items()}
+    if end < 0:
+        first = next(iter(fields))
+        raise ValueError(f"{where}: no newline ends the header line, before field {first!r}")
+    out, offset = {key: header[key] for key in scalars}, end + 1
+    for key, (shape, dtype) in specs.items():
+        size = math.prod(shape) * dtype.itemsize
+        out[key] = _from_bytes(f"{where}: field {key!r}", memoryview(buf)[offset:offset + size],
+                               shape, dtype)
+        offset += size
+    if offset != len(buf):
+        raise ValueError(f"{where}: {len(buf) - offset} trailing bytes after field {key!r}")
     return out
 
 
 def _write_fields(path, fields: dict[str, str], source, scalars=()) -> None:
-    obj = {key: getattr(source, key) for key in scalars}
-    obj.update((key, _encode(getattr(source, key), tag)) for key, tag in fields.items())
-    Path(path).write_text(json.dumps(obj) + "\n")
+    header = {key: getattr(source, key) for key in scalars}
+    arrays = [np.ascontiguousarray(getattr(source, key), dtype=_DTYPES[tag])
+              for key, tag in fields.items()]
+    header.update((key, {"shape": list(arr.shape), "dtype": tag})
+                  for (key, tag), arr in zip(fields.items(), arrays))
+    line = json.dumps(header).encode("ascii")
+    with open(path, "wb") as f:
+        f.write(line + b" " * (-(len(line) + 1) % _ALIGN) + b"\n")
+        for arr in arrays:
+            f.write(arr)
 
 
 def _tensor_paths(path) -> tuple[Path, Path]:
@@ -126,12 +140,12 @@ def write_tensor(path, array: np.ndarray) -> None:
 def read_tensor(path) -> np.ndarray:
     """Load a header/payload tensor, validating the header invariants."""
     header_path, payload_path = _tensor_paths(path)
-    header = _load_json_object(header_path, "tensor header")
     where = f"tensor header {header_path}"
+    header = _json_object(header_path.read_bytes(), where)
     shape, dtype = _shape_and_dtype(where, header, _TENSOR_TAGS)
     if header.get("layout") != "row-major":
         raise ValueError(f"{where}: layout must be 'row-major'")
-    return _from_bytes(f"tensor payload {payload_path}", payload_path.read_bytes(), shape, dtype)
+    return _from_bytes(f"tensor payload {payload_path}", _read_buffer(payload_path), shape, dtype)
 
 
 def write_tree(path, tree: SpanningTree) -> None:

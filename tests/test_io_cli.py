@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,25 +29,75 @@ LITTLE_ENDIAN = {"f64": "<f8", "i64": "<i8"}
 
 
 def encode_array(arr):
-    """A tree/params array field, encoded independently of ``io``."""
+    """A tree/params array field in the old base64 format, encoded
+    independently of ``io``."""
     tag = {"f": "f64", "i": "i64"}[arr.dtype.kind]
     raw = np.ascontiguousarray(arr, dtype=LITTLE_ENDIAN[tag]).tobytes()
     return {"shape": list(arr.shape), "dtype": tag, "data": base64.b64encode(raw).decode("ascii")}
 
 
-def decode_array(field):
-    raw = base64.b64decode(field["data"])
-    return np.frombuffer(raw, dtype=LITTLE_ENDIAN[field["dtype"]]).reshape(field["shape"]).copy()
+# A tree or params file, read and written independently of ``io``: one JSON
+# header line padded with spaces to a multiple of 64 bytes, then the payload
+# of every array field (those whose header is an object) in header order.
+
+
+def split_file(raw):
+    """The header object and each array field's payload bytes of ``raw``."""
+    start = raw.index(b"\n") + 1
+    header = json.loads(raw[:start])
+    payloads = {}
+    for key, field in header.items():
+        if isinstance(field, dict):
+            size = 8 * math.prod(field["shape"])
+            payloads[key] = raw[start:start + size]
+            start += size
+    assert start == len(raw)
+    return header, payloads
+
+
+def join_file(header, payloads):
+    line = json.dumps(header).encode()
+    return line.ljust(-(-(len(line) + 1) // 64) * 64 - 1) + b"\n" + b"".join(payloads.values())
+
+
+def decode_field(field, payload):
+    arr = np.frombuffer(payload, dtype=LITTLE_ENDIAN[field["dtype"]])
+    return arr.reshape(field["shape"]).copy()
+
+
+def decode_file(raw):
+    header, payloads = split_file(raw)
+    return {k: decode_field(v, payloads[k]) if k in payloads else v for k, v in header.items()}
+
+
+def encode_file(obj):
+    """The bytes of a file holding ``obj``'s arrays as fields, in ``obj``'s
+    order, and any other value as it is in the header."""
+    header, payloads = {}, {}
+    for key, value in obj.items():
+        if isinstance(value, np.ndarray):
+            tag = {"f": "f64", "i": "i64"}[value.dtype.kind]
+            header[key] = {"shape": list(value.shape), "dtype": tag}
+            payloads[key] = np.ascontiguousarray(value, dtype=LITTLE_ENDIAN[tag]).tobytes()
+        else:
+            header[key] = value
+    return join_file(header, payloads)
 
 
 def edit_file(path, edit):
     """Decode a tree or params file's array fields, let ``edit`` change the
     object in place (arrays or any other field), and write it back encoded."""
-    obj = json.loads(path.read_text())
-    obj = {k: decode_array(v) if isinstance(v, dict) else v for k, v in obj.items()}
+    obj = decode_file(path.read_bytes())
     edit(obj)
+    path.write_bytes(encode_file(obj))
+
+
+def write_old_format(path):
+    """Rewrite a tree or params file in the old format: one JSON object whose
+    array fields hold base64 ``data`` strings."""
+    obj = decode_file(path.read_bytes())
     obj = {k: encode_array(v) if isinstance(v, np.ndarray) else v for k, v in obj.items()}
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(obj) + "\n")
 
 
 class TestTensorFile:
@@ -55,7 +106,7 @@ class TestTensorFile:
         arr = rng().standard_normal((3, 4, 2)).astype(dtype)
         io.write_tensor(tmp_path / "t.json", arr)
         back = io.read_tensor(tmp_path / "t.json")
-        assert back.dtype == dtype
+        assert back.dtype == dtype and back.flags.writeable and back.flags.aligned
         assert back.tobytes() == arr.tobytes()
 
     def test_path_with_or_without_suffix(self, tmp_path):
@@ -143,18 +194,70 @@ def assert_same_array(back, orig):
 
 EXTREMES = np.array([-0.0, 5e-324, 1.7e308, -1.7e308, 1.0, -5e-324])
 
-# each case turns a well-formed array field into a malformed one, and names a
-# word the rejection must contain
+def edit_field_header(edit):
+    """A malformation that replaces a field's header ``f`` with ``edit(f)``."""
+    def malform(header, payloads, key):
+        header[key] = edit(header[key])
+    return malform
+
+
+def end_file_in(keep):
+    """A malformation that ends the file ``keep(n)`` bytes into the field's
+    n-byte payload: the later fields' payloads go too."""
+    def malform(header, payloads, key):
+        later = list(payloads)[list(payloads).index(key) + 1:]
+        for k in later:
+            del payloads[k]
+        payloads[key] = payloads[key][:keep(len(payloads[key]))]
+    return malform
+
+
+def list_form(header, payloads, key):
+    """The field as a JSON number list, the format before binary payloads."""
+    header[key] = decode_field(header[key], payloads.pop(key)).tolist()
+
+
+# each case turns a well-formed array field of a file into a malformed one,
+# and names a word the rejection must contain
 MALFORMED = {
-    "non-base64": (lambda f: {**f, "data": "*" + f["data"][1:]}, "base64"),
-    "byte-count": (lambda f: {**f, "data": encode_array(decode_array(f)[:-1])["data"]}, "bytes"),
-    "unknown-dtype": (lambda f: {**f, "dtype": "f16"}, "dtype"),
-    "mismatched-dtype": (lambda f: {**f, "dtype": {"f64": "i64", "i64": "f64"}[f["dtype"]]},
-                         "dtype"),
-    "shape-not-list": (lambda f: {**f, "shape": f["shape"][0]}, "shape"),
-    "negative-shape": (lambda f: {**f, "shape": [-s for s in f["shape"]]}, "shape"),
-    "bool-shape": (lambda f: {**f, "shape": [True, *f["shape"]]}, "shape"),
-    "list-form": (lambda f: decode_array(f).tolist(), "JSON object"),
+    "garbled-header": (edit_field_header(lambda f: json.dumps(f)[2:]), "JSON object"),
+    "byte-count": (end_file_in(lambda n: n - 8), "bytes"),
+    "truncated": (end_file_in(lambda n: 5), "bytes"),
+    "unknown-dtype": (edit_field_header(lambda f: {**f, "dtype": "f16"}), "dtype"),
+    "mismatched-dtype": (edit_field_header(
+        lambda f: {**f, "dtype": {"f64": "i64", "i64": "f64"}[f["dtype"]]}), "dtype"),
+    "shape-not-list": (edit_field_header(lambda f: {**f, "shape": f["shape"][0]}), "shape"),
+    "negative-shape": (edit_field_header(lambda f: {**f, "shape": [-s for s in f["shape"]]}),
+                       "shape"),
+    "bool-shape": (edit_field_header(lambda f: {**f, "shape": [True, *f["shape"]]}), "shape"),
+    "list-form": (list_form, "JSON object"),
+}
+
+
+def grow_last_shape(raw):
+    """The last field's header claims one more row than its payload holds."""
+    header, payloads = split_file(raw)
+    last = header[list(payloads)[-1]]
+    last["shape"] = [last["shape"][0] + 1, *last["shape"][1:]]
+    return join_file(header, payloads)
+
+
+def header_as_list(raw):
+    header, payloads = split_file(raw)
+    return join_file(list(header.items()), payloads)
+
+
+# each case malforms a whole tree or params file's bytes, and names a
+# pattern the rejection must match; {first} and {last} stand for the file's
+# first and last field
+FILE_MALFORMED = {
+    "trailing-bytes": (lambda raw: raw + bytes(8), "8 trailing bytes after field '{last}'"),
+    "shape-grown": (grow_last_shape, "field '{last}': expected .* bytes"),
+    "no-newline": (lambda raw: raw[:raw.index(b"\n")],
+                   "no newline ends the header line, before field '{first}'"),
+    "header-not-object": (header_as_list, "header line must hold a JSON object"),
+    "garbled-header-line": (lambda raw: b"*" + raw[1:], "header line is not valid JSON"),
+    "old-base64-format": (None, "old base64 format"),
 }
 
 
@@ -200,9 +303,10 @@ class TestArrayEncoding:
             assert_same_array(getattr(back, name), getattr(tree, name))
         assert back.parent.dtype == np.int64
         # the stored bytes are the little-endian row-major array
-        obj = json.loads((tmp_path / "t.json").read_text())
-        assert obj["parent"]["dtype"] == "i64" and obj["edge_weight_to_parent"]["dtype"] == "f64"
-        assert decode_array(obj["edge_weight_to_parent"]).tobytes() == weights.tobytes()
+        header, payloads = split_file((tmp_path / "t.json").read_bytes())
+        assert header["parent"]["dtype"] == "i64"
+        assert header["edge_weight_to_parent"]["dtype"] == "f64"
+        assert payloads["edge_weight_to_parent"] == weights.astype("<f8").tobytes()
 
     def test_params_round_trip_bit_exact(self, tmp_path):
         p = ContinuousScanParams(
@@ -223,16 +327,57 @@ class TestArrayEncoding:
                                             ("params.json", "a"), ("params.json", "delta")])
     def test_malformed_field_rejected(self, tmp_path, capsys, case, name, field):
         argv = write_scan_inputs(tmp_path)
-        garble, word = MALFORMED[case]
-        obj = json.loads((tmp_path / name).read_text())
-        obj[field] = garble(obj[field])
-        (tmp_path / name).write_text(json.dumps(obj))
+        malform, word = MALFORMED[case]
+        header, payloads = split_file((tmp_path / name).read_bytes())
+        malform(header, payloads, field)
+        (tmp_path / name).write_bytes(join_file(header, payloads))
         reader = io.read_tree if name == "tree.json" else io.read_params
         with pytest.raises(ValueError, match=f"{name}: field '{field}'.*{word}"):
             reader(tmp_path / name)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error:") and field in err
+
+    @pytest.mark.parametrize("case", sorted(FILE_MALFORMED))
+    @pytest.mark.parametrize("name,first,last", [("tree.json", "parent", "edge_weight_to_parent"),
+                                                 ("params.json", "a", "delta")])
+    def test_malformed_file_rejected(self, tmp_path, capsys, case, name, first, last):
+        argv = write_scan_inputs(tmp_path)
+        malform, pattern = FILE_MALFORMED[case]
+        if malform is None:
+            write_old_format(tmp_path / name)
+        else:
+            (tmp_path / name).write_bytes(malform((tmp_path / name).read_bytes()))
+        reader = io.read_tree if name == "tree.json" else io.read_params
+        with pytest.raises(ValueError, match=f"{name}.*{pattern.format(first=first, last=last)}"):
+            reader(tmp_path / name)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and name in err
+
+    @pytest.mark.parametrize("kind", ["tree", "params"])
+    def test_write_read_write_byte_stable(self, tmp_path, kind):
+        if kind == "tree":
+            obj = random_tree(rng(), 23, root=5)
+            write, read = io.write_tree, io.read_tree
+            keys = ("num_vertices", "root", "parent", "bfs_order", "edge_weight_to_parent")
+        else:
+            obj = ContinuousScanParams(a=EXTREMES.reshape(2, 3), b=EXTREMES[::-1].reshape(2, 3),
+                                       c_out=EXTREMES.reshape(2, 3), d=EXTREMES[:2],
+                                       delta=np.array([[5e-324, 1.7e308]] * 2))
+            write, read = io.write_params, io.read_params
+            keys = ("a", "b", "c_out", "d", "delta")
+        write(tmp_path / "f", obj)
+        raw = (tmp_path / "f").read_bytes()
+        # the writer follows the format as encoded independently of io
+        assert raw == encode_file({k: getattr(obj, k) for k in keys})
+        write(tmp_path / "g", read(tmp_path / "f"))
+        assert (tmp_path / "g").read_bytes() == raw
+        start = raw.index(b"\n") + 1
+        assert start % 64 == 0
+        for key, payload in split_file(raw)[1].items():
+            assert start % 8 == 0, key
+            start += len(payload)
 
     @pytest.mark.parametrize("text", ["[]", "null", "3", '"s"', "[1]"])
     @pytest.mark.parametrize("name", ["x.json", "tree.json", "params.json"])
@@ -311,7 +456,7 @@ class TestCmdTree:
                 "--width", "3", "--out", str(tmp_path / name),
             ])
             assert code == 0
-            outs.append((tmp_path / name).read_text())
+            outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
 
     def test_single_pixel_tree_then_scan(self, tmp_path):
@@ -626,6 +771,15 @@ class TestCmdSelfcheck:
         assert "FAIL" in out
 
 
+@pytest.mark.parametrize("command", ["selfcheck", "bench"])
+def test_negative_seed_named(tmp_path, capsys, command):
+    flags = ["--sizes", "4,8", "--out", str(tmp_path / "r.json")] if command == "bench" else []
+    assert main([command, *flags, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {command} --seed")
+    assert not (tmp_path / "r.json").exists()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -642,7 +796,8 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("replace"), st.sampled_from([(n, k) for n in FILE_KEYS for k in FILE_KEYS[n]]),
               st.sampled_from([None, "shape", "dtype", "data"]), JSON_VALUES),
     st.tuples(st.just("truncate"), ARRAY_FILES, st.integers(0, 40)),
-    st.tuples(st.just("garble"), ARRAY_FILES, st.integers(0, 40), st.characters()),
+    st.tuples(st.just("garble-header"), ARRAY_FILES, st.integers(0, 200), st.characters()),
+    st.tuples(st.just("garble-payload"), ARRAY_FILES, st.integers(0, 40), st.integers(0, 255)),
     st.tuples(st.just("bytes"), st.sampled_from(["x.json", "x.bin", "tree.json", "params.json"]),
               st.binary(max_size=64)),
     st.tuples(st.just("bytes"), st.sampled_from(list(FILE_KEYS)),
@@ -656,21 +811,29 @@ def mutate(tmp_path, mutation):
         (tmp_path / target).write_bytes(rest[0])
         return
     name, key = target
-    obj = json.loads((tmp_path / name).read_text())
+    path = tmp_path / name
+    if name == "x.json":
+        obj = json.loads(path.read_text())
+        payloads = None
+    else:
+        obj, payloads = split_file(path.read_bytes())
     if kind == "replace":
         sub, value = rest
         if sub is not None and isinstance(obj[key], dict):
             obj[key][sub] = value
         else:
             obj[key] = value
-    else:
-        data = obj[key]["data"]
-        if kind == "truncate":
-            obj[key]["data"] = data[: rest[0] % len(data)]
-        else:
-            i = rest[0] % len(data)
-            obj[key]["data"] = data[:i] + rest[1] + data[i + 1:]
-    (tmp_path / name).write_text(json.dumps(obj))
+    elif kind == "truncate":
+        payloads[key] = payloads[key][: rest[0] % len(payloads[key])]
+    elif kind == "garble-payload":
+        i = rest[0] % len(payloads[key])
+        payloads[key] = payloads[key][:i] + bytes([rest[1]]) + payloads[key][i + 1:]
+    else:  # garble-header: one character of the header line replaced
+        raw = join_file(obj, payloads)
+        i = rest[0] % raw.index(b"\n")
+        path.write_bytes(raw[:i] + rest[1].encode("utf-8", "surrogatepass") + raw[i + 1:])
+        return
+    path.write_bytes(json.dumps(obj).encode() if payloads is None else join_file(obj, payloads))
 
 
 @settings(max_examples=120, deadline=None,
@@ -741,6 +904,9 @@ SUBPROCESS_CASES = {
     "parent-out-of-range": _scan_case(lambda d: _set_item(d / "tree.json", "parent", 3, 9)),
     "truncated-payload": _scan_case(lambda d: (d / "x.bin").write_bytes((d / "x.bin").read_bytes()[:5])),
     "truncated-json": _scan_case(lambda d: (d / "params.json").write_text('{"a": {"shape": [1, ')),
+    "old-base64-tree": _scan_case(lambda d: write_old_format(d / "tree.json")),
+    "selfcheck-negative-seed": lambda d: ["selfcheck", "--seed", "-1"],
+    "bench-negative-seed": lambda d: [*_bench_case("4,8")(d), "--seed", "-1"],
     "bench-size-zero": _bench_case("0,4"),
     "bench-size-negative": _bench_case("-5,4"),
     "affinity-negative-size": _affinity_case("--height", "-4", "--width", "-4"),
