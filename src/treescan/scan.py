@@ -17,13 +17,35 @@ The passes run on copies of the arrays in BFS position order: row k holds
 vertex ``tree.bfs_order[k]``, the root is row 0, every level is a contiguous
 slice (``tree.level_bounds``) and ``tree.ppos`` gives each row's parent row.
 Each kernel gathers its inputs into that order once, walks one level per
-step, and scatters its outputs back to vertex order once.  The leaf-to-root
+step, and gathers its outputs back to vertex order once, by the inverse
+permutation (a gather is cheaper than a scatter).  The leaf-to-root
 step of a level with at least ``RANK_BLOCK_MIN`` rows x lanes is one plain
 indexed add per run of ``tree.run_bounds`` (a run holds no parent twice; on a
 ``root_tree`` level the runs are its rank blocks: every parent's first child,
 then every second child, and so on); any other level takes one
 ``np.add.at``.  Either way each parent adds its children in ``bfs_order``
 order, so both give bitwise identical results.
+
+Outside the walks, every stage of a training step is held to a budget of
+full-size (L, C, N) passes and fresh full-size arrays: at training sizes a
+pass costs about a millisecond, and a fresh array more, as its pages fault
+in.  Arithmetic runs in place where a buffer exists, and a chain that needs
+a temporary runs by row blocks of ``ROW_BLOCK_BYTES`` so the temporary is
+block-sized and the block stays in cache.  Per stage, the full-size arrays
+held at the peak (outputs included):
+
+- ``discretize``: 2, its outputs.  Both outer products are ``einsum``s and
+  ``exp`` runs in place; ``DiscreteScanParams`` validates by four min/max
+  reductions.
+- vision forward: 3 (the BFS-order input terms, a_bar and 1 - a_bar^2);
+  language forward: 2.  b_bar * x is one gather and one product in place,
+  and 1 - a_bar^2 is built in one buffer.
+- vision backward: 3 (eta, rho, d_a_bar), the d_a_bar chain by row blocks;
+  language backward: 2, d_a_bar built in the gather of rho.  d_b_bar is
+  rho scaled in place.
+- ``output_projection``: none, two reading passes over h; its backward: 1,
+  d_h, by row blocks.  Neither forms h / rms or its gradient.
+- ``discretization_backward``: none, four ``einsum`` passes.
 """
 
 from __future__ import annotations
@@ -41,6 +63,15 @@ NAIVE_SCAN_GUARD = 4096
 # indexed add per rank block than as one np.add.at over the level (measured
 # on the benchmark workloads' trees, 2-core VM).
 RANK_BLOCK_MIN = 500
+# Per-token sums of squares inside which the RMS projection uses h as it is.
+# Outside it a token's squares lose digits to underflow or overflow, or the
+# backward's per-token factor ~ |d_y c_out| / (r^2 sqrt(m)) leaves the float
+# range, so the token is first divided by its max-abs.
+SQUARES_RANGE = (1e-200, 1e200)
+# Bytes per operand of one row block of the chained elementwise tails (the
+# vision d_a_bar, the projection's d_h): a block stays in cache through its
+# chain and the tail holds no full-size temporary.
+ROW_BLOCK_BYTES = 1 << 17
 
 
 @dataclass
@@ -97,13 +128,16 @@ class DiscreteScanParams:
     b_bar: np.ndarray
 
     def __post_init__(self):
-        self.a_bar = np.asarray(self.a_bar)
-        self.b_bar = np.asarray(self.b_bar)
+        self.a_bar = np.asarray(self.a_bar, dtype=np.float64)
+        self.b_bar = np.asarray(self.b_bar, dtype=np.float64)
         if self.a_bar.ndim != 3 or self.a_bar.shape != self.b_bar.shape:
             raise ValueError("a_bar and b_bar must both be (L, C, N)")
-        if not (np.all(np.isfinite(self.a_bar)) and np.all(np.isfinite(self.b_bar))):
+        # min and max of each array: four reductions, no boolean temporaries
+        ends = [f(arr) for arr in (self.a_bar, self.b_bar) for f in (np.min, np.max)
+                if arr.size]
+        if not np.all(np.isfinite(ends)):
             raise ValueError("discrete parameters contain NaN or Inf")
-        if np.any(self.a_bar < 0):
+        if ends and ends[0] < 0:
             raise ValueError("a_bar entries must be >= 0")
 
     @property
@@ -127,8 +161,9 @@ def discretize(params: ContinuousScanParams) -> DiscreteScanParams:
     b[i,n]; the output matrix and feedthrough pass through unchanged (they
     stay on ``params``).
     """
-    a_bar = np.exp(params.delta[:, :, None] * params.a[None, :, :])
-    b_bar = params.delta[:, :, None] * params.b[:, None, :]
+    a_bar = np.einsum("lc,cn->lcn", params.delta, params.a)
+    np.exp(a_bar, out=a_bar)
+    b_bar = np.einsum("lc,ln->lcn", params.delta, params.b)
     return DiscreteScanParams(a_bar, b_bar)
 
 
@@ -186,10 +221,24 @@ def _down(tree: SpanningTree, u: np.ndarray, a: np.ndarray) -> None:
 
 
 def _to_vertices(order: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Scatter a BFS-position array (row k is vertex ``order[k]``) back to vertex order."""
-    out = np.empty_like(u)
-    out[order] = u
-    return out
+    """A BFS-position array (row k is vertex ``order[k]``) in vertex order,
+    as one gather by the inverse permutation (cheaper than a scatter)."""
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    return u.take(pos, axis=0)
+
+
+def _row_blocks(rows: int, row_bytes: int):
+    """Consecutive row slices of about ``ROW_BLOCK_BYTES`` each."""
+    step = max(1, ROW_BLOCK_BYTES // max(row_bytes, 1))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _input_terms(x: FeatureMap, p: DiscreteScanParams, order: np.ndarray) -> np.ndarray:
+    """b_bar * x in BFS position order: one gather, then one product in place."""
+    u = p.b_bar.take(order, axis=0)
+    u *= x.data.take(order, axis=0)[:, :, None]
+    return u
 
 
 def _all_roots(tree: SpanningTree, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -197,7 +246,9 @@ def _all_roots(tree: SpanningTree, agg: np.ndarray, a: np.ndarray) -> np.ndarray
     (``_up``), then return the aggregation over every vertex: (1 - a^2) *
     agg pushed down by ``_down``, with ``agg`` kept at the root."""
     _up(tree, agg, a)
-    out = (1.0 - a * a) * agg
+    out = a * a
+    np.subtract(1.0, out, out=out)
+    out *= agg
     out[0] = agg[0]
     _down(tree, out, a)
     return out
@@ -206,12 +257,13 @@ def _all_roots(tree: SpanningTree, agg: np.ndarray, a: np.ndarray) -> np.ndarray
 def _gradients(x: FeatureMap, p: DiscreteScanParams, tree: SpanningTree, rho: np.ndarray,
                d_a_bar: np.ndarray) -> GradBundle:
     """Gradient tail shared by both backward passes, given rho, the loss
-    gradient of each vertex's subtree sum, and ``d_a_bar`` computed on whole
-    arrays; its root row, whose transition is unused, is set to 0 here."""
+    gradient of each vertex's subtree sum in vertex order, and ``d_a_bar``,
+    whose root row (its transition is unused) is set to 0 here.  ``rho``
+    becomes d_b_bar in place."""
     d_a_bar[tree.root] = 0.0
     d_x = np.einsum("lcn,lcn->lc", p.b_bar, rho)
-    d_b_bar = x.data[:, :, None] * rho
-    return GradBundle(d_x, d_a_bar, d_b_bar)
+    rho *= x.data[:, :, None]
+    return GradBundle(d_x, d_a_bar, rho)
 
 
 def tree_scan_vision_forward(
@@ -226,9 +278,9 @@ def tree_scan_vision_forward(
     """
     _check_instance(x, p, tree)
     order = tree.bfs_order
-    xi = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
-    h = _all_roots(tree, xi, p.a_bar.take(order, axis=0))
-    return _to_vertices(order, h), _to_vertices(order, xi)
+    xi = _input_terms(x, p, order)
+    h = _to_vertices(order, _all_roots(tree, xi, p.a_bar.take(order, axis=0)))
+    return h, _to_vertices(order, xi)
 
 
 def tree_scan_vision_backward(
@@ -255,13 +307,24 @@ def tree_scan_vision_backward(
     _check_instance(x, p, tree, d_h=d_h, xi=xi, h=h)
     order = tree.bfs_order
     eta = np.asarray(d_h).take(order, axis=0)
-    rho = _all_roots(tree, eta, p.a_bar.take(order, axis=0))
-    eta, rho = _to_vertices(order, eta), _to_vertices(order, rho)
+    rho = _to_vertices(order, _all_roots(tree, eta, p.a_bar.take(order, axis=0)))
+    eta = _to_vertices(order, eta)
     par = tree.parent
-    return _gradients(
-        x, p, tree, rho,
-        eta * h.take(par, axis=0) + xi * rho.take(par, axis=0) - 2.0 * p.a_bar * eta * xi,
-    )
+    # (eta * h[par] + xi * rho[par]) - ((2 * a_bar) * eta) * xi, in that
+    # order, by row blocks, with one block-sized term buffer
+    d_a_bar = np.empty(h.shape)
+    for r in _row_blocks(len(h), d_a_bar[0].nbytes):
+        out = d_a_bar[r]
+        np.multiply(h.take(par[r], axis=0), eta[r], out=out)
+        term = rho.take(par[r], axis=0)
+        term *= xi[r]
+        out += term
+        np.multiply(p.a_bar[r], 2.0, out=term)
+        term *= eta[r]
+        term *= xi[r]
+        out -= term
+    del eta  # not held through the tail's d_x
+    return _gradients(x, p, tree, rho, d_a_bar)
 
 
 def tree_scan_language_forward(
@@ -274,7 +337,7 @@ def tree_scan_language_forward(
     """
     _check_instance(x, p, tree, causal=True)
     order = tree.bfs_order
-    h = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
+    h = _input_terms(x, p, order)
     _up(tree, h, p.a_bar.take(order, axis=0))
     return _to_vertices(order, h)
 
@@ -298,7 +361,9 @@ def tree_scan_language_backward(
     rho = np.asarray(d_h).take(order, axis=0)
     _down(tree, rho, p.a_bar.take(order, axis=0))
     rho = _to_vertices(order, rho)
-    return _gradients(x, p, tree, rho, rho.take(tree.parent, axis=0) * h)
+    d_a_bar = rho.take(tree.parent, axis=0)
+    d_a_bar *= h
+    return _gradients(x, p, tree, rho, d_a_bar)
 
 
 def naive_tree_scan(
@@ -358,17 +423,32 @@ def naive_tree_scan(
     return out[0] if isinstance(roots, str) and roots == "single" else out
 
 
-def _rms_normalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-token RMS normalization over the flattened (C, N) entries.
+def _rms_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-token RMS normalization over the flattened (C, N) entries, as
+    factors: returns ``(g, inv, k)`` with h = k * g per token and
+    g * inv the normalized state, g / rms(g).
 
-    Returns ``(h / rms, safe_rms, live)``: tokens whose hidden state is all
-    zero (``live`` False) stay zero, and their ``safe_rms`` is 1.
+    g is h itself and k is 1, unless a nonzero token's sum of squares
+    leaves ``SQUARES_RANGE`` (its squares under- or overflow, or its 1/rms^3
+    would); such tokens are divided by their max-abs in a copy of h, so the
+    result does not depend on the scale of h.  An all-zero token has inv 0.
     """
-    flat = h.reshape(h.shape[0], -1)
-    rms = np.sqrt(np.mean(flat * flat, axis=1))
-    live = rms > 0.0
-    safe = np.where(live, rms, 1.0)
-    return h * np.where(live, 1.0 / safe, 0.0)[:, None, None], safe, live
+    flat = h.reshape(len(h), -1)
+    m = flat.shape[1]
+    squares = np.einsum("lk,lk->l", flat, flat)
+    k = np.ones(len(h))
+    lo, hi = SQUARES_RANGE
+    far = np.flatnonzero((squares < lo) | (squares > hi))
+    mx = np.abs(flat[far]).max(axis=1, initial=0.0)
+    far, mx = far[mx > 0], mx[mx > 0]
+    if far.size:
+        h = h.copy()
+        h[far] /= mx[:, None, None]
+        k[far] = mx
+        rows = h[far].reshape(len(far), -1)
+        squares[far] = np.einsum("lk,lk->l", rows, rows)
+    inv = np.divide(1.0, np.sqrt(squares / m), out=np.zeros_like(squares), where=squares > 0)
+    return h, inv, k
 
 
 def output_projection(h: np.ndarray, p: ContinuousScanParams, x: FeatureMap) -> FeatureMap:
@@ -376,11 +456,14 @@ def output_projection(h: np.ndarray, p: ContinuousScanParams, x: FeatureMap) -> 
 
     y[i,c] = sum_n c_out[i,n] * hn[i,c,n] + d[c] * x[i,c], where hn is h
     RMS-normalized per token over all C*N hidden entries (an all-zero token
-    stays zero).
+    stays zero).  hn is never formed: the 1/rms factor scales the (L, C)
+    contraction.
     """
     _check_instance(x, p, h=h)
-    hn, _, _ = _rms_normalize(h)
-    y = np.einsum("ln,lcn->lc", p.c_out, hn) + p.d[None, :] * x.data
+    g, inv, _ = _rms_scale(h)
+    y = np.einsum("ln,lcn->lc", p.c_out, g)
+    y *= inv[:, None]
+    y += p.d[None, :] * x.data
     return FeatureMap(y, spatial=x.spatial)
 
 
@@ -392,19 +475,29 @@ def output_projection_backward(
     Returns ``(d_h, d_c_out, d_d, d_x)`` for an upstream gradient d_y of
     shape (L, C).  It backpropagates through the per-token RMS
     normalization; tokens with all-zero hidden state get zero gradient.
+    Neither hn nor its gradient is formed: with r = rms(h),
+
+        d_h = (d_y outer c_out) / r - h * <d_y outer c_out, h> / (m r^3),
+
+    one outer product minus one scaled h, the per-token factor taken as
+    ((inner / r) / r) * (1 / (m r)) so that r^3 is never formed.
     """
     _check_instance(x, p, h=h)
     d_y = np.asarray(d_y, dtype=np.float64)
     if d_y.shape != x.data.shape:
         raise ValueError("d_y must have the feature map's (L, C) shape")
-    hn, safe, live = _rms_normalize(h)
+    g, inv, k = _rms_scale(h)
     m = h[0].size
-    d_hn = np.einsum("lc,ln->lcn", d_y, p.c_out)
-    # d(h/r)/dh with r = sqrt(mean(h^2)): d_h = d_hn/r - h * <d_hn, h> / (m r^3)
-    inner = np.einsum("lcn,lcn->l", d_hn, h)
-    d_h = d_hn / safe[:, None, None] - h * (inner / (m * safe**3))[:, None, None]
-    d_h *= live[:, None, None]
-    d_c_out = np.einsum("lc,lcn->ln", d_y, hn)
+    scale = inv / k  # d_h = d_g / k on rescaled tokens
+    d_h = np.empty(g.shape)
+    d_c_out = np.empty(p.c_out.shape)
+    for r in _row_blocks(len(g), d_h[0].nbytes):
+        g_r, d_y_r, c_r = g[r], d_y[r], p.c_out[r]
+        inner = np.einsum("lc,lc->l", d_y_r, np.einsum("lcn,ln->lc", g_r, c_r))
+        np.einsum("lc,ln->lcn", d_y_r, c_r * scale[r, None], out=d_h[r])
+        d_h[r] -= g_r * (((inner * inv[r]) * inv[r]) * (scale[r] / m))[:, None, None]
+        np.einsum("lc,lcn->ln", d_y_r, g_r, out=d_c_out[r])
+    d_c_out *= inv[:, None]
     d_d = np.einsum("lc,lc->c", d_y, x.data)
     d_x = d_y * p.d[None, :]
     return d_h, d_c_out, d_d, d_x

@@ -18,9 +18,14 @@ from .oracle import (FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst,
                      sequential_selective_scan)
 from . import scan
 from .scan import (
+    ContinuousScanParams,
     DiscreteScanParams,
     GradBundle,
+    discretization_backward,
+    discretize,
     naive_tree_scan,
+    output_projection,
+    output_projection_backward,
     tree_scan_language_backward,
     tree_scan_language_forward,
     tree_scan_vision_backward,
@@ -137,23 +142,29 @@ def rank_block_levels(tree: SpanningTree, lanes: int) -> int:
     return int(np.count_nonzero(np.diff(tree.level_bounds)[1:] * lanes >= scan.RANK_BLOCK_MIN))
 
 
+def _directional(loss, base, grads, rng: np.random.Generator) -> float:
+    """Relative error of the gradients' inner product with one random
+    direction d in the arrays ``base`` against the central difference of
+    ``loss(*arrays)`` at base +- epsilon * d."""
+    eps = FiniteDifferenceConfig().epsilon
+    direction = [rng.standard_normal(arr.shape) for arr in base]
+
+    def at(sign):
+        return loss(*[arr + sign * eps * d for arr, d in zip(base, direction)])
+
+    numeric = (at(1.0) - at(-1.0)) / (2.0 * eps)
+    exact = sum(float(np.sum(g * d)) for g, d in zip(grads, direction))
+    return abs(numeric - exact) / max(abs(numeric), abs(exact), GRAD_DENOM_FLOOR)
+
+
 def directional_error(forward, analytic: GradBundle, x: FeatureMap, p: DiscreteScanParams,
                       w: np.ndarray, rng: np.random.Generator) -> float:
     """Relative error of the analytic gradients' inner product with one random
     direction in (x, a_bar, b_bar) against a central difference of
     loss = sum(w * forward(...)) along it; scales to any L, unlike a full sweep."""
-    eps = FiniteDifferenceConfig().epsilon
-    base = (x.data, p.a_bar, p.b_bar)
-    direction = [rng.standard_normal(arr.shape) for arr in base]
-
-    def loss(sign):
-        moved = [arr + sign * eps * d for arr, d in zip(base, direction)]
-        return float(np.sum(w * forward(*moved)))
-
-    numeric = (loss(1.0) - loss(-1.0)) / (2.0 * eps)
-    exact = sum(float(np.sum(g * d)) for g, d in
-                zip((analytic.d_x, analytic.d_a_bar, analytic.d_b_bar), direction))
-    return abs(numeric - exact) / max(abs(numeric), abs(exact), GRAD_DENOM_FLOOR)
+    return _directional(lambda *moved: float(np.sum(w * forward(*moved))),
+                        (x.data, p.a_bar, p.b_bar),
+                        (analytic.d_x, analytic.d_a_bar, analytic.d_b_bar), rng)
 
 
 def relative_gradient_error(analytic: GradBundle, reference: GradBundle) -> float:
@@ -170,9 +181,10 @@ def relative_gradient_error(analytic: GradBundle, reference: GradBundle) -> floa
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each returns (ok, detail)
+# individual checks; each returns (ok, detail, error), error the number
+# compared with the check's bound
 
-def check_mst(seed: int, tie_levels: int = 0) -> tuple[bool, str]:
+def check_mst(seed: int, tie_levels: int = 0) -> tuple[bool, str, float]:
     """Boruvka against Kruskal on a random graph with distinct weights, or,
     with ``tie_levels`` k > 0, with weights drawn from {0, ..., k - 1}: the
     shared (weight, u, v) tie order makes the edges and weights equal."""
@@ -185,12 +197,13 @@ def check_mst(seed: int, tie_levels: int = 0) -> tuple[bool, str]:
     be, bw = boruvka_mst(graph)
     ke, kw = kruskal_mst(graph)
     total_b, total_k = float(bw.sum()), float(kw.sum())
-    if abs(total_b - total_k) > 1e-9:
-        return False, f"totals differ: {total_b} vs {total_k}"
+    gap = abs(total_b - total_k)
+    if gap > 1e-9:
+        return False, f"totals differ: {total_b} vs {total_k}", gap
     if not (np.array_equal(be, ke) and np.array_equal(bw, kw)):
-        return False, "edges or weights differ"
+        return False, "edges or weights differ", gap
     ties = f" weight levels={tie_levels}" if tie_levels else ""
-    return True, f"n={n}{ties} total={total_b:.6f}"
+    return True, f"n={n}{ties} total={total_b:.6f}", gap
 
 
 def scan_equivalence_instance(
@@ -224,7 +237,7 @@ def scan_equivalence_instance(
 
 def check_scan_equivalence(
     seed: int, perturb: bool = False, shape: str = "random"
-) -> tuple[bool, str]:
+) -> tuple[bool, str, float]:
     """Vision forward against ``naive_tree_scan`` (1e-9) and the two-traversal
     identity (1e-12): at every vertex of a random tree, and at the root, the
     deepest vertex and three random ones of a deep tree."""
@@ -241,7 +254,7 @@ def check_scan_equivalence(
     ref = naive_tree_scan(x, p, tree, roots=at, force=True)
     diff = float(np.max(np.abs(h[at] - ref)))
     if diff >= 1e-9:
-        return False, f"max abs diff {diff:.3e} >= 1e-9"
+        return False, f"max abs diff {diff:.3e} >= 1e-9", diff
     nonroot = np.flatnonzero(np.arange(n) != tree.root)
     a = p.a_bar[nonroot]
     ident = np.max(
@@ -249,12 +262,12 @@ def check_scan_equivalence(
         initial=0.0,
     )
     if ident >= 1e-12:
-        return False, f"two-traversal identity violated by {ident:.3e}"
+        return False, f"two-traversal identity violated by {ident:.3e}", ident
     return True, (f"{shape} L={n} C={c} N={s} levels={len(tree.level_bounds) - 1} "
-                  f"rank-block levels={rank_block_levels(tree, c * s)} diff={diff:.1e}")
+                  f"rank-block levels={rank_block_levels(tree, c * s)} diff={diff:.1e}"), diff
 
 
-def _check_gradients(seed: int, shape: str, causal: bool) -> tuple[bool, str]:
+def _check_gradients(seed: int, shape: str, causal: bool) -> tuple[bool, str, float]:
     """Analytic gradients of the language (``causal``) or vision scan against
     finite differences: all of them on a random tree of 1 to 20 vertices, or
     one random directional derivative on the "wide-grid" instance."""
@@ -285,22 +298,66 @@ def _check_gradients(seed: int, shape: str, causal: bool) -> tuple[bool, str]:
     if shape == "random":
         ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w, cfg)
         err = relative_gradient_error(analytic, ref)
-        return err < cfg.relative_tolerance, f"L={n} rel_err={err:.2e}"
+        return err < cfg.relative_tolerance, f"L={n} rel_err={err:.2e}", err
     err = directional_error(forward, analytic, x, p, w, rng)
     return err < cfg.relative_tolerance, (
         f"{shape} L={n} C={c} N={s} rank-block levels={rank_block_levels(tree, c * s)} "
-        f"directional rel_err={err:.2e}")
+        f"directional rel_err={err:.2e}"), err
 
 
-def check_gradients_vision(seed: int, shape: str = "random") -> tuple[bool, str]:
+def check_gradients_vision(seed: int, shape: str = "random") -> tuple[bool, str, float]:
     return _check_gradients(seed, shape, causal=False)
 
 
-def check_gradients_language(seed: int, shape: str = "random") -> tuple[bool, str]:
+def check_gradients_language(seed: int, shape: str = "random") -> tuple[bool, str, float]:
     return _check_gradients(seed, shape, causal=True)
 
 
-def check_chain_reduction(seed: int) -> tuple[bool, str]:
+def check_training_chain(seed: int, shape: str = "random",
+                         causal: bool = False) -> tuple[bool, str, float]:
+    """The whole training chain, discretize -> scan -> output_projection:
+    one central-difference directional derivative of loss = sum(d_y * y) in
+    (x, a, b, c_out, d, delta), tree held fixed, against the analytic chain
+    (``output_projection_backward``, the scan backward,
+    ``discretization_backward``), on a random tree of 1 to 20 vertices or
+    on the "wide-grid" instance."""
+    rng = np.random.default_rng(seed)
+    if shape == "random":
+        n = int(rng.integers(1, 21))
+        tree = random_tree(rng, n, root=n - 1 if causal else None)
+        c, s = (int(v) for v in rng.integers(1, 4, size=2))
+    else:
+        _, p, tree = scan_equivalence_instance(rng, shape)
+        n, c, s = p.shape
+    base = (rng.standard_normal((n, c)), -rng.uniform(0.5, 2.0, (c, s)),
+            rng.standard_normal((n, s)), rng.standard_normal((n, s)), rng.standard_normal(c),
+            rng.uniform(0.05, 0.5, (n, c)))
+    d_y = rng.standard_normal((n, c))
+
+    def forward(x, params):
+        """(disc, h, xi), xi None in the language mode."""
+        disc = discretize(params)
+        if causal:
+            return disc, tree_scan_language_forward(x, disc, tree), None
+        return (disc, *tree_scan_vision_forward(x, disc, tree))
+
+    def loss(xa, *moved):
+        x, params = FeatureMap(xa), ContinuousScanParams(*moved)
+        return float(np.sum(d_y * output_projection(forward(x, params)[1], params, x).data))
+
+    x, params = FeatureMap(base[0]), ContinuousScanParams(*base[1:])
+    disc, h, xi = forward(x, params)
+    d_h, d_c_out, d_d, d_x = output_projection_backward(h, params, x, d_y)
+    g = (tree_scan_language_backward(x, disc, tree, h, d_h) if causal
+         else tree_scan_vision_backward(x, disc, tree, xi, h, d_h))
+    d_a, d_b, d_delta = discretization_backward(params, disc, g.d_a_bar, g.d_b_bar)
+    err = _directional(loss, base, (d_x + g.d_x, d_a, d_b, d_c_out, d_d, d_delta), rng)
+    mode = "language" if causal else "vision"
+    return err < FiniteDifferenceConfig().relative_tolerance, (
+        f"{mode} {shape} L={n} C={c} N={s} directional rel_err={err:.2e}"), err
+
+
+def check_chain_reduction(seed: int) -> tuple[bool, str, float]:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 129))
     c = int(rng.integers(1, 4))
@@ -312,7 +369,7 @@ def check_chain_reduction(seed: int) -> tuple[bool, str]:
     h_seq = sequential_selective_scan(x, p)
     h_tree = tree_scan_language_forward(x, align_chain_params(p), chain_tree(n))
     diff = float(np.max(np.abs(h_seq - h_tree)))
-    return diff <= 1e-12, f"L={n} diff={diff:.1e}"
+    return diff <= 1e-12, f"L={n} diff={diff:.1e}", diff
 
 
 _SUITE = (
@@ -326,6 +383,9 @@ _SUITE = (
     ("gradients-language", [check_gradients_language] * 8
      + [partial(check_gradients_language, shape="wide-grid")]),
     ("chain-reduction", [check_chain_reduction] * 12),
+    ("training-chain", [partial(check_training_chain, shape=s, causal=m)
+                        for s, k in (("random", 4), ("wide-grid", 1))
+                        for m in (False, True) for _ in range(k)]),
 )
 
 
@@ -338,16 +398,18 @@ def run_selfcheck(base_seed: int = 20240601, perturb: bool = False, out=None) ->
     out = out or sys.stdout
     all_ok = True
     for group, (name, checks) in enumerate(_SUITE):
-        group_ok = True
+        group_ok, worst = True, 0.0
         for k, fn in enumerate(checks):
             seed = base_seed + 100000 * group + k
             if name == "scan-equivalence":
-                ok, detail = fn(seed, perturb=perturb)
+                ok, detail, err = fn(seed, perturb=perturb)
             else:
-                ok, detail = fn(seed)
+                ok, detail, err = fn(seed)
             print(f"{'ok  ' if ok else 'FAIL'} {name:<20} seed={seed} {detail}", file=out)
             group_ok &= ok
-        print(f"---- {name}: {'pass' if group_ok else 'FAIL'} ({len(checks)} instances)", file=out)
+            worst = max(worst, err)
+        print(f"---- {name}: {'pass' if group_ok else 'FAIL'} "
+              f"({len(checks)} instances, worst {worst:.1e})", file=out)
         all_ok &= group_ok
     print(f"self-check: {'all checks passed' if all_ok else 'FAILURES detected'}", file=out)
     return all_ok

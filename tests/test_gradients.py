@@ -21,9 +21,11 @@ from treescan import (
     tree_scan_vision_backward,
     tree_scan_vision_forward,
 )
+from treescan import selfcheck
 from treescan.selfcheck import (
     align_chain_params,
     chain_tree,
+    check_training_chain,
     directional_error,
     random_scan_instance,
     relative_gradient_error,
@@ -306,3 +308,33 @@ class TestParameterChainRule:
         disc = DiscreteScanParams(np.full((5, 2, 1), 0.5), np.ones((5, 2, 1)))
         with pytest.raises(ValueError, match="disc shape"):
             discretization_backward(p, disc, np.ones((5, 2, 2)), np.ones((5, 2, 2)))
+
+
+class TestTrainingChain:
+    """``selfcheck.check_training_chain``: discretize -> scan -> projection."""
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_passes_on_random_trees(self, causal):
+        for seed in range(6):
+            ok, detail, err = check_training_chain(seed, causal=causal)
+            assert ok and err < FiniteDifferenceConfig().relative_tolerance, detail
+
+    @pytest.mark.parametrize("stage,which", [
+        ("output_projection_backward", 0),  # d_h
+        ("output_projection_backward", 1),  # d_c_out
+        ("discretization_backward", 2),  # d_delta
+        ("discretization_backward", 0),  # d_a
+    ])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_catches_a_wrong_gradient(self, monkeypatch, stage, which, causal):
+        """A 1 % error in one analytic gradient of the chain fails the check."""
+        exact = getattr(selfcheck, stage)
+
+        def wrong(*args):
+            out = list(exact(*args))
+            out[which] = out[which] * 1.01
+            return tuple(out)
+
+        monkeypatch.setattr(selfcheck, stage, wrong)
+        results = [check_training_chain(seed, causal=causal) for seed in range(4)]
+        assert not all(ok for ok, _, _ in results)

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr
@@ -764,11 +765,24 @@ class TestCmdSelfcheck:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "seed=" in out
+        # every group line carries the group's worst error
+        groups = re.findall(r"^---- ([\w-]+): pass \((\d+) instances, worst (\S+)\)$", out, re.M)
+        assert [name for name, _, _ in groups] == [
+            "mst-equivalence", "scan-equivalence", "gradients-vision", "gradients-language",
+            "chain-reduction", "training-chain"]
+        worst = {name: float(w) for name, _, w in groups}
+        assert worst["scan-equivalence"] < 1e-9
+        assert max(worst[g] for g in ("gradients-vision", "gradients-language",
+                                      "training-chain")) < 1e-4
+        assert "language wide-grid L=16384" in out and "vision wide-grid L=16384" in out
 
     def test_negative_control_exits_one(self, capsys):
         assert main(["selfcheck", "--negative-control"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+        # the injected 1e-6 shows as the failing group's worst error
+        match = re.search(r"^---- scan-equivalence: FAIL \(45 instances, worst (\S+)\)$", out, re.M)
+        assert match and 1e-6 <= float(match.group(1)) < 2e-6
 
 
 @pytest.mark.parametrize("command", ["selfcheck", "bench"])

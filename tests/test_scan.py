@@ -11,6 +11,7 @@ from treescan import (
     io,
     naive_tree_scan,
     output_projection,
+    output_projection_backward,
     path_product,
     root_tree,
     scan,
@@ -293,6 +294,42 @@ class TestDiscretize:
     def test_negative_or_non_finite_transitions_rejected(self, bad):
         with pytest.raises(ValueError, match="a_bar|NaN"):
             DiscreteScanParams(np.array([0.5, bad]).reshape(2, 1, 1), np.ones((2, 1, 1)))
+
+    @pytest.mark.parametrize("length", [1, 2])
+    @pytest.mark.parametrize("a_bad,b_bad,message", [
+        (-1.0, None, "a_bar entries must be >= 0"),
+        (-np.inf, None, "NaN or Inf"),
+        (np.nan, None, "NaN or Inf"),
+        (-1.0, np.inf, "NaN or Inf"),  # non-finite is reported before negative
+        (None, -np.inf, "NaN or Inf"),
+        (None, np.nan, "NaN or Inf"),
+    ])
+    def test_validation_messages_and_order(self, length, a_bad, b_bad, message):
+        a_bar, b_bar = np.full((length, 2, 1), 0.5), np.ones((length, 2, 1))
+        if a_bad is not None:
+            a_bar[-1, 0, 0] = a_bad
+        if b_bad is not None:
+            b_bar[0, 1, 0] = b_bad
+        with pytest.raises(ValueError, match=message):
+            DiscreteScanParams(a_bar, b_bar)
+
+    def test_single_precision_computes_in_double(self):
+        """float32 transitions and inputs scan as their float64 values do,
+        though the kernels scale their gathered inputs in place."""
+        rng = np.random.default_rng(28)
+        x, p, tree = random_scan_instance(rng, 40, 2, 3, root=39)
+        a32, b32 = p.a_bar.astype(np.float32), p.b_bar.astype(np.float32)
+        single = DiscreteScanParams(a32, b32)
+        double = DiscreteScanParams(a32.astype(np.float64), b32.astype(np.float64))
+        assert single.a_bar.dtype == single.b_bar.dtype == np.float64
+        for forward in (tree_scan_vision_forward, tree_scan_language_forward):
+            got, want = forward(x, single, tree), forward(x, double, tree)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_empty_and_boundary_values_accepted(self):
+        DiscreteScanParams(np.zeros((0, 2, 3)), np.zeros((0, 2, 3)))
+        big = np.finfo(np.float64).max
+        DiscreteScanParams(np.array([0.0, big]).reshape(2, 1, 1), np.array([-big, big]).reshape(2, 1, 1))
 
 
 class TestSequentialScan:
@@ -593,6 +630,28 @@ class TestOutputProjection:
         x = FeatureMap(rng.standard_normal((3, 1)))
         y = output_projection(np.zeros((3, 1, 2)), p, x)
         np.testing.assert_allclose(y.data, p.d[None, :] * x.data, atol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-120, 1e-90, 1e90, 1e120, 1e160])
+    def test_scale_invariant(self, scale):
+        """RMS normalization does not depend on the scale of h: y(s h) = y(h),
+        s d_h(s h) = d_h(h) and d_c_out(s h) = d_c_out(h), also where the
+        squares of s h underflow or overflow or 1/rms^3 would; an all-zero
+        token still maps to d x and gets zero gradient."""
+        rng = np.random.default_rng(27)
+        p = make_continuous(rng, 6, 3, 2)
+        x = FeatureMap(rng.standard_normal((6, 3)))
+        h = rng.standard_normal((6, 3, 2))
+        h[2] = 0.0
+        d_y = rng.standard_normal((6, 3))
+        y = output_projection(h, p, x).data
+        d_h, d_c_out, _, _ = output_projection_backward(h, p, x, d_y)
+        y_s = output_projection(scale * h, p, x).data
+        d_h_s, d_c_out_s, _, _ = output_projection_backward(scale * h, p, x, d_y)
+        np.testing.assert_allclose(y_s, y, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(scale * d_h_s, d_h, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(d_c_out_s, d_c_out, rtol=1e-12, atol=0)
+        assert np.array_equal(y_s[2], p.d * x.data[2])
+        assert np.all(d_h_s[2] == 0.0)
 
     def test_spatial_shape_preserved(self):
         rng = np.random.default_rng(20)
