@@ -8,7 +8,7 @@ command runs the same measurement at any size.
 
 from treescan.bench import run_benchmark
 
-report = run_benchmark([128, 256, 512, 1024], repeat=5, seed=1)
+report = run_benchmark([64, 128, 256, 512], repeat=3, seed=1)
 
 print(f"{'tokens':>8} {'two-pass (ms)':>14} {'direct (ms)':>12}")
 for entry in report["entries"]:

@@ -30,7 +30,7 @@ from .selfcheck import run_selfcheck
 
 def cmd_tree(args) -> int:
     x = io.read_tensor(args.input)
-    fmap = FeatureMap(x.astype(np.float64), spatial=(args.height, args.width))
+    fmap = FeatureMap(x, spatial=(args.height, args.width))
     graph = build_grid_graph(fmap, args.metric)
     edges, weights = boruvka_mst(graph)
     tree = root_tree(edges, weights, fmap.num_tokens, args.root)
@@ -42,7 +42,7 @@ def cmd_scan(args) -> int:
     x = io.read_tensor(args.input)
     tree = io.read_tree(args.tree)
     params = io.read_params(args.params)
-    fmap = FeatureMap(x.astype(np.float64))
+    fmap = FeatureMap(x)
     disc = discretize(params)
     if args.mode == "vision":
         h, _ = tree_scan_vision_forward(fmap, disc, tree)

@@ -14,19 +14,10 @@ import numpy as np
 
 METRICS = ("cosine", "euclidean", "manhattan")
 
-_FLOAT_DTYPES = (np.float32, np.float64)
-
-
-def _as_float_matrix(data) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.dtype not in _FLOAT_DTYPES:
-        arr = arr.astype(np.float64)
-    return np.ascontiguousarray(arr)
-
 
 @dataclass
 class FeatureMap:
-    """L x C matrix of token features, optionally carrying a 2-D shape.
+    """L x C float64 matrix of token features, optionally carrying a 2-D shape.
 
     When ``spatial=(H, W)`` is present, H*W must equal L and token i sits at
     grid position (i // W, i % W) in row-major order.
@@ -36,7 +27,7 @@ class FeatureMap:
     spatial: tuple[int, int] | None = None
 
     def __post_init__(self):
-        self.data = _as_float_matrix(self.data)
+        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise ValueError(f"feature data must be 2-D (L, C), got shape {self.data.shape}")
         if self.data.shape[0] < 1 or self.data.shape[1] < 1:
@@ -167,7 +158,7 @@ def build_grid_graph(feature: FeatureMap, metric: str = "cosine") -> WeightedGra
     horiz = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
     vert = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
     edges = np.concatenate([horiz, vert], axis=0)
-    weights = _edge_weights(metric, feature.data.astype(np.float64, copy=False), edges)
+    weights = _edge_weights(metric, feature.data, edges)
     return WeightedGraph(h * w, edges, weights)
 
 
@@ -193,5 +184,5 @@ def build_causal_graph(feature: FeatureMap, m: int = 3, metric: str = "cosine") 
     edges = np.concatenate(blocks, axis=0)
     order = np.lexsort((edges[:, 0], edges[:, 1]))
     edges = edges[order]
-    weights = _edge_weights(metric, feature.data.astype(np.float64, copy=False), edges)
+    weights = _edge_weights(metric, feature.data, edges)
     return WeightedGraph(n, edges, weights)

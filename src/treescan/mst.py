@@ -70,13 +70,19 @@ class SpanningTree:
         return [0] + np.cumsum(np.bincount(self.depths)).tolist()
 
     @cached_property
+    def pos(self) -> np.ndarray:
+        """BFS position of every vertex, the inverse of ``bfs_order``: a
+        BFS-position array ``u`` in vertex order is ``u.take(pos, axis=0)``."""
+        pos = np.empty(self.num_vertices, dtype=np.int64)
+        pos[self.bfs_order] = np.arange(self.num_vertices)
+        return pos
+
+    @cached_property
     def ppos(self) -> np.ndarray:
         """BFS position of the parent of the vertex at each BFS position (0
         at the root, position 0): the parent array of the tree relabelled by
         ``bfs_order``, on which every level is a contiguous slice."""
-        pos = np.empty(self.num_vertices, dtype=np.int64)
-        pos[self.bfs_order] = np.arange(self.num_vertices)
-        return pos[self.parent[self.bfs_order]]
+        return self.pos[self.parent[self.bfs_order]]
 
     @cached_property
     def run_bounds(self) -> list[int]:

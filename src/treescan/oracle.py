@@ -7,8 +7,6 @@ may be quadratic or worse; they exist to be trusted, not to be fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lattice import FeatureMap, WeightedGraph
@@ -16,14 +14,12 @@ from .mst import SpanningTree
 from .scan import DiscreteScanParams, GradBundle
 
 
-@dataclass
 class FiniteDifferenceConfig:
-    epsilon: float = 1e-5
-    relative_tolerance: float = 1e-4
+    """Step of the central differences and the relative error the gradient
+    checks accept."""
 
-    def __post_init__(self):
-        if self.epsilon <= 0 or self.relative_tolerance <= 0:
-            raise ValueError("epsilon and relative_tolerance must be > 0")
+    epsilon = 1e-5
+    relative_tolerance = 1e-4
 
 
 class _DisjointSet:
@@ -172,16 +168,14 @@ def finite_diff_gradients(
     a_bar: np.ndarray,
     b_bar: np.ndarray,
     weights: np.ndarray,
-    cfg: FiniteDifferenceConfig | None = None,
 ) -> GradBundle:
     """Central-difference gradients of loss = sum(weights * forward(x, a_bar, b_bar)).
 
     ``forward`` must be a deterministic function of the three arrays returning
     hidden states shaped like ``weights``.  Every scalar coordinate of every
-    input is perturbed by +/- epsilon in turn.
+    input is perturbed by +/- ``FiniteDifferenceConfig.epsilon`` in turn.
     """
-    cfg = cfg or FiniteDifferenceConfig()
-    eps = cfg.epsilon
+    eps = FiniteDifferenceConfig.epsilon
     x = np.array(x, dtype=np.float64)
     a_bar = np.array(a_bar, dtype=np.float64)
     b_bar = np.array(b_bar, dtype=np.float64)

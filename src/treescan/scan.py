@@ -17,14 +17,16 @@ The passes run on copies of the arrays in BFS position order: row k holds
 vertex ``tree.bfs_order[k]``, the root is row 0, every level is a contiguous
 slice (``tree.level_bounds``) and ``tree.ppos`` gives each row's parent row.
 Each kernel gathers its inputs into that order once, walks one level per
-step, and gathers its outputs back to vertex order once, by the inverse
-permutation (a gather is cheaper than a scatter).  The leaf-to-root
-step of a level with at least ``RANK_BLOCK_MIN`` rows x lanes is one plain
-indexed add per run of ``tree.run_bounds`` (a run holds no parent twice; on a
-``root_tree`` level the runs are its rank blocks: every parent's first child,
-then every second child, and so on); any other level takes one
-``np.add.at``.  Either way each parent adds its children in ``bfs_order``
-order, so both give bitwise identical results.
+step, and gathers its outputs back to vertex order once, by ``tree.pos``,
+the tree's cached inverse permutation (a gather is cheaper than a scatter).
+``affinity_map`` is one root-to-leaf pass on the same layout, on the tree
+it is given.  The leaf-to-root step of a level with at least
+``RANK_BLOCK_MIN`` rows x lanes is one plain indexed add per run of
+``tree.run_bounds`` (a run holds no parent twice; on a ``root_tree`` level
+the runs are its rank blocks: every parent's first child, then every second
+child, and so on); any other level takes one ``np.add.at``.  Either way each
+parent adds its children in ``bfs_order`` order, so both give bitwise
+identical results.
 
 Outside the walks, every stage of a training step is held to a budget of
 full-size (L, C, N) passes and fresh full-size arrays: at training sizes a
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FeatureMap
-from .mst import SpanningTree, root_tree
+from .mst import SpanningTree
 
 NAIVE_SCAN_GUARD = 4096
 # Rows x lanes from which a level's leaf-to-root step is cheaper as one plain
@@ -220,14 +222,6 @@ def _down(tree: SpanningTree, u: np.ndarray, a: np.ndarray) -> None:
         u[lo:hi] += a[lo:hi] * u.take(ppos[lo:hi], axis=0)
 
 
-def _to_vertices(order: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """A BFS-position array (row k is vertex ``order[k]``) in vertex order,
-    as one gather by the inverse permutation (cheaper than a scatter)."""
-    pos = np.empty_like(order)
-    pos[order] = np.arange(len(order))
-    return u.take(pos, axis=0)
-
-
 def _row_blocks(rows: int, row_bytes: int):
     """Consecutive row slices of about ``ROW_BLOCK_BYTES`` each."""
     step = max(1, ROW_BLOCK_BYTES // max(row_bytes, 1))
@@ -279,8 +273,8 @@ def tree_scan_vision_forward(
     _check_instance(x, p, tree)
     order = tree.bfs_order
     xi = _input_terms(x, p, order)
-    h = _to_vertices(order, _all_roots(tree, xi, p.a_bar.take(order, axis=0)))
-    return h, _to_vertices(order, xi)
+    h = _all_roots(tree, xi, p.a_bar.take(order, axis=0)).take(tree.pos, axis=0)
+    return h, xi.take(tree.pos, axis=0)
 
 
 def tree_scan_vision_backward(
@@ -307,8 +301,8 @@ def tree_scan_vision_backward(
     _check_instance(x, p, tree, d_h=d_h, xi=xi, h=h)
     order = tree.bfs_order
     eta = np.asarray(d_h).take(order, axis=0)
-    rho = _to_vertices(order, _all_roots(tree, eta, p.a_bar.take(order, axis=0)))
-    eta = _to_vertices(order, eta)
+    rho = _all_roots(tree, eta, p.a_bar.take(order, axis=0)).take(tree.pos, axis=0)
+    eta = eta.take(tree.pos, axis=0)
     par = tree.parent
     # (eta * h[par] + xi * rho[par]) - ((2 * a_bar) * eta) * xi, in that
     # order, by row blocks, with one block-sized term buffer
@@ -339,7 +333,7 @@ def tree_scan_language_forward(
     order = tree.bfs_order
     h = _input_terms(x, p, order)
     _up(tree, h, p.a_bar.take(order, axis=0))
-    return _to_vertices(order, h)
+    return h.take(tree.pos, axis=0)
 
 
 def tree_scan_language_backward(
@@ -360,7 +354,7 @@ def tree_scan_language_backward(
     order = tree.bfs_order
     rho = np.asarray(d_h).take(order, axis=0)
     _down(tree, rho, p.a_bar.take(order, axis=0))
-    rho = _to_vertices(order, rho)
+    rho = rho.take(tree.pos, axis=0)
     d_a_bar = rho.take(tree.parent, axis=0)
     d_a_bar *= h
     return _gradients(x, p, tree, rho, d_a_bar)
@@ -532,11 +526,12 @@ def affinity_map(tree: SpanningTree, p: DiscreteScanParams, anchor: int) -> np.n
     """Mean path weight from every vertex to the anchor, an L-vector in [0, 1].
 
     Entry j is the lane-mean of the product of transition scalars along the
-    tree path from j to the anchor; the anchor itself is exactly 1.  The
-    products are one root-to-leaf pass (``_down``) from a unit vector on the
-    tree rooted at the anchor, each edge's transition moved to the edge's
-    child under that rooting.  Requires every a_bar entry in [0, 1] so
-    products stay in [0, 1].
+    tree path from j to the anchor; the anchor itself is exactly 1.  On the
+    tree as given, the rows from the anchor up to the root get their
+    products by one cumulative product along that path, and their
+    transitions are set to 0 so that they keep them; one root-to-leaf pass
+    (``_down``) then carries the products to every other vertex.  Requires
+    every a_bar entry in [0, 1] so products stay in [0, 1].
     """
     n = tree.num_vertices
     if not 0 <= anchor < n:
@@ -545,12 +540,13 @@ def affinity_map(tree: SpanningTree, p: DiscreteScanParams, anchor: int) -> np.n
         raise ValueError("params length does not match the tree")
     if np.any(p.a_bar > 1.0):
         raise ValueError("affinity map requires a_bar entries in [0, 1]")
-    nonroot = np.flatnonzero(np.arange(n) != tree.root)
-    anchored = root_tree(np.stack([nonroot, tree.parent[nonroot]], axis=1), np.zeros(n - 1), n,
-                         anchor)
-    key = np.where(tree.parent == anchored.parent, np.arange(n), anchored.parent)
-    order = anchored.bfs_order
+    path = [int(tree.pos[anchor])]  # BFS rows from the anchor up to the root
+    while path[-1]:
+        path.append(int(tree.ppos[path[-1]]))
+    a = p.a_bar.take(tree.bfs_order, axis=0)
     prod = np.zeros(p.shape)
-    prod[0] = 1.0
-    _down(anchored, prod, p.a_bar.take(key[order], axis=0))
-    return _to_vertices(order, prod).reshape(n, -1).mean(axis=1)
+    prod[path[0]] = 1.0
+    prod[path[1:]] = np.cumprod(a[path[:-1]], axis=0)
+    a[path] = 0.0
+    _down(tree, prod, a)
+    return prod.take(tree.pos, axis=0).reshape(n, -1).mean(axis=1)

@@ -142,11 +142,12 @@ def rank_block_levels(tree: SpanningTree, lanes: int) -> int:
     return int(np.count_nonzero(np.diff(tree.level_bounds)[1:] * lanes >= scan.RANK_BLOCK_MIN))
 
 
-def _directional(loss, base, grads, rng: np.random.Generator) -> float:
+def directional_error(loss, base, grads, rng: np.random.Generator) -> float:
     """Relative error of the gradients' inner product with one random
     direction d in the arrays ``base`` against the central difference of
-    ``loss(*arrays)`` at base +- epsilon * d."""
-    eps = FiniteDifferenceConfig().epsilon
+    ``loss(*arrays)`` at base +- epsilon * d; scales to any L, unlike a full
+    sweep."""
+    eps = FiniteDifferenceConfig.epsilon
     direction = [rng.standard_normal(arr.shape) for arr in base]
 
     def at(sign):
@@ -155,16 +156,6 @@ def _directional(loss, base, grads, rng: np.random.Generator) -> float:
     numeric = (at(1.0) - at(-1.0)) / (2.0 * eps)
     exact = sum(float(np.sum(g * d)) for g, d in zip(grads, direction))
     return abs(numeric - exact) / max(abs(numeric), abs(exact), GRAD_DENOM_FLOOR)
-
-
-def directional_error(forward, analytic: GradBundle, x: FeatureMap, p: DiscreteScanParams,
-                      w: np.ndarray, rng: np.random.Generator) -> float:
-    """Relative error of the analytic gradients' inner product with one random
-    direction in (x, a_bar, b_bar) against a central difference of
-    loss = sum(w * forward(...)) along it; scales to any L, unlike a full sweep."""
-    return _directional(lambda *moved: float(np.sum(w * forward(*moved))),
-                        (x.data, p.a_bar, p.b_bar),
-                        (analytic.d_x, analytic.d_a_bar, analytic.d_b_bar), rng)
 
 
 def relative_gradient_error(analytic: GradBundle, reference: GradBundle) -> float:
@@ -267,7 +258,8 @@ def check_scan_equivalence(
                   f"rank-block levels={rank_block_levels(tree, c * s)} diff={diff:.1e}"), diff
 
 
-def _check_gradients(seed: int, shape: str, causal: bool) -> tuple[bool, str, float]:
+def check_gradients(seed: int, shape: str = "random",
+                    causal: bool = False) -> tuple[bool, str, float]:
     """Analytic gradients of the language (``causal``) or vision scan against
     finite differences: all of them on a random tree of 1 to 20 vertices, or
     one random directional derivative on the "wide-grid" instance."""
@@ -293,24 +285,18 @@ def _check_gradients(seed: int, shape: str, causal: bool) -> tuple[bool, str, fl
             return tree_scan_language_forward(fx, fp, tree)
         return tree_scan_vision_forward(fx, fp, tree)[0]
 
-    cfg = FiniteDifferenceConfig()
+    tol = FiniteDifferenceConfig.relative_tolerance
     n, c, s = p.shape
     if shape == "random":
-        ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w, cfg)
+        ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w)
         err = relative_gradient_error(analytic, ref)
-        return err < cfg.relative_tolerance, f"L={n} rel_err={err:.2e}", err
-    err = directional_error(forward, analytic, x, p, w, rng)
-    return err < cfg.relative_tolerance, (
+        return err < tol, f"L={n} rel_err={err:.2e}", err
+    err = directional_error(lambda *moved: float(np.sum(w * forward(*moved))),
+                            (x.data, p.a_bar, p.b_bar),
+                            (analytic.d_x, analytic.d_a_bar, analytic.d_b_bar), rng)
+    return err < tol, (
         f"{shape} L={n} C={c} N={s} rank-block levels={rank_block_levels(tree, c * s)} "
         f"directional rel_err={err:.2e}"), err
-
-
-def check_gradients_vision(seed: int, shape: str = "random") -> tuple[bool, str, float]:
-    return _check_gradients(seed, shape, causal=False)
-
-
-def check_gradients_language(seed: int, shape: str = "random") -> tuple[bool, str, float]:
-    return _check_gradients(seed, shape, causal=True)
 
 
 def check_training_chain(seed: int, shape: str = "random",
@@ -351,9 +337,9 @@ def check_training_chain(seed: int, shape: str = "random",
     g = (tree_scan_language_backward(x, disc, tree, h, d_h) if causal
          else tree_scan_vision_backward(x, disc, tree, xi, h, d_h))
     d_a, d_b, d_delta = discretization_backward(params, disc, g.d_a_bar, g.d_b_bar)
-    err = _directional(loss, base, (d_x + g.d_x, d_a, d_b, d_c_out, d_d, d_delta), rng)
+    err = directional_error(loss, base, (d_x + g.d_x, d_a, d_b, d_c_out, d_d, d_delta), rng)
     mode = "language" if causal else "vision"
-    return err < FiniteDifferenceConfig().relative_tolerance, (
+    return err < FiniteDifferenceConfig.relative_tolerance, (
         f"{mode} {shape} L={n} C={c} N={s} directional rel_err={err:.2e}"), err
 
 
@@ -378,10 +364,9 @@ _SUITE = (
     ("scan-equivalence", [check_scan_equivalence] * 40
      + [partial(check_scan_equivalence, shape=s)
         for s in ("chain", "causal", "smooth-grid", "near-one", "wide-grid")]),
-    ("gradients-vision", [check_gradients_vision] * 8
-     + [partial(check_gradients_vision, shape="wide-grid")]),
-    ("gradients-language", [check_gradients_language] * 8
-     + [partial(check_gradients_language, shape="wide-grid")]),
+    ("gradients-vision", [check_gradients] * 8 + [partial(check_gradients, shape="wide-grid")]),
+    ("gradients-language", [partial(check_gradients, causal=True)] * 8
+     + [partial(check_gradients, shape="wide-grid", causal=True)]),
     ("chain-reduction", [check_chain_reduction] * 12),
     ("training-chain", [partial(check_training_chain, shape=s, causal=m)
                         for s, k in (("random", 4), ("wide-grid", 1))

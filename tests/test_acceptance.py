@@ -106,7 +106,7 @@ def test_two_traversal_identity(oracle_suite_stats):
 
 def test_gradient_correctness_both_modes():
     rng = np.random.default_rng(BASE_SEED + 1)
-    cfg = FiniteDifferenceConfig(epsilon=1e-5, relative_tolerance=1e-4)
+    cfg = FiniteDifferenceConfig()
     t0 = time.perf_counter()
     worst = 0.0
     count = 0
@@ -133,7 +133,7 @@ def test_gradient_correctness_both_modes():
                 hh, _ = tree_scan_vision_forward(FeatureMap(xa), DiscreteScanParams(aa, ba), tree)
                 return hh
 
-        ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w, cfg)
+        ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w)
         worst = max(worst, relative_gradient_error(analytic, ref))
         count += 1
     elapsed = time.perf_counter() - t0

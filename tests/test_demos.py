@@ -10,9 +10,8 @@ from test_io_cli import run_python
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-# 04_scaling.py times sizes up to several thousand tokens (~9 s) and stays out
 @pytest.mark.parametrize("name", ["01_tree_scan_walkthrough.py", "02_affinity_image.py",
-                                  "03_gradient_check.py"])
+                                  "03_gradient_check.py", "04_scaling.py"])
 def test_demo_runs(tmp_path, name):
     script = tmp_path / name  # a copy, so that files it writes land in tmp_path
     shutil.copy(DEMOS / name, script)

@@ -95,7 +95,7 @@ class TestVisionBackward:
                 )
                 return h
 
-            ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w, cfg)
+            ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w)
             assert relative_gradient_error(analytic, ref) < cfg.relative_tolerance
 
     def test_shape_mismatch(self):
@@ -169,7 +169,7 @@ class TestLanguageBackward:
                     FeatureMap(xa), DiscreteScanParams(aa, ba), tree
                 )
 
-            ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w, cfg)
+            ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w)
             assert relative_gradient_error(analytic, ref) < cfg.relative_tolerance
 
     def test_wrong_root_rejected(self):
@@ -203,9 +203,11 @@ class TestLayoutStress:
         for forward, backward in cases:
             g = backward()
             if tree.num_vertices <= 64:
-                ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w, cfg)
+                ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w)
                 assert relative_gradient_error(g, ref) < cfg.relative_tolerance
-            assert directional_error(forward, g, x, p, w, rng) < cfg.relative_tolerance
+            err = directional_error(lambda *moved: float(np.sum(w * forward(*moved))),
+                                    (x.data, p.a_bar, p.b_bar), (g.d_x, g.d_a_bar, g.d_b_bar), rng)
+            assert err < cfg.relative_tolerance
             assert np.all(g.d_a_bar[tree.root] == 0.0)
             again = backward()
             for first, second in ((g.d_x, again.d_x), (g.d_a_bar, again.d_a_bar),
@@ -230,6 +232,36 @@ class TestLayoutStress:
         for bound in (0, 2**62):
             monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
             assert gradients() == default
+
+    @pytest.mark.parametrize("instance", ["wide-grid", "causal-2000", "L1", "L2",
+                                          (1000, 64, 4), (777, 3, 1), (5000, 16, 4)],
+                             ids=lambda v: v if isinstance(v, str) else "x".join(map(str, v)))
+    def test_row_blocks_give_identical_gradients(self, instance, monkeypatch):
+        """One row per block, 13 rows per block (a ragged last block on every
+        instance here) and a single block give the same vision-backward and
+        ``output_projection_backward`` bytes as the default blocks; one
+        token of h is at 1e-170, so the projection rescales it."""
+        rng = np.random.default_rng(5)
+        if isinstance(instance, str):
+            x, p, tree = stress_instance(instance, "random")
+        else:
+            x, p, tree = random_scan_instance(rng, *instance)
+        n, c, s = p.shape
+        params = make_continuous(rng, n, c, s)
+        w = rng.standard_normal(p.shape)
+        d_y = rng.standard_normal((n, c))
+
+        def outputs():
+            h, xi = tree_scan_vision_forward(x, p, tree)
+            g = tree_scan_vision_backward(x, p, tree, xi, h, w)
+            h[n // 2] *= 1e-170
+            return [a.tobytes() for a in (g.d_x, g.d_a_bar, g.d_b_bar,
+                                          *output_projection_backward(h, params, x, d_y))]
+
+        default = outputs()
+        for block_bytes in (1, 13 * c * s * 8 + 5, 2**62):
+            monkeypatch.setattr(scan, "ROW_BLOCK_BYTES", block_bytes)
+            assert outputs() == default
 
 
 class TestParameterChainRule:

@@ -7,7 +7,6 @@ import pytest
 from treescan import (
     DiscreteScanParams,
     FeatureMap,
-    FiniteDifferenceConfig,
     WeightedGraph,
     finite_diff_gradients,
     kruskal_mst,
@@ -186,8 +185,3 @@ def test_finite_difference_single_vertex_scan_is_linear():
     # linear in x: d_x == b_bar * w exactly up to fd noise
     assert abs(g.d_x[0, 0] - 3.0) < 1e-9
     assert abs(g.d_a_bar[0, 0, 0]) < 1e-9
-
-
-def test_finite_difference_config_validation():
-    with pytest.raises(ValueError):
-        FiniteDifferenceConfig(epsilon=0.0)

@@ -195,9 +195,10 @@ class TestRankSchedule:
 
     def test_tree_file_in_parent_vertex_order(self, tmp_path, monkeypatch):
         """A tree file whose levels are ordered by (parent, vertex), as files
-        written before the rank-major order were, loads and scans to the
-        same bytes as the rank-major tree, on either branch of the
-        leaf-to-root step; its wide levels take more, shorter runs."""
+        written before the rank-major order were, loads with ``pos`` the
+        inverse of its ``bfs_order`` and scans to the same bytes as the
+        rank-major tree, on either branch of the leaf-to-root step, and to
+        the same affinity maps; its wide levels take more, shorter runs."""
         x, p, tree = stress_instance("wide-grid", "random")
         n = tree.num_vertices
         old_order = np.lexsort((np.arange(n), tree.parent, tree.depths))
@@ -206,6 +207,10 @@ class TestRankSchedule:
             n, tree.root, tree.parent, old_order, tree.edge_weight_to_parent))
         old = io.read_tree(tmp_path / "old.json")
         np.testing.assert_array_equal(old.bfs_order, old_order)
+        np.testing.assert_array_equal(old.pos[old.bfs_order], np.arange(n))
+        np.testing.assert_array_equal(old.bfs_order[old.pos], np.arange(n))
+        for anchor in (tree.root, int(old.bfs_order[-1]), n // 2):
+            assert affinity_map(old, p, anchor).tobytes() == affinity_map(tree, p, anchor).tobytes()
         assert old.level_bounds == tree.level_bounds
         assert_rank_runs(old, rank_major=False)
         assert len(old.run_bounds) > len(tree.run_bounds)
@@ -661,6 +666,21 @@ class TestOutputProjection:
         assert y.spatial == (2, 3)
 
 
+def rerooted_affinity(tree, p, anchor):
+    """``affinity_map`` by its earlier formulation: root the tree's edges at
+    the anchor, key every transition to its edge's child under that rooting,
+    then one ``_down`` from a unit vector at the anchor."""
+    n = tree.num_vertices
+    nonroot = np.flatnonzero(np.arange(n) != tree.root)
+    anchored = root_tree(np.stack([nonroot, tree.parent[nonroot]], axis=1), np.zeros(n - 1), n,
+                         anchor)
+    key = np.where(tree.parent == anchored.parent, np.arange(n), anchored.parent)
+    prod = np.zeros(p.shape)
+    prod[0] = 1.0
+    scan._down(anchored, prod, p.a_bar.take(key[anchored.bfs_order], axis=0))
+    return prod.take(anchored.pos, axis=0).reshape(n, -1).mean(axis=1)
+
+
 class TestAffinityMap:
     def test_anchor_is_one(self):
         rng = np.random.default_rng(21)
@@ -716,6 +736,40 @@ class TestAffinityMap:
                 expected = [path_product(tree, p, anchor, j).mean() for j in range(n)]
                 np.testing.assert_allclose(affinity_map(tree, p, anchor), expected,
                                            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("a_kind", ["random", "near-one"])
+    @pytest.mark.parametrize("tree_name", UP_BRANCH_TREES)
+    def test_matches_path_product_oracle_on_stress_trees(self, tree_name, a_kind):
+        """Anchors at the root, the deepest leaf and a middle vertex, against
+        ``oracle.path_product`` at those vertices and 20 random ones, within
+        1e-12."""
+        _, p, tree = stress_instance(tree_name, a_kind)
+        n = tree.num_vertices
+        anchors = sorted({tree.root, int(tree.bfs_order[-1]), n // 2})
+        at = np.unique([*anchors, *np.random.default_rng(2).integers(0, n, 20)])
+        for anchor in anchors:
+            expected = [path_product(tree, p, anchor, j).mean() for j in at]
+            np.testing.assert_allclose(affinity_map(tree, p, anchor)[at], expected,
+                                       rtol=0, atol=1e-12)
+
+    def test_same_bytes_as_rerooting(self):
+        """Byte-equal to ``rerooted_affinity`` on random trees with cut edges,
+        unit transitions or all edges cut, and on the stress trees, at the
+        root, vertices 0 and L - 1, the deepest leaf and a middle vertex."""
+        rng = np.random.default_rng(30)
+        cases = [stress_instance(name, kind)[1:] for name in UP_BRANCH_TREES
+                 for kind in ("random", "near-one")]
+        for n in [1, 2, *rng.integers(3, 200, 20).tolist()]:
+            _, p, tree = random_scan_instance(rng, n, int(rng.integers(1, 4)),
+                                              int(rng.integers(1, 4)))
+            for a_bar in (p.a_bar, np.where(rng.random(p.shape) < 0.3, 0.0, p.a_bar),
+                          np.ones(p.shape), np.zeros(p.shape)):
+                cases.append((DiscreteScanParams(a_bar, p.b_bar), tree))
+        for p, tree in cases:
+            n = tree.num_vertices
+            for anchor in {tree.root, 0, n - 1, int(tree.bfs_order[-1]), n // 2}:
+                assert (affinity_map(tree, p, anchor).tobytes()
+                        == rerooted_affinity(tree, p, anchor).tobytes())
 
     def test_invalid_anchor(self):
         rng = np.random.default_rng(24)
