@@ -94,34 +94,42 @@ def _check_metric(metric: str) -> str:
     return metric
 
 
-def _edge_weights(metric: str, x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Distance between the endpoint rows of ``x`` for every (u, v) edge.
+def _edge_weights(metric: str, x: np.ndarray, ends) -> np.ndarray:
+    """Distance between the endpoint rows of every edge, block by block.
 
-    Euclidean and cosine rescale rows by exact powers of two, so that finite
-    features near the float64 limits neither overflow nor underflow; inside
-    the normal range no bit of the result changes."""
-    u, v = edges[:, 0], edges[:, 1]
+    ``ends(r)`` maps an array with one entry per row of ``x`` (x itself, or
+    a per-row scalar) to one (u, v) pair of shifted views of it per block of
+    edges, so that no endpoint row is gathered; the blocks' distances are
+    concatenated in order.  Euclidean and cosine rescale rows by exact
+    powers of two, so that finite features near the float64 limits neither
+    overflow nor underflow; inside the normal range no bit of the result
+    changes."""
     if metric == "manhattan":
-        return np.sum(np.abs(x[u] - x[v]), axis=1)
+        return np.concatenate([np.sum(np.abs(a - b), axis=-1).ravel() for a, b in ends(x)])
     _, ex = np.frexp(np.max(np.abs(x), axis=1))
     if metric == "euclidean":  # both rows share a factor, undone on the result
-        e = np.maximum(ex[u], ex[v])
-        diff = np.ldexp(x[u], -e[:, None]) - np.ldexp(x[v], -e[:, None])
-        return np.ldexp(np.sqrt(np.sum(diff * diff, axis=1)), e)
+        out = []
+        for (a, b), (ea, eb) in zip(ends(x), ends(ex)):
+            e = np.maximum(ea, eb)
+            diff = np.ldexp(a, -e[..., None]) - np.ldexp(b, -e[..., None])
+            out.append(np.ldexp(np.sqrt(np.sum(diff * diff, axis=-1)), e).ravel())
+        return np.concatenate(out)
     # cosine: 1 - <a,b>/(|a||b|); a zero-norm endpoint counts as distance 1
     # (orthogonal-equivalent) so degenerate features never poison MST weights.
     x = np.ldexp(x, -ex[:, None])  # scale-invariant, so each row gets its own factor
     norm = np.sqrt(np.sum(x * x, axis=1))
-    a, b = x[u], x[v]
-    denom = norm[u] * norm[v]
-    dot = np.sum(a * b, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dist = 1.0 - dot / denom
-    dist = np.where(denom > 0.0, dist, 1.0)
-    # identical vectors are exactly at distance 0; rounding in dot/denom would
-    # otherwise leave one-ulp residue
-    equal = np.all(a == b, axis=1) & (ex[u] == ex[v]) & (denom > 0.0)
-    return np.clip(np.where(equal, 0.0, dist), 0.0, 2.0)
+    out = []
+    for (a, b), (ea, eb), (na, nb) in zip(ends(x), ends(ex), ends(norm)):
+        denom = na * nb
+        dot = np.sum(a * b, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dist = 1.0 - dot / denom
+        dist = np.where(denom > 0.0, dist, 1.0)
+        # identical vectors are exactly at distance 0; rounding in dot/denom
+        # would otherwise leave one-ulp residue
+        equal = np.all(a == b, axis=-1) & (ea == eb) & (denom > 0.0)
+        out.append(np.clip(np.where(equal, 0.0, dist), 0.0, 2.0).ravel())
+    return np.concatenate(out)
 
 
 def vertex_dissimilarity(metric: str, a, b) -> float:
@@ -139,7 +147,7 @@ def vertex_dissimilarity(metric: str, a, b) -> float:
         raise ValueError("vectors must have length >= 1")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("inputs contain NaN or Inf")
-    return float(_edge_weights(metric, np.stack([a, b]), np.array([[0, 1]]))[0])
+    return float(_edge_weights(metric, np.stack([a, b]), lambda r: [(r[:1], r[1:])])[0])
 
 
 def build_grid_graph(feature: FeatureMap, metric: str = "cosine") -> WeightedGraph:
@@ -158,8 +166,12 @@ def build_grid_graph(feature: FeatureMap, metric: str = "cosine") -> WeightedGra
     horiz = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
     vert = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
     edges = np.concatenate([horiz, vert], axis=0)
-    weights = _edge_weights(metric, feature.data, edges)
-    return WeightedGraph(h * w, edges, weights)
+
+    def ends(r):
+        g = r.reshape(h, w, *r.shape[1:])
+        return [(g[:, :-1], g[:, 1:]), (g[:-1], g[1:])]
+
+    return WeightedGraph(h * w, edges, _edge_weights(metric, feature.data, ends))
 
 
 def build_causal_graph(feature: FeatureMap, m: int = 3, metric: str = "cosine") -> WeightedGraph:
@@ -175,14 +187,12 @@ def build_causal_graph(feature: FeatureMap, m: int = 3, metric: str = "cosine") 
         raise ValueError("need at least 2 tokens")
     if m < 1:
         raise ValueError("m must be >= 1")
+    shifts = range(1, min(m, n - 1) + 1)
     blocks = []
-    for d in range(1, m + 1):
-        if d >= n:
-            break
+    for d in shifts:
         i = np.arange(d, n, dtype=np.int64)
         blocks.append(np.stack([i - d, i], axis=1))
     edges = np.concatenate(blocks, axis=0)
     order = np.lexsort((edges[:, 0], edges[:, 1]))
-    edges = edges[order]
-    weights = _edge_weights(metric, feature.data, edges)
-    return WeightedGraph(n, edges, weights)
+    weights = _edge_weights(metric, feature.data, lambda r: [(r[:-d], r[d:]) for d in shifts])
+    return WeightedGraph(n, edges[order], weights[order])

@@ -9,12 +9,62 @@ bit-for-bit identical to a Kruskal run with the same rule.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
 from .lattice import WeightedGraph
+
+# Mean rows per level below which a tree of depth D is walked by bands of
+# isqrt(D) levels (``SpanningTree.bands``) instead of one level per step.
+# Measured (_up + _down, medians, 2-core VM): bands win on a causal m=3 tree
+# of 8192 tokens (1.9 rows a level, 64 lanes: 45 -> 14 ms) and lose on a
+# 56x56 blurred-grid tree (15 rows, 256 lanes: 7.7 -> 12.9 ms) and a 224x224
+# noise-grid tree (40 rows, 3 lanes: 13.4 -> 14.1 ms).  On levels of random
+# parents they break even near 7 rows a level at 256 lanes (6 rows: 17.1 ->
+# 15.3 ms, 8 rows: 14.4 -> 16.2 ms) and still win at 24 rows at 3 and 64 lanes.
+BAND_ROWS_MAX = 4
+
+
+@dataclass(eq=False)
+class BandPlan:
+    """A tree's levels below the root cut into bands of ``height``
+    consecutive levels, as the banded scan walks read them: integer arrays
+    of BFS rows (positions in ``bfs_order``).
+
+    Band b holds levels 1 + b * height onwards, up to ``height`` of them
+    (the last band may hold fewer), and is the row slice
+    ``bounds[b]:bounds[b + 1]``.  A row's offset is its level's place in its
+    band; its band top is its ancestor at offset 0.  For every offset j in
+    1 .. height - 1 (index 0 of the lists is unused):
+
+    - ``rows[j]``, the offset-j rows of every band, cut by the bounds
+      ``groups[j]`` into one group per run index of ``run_bounds`` (per
+      sibling rank, on a ``root_tree`` tree): no group holds a parent
+      twice, so that each is one plain indexed add;
+    - ``parents[j]``, their parent rows, and ``cparents[j]``, their
+      parents' places in ``rows[j - 1]`` (for j >= 2).
+
+    ``anc[r - 1]`` is the parent row of row r's band top.  The tops of bands
+    1, 2, ... are listed in band order, band b's at places
+    ``top_bounds[b - 1]:top_bounds[b]`` (its first rows, from ``bounds[b]``
+    on), with ``top_anc``, the band top of each one's parent, and ``top_q``,
+    its parent's place in ``rows[height - 1]``.
+    """
+
+    height: int
+    bounds: list[int]
+    rows: list[np.ndarray]
+    groups: list[list[int]]
+    parents: list[np.ndarray]
+    cparents: list[np.ndarray]
+    anc: np.ndarray
+    top_bounds: list[int]
+    top_anc: np.ndarray
+    top_q: np.ndarray
 
 
 @dataclass(eq=False)
@@ -91,11 +141,28 @@ class SpanningTree:
         ``level_bounds``, which it contains.  A run holds no parent twice, and
         on a level that ``root_tree`` ordered the runs are its rank blocks:
         every parent's first child, then every second child, and so on."""
+        return np.flatnonzero(self._run_starts()).tolist()
+
+    def _run_starts(self) -> np.ndarray:
+        """(num_vertices + 1,) bool, True at the start of every run of
+        ``run_bounds`` and at the end."""
         par = self.parent[self.bfs_order]
-        cut = np.zeros(self.num_vertices + 1, dtype=bool)
-        cut[1:-1] = par[1:] <= par[:-1]
-        cut[self.level_bounds] = True
-        return np.flatnonzero(cut).tolist()
+        depth = self.depths[self.bfs_order]
+        cut = np.ones(self.num_vertices + 1, dtype=bool)
+        cut[1:-1] = (par[1:] <= par[:-1]) | (depth[1:] != depth[:-1])
+        return cut
+
+    @cached_property
+    def bands(self) -> BandPlan | None:
+        """The band plan of a deep, narrow tree: bands of isqrt(depth)
+        levels when the levels hold fewer than ``BAND_ROWS_MAX`` rows on
+        average and that height is at least 2; None for any other tree,
+        which the scans walk one level per step.  Built from the depths,
+        ``ppos`` and the runs of ``run_bounds``, which give the rank
+        groups."""
+        depth = len(self.level_bounds) - 1
+        k = isqrt(depth) if self.num_vertices < BAND_ROWS_MAX * depth else 1
+        return _band_plan(self, k) if k > 1 else None
 
     @cached_property
     def levels(self) -> list[np.ndarray]:
@@ -129,6 +196,53 @@ class SpanningTree:
             raise ValueError("edge weights to parent must be finite and >= 0")
         if w[self.root] != 0.0:
             raise ValueError("edge weight at the root must be 0")
+
+
+def _band_plan(tree: SpanningTree, k: int) -> BandPlan:
+    """The ``BandPlan`` of ``tree`` for bands of k >= 2 levels; the tree has
+    more than k levels."""
+    b, ppos = tree.level_bounds, tree.ppos
+    n, depth = tree.num_vertices, len(b) - 1
+    level = tree.depths[tree.bfs_order]
+    run = np.cumsum(tree._run_starts()[:-1]) - 1
+    new_level = np.ones(n, dtype=bool)
+    new_level[1:] = level[1:] != level[:-1]
+    rank = run - np.maximum.accumulate(np.where(new_level, run, 0))  # run within the level
+    band, off = np.divmod(level[1:] - 1, k)  # of rows 1, 2, ...
+    # by offset, then rank, then band, then row (the sort is stable)
+    num_bands = int(band[-1]) + 1
+    key = (off * (int(rank.max()) + 1) + rank[1:]) * num_bands + band
+    by_key = np.argsort(key, kind="stable")
+    inner, key = by_key + 1, key[by_key] // num_bands
+    at = np.searchsorted(off[by_key], np.arange(k + 1)).tolist()  # offset j from at[j]
+    place = np.zeros(n, dtype=np.int64)  # a row's place among the rows of its offset
+    place[inner] = np.arange(n - 1) - np.repeat(at[:-1], np.diff(at))
+    cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()  # rank groups, all offsets
+    par = ppos[inner]
+    cpar = place[par]
+    rows, groups, parents, cparents = [None], [None], [None], [None]
+    top = np.arange(n)
+    for lo, hi in zip(at[1:-1], at[2:]):
+        rows.append(inner[lo:hi])
+        groups.append([0, *(c - lo for c in cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)]),
+                       hi - lo])
+        parents.append(par[lo:hi])
+        cparents.append(cpar[lo:hi])
+        top[rows[-1]] = top[parents[-1]]
+    tops = np.flatnonzero((off == 0) & (band > 0)) + 1  # the tops of bands 1, 2, ...
+    first = list(range(1, depth, k))
+    return BandPlan(
+        height=k,
+        bounds=[b[i] for i in first] + [n],
+        rows=rows,
+        groups=groups,
+        parents=parents,
+        cparents=cparents,
+        anc=ppos[top[1:]],
+        top_bounds=[0, *np.cumsum([b[i + 1] - b[i] for i in first[1:]]).tolist()],
+        top_anc=top[ppos[tops]],
+        top_q=place[ppos[tops]],
+    )
 
 
 def boruvka_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -16,17 +16,26 @@ pass has the same structure run on the output gradients.
 The passes run on copies of the arrays in BFS position order: row k holds
 vertex ``tree.bfs_order[k]``, the root is row 0, every level is a contiguous
 slice (``tree.level_bounds``) and ``tree.ppos`` gives each row's parent row.
-Each kernel gathers its inputs into that order once, walks one level per
-step, and gathers its outputs back to vertex order once, by ``tree.pos``,
-the tree's cached inverse permutation (a gather is cheaper than a scatter).
-``affinity_map`` is one root-to-leaf pass on the same layout, on the tree
-it is given.  The leaf-to-root step of a level with at least
-``RANK_BLOCK_MIN`` rows x lanes is one plain indexed add per run of
+Each kernel gathers its inputs into that order once, walks the tree, and
+gathers its outputs back to vertex order once, by ``tree.pos``, the tree's
+cached inverse permutation (a gather is cheaper than a scatter).
+
+A walk takes one numpy step per level, unless ``tree.bands`` holds a band
+plan: on a deep, narrow tree (fewer than ``mst.BAND_ROWS_MAX`` rows a level
+on average) the kernels walk bands of k = isqrt(depth) consecutive levels,
+a step per band offset in each phase and one per band, O(k + depth / k)
+steps in place of depth (``_up``, ``_down``).  The banded walks
+re-associate the products, so their outputs differ from the per-level
+walk's in the last bits; every other tree takes exactly the per-level walk.
+``affinity_map`` is one per-level root-to-leaf pass on the same layout, on
+the tree it is given.  The per-level leaf-to-root step of a level with at
+least ``RANK_BLOCK_MIN`` rows x lanes is one plain indexed add per run of
 ``tree.run_bounds`` (a run holds no parent twice; on a ``root_tree`` level
 the runs are its rank blocks: every parent's first child, then every second
 child, and so on); any other level takes one ``np.add.at``.  Either way each
 parent adds its children in ``bfs_order`` order, so both give bitwise
-identical results.
+identical results.  The banded leaf-to-root walk adds by the same runs: one
+plain indexed add per run index, over that run of every band at one offset.
 
 Outside the walks, every stage of a training step is held to a budget of
 full-size (L, C, N) passes and fresh full-size arrays: at training sizes a
@@ -41,7 +50,9 @@ held at the peak (outputs included):
   reductions.
 - vision forward: 3 (the BFS-order input terms, a_bar and 1 - a_bar^2);
   language forward: 2.  b_bar * x is one gather and one product in place,
-  and 1 - a_bar^2 is built in one buffer.
+  and 1 - a_bar^2 is built in one buffer.  A banded walk holds no full-size
+  temporary: its buffers are one offset's rows (about L / k) or one band's
+  (``_down`` composes the band products in the kernel's own copy of a_bar).
 - vision backward: 3 (eta, rho, d_a_bar), the d_a_bar chain by row blocks;
   language backward: 2, d_a_bar built in the gather of rho.  d_b_bar is
   rho scaled in place.
@@ -58,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FeatureMap
-from .mst import SpanningTree
+from .mst import BandPlan, SpanningTree
 
 NAIVE_SCAN_GUARD = 4096
 # Rows x lanes from which a level's leaf-to-root step is cheaper as one plain
@@ -196,30 +207,102 @@ def _check_instance(
             raise ValueError(f"{name} shape {np.shape(arr)} does not match params shape {p.shape}")
 
 
-def _up(tree: SpanningTree, u: np.ndarray, a: np.ndarray) -> None:
+def _up_level(tree: SpanningTree, u: np.ndarray, a: np.ndarray, lo: int, hi: int) -> None:
+    """One leaf-to-root step: the rows lo:hi, one level, add u * a into
+    their parents, by runs of ``tree.run_bounds`` when the level has at
+    least ``RANK_BLOCK_MIN`` rows x lanes and by one ``np.add.at`` otherwise."""
+    ppos = tree.ppos
+    if (hi - lo) * u[0].size >= RANK_BLOCK_MIN:
+        runs = tree.run_bounds
+        i = bisect_left(runs, lo)
+        j = bisect_left(runs, hi, i)
+        for s, e in zip(runs[i:j], runs[i + 1 : j + 1]):
+            u[ppos[s:e]] += u[s:e] * a[s:e]
+    else:
+        np.add.at(u, ppos[lo:hi], u[lo:hi] * a[lo:hi])
+
+
+def _up(tree: SpanningTree, u: np.ndarray, a: np.ndarray, bands: BandPlan | None = None) -> None:
     """Leaf-to-root pass in place on BFS-position arrays: u[i] += sum over
-    children j of u[j] * a[j], one level at a time, by runs of
-    ``tree.run_bounds`` on a level of at least ``RANK_BLOCK_MIN`` rows x
-    lanes and by one ``np.add.at`` elsewhere."""
-    b, ppos = tree.level_bounds, tree.ppos
-    lanes = u[0].size
-    for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
-        if (hi - lo) * lanes >= RANK_BLOCK_MIN:
-            runs = tree.run_bounds
-            i = bisect_left(runs, lo)
-            j = bisect_left(runs, hi, i)
-            for s, e in zip(runs[i:j], runs[i + 1 : j + 1]):
-                u[ppos[s:e]] += u[s:e] * a[s:e]
-        else:
-            np.add.at(u, ppos[lo:hi], u[lo:hi] * a[lo:hi])
+    children j of u[j] * a[j].  Without ``bands``, one level per step
+    (``_up_level``), deepest first.  With them, in three phases:
+
+    1. band-local subtree sums, all bands at once, offset height - 1 up to
+       1, one plain indexed add per sibling-rank group;
+    2. the band tops, last band first, each band's final: each top adds
+       (u * a) * q into its parent's band top by one ``np.add.at`` a band,
+       q the product of a from that parent up to just below the band top,
+       and u * a into ``below`` (both compact, one row per
+       offset-(height - 1) row); band 0's tops join the root by one level
+       step;
+    3. the rows below the tops, offset height - 1 up to 1, take ``below``,
+       the sum over the next band's tops under them, carried up from offset
+       to offset in compact buffers by rank groups like phase 1.
+
+    ``a`` is not changed."""
+    if bands is None:
+        b = tree.level_bounds
+        for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
+            _up_level(tree, u, a, lo, hi)
+        return
+    k, rows, groups, cpar = bands.height, bands.rows, bands.groups, bands.cparents
+    q = a.take(rows[1], axis=0)
+    for j in range(2, k):
+        q_j = a.take(rows[j], axis=0)
+        q_j *= q.take(cpar[j], axis=0)
+        q = q_j
+    for j in range(k - 1, 0, -1):
+        g, par = groups[j], bands.parents[j]
+        step = u.take(rows[j], axis=0)
+        step *= a.take(rows[j], axis=0)
+        for s, e in zip(g, g[1:]):
+            u[par[s:e]] += step[s:e]
+    below = np.zeros(q.shape)  # phase 3's start, gathered from the tops in phase 2
+    t = bands.top_bounds
+    for band in range(len(t) - 1, 0, -1):
+        s, e = t[band - 1], t[band]
+        lo = bands.bounds[band]
+        top = u[lo : lo + e - s] * a[lo : lo + e - s]
+        np.add.at(below, bands.top_q[s:e], top)
+        top *= q.take(bands.top_q[s:e], axis=0)
+        np.add.at(u, bands.top_anc[s:e], top)
+    _up_level(tree, u, a, *tree.level_bounds[1:3])
+    del q  # not held through phase 3
+    for j in range(k - 1, 0, -1):
+        u[rows[j]] += below
+        if j > 1:
+            below *= a.take(rows[j], axis=0)
+            g, up = groups[j], np.zeros((len(rows[j - 1]),) + u.shape[1:])
+            for s, e in zip(g, g[1:]):
+                up[cpar[j][s:e]] += below[s:e]
+            below = up
 
 
-def _down(tree: SpanningTree, u: np.ndarray, a: np.ndarray) -> None:
+def _down(tree: SpanningTree, u: np.ndarray, a: np.ndarray, bands: BandPlan | None = None) -> None:
     """Root-to-leaf pass in place on BFS-position arrays: u[i] += a[i] *
-    u[parent] below the root, one level slice at a time."""
-    b, ppos = tree.level_bounds, tree.ppos
-    for lo, hi in zip(b[1:-1], b[2:]):
-        u[lo:hi] += a[lo:hi] * u.take(ppos[lo:hi], axis=0)
+    u[parent] below the root.  Without ``bands``, one level slice per step.
+    With them, in two phases, and ``a`` is overwritten:
+
+    1. within bands, all bands at once, offset 1 to height - 1: u += a *
+       u[parent], then a *= a[parent], so that a row holds its sum and its
+       path product from its band top down;
+    2. one step per band, first band first: u[band] += a[band] *
+       u[anc[band]], anc the parent of each row's band top."""
+    if bands is None:
+        b, ppos = tree.level_bounds, tree.ppos
+        for lo, hi in zip(b[1:-1], b[2:]):
+            u[lo:hi] += a[lo:hi] * u.take(ppos[lo:hi], axis=0)
+        return
+    for r, par in zip(bands.rows[1:], bands.parents[1:]):
+        a_r = a.take(r, axis=0)
+        step = u.take(par, axis=0)
+        step *= a_r
+        u[r] += step
+        a_r *= a.take(par, axis=0)
+        a[r] = a_r
+    b, anc = bands.bounds, bands.anc
+    for lo, hi in zip(b, b[1:]):
+        u[lo:hi] += a[lo:hi] * u.take(anc[lo - 1 : hi - 1], axis=0)
 
 
 def _row_blocks(rows: int, row_bytes: int):
@@ -238,13 +321,14 @@ def _input_terms(x: FeatureMap, p: DiscreteScanParams, order: np.ndarray) -> np.
 def _all_roots(tree: SpanningTree, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
     """On BFS-position arrays, turn ``agg`` into subtree sums in place
     (``_up``), then return the aggregation over every vertex: (1 - a^2) *
-    agg pushed down by ``_down``, with ``agg`` kept at the root."""
-    _up(tree, agg, a)
+    agg pushed down by ``_down``, with ``agg`` kept at the root.  ``a``,
+    the caller's own BFS-order copy, may be overwritten."""
+    _up(tree, agg, a, tree.bands)
     out = a * a
     np.subtract(1.0, out, out=out)
     out *= agg
     out[0] = agg[0]
-    _down(tree, out, a)
+    _down(tree, out, a, tree.bands)
     return out
 
 
@@ -332,7 +416,7 @@ def tree_scan_language_forward(
     _check_instance(x, p, tree, causal=True)
     order = tree.bfs_order
     h = _input_terms(x, p, order)
-    _up(tree, h, p.a_bar.take(order, axis=0))
+    _up(tree, h, p.a_bar.take(order, axis=0), tree.bands)
     return h.take(tree.pos, axis=0)
 
 
@@ -353,7 +437,7 @@ def tree_scan_language_backward(
     _check_instance(x, p, tree, causal=True, d_h=d_h, h=h)
     order = tree.bfs_order
     rho = np.asarray(d_h).take(order, axis=0)
-    _down(tree, rho, p.a_bar.take(order, axis=0))
+    _down(tree, rho, p.a_bar.take(order, axis=0), tree.bands)
     rho = rho.take(tree.pos, axis=0)
     d_a_bar = rho.take(tree.parent, axis=0)
     d_a_bar *= h

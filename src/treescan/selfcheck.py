@@ -142,6 +142,12 @@ def rank_block_levels(tree: SpanningTree, lanes: int) -> int:
     return int(np.count_nonzero(np.diff(tree.level_bounds)[1:] * lanes >= scan.RANK_BLOCK_MIN))
 
 
+def band_height(tree: SpanningTree) -> int:
+    """Levels per band of the tree's scan walks: 1 unless ``tree.bands``
+    cuts the tree into bands."""
+    return tree.bands.height if tree.bands else 1
+
+
 def directional_error(loss, base, grads, rng: np.random.Generator) -> float:
     """Relative error of the gradients' inner product with one random
     direction d in the arrays ``base`` against the central difference of
@@ -255,14 +261,16 @@ def check_scan_equivalence(
     if ident >= 1e-12:
         return False, f"two-traversal identity violated by {ident:.3e}", ident
     return True, (f"{shape} L={n} C={c} N={s} levels={len(tree.level_bounds) - 1} "
-                  f"rank-block levels={rank_block_levels(tree, c * s)} diff={diff:.1e}"), diff
+                  f"rank-block levels={rank_block_levels(tree, c * s)} "
+                  f"band height={band_height(tree)} diff={diff:.1e}"), diff
 
 
 def check_gradients(seed: int, shape: str = "random",
                     causal: bool = False) -> tuple[bool, str, float]:
     """Analytic gradients of the language (``causal``) or vision scan against
     finite differences: all of them on a random tree of 1 to 20 vertices, or
-    one random directional derivative on the "wide-grid" instance."""
+    one random directional derivative on a deep instance ("causal", whose
+    walks take bands, or "wide-grid")."""
     rng = np.random.default_rng(seed)
     if shape == "random":
         n = int(rng.integers(1, 21))
@@ -296,7 +304,7 @@ def check_gradients(seed: int, shape: str = "random",
                             (analytic.d_x, analytic.d_a_bar, analytic.d_b_bar), rng)
     return err < tol, (
         f"{shape} L={n} C={c} N={s} rank-block levels={rank_block_levels(tree, c * s)} "
-        f"directional rel_err={err:.2e}"), err
+        f"band height={band_height(tree)} directional rel_err={err:.2e}"), err
 
 
 def check_training_chain(seed: int, shape: str = "random",
@@ -364,9 +372,10 @@ _SUITE = (
     ("scan-equivalence", [check_scan_equivalence] * 40
      + [partial(check_scan_equivalence, shape=s)
         for s in ("chain", "causal", "smooth-grid", "near-one", "wide-grid")]),
-    ("gradients-vision", [check_gradients] * 8 + [partial(check_gradients, shape="wide-grid")]),
+    ("gradients-vision", [check_gradients] * 8
+     + [partial(check_gradients, shape=s) for s in ("causal", "wide-grid")]),
     ("gradients-language", [partial(check_gradients, causal=True)] * 8
-     + [partial(check_gradients, shape="wide-grid", causal=True)]),
+     + [partial(check_gradients, shape=s, causal=True) for s in ("causal", "wide-grid")]),
     ("chain-reduction", [check_chain_reduction] * 12),
     ("training-chain", [partial(check_training_chain, shape=s, causal=m)
                         for s, k in (("random", 4), ("wide-grid", 1))

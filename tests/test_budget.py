@@ -79,7 +79,7 @@ def training_step_peaks(x, params, tree, causal):
         peaks[name] = peak / unit
         return out
 
-    tree.level_bounds, tree.ppos, tree.run_bounds  # cached before tracing
+    tree.level_bounds, tree.ppos, tree.run_bounds, tree.bands  # cached before tracing
     disc = run("discretize", discretize, params)
     if causal:
         h = run("language_forward", tree_scan_language_forward, x, disc, tree)

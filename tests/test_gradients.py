@@ -10,6 +10,7 @@ from treescan import (
     discretization_backward,
     discretize,
     finite_diff_gradients,
+    mst,
     output_projection,
     output_projection_backward,
     path_product,
@@ -34,8 +35,11 @@ from treescan.selfcheck import (
 from test_scan import (
     STRESS_TREES,
     UP_BRANCH_TREES,
+    banded_params,
+    broom,
     make_continuous,
     single_vertex_tree,
+    spider,
     stress_instance,
 )
 
@@ -213,6 +217,44 @@ class TestLayoutStress:
             for first, second in ((g.d_x, again.d_x), (g.d_a_bar, again.d_a_bar),
                                   (g.d_b_bar, again.d_b_bar)):
                 assert first.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("tree_name", ["chain-20", "chain-51", "spider", "broom"])
+    def test_banded_trees_match_fd(self, tree_name):
+        """Every gradient of both backward passes on small trees whose walks
+        take bands, against central differences: bands of 4 levels on a
+        20-chain, of 7 with a one-level last band on a 51-chain, 3 level-1
+        band tops on a spider, and a broom just below the banding cut."""
+        tree = {"chain-20": lambda: chain_tree(20), "chain-51": lambda: chain_tree(51),
+                "spider": lambda: spider(3, 6), "broom": lambda: broom(16, mst.BAND_ROWS_MAX * 16 - 1 - 16)}[
+            tree_name]()
+        assert tree.bands is not None
+        rng = np.random.default_rng(12)
+        x, p = banded_params(rng, tree.num_vertices, "random", 2, 1)
+        w = rng.standard_normal(p.shape)
+        h, xi = tree_scan_vision_forward(x, p, tree)
+        h_lang = tree_scan_language_forward(x, p, tree)
+        cases = (
+            (lambda xa, aa, ba: tree_scan_vision_forward(
+                FeatureMap(xa), DiscreteScanParams(aa, ba), tree)[0],
+             tree_scan_vision_backward(x, p, tree, xi, h, w)),
+            (lambda xa, aa, ba: tree_scan_language_forward(
+                FeatureMap(xa), DiscreteScanParams(aa, ba), tree),
+             tree_scan_language_backward(x, p, tree, h_lang, w)),
+        )
+        for forward, g in cases:
+            ref = finite_diff_gradients(forward, x.data, p.a_bar, p.b_bar, w)
+            assert relative_gradient_error(g, ref) < FiniteDifferenceConfig.relative_tolerance
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["vision", "language"])
+    @pytest.mark.parametrize("shape", ["chain", "causal", "near-one"])
+    def test_deep_banded_directional(self, shape, causal):
+        """``selfcheck.check_gradients`` on its deep instances whose walks
+        take bands (a 2000-chain, a causal tree of ~2000 levels, and the
+        2000-chain at a_bar = 1 - 1e-12)."""
+        ok, detail, _ = selfcheck.check_gradients(11, shape=shape, causal=causal)
+        assert ok, detail
+        assert selfcheck.band_height(selfcheck.scan_equivalence_instance(
+            np.random.default_rng(11), shape)[2]) > 1
 
     @pytest.mark.parametrize("tree_name", UP_BRANCH_TREES)
     def test_up_branches_give_identical_gradients(self, tree_name, monkeypatch):

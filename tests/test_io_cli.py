@@ -775,6 +775,13 @@ class TestCmdSelfcheck:
         assert max(worst[g] for g in ("gradients-vision", "gradients-language",
                                       "training-chain")) < 1e-4
         assert "language wide-grid L=16384" in out and "vision wide-grid L=16384" in out
+        # every deep instance line names the band height of its walks
+        deep = re.findall(r"^ok   (?:scan-equivalence|gradients-\w+) +seed=\d+ "
+                          r"(chain|causal|smooth-grid|near-one|wide-grid) L=.* band height=(\d+) ",
+                          out, re.M)
+        assert len(deep) == 9
+        for shape, height in deep:
+            assert (int(height) > 1) == (shape in ("chain", "causal", "near-one"))
 
     def test_negative_control_exits_one(self, capsys):
         assert main(["selfcheck", "--negative-control"]) == 1

@@ -9,6 +9,7 @@ from treescan import (
     affinity_map,
     discretize,
     io,
+    mst,
     naive_tree_scan,
     output_projection,
     output_projection_backward,
@@ -217,6 +218,197 @@ class TestRankSchedule:
         for bound in (0, scan.RANK_BLOCK_MIN, 2**62):
             monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
             assert scan_outputs(x, p, old) == scan_outputs(x, p, tree)
+
+
+def rooted_at_last(parent):
+    """``root_tree`` of the tree whose vertex v > 0 hangs off ``parent[v]``
+    (vertex 0 the root), relabelled v -> n - 1 - v so that the root is the
+    last token."""
+    n = len(parent)
+    edges = n - 1 - np.stack([np.arange(1, n), np.asarray(parent)[1:]], axis=1)
+    return root_tree(edges, np.zeros(n - 1), n, n - 1)
+
+
+def broom(depth, extra):
+    """A chain of ``depth`` levels with ``extra`` more leaves under the
+    root's child (on level 2), so that ``depth`` stays its level count."""
+    return rooted_at_last([0, *range(depth - 1), *[1] * extra])
+
+
+def spider(legs, length):
+    """``legs`` chains of ``length`` vertices under one root: that many band
+    tops on level 1."""
+    return rooted_at_last([0, *[0 if i % length == 0 else i for i in range(legs * length)]])
+
+
+def parent_vertex_order(tree):
+    """The same tree with each level in (parent, vertex) order, as older tree
+    files hold it: more, shorter runs than the rank-major order."""
+    order = np.lexsort((np.arange(tree.num_vertices), tree.parent, tree.depths))
+    return SpanningTree(tree.num_vertices, tree.root, tree.parent, order,
+                        tree.edge_weight_to_parent)
+
+
+BANDED_TREES = {
+    "chain-5000": lambda: chain_tree(5000),
+    "causal-2000": lambda: causal_tree(np.random.default_rng(0), 2000),
+    "causal-2000-parent-order": lambda: parent_vertex_order(
+        causal_tree(np.random.default_rng(0), 2000)),
+    "chain-51": lambda: chain_tree(51),  # 7 bands of 7 levels below the root, then 1 of 1
+    "chain-50": lambda: chain_tree(50),  # 7 full bands
+    "spider": lambda: spider(3, 40),
+    "broom-below-cut": lambda: broom(64, mst.BAND_ROWS_MAX * 64 - 1 - 64),
+}
+
+
+def banded_params(rng, n, a_kind, c=2, s=2):
+    """Scan scalars whose a_bar is random in [0.05, 0.95] ("random"), 1 -
+    1e-12 in every lane ("near-one"), random with 30 % exact zeros
+    ("zeros"), or about 1e-3 ("small")."""
+    a_bar = {
+        "random": lambda: rng.uniform(0.05, 0.95, (n, c, s)),
+        "near-one": lambda: np.full((n, c, s), 1.0 - 1e-12),
+        "zeros": lambda: np.where(rng.random((n, c, s)) < 0.3, 0.0,
+                                  rng.uniform(0.05, 0.95, (n, c, s))),
+        "small": lambda: rng.uniform(0.9e-3, 1.1e-3, (n, c, s)),
+    }[a_kind]()
+    x = FeatureMap(rng.standard_normal((n, c)))
+    return x, DiscreteScanParams(a_bar, rng.standard_normal((n, c, s)))
+
+
+def band_top(tree, row):
+    """The row of ``row``'s band top, found by walking up its parents."""
+    k = tree.bands.height
+    level = int(tree.depths[tree.bfs_order[row]])
+    for _ in range((level - 1) % k):
+        row = int(tree.ppos[row])
+    return row
+
+
+class TestBandedWalks:
+    def test_band_height_follows_the_shape(self):
+        """isqrt(depth) levels a band when the levels hold fewer than
+        ``BAND_ROWS_MAX`` rows on average: a broom of 64 levels bands with
+        one vertex fewer than 64 times that and not with exactly as many;
+        L = 1, L = 2, 3 levels (height 1) and a wide grid never band."""
+        cut = mst.BAND_ROWS_MAX * 64
+        below, at_cut = broom(64, cut - 1 - 64), broom(64, cut - 64)
+        assert (below.num_vertices, at_cut.num_vertices) == (cut - 1, cut)
+        assert len(below.level_bounds) == len(at_cut.level_bounds) == 65
+        for tree in (single_vertex_tree(), chain_tree(2), chain_tree(3), at_cut,
+                     smooth_grid_tree(np.random.default_rng(0))):
+            assert tree.bands is None
+        for tree, height in ((chain_tree(4), 2), (chain_tree(5000), 70), (below, 8)):
+            assert tree.bands.height == height
+
+    @pytest.mark.parametrize("tree_name", BANDED_TREES)
+    def test_plan_layout(self, tree_name):
+        """Bands of ``height`` levels from level 1 (the last one possibly
+        shorter), every offset's rows once, rank groups that hold no parent
+        twice, and each row's band top and band-top parent as a walk up its
+        parents finds them."""
+        tree = BANDED_TREES[tree_name]()
+        plan, b, n = tree.bands, tree.level_bounds, tree.num_vertices
+        k, depth = plan.height, len(b) - 1
+        assert plan.bounds == [b[i] for i in range(1, depth, k)] + [n]
+        level = tree.depths[tree.bfs_order]
+        for j in range(1, k):
+            rows = plan.rows[j]
+            at_j = np.flatnonzero((level > 0) & ((level - 1) % k == j))
+            assert sorted(rows.tolist()) == at_j.tolist()
+            np.testing.assert_array_equal(plan.parents[j], tree.ppos[rows])
+            g = plan.groups[j]
+            assert g[0] == 0 and g[-1] == rows.size and all(s < e for s, e in zip(g, g[1:]))
+            for s, e in zip(g, g[1:]):
+                assert np.unique(plan.parents[j][s:e]).size == e - s
+            if j > 1:
+                np.testing.assert_array_equal(plan.rows[j - 1][plan.cparents[j]], plan.parents[j])
+        tops = np.flatnonzero((level > k) & ((level - 1) % k == 0))
+        assert plan.top_bounds[-1] == tops.size
+        for band, (s, e) in enumerate(zip(plan.top_bounds, plan.top_bounds[1:]), start=1):
+            assert tops[s:e].tolist() == list(range(plan.bounds[band], plan.bounds[band] + e - s))
+        np.testing.assert_array_equal(plan.rows[k - 1][plan.top_q], tree.ppos[tops])
+        assert plan.top_anc.tolist() == [band_top(tree, int(tree.ppos[t])) for t in tops]
+        assert plan.anc.tolist() == [int(tree.ppos[band_top(tree, r)]) for r in range(1, n)]
+
+    @pytest.mark.parametrize("a_kind", ["random", "near-one", "zeros", "small"])
+    @pytest.mark.parametrize("tree_name", BANDED_TREES)
+    def test_kernels_match_naive(self, tree_name, a_kind):
+        """Both forward kernels within 1e-9 of ``naive_tree_scan`` at the
+        root, the deepest vertex and random ones; the banded walks within
+        1e-9 of the per-level ones at every row, the leaf-to-root walk
+        leaving ``a`` as it was; ``h_lang == xi`` bitwise, and the same
+        bytes on a second run."""
+        tree = BANDED_TREES[tree_name]()
+        assert tree.bands is not None
+        rng = np.random.default_rng(7)
+        n = tree.num_vertices
+        x, p = banded_params(rng, n, a_kind)
+        at = np.unique([tree.root, tree.bfs_order[-1], *rng.integers(0, n, 3)])
+        h, xi = tree_scan_vision_forward(x, p, tree)
+        h_lang = tree_scan_language_forward(x, p, tree)
+        assert np.max(np.abs(h[at] - naive_tree_scan(x, p, tree, roots=at, force=True))) < 1e-9
+        for v in at.tolist():
+            causal_ref = naive_tree_scan(x, subtree_only(p, tree, v), tree, roots=[v], force=True)
+            assert np.max(np.abs(h_lang[v] - causal_ref[0])) < 1e-9
+        np.testing.assert_array_equal(h_lang, xi)
+        assert scan_outputs(x, p, tree) == [h.tobytes(), xi.tobytes(), h_lang.tobytes()]
+        a = p.a_bar.take(tree.bfs_order, axis=0)
+        u = rng.standard_normal(a.shape)
+        for walk in (scan._up, scan._down):
+            ref, got, a_got = u.copy(), u.copy(), a.copy()
+            walk(tree, ref, a.copy())
+            walk(tree, got, a_got, tree.bands)
+            assert np.max(np.abs(got - ref)) < 1e-9
+            if walk is scan._up:
+                assert a_got.tobytes() == a.tobytes()
+
+    def test_band_products_underflow(self):
+        """On a 12000-chain (bands of 109 levels) with a_bar about 1e-3, the
+        root-to-leaf walk's band products underflow to 0, and the kernels
+        still match ``naive_tree_scan`` within 1e-9."""
+        tree = chain_tree(12000)
+        assert tree.bands.height == 109
+        rng = np.random.default_rng(8)
+        x, p = banded_params(rng, tree.num_vertices, "small", 1, 1)
+        a = p.a_bar.take(tree.bfs_order, axis=0)
+        scan._down(tree, np.zeros(a.shape), a, tree.bands)
+        assert np.all(p.a_bar > 0) and np.any(a == 0.0)
+        at = np.array([tree.root, 0, 6000, 11000 - 1])
+        h, _ = tree_scan_vision_forward(x, p, tree)
+        h_lang = tree_scan_language_forward(x, p, tree)
+        assert np.max(np.abs(h[at] - naive_tree_scan(x, p, tree, roots=at, force=True))) < 1e-9
+        for v in at.tolist():
+            causal_ref = naive_tree_scan(x, subtree_only(p, tree, v), tree, roots=[v], force=True)
+            assert np.max(np.abs(h_lang[v] - causal_ref[0])) < 1e-9
+
+    @pytest.mark.parametrize("tree_name", ["smooth-grid", "random-bushy", "L1", "L2"])
+    def test_unbanded_tree_takes_the_level_walk(self, tree_name):
+        """A tree that does not band gives the bytes of the per-level walks:
+        the language forward is ``_up`` without a plan, and the language
+        backward's d_b_bar is ``_down`` without a plan."""
+        rng = np.random.default_rng(9)
+        tree = {
+            "smooth-grid": lambda: smooth_grid_tree(rng, root_last=True),
+            "random-bushy": lambda: rooted_at_last(
+                [0, *(rng.integers(0, np.arange(1, 500)) // 4).tolist()]),
+            "L1": single_vertex_tree,
+            "L2": lambda: chain_tree(2),
+        }[tree_name]()
+        assert tree.bands is None
+        n = tree.num_vertices
+        x, p = banded_params(rng, n, "random")
+        order, pos = tree.bfs_order, tree.pos
+        h = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
+        scan._up(tree, h, p.a_bar.take(order, axis=0))
+        h = h.take(pos, axis=0)
+        assert tree_scan_language_forward(x, p, tree).tobytes() == h.tobytes()
+        d_h = rng.standard_normal(p.shape)
+        rho = d_h.take(order, axis=0)
+        scan._down(tree, rho, p.a_bar.take(order, axis=0))
+        d_b_bar = rho.take(pos, axis=0) * x.data[:, :, None]
+        g = scan.tree_scan_language_backward(x, p, tree, h, d_h)
+        assert g.d_b_bar.tobytes() == d_b_bar.tobytes()
 
 
 def make_continuous(rng, length, channels, states):
