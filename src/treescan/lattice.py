@@ -36,6 +36,9 @@ class FeatureMap:
             raise ValueError("feature data contains NaN or Inf")
         if self.spatial is not None:
             h, w = self.spatial
+            if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                       for s in (h, w)):
+                raise ValueError(f"spatial shape must be two ints, got {self.spatial}")
             if h < 1 or w < 1:
                 raise ValueError(f"spatial shape must be positive, got {self.spatial}")
             if h * w != self.data.shape[0]:

@@ -36,35 +36,28 @@ class BandPlan:
     of BFS rows (positions in ``bfs_order``).
 
     Band b holds levels 1 + b * height onwards, up to ``height`` of them
-    (the last band may hold fewer), and is the row slice
-    ``bounds[b]:bounds[b + 1]``.  A row's offset is its level's place in its
-    band; its band top is its ancestor at offset 0.  For every offset j in
-    1 .. height - 1 (index 0 of the lists is unused):
+    (the last band may hold fewer), so its rows start at
+    ``level_bounds[1 + b * height]``.  A row's offset is its level's place
+    in its band; its band top is its ancestor at offset 0.  For every offset
+    j in 1 .. height - 1 (index 0 of the lists is unused):
 
     - ``rows[j]``, the offset-j rows of every band, cut by the bounds
       ``groups[j]`` into one group per run index of ``run_bounds`` (per
       sibling rank, on a ``root_tree`` tree): no group holds a parent
       twice, so that each is one plain indexed add;
-    - ``parents[j]``, their parent rows, and ``cparents[j]``, their
-      parents' places in ``rows[j - 1]`` (for j >= 2).
+    - ``parents[j]``, their parent rows.
 
-    ``anc[r - 1]`` is the parent row of row r's band top.  The tops of bands
-    1, 2, ... are listed in band order, band b's at places
-    ``top_bounds[b - 1]:top_bounds[b]`` (its first rows, from ``bounds[b]``
-    on), with ``top_anc``, the band top of each one's parent, and ``top_q``,
-    its parent's place in ``rows[height - 1]``.
+    Per row: ``top``, its band top (the root and the band tops are their
+    own), and ``place``, its place among the rows of its offset (in
+    ``rows[j]`` for offset j >= 1; 0 at the root).
     """
 
     height: int
-    bounds: list[int]
     rows: list[np.ndarray]
     groups: list[list[int]]
     parents: list[np.ndarray]
-    cparents: list[np.ndarray]
-    anc: np.ndarray
-    top_bounds: list[int]
-    top_anc: np.ndarray
-    top_q: np.ndarray
+    top: np.ndarray
+    place: np.ndarray
 
 
 @dataclass(eq=False)
@@ -201,8 +194,7 @@ class SpanningTree:
 def _band_plan(tree: SpanningTree, k: int) -> BandPlan:
     """The ``BandPlan`` of ``tree`` for bands of k >= 2 levels; the tree has
     more than k levels."""
-    b, ppos = tree.level_bounds, tree.ppos
-    n, depth = tree.num_vertices, len(b) - 1
+    n, ppos = tree.num_vertices, tree.ppos
     level = tree.depths[tree.bfs_order]
     run = np.cumsum(tree._run_starts()[:-1]) - 1
     new_level = np.ones(n, dtype=bool)
@@ -219,30 +211,19 @@ def _band_plan(tree: SpanningTree, k: int) -> BandPlan:
     place[inner] = np.arange(n - 1) - np.repeat(at[:-1], np.diff(at))
     cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()  # rank groups, all offsets
     par = ppos[inner]
-    cpar = place[par]
-    rows, groups, parents, cparents = [None], [None], [None], [None]
-    top = np.arange(n)
+    rows, groups, parents = [None], [None], [None]
     for lo, hi in zip(at[1:-1], at[2:]):
         rows.append(inner[lo:hi])
         groups.append([0, *(c - lo for c in cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)]),
                        hi - lo])
         parents.append(par[lo:hi])
-        cparents.append(cpar[lo:hi])
-        top[rows[-1]] = top[parents[-1]]
-    tops = np.flatnonzero((off == 0) & (band > 0)) + 1  # the tops of bands 1, 2, ...
-    first = list(range(1, depth, k))
-    return BandPlan(
-        height=k,
-        bounds=[b[i] for i in first] + [n],
-        rows=rows,
-        groups=groups,
-        parents=parents,
-        cparents=cparents,
-        anc=ppos[top[1:]],
-        top_bounds=[0, *np.cumsum([b[i + 1] - b[i] for i in first[1:]]).tolist()],
-        top_anc=top[ppos[tops]],
-        top_q=place[ppos[tops]],
-    )
+    # band tops by pointer jumping up the parents, a band top stopping at
+    # itself: 2^r jumps after r gathers, and a row is under k jumps from its top
+    top = ppos.copy()
+    top[1:][off == 0] = np.flatnonzero(off == 0) + 1
+    for _ in range((k - 1).bit_length()):
+        top = top[top]
+    return BandPlan(height=k, rows=rows, groups=groups, parents=parents, top=top, place=place)
 
 
 def boruvka_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:

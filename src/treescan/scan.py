@@ -24,9 +24,12 @@ A walk takes one numpy step per level, unless ``tree.bands`` holds a band
 plan: on a deep, narrow tree (fewer than ``mst.BAND_ROWS_MAX`` rows a level
 on average) the kernels walk bands of k = isqrt(depth) consecutive levels,
 a step per band offset in each phase and one per band, O(k + depth / k)
-steps in place of depth (``_up``, ``_down``).  The banded walks
-re-associate the products, so their outputs differ from the per-level
-walk's in the last bits; every other tree takes exactly the per-level walk.
+steps in place of depth (``_up``, ``_down``).  The plan holds, per band
+offset, its rows, their rank groups and their parents, and per row its band
+top and its place among the rows of its offset; the band bounds are every
+k-th of ``tree.level_bounds``.  The banded walks re-associate the
+products, so their outputs differ from the per-level walk's in the last
+bits; every other tree takes exactly the per-level walk.
 ``affinity_map`` is one per-level root-to-leaf pass on the same layout, on
 the tree it is given.  The per-level leaf-to-root step of a level with at
 least ``RANK_BLOCK_MIN`` rows x lanes is one plain indexed add per run of
@@ -245,7 +248,8 @@ def _up(tree: SpanningTree, u: np.ndarray, a: np.ndarray, bands: BandPlan | None
         for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
             _up_level(tree, u, a, lo, hi)
         return
-    k, rows, groups, cpar = bands.height, bands.rows, bands.groups, bands.cparents
+    k, rows, groups, place = bands.height, bands.rows, bands.groups, bands.place
+    cpar = [None, None, *(place[par] for par in bands.parents[2:])]  # places in rows[j - 1]
     q = a.take(rows[1], axis=0)
     for j in range(2, k):
         q_j = a.take(rows[j], axis=0)
@@ -258,15 +262,14 @@ def _up(tree: SpanningTree, u: np.ndarray, a: np.ndarray, bands: BandPlan | None
         for s, e in zip(g, g[1:]):
             u[par[s:e]] += step[s:e]
     below = np.zeros(q.shape)  # phase 3's start, gathered from the tops in phase 2
-    t = bands.top_bounds
-    for band in range(len(t) - 1, 0, -1):
-        s, e = t[band - 1], t[band]
-        lo = bands.bounds[band]
-        top = u[lo : lo + e - s] * a[lo : lo + e - s]
-        np.add.at(below, bands.top_q[s:e], top)
-        top *= q.take(bands.top_q[s:e], axis=0)
-        np.add.at(u, bands.top_anc[s:e], top)
-    _up_level(tree, u, a, *tree.level_bounds[1:3])
+    b, ppos = tree.level_bounds, tree.ppos
+    for lo, hi in reversed([*zip(b[1 + k :: k], b[2 + k :: k])]):  # the tops of bands 1, 2, ...
+        top = u[lo:hi] * a[lo:hi]
+        at = place[ppos[lo:hi]]
+        np.add.at(below, at, top)
+        top *= q.take(at, axis=0)
+        np.add.at(u, bands.top[ppos[lo:hi]], top)
+    _up_level(tree, u, a, *b[1:3])
     del q  # not held through phase 3
     for j in range(k - 1, 0, -1):
         u[rows[j]] += below
@@ -287,7 +290,7 @@ def _down(tree: SpanningTree, u: np.ndarray, a: np.ndarray, bands: BandPlan | No
        u[parent], then a *= a[parent], so that a row holds its sum and its
        path product from its band top down;
     2. one step per band, first band first: u[band] += a[band] *
-       u[anc[band]], anc the parent of each row's band top."""
+       u[anc[band]], anc the parent of each row's band top (``ppos[top]``)."""
     if bands is None:
         b, ppos = tree.level_bounds, tree.ppos
         for lo, hi in zip(b[1:-1], b[2:]):
@@ -300,9 +303,10 @@ def _down(tree: SpanningTree, u: np.ndarray, a: np.ndarray, bands: BandPlan | No
         u[r] += step
         a_r *= a.take(par, axis=0)
         a[r] = a_r
-    b, anc = bands.bounds, bands.anc
-    for lo, hi in zip(b, b[1:]):
-        u[lo:hi] += a[lo:hi] * u.take(anc[lo - 1 : hi - 1], axis=0)
+    b, anc = tree.level_bounds, tree.ppos[bands.top]
+    cuts = [*b[1:-1:bands.height], b[-1]]  # the bands' row bounds
+    for lo, hi in zip(cuts, cuts[1:]):
+        u[lo:hi] += a[lo:hi] * u.take(anc[lo:hi], axis=0)
 
 
 def _row_blocks(rows: int, row_bytes: int):
@@ -618,7 +622,7 @@ def affinity_map(tree: SpanningTree, p: DiscreteScanParams, anchor: int) -> np.n
     every a_bar entry in [0, 1] so products stay in [0, 1].
     """
     n = tree.num_vertices
-    if not 0 <= anchor < n:
+    if isinstance(anchor, bool) or not isinstance(anchor, (int, np.integer)) or not 0 <= anchor < n:
         raise ValueError(f"anchor {anchor} out of range for {n} vertices")
     if p.shape[0] != n:
         raise ValueError("params length does not match the tree")

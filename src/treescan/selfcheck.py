@@ -7,7 +7,6 @@ compare the fast kernels against the brute-force references.
 
 from __future__ import annotations
 
-import sys
 from functools import partial
 
 import numpy as np
@@ -383,13 +382,13 @@ _SUITE = (
 )
 
 
-def run_selfcheck(base_seed: int = 20240601, perturb: bool = False, out=None) -> bool:
-    """Run every check group; prints one line per instance and a summary.
+def run_selfcheck(base_seed: int = 20240601, perturb: bool = False) -> bool:
+    """Run every check group; prints one line per instance and a summary
+    to stdout.
 
     ``perturb`` injects a deliberate error into the scan outputs (negative
     control for the harness itself).  Returns True iff everything passed.
     """
-    out = out or sys.stdout
     all_ok = True
     for group, (name, checks) in enumerate(_SUITE):
         group_ok, worst = True, 0.0
@@ -399,11 +398,11 @@ def run_selfcheck(base_seed: int = 20240601, perturb: bool = False, out=None) ->
                 ok, detail, err = fn(seed, perturb=perturb)
             else:
                 ok, detail, err = fn(seed)
-            print(f"{'ok  ' if ok else 'FAIL'} {name:<20} seed={seed} {detail}", file=out)
+            print(f"{'ok  ' if ok else 'FAIL'} {name:<20} seed={seed} {detail}")
             group_ok &= ok
             worst = max(worst, err)
         print(f"---- {name}: {'pass' if group_ok else 'FAIL'} "
-              f"({len(checks)} instances, worst {worst:.1e})", file=out)
+              f"({len(checks)} instances, worst {worst:.1e})")
         all_ok &= group_ok
-    print(f"self-check: {'all checks passed' if all_ok else 'FAILURES detected'}", file=out)
+    print(f"self-check: {'all checks passed' if all_ok else 'FAILURES detected'}")
     return all_ok

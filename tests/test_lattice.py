@@ -92,8 +92,14 @@ class TestFeatureMap:
         assert f.num_tokens == 6 and f.num_channels == 2
 
     def test_spatial_mismatch(self):
-        with pytest.raises(ValueError):
-            FeatureMap(np.zeros((5, 2)), spatial=(2, 3))
+        """A size that does not multiply out to L, or is not an int (numpy
+        ints pass, bools and floats do not)."""
+        for data, spatial in ((np.zeros((5, 2)), (2, 3)), (np.ones((5, 2)), (2.5, 2)),
+                              (np.ones((4, 2)), (True, 4)), (np.ones((4, 2)), (2.0, 2)),
+                              (np.ones((4, 2)), (np.bool_(True), 4))):
+            with pytest.raises(ValueError, match="spatial shape"):
+                FeatureMap(data, spatial=spatial)
+        assert FeatureMap(np.ones((4, 2)), spatial=(np.int64(2), 2)).spatial == (2, 2)
 
     def test_nonfinite(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
 """The brute-force references themselves, checked against hand results and
 against third, even dumber implementations."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import treescan
 from treescan import (
     DiscreteScanParams,
     FeatureMap,
@@ -185,3 +189,33 @@ def test_finite_difference_single_vertex_scan_is_linear():
     # linear in x: d_x == b_bar * w exactly up to fd noise
     assert abs(g.d_x[0, 0] - 3.0) < 1e-9
     assert abs(g.d_a_bar[0, 0, 0]) < 1e-9
+
+
+def package_imports(module):
+    """(module, name) for every import from the treescan package in
+    ``treescan/<module>.py``, at any depth: ``from .scan import X`` gives
+    ("scan", "X"), ``from . import scan`` gives ("scan", None) and ``import
+    treescan`` gives ("", None)."""
+    source = Path(treescan.__file__).with_name(f"{module}.py").read_text()
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "treescan"):
+            base = (node.module or "").removeprefix("treescan").lstrip(".")
+            found |= {(base, a.name) if base else (a.name, None) for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {(a.name.removeprefix("treescan").lstrip("."), None)
+                      for a in node.names if a.name.split(".")[0] == "treescan"}
+    return found
+
+
+def test_module_boundaries():
+    """``oracle`` takes only the domain containers from the package, so it
+    shares no code with what it checks; the pipeline modules import none of
+    the checking or command-line modules."""
+    assert package_imports("oracle") == {
+        ("lattice", "FeatureMap"), ("lattice", "WeightedGraph"), ("mst", "SpanningTree"),
+        ("scan", "DiscreteScanParams"), ("scan", "GradBundle")}
+    for module in ("lattice", "mst", "scan", "io"):
+        imported = {base for base, _ in package_imports(module)}
+        assert not imported & {"", "oracle", "selfcheck", "bench", "cli"}, module

@@ -303,33 +303,38 @@ class TestBandedWalks:
 
     @pytest.mark.parametrize("tree_name", BANDED_TREES)
     def test_plan_layout(self, tree_name):
-        """Bands of ``height`` levels from level 1 (the last one possibly
-        shorter), every offset's rows once, rank groups that hold no parent
-        twice, and each row's band top and band-top parent as a walk up its
-        parents finds them."""
+        """Every offset's rows once, with their parents, in rank groups that
+        hold no parent twice; each row's place among its offset's rows, and
+        its band top as a walk up its parents finds it.  At the tops of
+        bands 1, 2, ... (levels 1 + k, 1 + 2k, ...): the parent's band top
+        and the parent's place in the last offset's rows."""
         tree = BANDED_TREES[tree_name]()
-        plan, b, n = tree.bands, tree.level_bounds, tree.num_vertices
-        k, depth = plan.height, len(b) - 1
-        assert plan.bounds == [b[i] for i in range(1, depth, k)] + [n]
+        plan, n = tree.bands, tree.num_vertices
+        k = plan.height
         level = tree.depths[tree.bfs_order]
         for j in range(1, k):
             rows = plan.rows[j]
             at_j = np.flatnonzero((level > 0) & ((level - 1) % k == j))
             assert sorted(rows.tolist()) == at_j.tolist()
             np.testing.assert_array_equal(plan.parents[j], tree.ppos[rows])
+            np.testing.assert_array_equal(plan.place[rows], np.arange(rows.size))
             g = plan.groups[j]
             assert g[0] == 0 and g[-1] == rows.size and all(s < e for s, e in zip(g, g[1:]))
             for s, e in zip(g, g[1:]):
                 assert np.unique(plan.parents[j][s:e]).size == e - s
             if j > 1:
-                np.testing.assert_array_equal(plan.rows[j - 1][plan.cparents[j]], plan.parents[j])
+                cpar = plan.place[plan.parents[j]]
+                np.testing.assert_array_equal(plan.rows[j - 1][cpar], plan.parents[j])
+        assert plan.top.tolist() == [band_top(tree, r) for r in range(n)]
+        assert np.flatnonzero(plan.top == np.arange(n)).tolist() == [
+            0, *np.flatnonzero((level > 0) & ((level - 1) % k == 0)).tolist()]
+        assert tree.ppos[plan.top[1:]].tolist() == [
+            int(tree.ppos[band_top(tree, r)]) for r in range(1, n)]
         tops = np.flatnonzero((level > k) & ((level - 1) % k == 0))
-        assert plan.top_bounds[-1] == tops.size
-        for band, (s, e) in enumerate(zip(plan.top_bounds, plan.top_bounds[1:]), start=1):
-            assert tops[s:e].tolist() == list(range(plan.bounds[band], plan.bounds[band] + e - s))
-        np.testing.assert_array_equal(plan.rows[k - 1][plan.top_q], tree.ppos[tops])
-        assert plan.top_anc.tolist() == [band_top(tree, int(tree.ppos[t])) for t in tops]
-        assert plan.anc.tolist() == [int(tree.ppos[band_top(tree, r)]) for r in range(1, n)]
+        np.testing.assert_array_equal(plan.rows[k - 1][plan.place[tree.ppos[tops]]],
+                                      tree.ppos[tops])
+        assert plan.top[tree.ppos[tops]].tolist() == [
+            band_top(tree, int(tree.ppos[t])) for t in tops]
 
     @pytest.mark.parametrize("a_kind", ["random", "near-one", "zeros", "small"])
     @pytest.mark.parametrize("tree_name", BANDED_TREES)
@@ -966,8 +971,10 @@ class TestAffinityMap:
     def test_invalid_anchor(self):
         rng = np.random.default_rng(24)
         x, p, tree = random_scan_instance(rng, 5, 1, 1)
-        with pytest.raises(ValueError):
-            affinity_map(tree, p, 5)
+        for anchor in (5, -1, 2.5, 2.0, True, np.float64(1.0)):
+            with pytest.raises(ValueError, match="anchor"):
+                affinity_map(tree, p, anchor)
+        assert affinity_map(tree, p, np.int64(2))[2] == 1.0
 
     def test_transitions_above_one_rejected(self):
         rng = np.random.default_rng(25)
