@@ -12,7 +12,6 @@ from .lattice import (
     WeightedGraph,
     build_causal_graph,
     build_grid_graph,
-    vertex_dissimilarity,
 )
 from .mst import SpanningTree, boruvka_mst, root_tree
 from .oracle import (FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst, path_product,
@@ -39,7 +38,6 @@ __all__ = [
     "WeightedGraph",
     "build_causal_graph",
     "build_grid_graph",
-    "vertex_dissimilarity",
     "SpanningTree",
     "boruvka_mst",
     "root_tree",

@@ -3,7 +3,8 @@
 A feature map holds L token (or pixel) embeddings of C channels each.  Graph
 builders connect neighboring tokens and weigh every edge by the feature
 dissimilarity of its endpoints, producing the connected weighted graph that
-the spanning-tree stage prunes.
+the spanning-tree stage prunes.  The weights are checked against a per-pair
+reference in Python floats, ``oracle.pair_dissimilarity``.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class FeatureMap:
     def num_tokens(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def num_channels(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass
 class WeightedGraph:
@@ -91,10 +88,19 @@ class WeightedGraph:
         return self.edges.shape[0]
 
 
-def _check_metric(metric: str) -> str:
+def _neighbors(metric: str, x: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints (u, v) and weight of every edge, in ``ends`` block order:
+    ``ends`` of the row ids gives the endpoints, ``_edge_weights`` of the rows
+    the weights.  Raises ValueError for an unknown metric, and names the
+    metric when two finite rows lie farther apart than float64 reaches."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    return metric
+    edges = np.concatenate([np.stack(uv, axis=-1).reshape(-1, 2) for uv in ends(np.arange(len(x)))])
+    with np.errstate(over="ignore"):  # reported below, by metric
+        weights = _edge_weights(metric, x, ends)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"{metric} distance between neighboring features overflows float64")
+    return edges, weights
 
 
 def _edge_weights(metric: str, x: np.ndarray, ends) -> np.ndarray:
@@ -109,48 +115,30 @@ def _edge_weights(metric: str, x: np.ndarray, ends) -> np.ndarray:
     changes."""
     if metric == "manhattan":
         return np.concatenate([np.sum(np.abs(a - b), axis=-1).ravel() for a, b in ends(x)])
-    _, ex = np.frexp(np.max(np.abs(x), axis=1))
-    if metric == "euclidean":  # both rows share a factor, undone on the result
+    top = np.max(np.abs(x), axis=1)
+    if metric == "euclidean":  # both rows share the larger row's factor, undone on the result
         out = []
-        for (a, b), (ea, eb) in zip(ends(x), ends(ex)):
-            e = np.maximum(ea, eb)
+        for (a, b), (ta, tb) in zip(ends(x), ends(top)):
+            _, e = np.frexp(np.maximum(ta, tb))
             diff = np.ldexp(a, -e[..., None]) - np.ldexp(b, -e[..., None])
             out.append(np.ldexp(np.sqrt(np.sum(diff * diff, axis=-1)), e).ravel())
         return np.concatenate(out)
     # cosine: 1 - <a,b>/(|a||b|); a zero-norm endpoint counts as distance 1
     # (orthogonal-equivalent) so degenerate features never poison MST weights.
-    x = np.ldexp(x, -ex[:, None])  # scale-invariant, so each row gets its own factor
+    x = np.ldexp(x, -np.frexp(top)[1][:, None])  # scale-invariant: each row its own factor
     norm = np.sqrt(np.sum(x * x, axis=1))
     out = []
-    for (a, b), (ea, eb), (na, nb) in zip(ends(x), ends(ex), ends(norm)):
+    for (a, b), (na, nb) in zip(ends(x), ends(norm)):
         denom = na * nb
         dot = np.sum(a * b, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             dist = 1.0 - dot / denom
         dist = np.where(denom > 0.0, dist, 1.0)
-        # identical vectors are exactly at distance 0; rounding in dot/denom
-        # would otherwise leave one-ulp residue
-        equal = np.all(a == b, axis=-1) & (ea == eb) & (denom > 0.0)
+        # rows equal after scaling (equal up to a power of two) are exactly at
+        # distance 0; rounding in dot/denom would otherwise leave one-ulp residue
+        equal = np.all(a == b, axis=-1) & (denom > 0.0)
         out.append(np.clip(np.where(equal, 0.0, dist), 0.0, 2.0).ravel())
     return np.concatenate(out)
-
-
-def vertex_dissimilarity(metric: str, a, b) -> float:
-    """Distance between two feature vectors under the chosen metric.
-
-    Cosine results are clamped to [0, 2]; a zero-norm vector under the cosine
-    metric is defined to be at distance 1 from everything.
-    """
-    _check_metric(metric)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"expected equal-length 1-D vectors, got shapes {a.shape} and {b.shape}")
-    if a.size < 1:
-        raise ValueError("vectors must have length >= 1")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("inputs contain NaN or Inf")
-    return float(_edge_weights(metric, np.stack([a, b]), lambda r: [(r[:1], r[1:])])[0])
 
 
 def build_grid_graph(feature: FeatureMap, metric: str = "cosine") -> WeightedGraph:
@@ -161,20 +149,15 @@ def build_grid_graph(feature: FeatureMap, metric: str = "cosine") -> WeightedGra
     H*(W-1) + W*(H-1) edges (none for a single pixel) and is connected.  Edges
     are enumerated row-major, horizontal block first.
     """
-    _check_metric(metric)
     if feature.spatial is None:
         raise ValueError("grid graph needs a feature map with a spatial shape")
     h, w = feature.spatial
-    idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    horiz = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
-    vert = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
-    edges = np.concatenate([horiz, vert], axis=0)
 
     def ends(r):
         g = r.reshape(h, w, *r.shape[1:])
         return [(g[:, :-1], g[:, 1:]), (g[:-1], g[1:])]
 
-    return WeightedGraph(h * w, edges, _edge_weights(metric, feature.data, ends))
+    return WeightedGraph(h * w, *_neighbors(metric, feature.data, ends))
 
 
 def build_causal_graph(feature: FeatureMap, m: int = 3, metric: str = "cosine") -> WeightedGraph:
@@ -184,18 +167,12 @@ def build_causal_graph(feature: FeatureMap, m: int = 3, metric: str = "cosine") 
     immediate predecessor always exists, so the graph is connected.  Edges are
     listed in ascending (later-token, earlier-token) order.
     """
-    _check_metric(metric)
     n = feature.num_tokens
     if n < 2:
         raise ValueError("need at least 2 tokens")
     if m < 1:
         raise ValueError("m must be >= 1")
     shifts = range(1, min(m, n - 1) + 1)
-    blocks = []
-    for d in shifts:
-        i = np.arange(d, n, dtype=np.int64)
-        blocks.append(np.stack([i - d, i], axis=1))
-    edges = np.concatenate(blocks, axis=0)
+    edges, weights = _neighbors(metric, feature.data, lambda r: [(r[:-d], r[d:]) for d in shifts])
     order = np.lexsort((edges[:, 0], edges[:, 1]))
-    weights = _edge_weights(metric, feature.data, lambda r: [(r[:-d], r[d:]) for d in shifts])
     return WeightedGraph(n, edges[order], weights[order])

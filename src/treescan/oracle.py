@@ -1,11 +1,14 @@
 """Independent brute-force references for the fast kernels.
 
 Deliberately simple and separately implemented: nothing here shares code
-with the scan or MST fast paths, only the domain containers.  These routines
-may be quadratic or worse; they exist to be trusted, not to be fast.
+with the graph, scan or MST fast paths, only the domain containers.  These
+routines may be quadratic or worse; they exist to be trusted, not to be
+fast.  ``pair_dissimilarity`` is the edge weights' reference.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,6 +23,28 @@ class FiniteDifferenceConfig:
 
     epsilon = 1e-5
     relative_tolerance = 1e-4
+
+
+def pair_dissimilarity(metric: str, a, b) -> float:
+    """Textbook distance of two feature rows in Python floats: ``math.fsum``
+    for manhattan, ``math.dist`` for euclidean, and for cosine 1 - <a,b> /
+    (|a||b|) of the rows divided by their max-abs, clipped to [0, 2].  A zero
+    row is at cosine distance 1 from everything, identical rows at 0."""
+    a, b = [float(x) for x in a], [float(y) for y in b]
+    if metric == "manhattan":
+        return math.fsum(abs(x - y) for x, y in zip(a, b, strict=True))
+    if metric == "euclidean":
+        return math.dist(a, b)
+    if metric != "cosine":
+        raise ValueError(f"unknown metric {metric!r}")
+    scale_a, scale_b = max(map(abs, a)), max(map(abs, b))
+    if scale_a == 0.0 or scale_b == 0.0:
+        return 1.0
+    if a == b:
+        return 0.0
+    a, b = [x / scale_a for x in a], [y / scale_b for y in b]
+    cos = math.fsum(x * y for x, y in zip(a, b, strict=True)) / (math.hypot(*a) * math.hypot(*b))
+    return min(max(1.0 - cos, 0.0), 2.0)
 
 
 class _DisjointSet:

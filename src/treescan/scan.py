@@ -283,28 +283,26 @@ def _up(tree: SpanningTree, u: np.ndarray, a: np.ndarray, bands: BandPlan | None
 
 def _down(tree: SpanningTree, u: np.ndarray, a: np.ndarray, bands: BandPlan | None = None) -> None:
     """Root-to-leaf pass in place on BFS-position arrays: u[i] += a[i] *
-    u[parent] below the root.  Without ``bands``, one level slice per step.
-    With them, in two phases, and ``a`` is overwritten:
+    u[parent] below the root, one band of levels a step.  Without ``bands``
+    a band is one level.  With them, in two phases, and ``a`` is overwritten:
 
     1. within bands, all bands at once, offset 1 to height - 1: u += a *
        u[parent], then a *= a[parent], so that a row holds its sum and its
        path product from its band top down;
     2. one step per band, first band first: u[band] += a[band] *
        u[anc[band]], anc the parent of each row's band top (``ppos[top]``)."""
-    if bands is None:
-        b, ppos = tree.level_bounds, tree.ppos
-        for lo, hi in zip(b[1:-1], b[2:]):
-            u[lo:hi] += a[lo:hi] * u.take(ppos[lo:hi], axis=0)
-        return
-    for r, par in zip(bands.rows[1:], bands.parents[1:]):
-        a_r = a.take(r, axis=0)
-        step = u.take(par, axis=0)
-        step *= a_r
-        u[r] += step
-        a_r *= a.take(par, axis=0)
-        a[r] = a_r
-    b, anc = tree.level_bounds, tree.ppos[bands.top]
-    cuts = [*b[1:-1:bands.height], b[-1]]  # the bands' row bounds
+    height, anc = 1, tree.ppos  # one level a band, each row's own parent
+    if bands is not None:
+        for r, par in zip(bands.rows[1:], bands.parents[1:]):
+            a_r = a.take(r, axis=0)
+            step = u.take(par, axis=0)
+            step *= a_r
+            u[r] += step
+            a_r *= a.take(par, axis=0)
+            a[r] = a_r
+        height, anc = bands.height, tree.ppos[bands.top]
+    b = tree.level_bounds
+    cuts = [*b[1:-1:height], b[-1]]  # the bands' row bounds
     for lo, hi in zip(cuts, cuts[1:]):
         u[lo:hi] += a[lo:hi] * u.take(anc[lo:hi], axis=0)
 

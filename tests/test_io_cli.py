@@ -892,13 +892,14 @@ def _scan_case(corrupt):
     return argv
 
 
-def _tree_case(corrupt):
-    """A valid ``tree`` call on a 2x2 image whose files ``corrupt`` then edits."""
+def _tree_case(corrupt, *flags):
+    """A valid ``tree`` call on a 2x2 image, with ``flags``, whose files
+    ``corrupt`` then edits."""
     def argv(d):
         write_scan_inputs(d)
         corrupt(d)
         return ["tree", "--input", str(d / "x.json"), "--height", "2", "--width", "2",
-                "--out", str(d / "t.json")]
+                "--out", str(d / "t.json"), *flags]
     return argv
 
 
@@ -921,6 +922,8 @@ SUBPROCESS_CASES = {
     "non-finite-params": _scan_case(lambda d: _set_item(d / "params.json", "b", 2, np.nan)),
     "infinite-features": _tree_case(lambda d: io.write_tensor(d / "x", np.array([[1.0], [np.inf],
                                                                                  [0.0], [1.0]]))),
+    "overflowing-distance": _tree_case(lambda d: io.write_tensor(d / "x", np.array(
+        [[1e308], [-1e308], [0.0], [1.0]])), "--metric", "euclidean"),
     "bad-tree-field": _scan_case(lambda d: edit_file(d / "tree.json", lambda o: o.update(parent="x"))),
     "parent-out-of-range": _scan_case(lambda d: _set_item(d / "tree.json", "parent", 3, 9)),
     "truncated-payload": _scan_case(lambda d: (d / "x.bin").write_bytes((d / "x.bin").read_bytes()[:5])),

@@ -3,43 +3,88 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treescan import (FeatureMap, WeightedGraph, build_causal_graph, build_grid_graph,
-                      vertex_dissimilarity)
+from treescan import FeatureMap, WeightedGraph, build_causal_graph, build_grid_graph
+from treescan.oracle import pair_dissimilarity
 
 from conftest import bfs_reachable
 
 
-class TestVertexDissimilarity:
+def pair_weight(metric, a, b):
+    """The builders' weight of one pair of rows: the only edge of a 1x2 grid."""
+    f = FeatureMap(np.stack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)]),
+                   spatial=(1, 2))
+    return float(build_grid_graph(f, metric).weights[0])
+
+
+def edge_rows(rng, n, channels):
+    """n random rows with the cases the weights must survive: per-row scales
+    of 1e-200 and 1e200, zero rows, and rows equal to their predecessor."""
+    x = rng.standard_normal((n, channels))
+    x *= 10.0 ** rng.choice([-200, 0, 0, 200], size=n)[:, None]
+    x[rng.random(n) < 0.15] = 0.0
+    for i in np.flatnonzero(rng.random(n) < 0.2):
+        x[i] = x[i - 1]
+    return x
+
+
+def assert_weights_match_reference(graph, data, metric):
+    """Every edge weight against ``pair_dissimilarity`` of its rows: within
+    1e-12 relative for euclidean and manhattan, 1e-12 absolute for cosine."""
+    for (u, v), w in zip(graph.edges.tolist(), graph.weights.tolist()):
+        ref = pair_dissimilarity(metric, data[u], data[v])
+        bound = 1e-12 if metric == "cosine" else 1e-12 * abs(ref)
+        assert abs(w - ref) <= bound, (metric, u, v, w, ref)
+
+
+class TestEdgeWeight:
     def test_identical_vectors_cosine(self):
-        assert vertex_dissimilarity("cosine", [1.0, 0.0], [1.0, 0.0]) == 0.0
+        assert pair_weight("cosine", [1.0, 0.0], [1.0, 0.0]) == 0.0
+        a = np.array([1.0, 0.3, -7.1])
+        assert pair_weight("cosine", a, 2.0 * a) == 0.0  # equal up to a power of two
 
     def test_euclidean_345(self):
-        assert vertex_dissimilarity("euclidean", [0.0, 0.0], [3.0, 4.0]) == 5.0
+        assert pair_weight("euclidean", [0.0, 0.0], [3.0, 4.0]) == 5.0
 
     def test_cosine_orthogonal(self):
-        assert vertex_dissimilarity("cosine", [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+        assert pair_weight("cosine", [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
     def test_manhattan(self):
-        assert vertex_dissimilarity("manhattan", [1.0, -2.0], [0.0, 1.0]) == 4.0
+        assert pair_weight("manhattan", [1.0, -2.0], [0.0, 1.0]) == 4.0
 
     def test_zero_norm_cosine_is_one(self):
-        assert vertex_dissimilarity("cosine", [0.0, 0.0], [1.0, 2.0]) == 1.0
-        assert vertex_dissimilarity("cosine", [0.0, 0.0], [0.0, 0.0]) == 1.0
+        assert pair_weight("cosine", [0.0, 0.0], [1.0, 2.0]) == 1.0
+        assert pair_weight("cosine", [0.0, 0.0], [0.0, 0.0]) == 1.0
 
     def test_cosine_clamped(self):
-        assert vertex_dissimilarity("cosine", [1.0, 0.0], [-1.0, 0.0]) <= 2.0
+        assert pair_weight("cosine", [1.0, 0.0], [-1.0, 0.0]) <= 2.0
 
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            vertex_dissimilarity("euclidean", [1.0], [1.0, 2.0])
+    def test_reference_rejects_mismatched_lengths(self):
+        for metric in ("euclidean", "manhattan"):
+            with pytest.raises(ValueError):
+                pair_dissimilarity(metric, [1.0], [1.0, 2.0])
 
     def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            vertex_dissimilarity("chebyshev", [1.0], [1.0])
+        with pytest.raises(ValueError, match="unknown metric"):
+            pair_weight("chebyshev", [1.0], [1.0])
+        with pytest.raises(ValueError, match="unknown metric"):
+            build_causal_graph(FeatureMap(np.ones((2, 1))), metric="chebyshev")
+        with pytest.raises(ValueError, match="unknown metric"):
+            pair_dissimilarity("chebyshev", [1.0], [1.0])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            vertex_dissimilarity("euclidean", [np.nan], [1.0])
+            pair_weight("euclidean", [np.nan], [1.0])
+
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    def test_overflow_names_metric(self, metric):
+        """Finite rows farther apart than float64 reaches: a ValueError that
+        names the metric and the overflow, from both builders."""
+        f = FeatureMap(np.array([[1e308, -1e308], [-1e308, 1e308]]), spatial=(1, 2))
+        with pytest.raises(ValueError, match=f"^{metric} distance .* overflows float64$"):
+            build_grid_graph(f, metric)
+        with pytest.raises(ValueError, match=f"^{metric} distance .* overflows float64$"):
+            build_causal_graph(f, metric=metric)
+        assert build_grid_graph(f, "cosine").weights.tolist() == [2.0]
 
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=6),
@@ -50,46 +95,81 @@ class TestVertexDissimilarity:
     def test_symmetry(self, a, b, metric):
         if len(a) != len(b):
             b = (b * len(a))[: len(a)]
-        d_ab = vertex_dissimilarity(metric, a, b)
-        d_ba = vertex_dissimilarity(metric, b, a)
+        d_ab = pair_weight(metric, a, b)
+        d_ba = pair_weight(metric, b, a)
         assert d_ab == d_ba
         assert d_ab >= 0.0
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_self_distance_zero(self, a):
-        assert vertex_dissimilarity("euclidean", a, a) == 0.0
-        assert vertex_dissimilarity("manhattan", a, a) == 0.0
+        assert pair_weight("euclidean", a, a) == 0.0
+        assert pair_weight("manhattan", a, a) == 0.0
         if np.linalg.norm(a) > 0:
-            assert vertex_dissimilarity("cosine", a, a) == 0.0
+            assert pair_weight("cosine", a, a) == 0.0
 
     def test_scaling_behavior(self):
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal(5), rng.standard_normal(5)
         k = 3.5
         for metric in ("euclidean", "manhattan"):
-            d1 = vertex_dissimilarity(metric, a, b)
-            dk = vertex_dissimilarity(metric, k * a, k * b)
+            d1 = pair_weight(metric, a, b)
+            dk = pair_weight(metric, k * a, k * b)
             assert dk == pytest.approx(k * d1, rel=1e-12)
         # cosine invariant under independent positive scaling of each vertex
-        d1 = vertex_dissimilarity("cosine", a, b)
-        dk = vertex_dissimilarity("cosine", 2.0 * a, 7.0 * b)
+        d1 = pair_weight("cosine", a, b)
+        dk = pair_weight("cosine", 2.0 * a, 7.0 * b)
         assert dk == pytest.approx(d1, abs=1e-12)
         # near the float64 limits: no overflow to inf, no underflow to a zero norm
         for k in (1e200, 1e-200):
             for metric in ("euclidean", "manhattan"):
-                dk = vertex_dissimilarity(metric, k * a, k * b)
-                assert dk == pytest.approx(k * vertex_dissimilarity(metric, a, b), rel=1e-12)
-            assert vertex_dissimilarity("cosine", k * a, b) == pytest.approx(d1, abs=1e-12)
-            assert vertex_dissimilarity("cosine", a, k * b) == pytest.approx(d1, abs=1e-12)
-        assert vertex_dissimilarity("cosine", [1e-200, 0.0], [1.0, 3.0]) == pytest.approx(
+                dk = pair_weight(metric, k * a, k * b)
+                assert dk == pytest.approx(k * pair_weight(metric, a, b), rel=1e-12)
+            assert pair_weight("cosine", k * a, b) == pytest.approx(d1, abs=1e-12)
+            assert pair_weight("cosine", a, k * b) == pytest.approx(d1, abs=1e-12)
+        assert pair_weight("cosine", [1e-200, 0.0], [1.0, 3.0]) == pytest.approx(
             1.0 - 1.0 / np.sqrt(10.0), rel=1e-12)
+        # a zero row does not set the scale of its tiny neighbor (once read 0.0)
+        assert pair_weight("euclidean", [0.0, 0.0], [3e-200, 4e-200]) == pytest.approx(
+            5e-200, rel=1e-12)
+
+    def test_reference_fixed_values(self):
+        """The reference on the hand-checked pairs above, at the same exactness."""
+        assert pair_dissimilarity("euclidean", [0.0, 0.0], [3.0, 4.0]) == 5.0
+        assert pair_dissimilarity("manhattan", [1.0, -2.0], [0.0, 1.0]) == 4.0
+        assert pair_dissimilarity("cosine", [1.0, 0.0], [1.0, 0.0]) == 0.0
+        assert pair_dissimilarity("cosine", [1.0, 0.0], [-1.0, 0.0]) == 2.0
+        assert pair_dissimilarity("cosine", [0.0, 0.0], [1.0, 2.0]) == 1.0
+        assert pair_dissimilarity("cosine", [0.0, 0.0], [0.0, 0.0]) == 1.0
+        assert pair_dissimilarity("cosine", [1e-200, 0.0], [1.0, 3.0]) == pytest.approx(
+            1.0 - 1.0 / np.sqrt(10.0), rel=1e-12)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean", "manhattan"])
+    def test_grid_matches_reference(self, metric):
+        rng = np.random.default_rng(16)
+        shapes = [(1, 1), (1, 2), (2, 1)] + [tuple(rng.integers(1, 7, size=2)) for _ in range(40)]
+        for h, w in shapes:
+            data = edge_rows(rng, h * w, int(rng.integers(1, 6)))
+            g = build_grid_graph(FeatureMap(data, spatial=(int(h), int(w))), metric)
+            assert g.num_edges == h * (w - 1) + w * (h - 1)
+            assert_weights_match_reference(g, data, metric)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean", "manhattan"])
+    def test_causal_matches_reference(self, metric):
+        """Random lengths from 2, and m up to past L - 1."""
+        rng = np.random.default_rng(17)
+        for n in [2, 2, 3] + rng.integers(2, 40, size=40).tolist():
+            data = edge_rows(rng, n, int(rng.integers(1, 6)))
+            m = int(rng.integers(1, n + 3))
+            g = build_causal_graph(FeatureMap(data), m=m, metric=metric)
+            assert g.num_edges == sum(n - d for d in range(1, min(m, n - 1) + 1))
+            assert_weights_match_reference(g, data, metric)
 
 
 class TestFeatureMap:
     def test_basic(self):
         f = FeatureMap(np.zeros((6, 2)), spatial=(2, 3))
-        assert f.num_tokens == 6 and f.num_channels == 2
+        assert f.num_tokens == 6 and f.data.shape[1] == 2
 
     def test_spatial_mismatch(self):
         """A size that does not multiply out to L, or is not an int (numpy
@@ -140,13 +220,14 @@ class TestGridGraph:
         assert w[(0, 2)] == pytest.approx(1.0)
         assert w[(1, 3)] == pytest.approx(1.0)
 
-    def test_weights_match_scalar_metric(self):
+    def test_weights_match_pair_grid(self):
+        """Each edge's weight is, bit for bit, that of its two rows alone."""
         rng = np.random.default_rng(5)
         f = FeatureMap(rng.standard_normal((12, 3)), spatial=(3, 4))
         for metric in ("cosine", "euclidean", "manhattan"):
             g = build_grid_graph(f, metric)
             for (u, v), w in zip(g.edges.tolist(), g.weights.tolist()):
-                assert w == vertex_dissimilarity(metric, f.data[u], f.data[v])
+                assert w == pair_weight(metric, f.data[u], f.data[v])
 
     def test_3x3_edge_count(self):
         f = FeatureMap(np.zeros((9, 1)), spatial=(3, 3))
