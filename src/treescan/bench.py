@@ -12,7 +12,7 @@ from statistics import median
 
 import numpy as np
 
-from .lattice import FeatureMap, build_causal_graph, build_grid_graph
+from .lattice import FeatureMap, build_grid_graph
 from .mst import boruvka_mst, root_tree
 from .scan import NAIVE_SCAN_GUARD, DiscreteScanParams, naive_tree_scan, tree_scan_vision_forward
 
@@ -26,15 +26,16 @@ def near_square_factors(n: int) -> tuple[int, int]:
 
 
 def build_instance(num_tokens: int, seed: int = 0):
-    """Feature map, discrete params (C = N = 1) and rooted MST for one size."""
+    """Feature map, discrete params (C = N = 1) and rooted MST for one size.
+
+    Every instance is a grid of ``near_square_factors`` (a prime size is a
+    1 x L grid, i.e. a chain).  The features are drawn first, so a size that
+    cannot be allocated raises before any other work.
+    """
     rng = np.random.default_rng(seed)
-    h, w = near_square_factors(num_tokens)
-    if h > 1:
-        fmap = FeatureMap(rng.standard_normal((num_tokens, 4)), spatial=(h, w))
-        graph = build_grid_graph(fmap, "euclidean")
-    else:
-        fmap = FeatureMap(rng.standard_normal((num_tokens, 4)))
-        graph = build_causal_graph(fmap, m=2, metric="euclidean")
+    features = rng.standard_normal((num_tokens, 4))
+    fmap = FeatureMap(features, spatial=near_square_factors(num_tokens))
+    graph = build_grid_graph(fmap, "euclidean")
     edges, weights = boruvka_mst(graph)
     tree = root_tree(edges, weights, num_tokens, root=0)
     params = DiscreteScanParams(

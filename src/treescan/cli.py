@@ -157,7 +157,7 @@ def main(argv=None) -> int:
         # scan output), so numpy's own warnings would only add stderr lines.
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

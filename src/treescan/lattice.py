@@ -164,8 +164,9 @@ def build_causal_graph(feature: FeatureMap, m: int = 3, metric: str = "cosine") 
     """Connect each token to its m predecessors, weighted by dissimilarity.
 
     Token i >= 1 gets edges (j, i) for j in [max(0, i-m), i); the edge to the
-    immediate predecessor always exists, so the graph is connected.  Edges are
-    listed in ascending (later-token, earlier-token) order.
+    immediate predecessor always exists, so the graph is connected.  Edges
+    come in one block per shift d = i - j = 1 .. m, each ascending by the
+    earlier token j.
     """
     n = feature.num_tokens
     if n < 2:
@@ -173,6 +174,5 @@ def build_causal_graph(feature: FeatureMap, m: int = 3, metric: str = "cosine") 
     if m < 1:
         raise ValueError("m must be >= 1")
     shifts = range(1, min(m, n - 1) + 1)
-    edges, weights = _neighbors(metric, feature.data, lambda r: [(r[:-d], r[d:]) for d in shifts])
-    order = np.lexsort((edges[:, 0], edges[:, 1]))
-    return WeightedGraph(n, edges[order], weights[order])
+    return WeightedGraph(n, *_neighbors(
+        metric, feature.data, lambda r: [(r[:-d], r[d:]) for d in shifts]))

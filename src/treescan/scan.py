@@ -45,23 +45,9 @@ full-size (L, C, N) passes and fresh full-size arrays: at training sizes a
 pass costs about a millisecond, and a fresh array more, as its pages fault
 in.  Arithmetic runs in place where a buffer exists, and a chain that needs
 a temporary runs by row blocks of ``ROW_BLOCK_BYTES`` so the temporary is
-block-sized and the block stays in cache.  Per stage, the full-size arrays
-held at the peak (outputs included):
-
-- ``discretize``: 2, its outputs.  Both outer products are ``einsum``s and
-  ``exp`` runs in place; ``DiscreteScanParams`` validates by four min/max
-  reductions.
-- vision forward: 3 (the BFS-order input terms, a_bar and 1 - a_bar^2);
-  language forward: 2.  b_bar * x is one gather and one product in place,
-  and 1 - a_bar^2 is built in one buffer.  A banded walk holds no full-size
-  temporary: its buffers are one offset's rows (about L / k) or one band's
-  (``_down`` composes the band products in the kernel's own copy of a_bar).
-- vision backward: 3 (eta, rho, d_a_bar), the d_a_bar chain by row blocks;
-  language backward: 2, d_a_bar built in the gather of rho.  d_b_bar is
-  rho scaled in place.
-- ``output_projection``: none, two reading passes over h; its backward: 1,
-  d_h, by row blocks.  Neither forms h / rms or its gradient.
-- ``discretization_backward``: none, four ``einsum`` passes.
+block-sized and the block stays in cache.  ``tests/test_budget.py`` pins
+each stage's full-size arrays at the peak (outputs included), and README
+"Pass and allocation budget" says how each stage keeps to them.
 """
 
 from __future__ import annotations

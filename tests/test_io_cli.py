@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import treescan
 from treescan import io
+from treescan.bench import build_instance
 from treescan.cli import main
 from treescan.mst import SpanningTree, root_tree
 from treescan.scan import ContinuousScanParams
@@ -758,6 +759,14 @@ class TestCmdBench:
         code = main(["bench", "--sizes", "64", "--repeat", "1", "--out", str(tmp_path / "r.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("size", [2, 3, 7, 13])
+    def test_prime_size_is_a_chain_grid(self, size):
+        """A prime size has no factors but (1, L): its instance is the MST of
+        a 1 x L grid, the chain rooted at token 0."""
+        x, params, tree = build_instance(size)
+        assert x.data.shape == (size, 1) and params.shape == (size, 1, 1)
+        assert tree.parent.tolist() == [0, *range(size - 1)]
+
 
 class TestCmdSelfcheck:
     def test_clean_build_exits_zero(self, capsys):
@@ -933,6 +942,10 @@ SUBPROCESS_CASES = {
     "bench-negative-seed": lambda d: [*_bench_case("4,8")(d), "--seed", "-1"],
     "bench-size-zero": _bench_case("0,4"),
     "bench-size-negative": _bench_case("-5,4"),
+    # 1e16 tokens of 4 float64 features need 3.2e17 bytes, beyond the 2^57-byte
+    # virtual address space of the largest 64-bit machines: it fails at once
+    "bench-size-unallocatable": _bench_case("4,10000000000000000"),
+    "bench-size-beyond-int64": _bench_case("4,99999999999999999999"),
     "affinity-negative-size": _affinity_case("--height", "-4", "--width", "-4"),
     "affinity-negative-delta": _affinity_case("--height", "4", "--width", "4", "--delta", "-1"),
     "affinity-nan-delta": _affinity_case("--height", "4", "--width", "4", "--delta", "nan"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,16 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             FeatureMap(np.zeros(4))
 
+    @pytest.mark.parametrize("data,spatial,message", [
+        (np.zeros((0, 2)), None, "need L >= 1 and C >= 1"),
+        (np.zeros((3, 0)), None, "need L >= 1 and C >= 1"),
+        (np.zeros((3, 1)), (-1, -3), "spatial shape must be positive"),
+        (np.zeros((1, 1)), (1, 0), "spatial shape must be positive"),
+    ])
+    def test_empty_or_nonpositive_shape(self, data, spatial, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FeatureMap(data, spatial=spatial)
+
 
 class TestWeightedGraph:
     def test_duplicate_edges_rejected(self):
@@ -201,6 +213,22 @@ class TestWeightedGraph:
         g = WeightedGraph(4, edges[:4], np.ones(4))  # u * L + v keys differ: 3, 6, 1, 11
         assert g.num_edges == 4
         assert WeightedGraph(1, np.zeros((0, 2)), np.zeros(0)).num_edges == 0
+
+    @pytest.mark.parametrize("edges,weights,message", [
+        (np.zeros((2, 3)), np.zeros(2), "edges must be (E, 2), got (2, 3)"),
+        (np.zeros(2), np.zeros(1), "edges must be (E, 2), got (2,)"),
+        ([[0, 1], [1, 2]], [0.0], "weights length must match edge count"),
+        ([[0, 1], [1, 3]], [0.0, 0.0], "edge endpoint out of range"),
+        ([[-1, 1]], [0.0], "edge endpoint out of range"),
+        ([[1, 0]], [0.0], "edges must satisfy u < v"),
+        ([[1, 1]], [0.0], "edges must satisfy u < v"),
+        ([[0, 1]], [-1.0], "edge weights must be finite and >= 0"),
+        ([[0, 1]], [np.inf], "edge weights must be finite and >= 0"),
+        ([[0, 1]], [np.nan], "edge weights must be finite and >= 0"),
+    ])
+    def test_invalid_graph_rejected(self, edges, weights, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightedGraph(3, np.asarray(edges), np.asarray(weights))
 
 
 class TestGridGraph:
@@ -282,3 +310,31 @@ class TestCausalGraph:
     def test_too_short(self):
         with pytest.raises(ValueError):
             build_causal_graph(FeatureMap(np.zeros((1, 1))), m=1)
+
+    def test_m0_rejected(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            build_causal_graph(FeatureMap(np.zeros((3, 1))), m=0)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 5), (7, 3), (50, 4), (513, 3)])
+    def test_shift_blocks_are_sorted_runs(self, n, m):
+        """One block per shift d = 1 .. min(m, n - 1), in that order: the
+        n - d edges (j, j + d), ascending in j, so each block is a run of
+        ascending u * n + v keys."""
+        g = build_causal_graph(FeatureMap(np.zeros((n, 1))), m=m)
+        shifts = range(1, min(m, n - 1) + 1)
+        bounds = np.cumsum([0] + [n - d for d in shifts])
+        assert bounds[-1] == g.num_edges
+        for d, lo, hi in zip(shifts, bounds, bounds[1:]):
+            u, v = g.edges[lo:hi, 0], g.edges[lo:hi, 1]
+            np.testing.assert_array_equal(u, np.arange(n - d))
+            np.testing.assert_array_equal(v - u, d)
+            assert np.all(np.diff(u * n + v) > 0)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (6, 3), (40, 2), (300, 4)])
+    def test_same_edge_set_as_later_earlier_listing(self, n, m):
+        """Sorted by (later, earlier) token, the edges are the pairs (j, i)
+        for j in [max(0, i - m), i), listed per later token i."""
+        g = build_causal_graph(FeatureMap(np.zeros((n, 1))), m=m)
+        order = np.lexsort((g.edges[:, 0], g.edges[:, 1]))
+        listed = [[j, i] for i in range(1, n) for j in range(max(0, i - m), i)]
+        assert g.edges[order].tolist() == listed

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,29 @@ def test_tie_breaking_is_deterministic_and_matches_kruskal():
         assert be.tolist() == be2.tolist()
 
 
+def test_independent_of_edge_order():
+    """Boruvka orders the edges itself: any order of the same (u, v) rows,
+    weights carried along, gives the same edge and weight bytes, on random
+    graphs with tied weights, tied and untied grids and causal graphs."""
+    rng = np.random.default_rng(29)
+    tied = random_connected_graph(rng, 150, extra_edges=300)
+    graphs = construction_cases() + [
+        random_connected_graph(rng, 200, extra_edges=400),
+        WeightedGraph(150, tied.edges, rng.integers(0, 3, tied.num_edges).astype(np.float64)),
+        build_grid_graph(FeatureMap(rng.standard_normal((30 * 40, 3)), spatial=(30, 40)), "cosine"),
+        build_grid_graph(FeatureMap(np.floor(rng.random((900, 2)) * 3), spatial=(30, 30)),
+                         "manhattan"),
+        build_causal_graph(FeatureMap(np.round(rng.standard_normal((400, 2)))), m=4,
+                           metric="manhattan"),
+    ]
+    for g in graphs:
+        edges, weights = boruvka_mst(g)
+        for _ in range(3):
+            perm = rng.permutation(g.num_edges)
+            pe, pw = boruvka_mst(WeightedGraph(g.num_vertices, g.edges[perm], g.weights[perm]))
+            assert pe.tobytes() == edges.tobytes() and pw.tobytes() == weights.tobytes()
+
+
 def test_disconnected_graph_reports_component():
     g = WeightedGraph(4, np.array([[0, 1], [2, 3]]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="disconnected"):
@@ -153,6 +177,11 @@ def test_cut_property_exhaustive_small():
                 if crossing:
                     _, u, v = min(crossing)
                     assert (u, v) in mst_edges
+
+
+def test_no_vertices_rejected():
+    with pytest.raises(ValueError, match="need at least 1 vertex"):
+        boruvka_mst(WeightedGraph(0, np.zeros((0, 2)), np.zeros(0)))
 
 
 class TestRootTree:
@@ -241,6 +270,24 @@ class TestRootTree:
         edges = np.array([[0, 1], [1, 4], [-1, 2]])
         with pytest.raises(ValueError, match=r"bad edge \(1, 4\)"):
             root_tree(edges, np.zeros(3), 4, 0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("root", 3, "root out of range"),
+        ("root", -1, "root out of range"),
+        ("parent", np.array([0, 0]), "parent/bfs_order length must equal num_vertices"),
+        ("bfs_order", np.array([0, 1, 2, 2]), "parent/bfs_order length must equal num_vertices"),
+        ("parent", np.array([0, 1, 1]), "exactly one vertex may be its own parent"),
+        ("edge_weight_to_parent", np.zeros(2), "edge_weight_to_parent length must equal"),
+        ("edge_weight_to_parent", np.array([0.0, -0.25, 0.5]),
+         "edge weights to parent must be finite and >= 0"),
+    ])
+    def test_validate_names_the_violation(self, field, value, message):
+        edges, w = self.path()
+        tree = root_tree(edges, w, 3, 0)
+        tree.validate()
+        setattr(tree, field, value)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tree.validate()
 
     def test_invariants_for_every_root(self):
         rng = np.random.default_rng(3)

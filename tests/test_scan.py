@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -991,3 +993,40 @@ def test_make_continuous_shapes():
     d = discretize(p)
     assert d.shape == (7, 3, 2)
     assert np.all(d.a_bar > 0) and np.all(d.a_bar <= 1.0)
+
+
+def _continuous_with(**field):
+    """Valid (L, C, N) = (4, 3, 2) continuous params with ``field`` replaced."""
+    p = make_continuous(np.random.default_rng(27), 4, 3, 2)
+    return ContinuousScanParams(**{**vars(p), **field})
+
+
+def _projection_backward_with_d_y(d_y):
+    p = make_continuous(np.random.default_rng(28), 4, 3, 2)
+    x = FeatureMap(np.ones((4, 3)))
+    return output_projection_backward(np.ones((4, 3, 2)), p, x, d_y)
+
+
+VALIDATION_CASES = {
+    "a-not-2d": (lambda: _continuous_with(a=-np.ones(3)), "a must be (C, N)"),
+    "delta-not-2d": (lambda: _continuous_with(delta=np.ones(4)), "delta must be (L, C)"),
+    "delta-channels": (lambda: _continuous_with(delta=np.ones((4, 2))), "delta must be (L, C)"),
+    "b-shape": (lambda: _continuous_with(b=np.ones((3, 2))), "b must be (L, N) = (4, 2)"),
+    "c-out-shape": (lambda: _continuous_with(c_out=np.ones((4, 3))), "c_out must be (L, N) = (4, 2)"),
+    "d-shape": (lambda: _continuous_with(d=np.ones(2)), "d must be (C,) = (3,)"),
+    "discrete-shapes-differ": (lambda: DiscreteScanParams(np.ones((4, 3, 2)), np.ones((4, 3, 1))),
+                               "a_bar and b_bar must both be (L, C, N)"),
+    "discrete-not-3d": (lambda: DiscreteScanParams(np.ones((4, 3)), np.ones((4, 3))),
+                        "a_bar and b_bar must both be (L, C, N)"),
+    "projection-d-y-shape": (lambda: _projection_backward_with_d_y(np.ones((4, 2))),
+                             "d_y must have the feature map's (L, C) shape"),
+    "affinity-params-length": (lambda: affinity_map(chain_tree(5), DiscreteScanParams(
+        np.full((4, 1, 1), 0.5), np.ones((4, 1, 1))), 0), "params length does not match the tree"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+def test_validation_messages(case):
+    call, message = VALIDATION_CASES[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
