@@ -76,7 +76,12 @@ def cmd_affinity(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = []
+    for entry in filter(None, map(str.strip, args.sizes.split(","))):
+        try:  # numpy must index and allocate the features each instance draws first
+            sizes.append(len(np.empty((int(entry), 4))))
+        except (ValueError, MemoryError) as exc:
+            raise ValueError(f"bench --sizes entry {entry!r}: {exc}") from None
     report = run_benchmark(sizes, repeat=args.repeat, seed=args.seed)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0

@@ -3,11 +3,11 @@
 A tensor on disk is a pair of sibling files: ``name.json`` holds the header
 ``{"shape": [...], "dtype": "f32"|"f64", "layout": "row-major"}`` and
 ``name.bin`` holds the raw little-endian payload.  A tree or continuous scan
-parameter file is laid out like NumPy's ``.npy``: one JSON header line with the
-integer scalars and ``{"shape": [...], "dtype": "f64"|"i64"}`` per array field,
-space-padded to a multiple of 64 bytes, then the fields' little-endian
-row-major bytes back to back, in the format's field order, up to the end of
-the file.  Affinity images are binary PGM (P5, maxval 255).
+parameter file is laid out like NumPy's ``.npy``: one JSON header line with
+``{"shape": [...], "dtype": "f64"|"i64"}`` per array field, space-padded to a
+multiple of 64 bytes, then the fields' little-endian row-major bytes back to
+back, in the format's field order, up to the end of the file.  Affinity
+images are binary PGM (P5, maxval 255).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .scan import ContinuousScanParams
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "i64": np.dtype("<i8")}
 _TENSOR_TAGS = ("f32", "f64")
-_TREE_SCALARS = ("num_vertices", "root")
 _TREE_FIELDS = {"parent": "i64", "bfs_order": "i64", "edge_weight_to_parent": "f64"}
 _PARAMS_FIELDS = {"a": "f64", "b": "f64", "c_out": "f64", "d": "f64", "delta": "f64"}
 _ALIGN = 64  # the first payload's offset; every payload is then 8-byte aligned
@@ -75,26 +74,23 @@ def _from_bytes(where: str, payload, shape: list[int], dtype: np.dtype) -> np.nd
     return np.frombuffer(payload, dtype).reshape(shape).astype(dtype.newbyteorder("="), copy=False)
 
 
-def _read_fields(path, what: str, fields: dict[str, str], scalars=()) -> dict:
-    """Load a tree or params file: every key of ``scalars`` checked to be an
-    integer, every key of ``fields`` an array of its dtype tag."""
+def _read_fields(path, what: str, fields: dict[str, str]) -> dict:
+    """Load a tree or params file: every key of ``fields`` an array of its
+    dtype tag; other header keys are ignored."""
     where, buf = f"{what} {path}", _read_buffer(path)
     end = buf.find(b"\n")
     header = _json_object(buf[:end] if end >= 0 else buf, f"{where}: header line")
     if any(isinstance(v, dict) and "data" in v for v in header.values()):
         raise ValueError(f"{where} is in the old base64 format; write it again with this version")
-    for key in (*scalars, *fields):
+    for key in fields:
         if key not in header:
             raise ValueError(f"{where}: missing field {key!r}")
-    for key in scalars:
-        if not isinstance(header[key], int) or isinstance(header[key], bool):
-            raise ValueError(f"{where}: field {key!r} must be an integer, got {header[key]!r}")
     specs = {key: _shape_and_dtype(f"{where}: field {key!r}", header[key], (tag,))
              for key, tag in fields.items()}
     if end < 0:
         first = next(iter(fields))
         raise ValueError(f"{where}: no newline ends the header line, before field {first!r}")
-    out, offset = {key: header[key] for key in scalars}, end + 1
+    out, offset = {}, end + 1
     for key, (shape, dtype) in specs.items():
         size = math.prod(shape) * dtype.itemsize
         out[key] = _from_bytes(f"{where}: field {key!r}", memoryview(buf)[offset:offset + size],
@@ -105,12 +101,11 @@ def _read_fields(path, what: str, fields: dict[str, str], scalars=()) -> dict:
     return out
 
 
-def _write_fields(path, fields: dict[str, str], source, scalars=()) -> None:
-    header = {key: getattr(source, key) for key in scalars}
+def _write_fields(path, fields: dict[str, str], source) -> None:
     arrays = [np.ascontiguousarray(getattr(source, key), dtype=_DTYPES[tag])
               for key, tag in fields.items()]
-    header.update((key, {"shape": list(arr.shape), "dtype": tag})
-                  for (key, tag), arr in zip(fields.items(), arrays))
+    header = {key: {"shape": list(arr.shape), "dtype": tag}
+              for (key, tag), arr in zip(fields.items(), arrays)}
     line = json.dumps(header).encode("ascii")
     with open(path, "wb") as f:
         f.write(line + b" " * (-(len(line) + 1) % _ALIGN) + b"\n")
@@ -149,12 +144,12 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_tree(path, tree: SpanningTree) -> None:
-    _write_fields(path, _TREE_FIELDS, tree, scalars=_TREE_SCALARS)
+    _write_fields(path, _TREE_FIELDS, tree)
 
 
 def read_tree(path) -> SpanningTree:
     """Load a tree file and validate every structural invariant before use."""
-    tree = SpanningTree(**_read_fields(path, "tree file", _TREE_FIELDS, scalars=_TREE_SCALARS))
+    tree = SpanningTree(**_read_fields(path, "tree file", _TREE_FIELDS))
     tree.validate()
     return tree
 

@@ -64,44 +64,47 @@ class BandPlan:
 class SpanningTree:
     """Rooted spanning tree in the arrays the scan kernels consume.
 
-    ``parent[root] == root``; ``bfs_order`` is breadth-first: it starts at
-    the root and lists each level of the tree after the level above it, in
-    any order within a level (``root_tree`` orders each level by sibling
-    rank, parent, then vertex, where a vertex's rank is the number of its
-    siblings with a smaller id);
+    The root is the one vertex that is its own parent; ``bfs_order`` is
+    breadth-first: it starts at the root and lists each level of the tree
+    after the level above it, in any order within a level (``root_tree``
+    orders each level by sibling rank, parent, then vertex, where a
+    vertex's rank is the number of its siblings with a smaller id);
     ``edge_weight_to_parent[i]`` is the weight of the tree edge
-    (i, parent[i]) and 0 at the root.
+    (i, parent[i]) and 0 at the root.  The rest is read off these arrays.
     """
 
-    num_vertices: int
-    root: int
     parent: np.ndarray  # (L,) int64
     bfs_order: np.ndarray  # (L,) int64
     edge_weight_to_parent: np.ndarray  # (L,) float64
 
+    @property
+    def num_vertices(self) -> int:
+        return len(self.parent)
+
+    @cached_property
+    def root(self) -> int:
+        """The first vertex that is its own parent (``validate`` checks it is the only one)."""
+        return int(np.argmax(self.parent == np.arange(self.num_vertices)))
+
     @cached_property
     def depths(self) -> np.ndarray:
-        """Depth of every vertex, read off ``bfs_order`` (``root_tree`` fills
-        it in with the depths it computed).
-
-        Level k + 1 is the children of level k, so it ends where the running
-        sum of child counts in BFS order stands at the last vertex of level
-        k.  Raises ValueError unless every non-root vertex's parent lies in
-        the level before its own, i.e. unless ``bfs_order`` is breadth-first.
-        """
-        n = self.num_vertices
-        nonroot = np.flatnonzero(np.arange(n) != self.root)
-        counts = np.bincount(self.parent[nonroot], minlength=n)[self.bfs_order]
-        reach = (1 + np.cumsum(counts)).tolist()
-        ends = [1]
-        while ends[-1] < n and reach[ends[-1] - 1] > ends[-1]:
-            ends.append(reach[ends[-1] - 1])
-        depth = np.full(n, -1, dtype=np.int64)
-        depth[self.bfs_order[: ends[-1]]] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
-        if np.any(depth[self.parent[nonroot]] != depth[nonroot] - 1):
-            raise ValueError(
-                "bfs_order is not breadth-first: some vertex's parent is not in the level above it"
-            )
+        """Depth of every vertex, by pointer jumping up ``parent`` (``root_tree``
+        fills it in with the depths it computed): each round adds up the depths
+        jumped and doubles the jump, until every pointer is at the root, in at
+        most ceil(log2(L)) rounds.  Raises ValueError naming the vertices of a
+        parent cycle, and unless the depths never decrease along ``bfs_order``,
+        i.e. unless it is breadth-first."""
+        n, root = self.num_vertices, self.root
+        up, depth = self.parent, (self.parent != np.arange(n)).astype(np.int64)
+        for _ in range((n - 1).bit_length()):
+            if np.all(up == root):
+                break
+            depth += depth[up]
+            up = up[up]
+        if (stuck := up[up != root]).size:  # on cycles, each cycle vertex among them
+            raise ValueError(f"parent pointers cycle through {np.unique(stuck).tolist()}")
+        if np.any(np.diff(depth[self.bfs_order]) < 0):
+            raise ValueError("bfs_order is not breadth-first: it lists a vertex after a deeper one")
         return depth
 
     @cached_property
@@ -167,21 +170,17 @@ class SpanningTree:
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError naming the first violation."""
         n = self.num_vertices
-        if not 0 <= self.root < n:
-            raise ValueError("root out of range")
         if self.parent.shape != (n,) or self.bfs_order.shape != (n,):
-            raise ValueError("parent/bfs_order length must equal num_vertices")
-        if self.parent[self.root] != self.root:
-            raise ValueError("parent[root] must equal root")
-        if np.count_nonzero(self.parent == np.arange(n)) != 1:
-            raise ValueError("exactly one vertex may be its own parent")
+            raise ValueError("parent and bfs_order must be 1-D arrays of one length")
+        if (selfs := np.count_nonzero(self.parent == np.arange(n))) != 1:
+            raise ValueError(f"exactly one vertex may be its own parent, found {selfs}")
         if np.any(self.parent < 0) or np.any(self.parent >= n):
             raise ValueError("parent index out of range")
         if not np.array_equal(np.sort(self.bfs_order), np.arange(n)):
             raise ValueError("bfs_order is not a permutation of the vertices")
         if self.bfs_order[0] != self.root:
-            raise ValueError("bfs_order must start at the root")
-        self.level_bounds  # raises unless bfs_order is breadth-first
+            raise ValueError(f"bfs_order must start at the root {self.root}")
+        self.depths  # raises on a parent cycle or unless bfs_order is breadth-first
         w = self.edge_weight_to_parent
         if w.shape != (n,):
             raise ValueError("edge_weight_to_parent length must equal num_vertices")
@@ -300,7 +299,7 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
     weights = np.asarray(weights, dtype=np.float64)
     n = num_vertices
     if not 0 <= root < n:
-        raise ValueError("root out of range")
+        raise ValueError(f"root {root} out of range for {n} vertices")
     if edges.shape != (n - 1, 2):
         raise ValueError(
             f"a spanning tree over {n} vertices needs exactly {n - 1} edges, got {edges.shape[0]}"
@@ -320,8 +319,8 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
     # kids are in (parent, vertex) order, so a stable sort on (depth, rank) is by all four
     by_level = np.argsort(depth[kids] * n + rank, kind="stable")
     bfs_order = np.concatenate([[root], kids[by_level]])
-    tree = SpanningTree(n, int(root), parent, bfs_order, weight_to_parent)
-    tree.depths = depth  # breadth-first by construction, nothing to re-derive
+    tree = SpanningTree(parent, bfs_order, weight_to_parent)
+    tree.root, tree.depths = int(root), depth  # known here, nothing to re-derive
     return tree
 
 

@@ -107,7 +107,7 @@ def bfs_root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int,
     edges = np.asarray(edges, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     if not 0 <= root < num_vertices:
-        raise ValueError("root out of range")
+        raise ValueError(f"root {root} out of range for {num_vertices} vertices")
     if edges.shape != (num_vertices - 1, 2):
         raise ValueError(
             f"a spanning tree over {num_vertices} vertices needs exactly "
@@ -135,8 +135,8 @@ def bfs_root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int,
     weight_to_parent = np.zeros(num_vertices, dtype=np.float64)
     for (u, v), w in zip(edges.tolist(), weights.tolist()):
         weight_to_parent[u if parent[u] == v else v] = w
-    return SpanningTree(num_vertices, int(root), np.array(parent, dtype=np.int64),
-                        np.array(bfs, dtype=np.int64), weight_to_parent)
+    return SpanningTree(np.array(parent, dtype=np.int64), np.array(bfs, dtype=np.int64),
+                        weight_to_parent)
 
 
 def sequential_selective_scan(x: FeatureMap, p: DiscreteScanParams) -> np.ndarray:

@@ -154,11 +154,32 @@ class TestTreeFile:
         io.write_tree(tmp_path / "t.json", tree)
 
         def corrupt(obj):
-            obj["parent"][obj["root"]] = (obj["root"] + 1) % 8
+            obj["parent"][tree.root] = (tree.root + 1) % 8
 
         edit_file(tmp_path / "t.json", corrupt)
         with pytest.raises(ValueError, match="parent"):
             io.read_tree(tmp_path / "t.json")
+
+    def test_header_holds_only_the_arrays(self, tmp_path):
+        io.write_tree(tmp_path / "t.json", random_tree(rng(), 9, root=4))
+        header, _ = split_file((tmp_path / "t.json").read_bytes())
+        assert list(header) == ["parent", "bfs_order", "edge_weight_to_parent"]
+
+    def test_previous_layout_reads_to_the_same_arrays(self, tmp_path):
+        """Files once also held the integers ``num_vertices`` and ``root``;
+        they still read, and writing what was read drops exactly those keys."""
+        tree = random_tree(rng(), 23, root=5)
+        arrays = {k: getattr(tree, k) for k in ("parent", "bfs_order", "edge_weight_to_parent")}
+        (tmp_path / "old.json").write_bytes(encode_file({"num_vertices": 23, "root": 5, **arrays}))
+        back = io.read_tree(tmp_path / "old.json")
+        assert (back.num_vertices, back.root) == (23, 5)
+        for key, arr in arrays.items():
+            assert_same_array(getattr(back, key), arr)
+        io.write_tree(tmp_path / "new.json", back)
+        old_header, old_payloads = split_file((tmp_path / "old.json").read_bytes())
+        new_header, new_payloads = split_file((tmp_path / "new.json").read_bytes())
+        assert set(old_header) - set(new_header) == {"num_vertices", "root"}
+        assert set(new_header) <= set(old_header) and new_payloads == old_payloads
 
     def test_bad_bfs_order_rejected(self, tmp_path):
         tree = random_tree(rng(), 8)
@@ -297,7 +318,7 @@ class TestArrayEncoding:
     def test_tree_round_trip_bit_exact(self, tmp_path):
         tree = random_tree(rng(), 7, root=2)
         weights = np.where(np.arange(7) == 2, -0.0, np.abs(EXTREMES[np.arange(7) % 6]))
-        tree = SpanningTree(7, 2, tree.parent, tree.bfs_order, weights)
+        tree = SpanningTree(tree.parent, tree.bfs_order, weights)
         io.write_tree(tmp_path / "t.json", tree)
         back = io.read_tree(tmp_path / "t.json")
         assert (back.num_vertices, back.root) == (7, 2)
@@ -362,7 +383,7 @@ class TestArrayEncoding:
         if kind == "tree":
             obj = random_tree(rng(), 23, root=5)
             write, read = io.write_tree, io.read_tree
-            keys = ("num_vertices", "root", "parent", "bfs_order", "edge_weight_to_parent")
+            keys = ("parent", "bfs_order", "edge_weight_to_parent")
         else:
             obj = ContinuousScanParams(a=EXTREMES.reshape(2, 3), b=EXTREMES[::-1].reshape(2, 3),
                                        c_out=EXTREMES.reshape(2, 3), d=EXTREMES[:2],
@@ -430,6 +451,13 @@ def write_simple_params(tmp_path, length, channels=1, states=1, seed=0):
 
 
 class TestCmdTree:
+    def test_root_out_of_range_named(self, tmp_path, capsys):
+        io.write_tensor(tmp_path / "x", np.ones((4, 2)))
+        code = main(["tree", "--input", str(tmp_path / "x.json"), "--height", "2", "--width", "2",
+                     "--root", "7", "--out", str(tmp_path / "t.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: root 7 out of range for 4 vertices\n"
+
     def test_two_region_2x2(self, tmp_path, capsys):
         data = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         io.write_tensor(tmp_path / "x", data)
@@ -576,14 +604,17 @@ class TestCmdScan:
         h = io.read_tensor(tmp_path / "h.json")
         np.testing.assert_allclose(h.ravel(), 6.0, atol=1e-12)
 
-    @pytest.mark.parametrize("case", ["x-rows", "tree-vertices", "3-d-input", "dfs-tree"])
+    @pytest.mark.parametrize("case", ["x-rows", "tree-vertices", "3-d-input", "dfs-tree",
+                                      "parent-cycle"])
     def test_rejected_inputs_exit_2(self, tmp_path, capsys, case):
         length = 4
         write_simple_params(tmp_path, length)
         x_shape = {"x-rows": (length + 1, 1), "3-d-input": (length, 1, 1)}.get(case, (length, 1))
         io.write_tensor(tmp_path / "x", np.ones(x_shape))
         if case == "dfs-tree":  # parents before children, but depth-first
-            tree = SpanningTree(4, 0, np.array([0, 0, 0, 1]), np.array([0, 1, 3, 2]), np.zeros(4))
+            tree = SpanningTree(np.array([0, 0, 0, 1]), np.array([0, 1, 3, 2]), np.zeros(4))
+        elif case == "parent-cycle":  # vertices 1 -> 2 -> 3 -> 1 never reach the root
+            tree = SpanningTree(np.array([0, 2, 3, 1]), np.arange(4), np.zeros(4))
         else:
             n = length + (case == "tree-vertices")
             tree = root_tree(np.stack([np.arange(n - 1), np.arange(1, n)], axis=1),
@@ -597,6 +628,7 @@ class TestCmdScan:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert case != "parent-cycle" or "cycle through [1, 2, 3]" in err
 
     @staticmethod
     def write_overflow_inputs(tmp_path, case):
@@ -701,20 +733,6 @@ class TestCmdAffinity:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("field,value", [("num_vertices", [3]), ("root", "0"),
-                                             ("num_vertices", 2.5), ("root", None)])
-    def test_malformed_tree_field_exit_2(self, tmp_path, capsys, field, value):
-        self.build_tree(tmp_path, 2, 2)
-        edit_file(tmp_path / "tree.json", lambda obj: obj.update({field: value}))
-        code = main([
-            "affinity", "--tree", str(tmp_path / "tree.json"), "--from-weights",
-            "--anchor", "0", "--height", "2", "--width", "2",
-            "--out", str(tmp_path / "a.pgm"),
-        ])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert len(err.splitlines()) == 1 and err.startswith("error:") and field in err
-
     @pytest.mark.parametrize("flags,named", [
         (["--height", "-4", "--width", "-4"], "--height"),
         (["--height", "0", "--width", "4"], "--height"),
@@ -754,6 +772,19 @@ class TestCmdBench:
     def test_repeat_zero_usage_error(self, tmp_path, capsys):
         code = main(["bench", "--sizes", "16,32", "--repeat", "0", "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("entry", ["abc", "2.5", "-3", "99999999999999999999", str(2**62),
+                                       str(10**15)])
+    def test_bad_size_entry_named(self, tmp_path, capsys, entry):
+        """A size that is no integer, or that numpy cannot index or allocate
+        (10**15 tokens of 4 features is 32 PB), is named with the flag before
+        any instance is built."""
+        code = main(["bench", "--sizes", f"4, {entry}", "--repeat", "1",
+                     "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: bench --sizes entry '{entry}'")
+        assert not (tmp_path / "r.json").exists()
 
     def test_single_size_usage_error(self, tmp_path):
         code = main(["bench", "--sizes", "64", "--repeat", "1", "--out", str(tmp_path / "r.json")])
@@ -817,11 +848,11 @@ JSON_VALUES = st.recursive(
 )
 FILE_KEYS = {
     "x.json": ("shape", "dtype", "layout"),
-    "tree.json": ("num_vertices", "root", "parent", "bfs_order", "edge_weight_to_parent"),
+    "tree.json": ("parent", "bfs_order", "edge_weight_to_parent"),
     "params.json": ("a", "b", "c_out", "d", "delta"),
 }
 ARRAY_FILES = st.sampled_from([(name, key) for name in ("tree.json", "params.json")
-                               for key in FILE_KEYS[name] if key not in ("num_vertices", "root")])
+                               for key in FILE_KEYS[name]])
 MUTATIONS = st.one_of(
     st.tuples(st.just("replace"), st.sampled_from([(n, k) for n in FILE_KEYS for k in FILE_KEYS[n]]),
               st.sampled_from([None, "shape", "dtype", "data"]), JSON_VALUES),

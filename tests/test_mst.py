@@ -238,7 +238,7 @@ class TestRootTree:
             nonroot = np.arange(40) != r
             np.testing.assert_array_equal(t.depths[t.parent[nonroot]], t.depths[nonroot] - 1)
         # a depth-first order lists parents first but is not breadth-first
-        dfs = SpanningTree(4, 0, np.array([0, 0, 0, 1]), np.array([0, 1, 3, 2]), np.zeros(4))
+        dfs = SpanningTree(np.array([0, 0, 0, 1]), np.array([0, 1, 3, 2]), np.zeros(4))
         with pytest.raises(ValueError, match="breadth-first"):
             dfs.levels
         with pytest.raises(ValueError, match="breadth-first"):
@@ -264,7 +264,7 @@ class TestRootTree:
 
     def test_root_out_of_range(self):
         edges, w = self.path()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^root 3 out of range for 3 vertices$"):
             root_tree(edges, w, 3, 3)
         # an edge endpoint out of range; the first bad edge is named
         edges = np.array([[0, 1], [1, 4], [-1, 2]])
@@ -272,10 +272,8 @@ class TestRootTree:
             root_tree(edges, np.zeros(3), 4, 0)
 
     @pytest.mark.parametrize("field,value,message", [
-        ("root", 3, "root out of range"),
-        ("root", -1, "root out of range"),
-        ("parent", np.array([0, 0]), "parent/bfs_order length must equal num_vertices"),
-        ("bfs_order", np.array([0, 1, 2, 2]), "parent/bfs_order length must equal num_vertices"),
+        ("parent", np.array([0, 0]), "parent and bfs_order must be 1-D arrays of one length"),
+        ("bfs_order", np.array([0, 1, 2, 2]), "parent and bfs_order must be 1-D arrays of one length"),
         ("parent", np.array([0, 1, 1]), "exactly one vertex may be its own parent"),
         ("edge_weight_to_parent", np.zeros(2), "edge_weight_to_parent length must equal"),
         ("edge_weight_to_parent", np.array([0.0, -0.25, 0.5]),
@@ -288,6 +286,42 @@ class TestRootTree:
         setattr(tree, field, value)
         with pytest.raises(ValueError, match=re.escape(message)):
             tree.validate()
+
+    def test_root_and_size_read_off_parent(self):
+        tree = SpanningTree(np.array([2, 2, 2, 0]), np.array([2, 0, 1, 3]), np.zeros(4))
+        assert (tree.num_vertices, tree.root) == (4, 2)
+        tree.validate()
+        assert tree.depths.tolist() == [1, 1, 0, 2]
+        assert tree.level_bounds == [0, 1, 3, 4]
+
+    @pytest.mark.parametrize("parent,bfs_order,message", [
+        ([1, 2, 0], [0, 1, 2], "exactly one vertex may be its own parent, found 0"),
+        ([0, 1, 1], [0, 1, 2], "exactly one vertex may be its own parent, found 2"),
+        ([0, 0, 1], [0, 1], "parent and bfs_order must be 1-D arrays of one length"),
+        ([1, 1, 1], [0, 1, 2], "bfs_order must start at the root 1"),
+        ([0, 2, 1], [0, 1, 2], "parent pointers cycle through [1, 2]"),
+        ([0, 3, 1, 2], [0, 1, 2, 3], "parent pointers cycle through [1, 2, 3]"),
+        ([0, 0, 1, 1, 3], [0, 1, 2, 4, 3], "it lists a vertex after a deeper one"),
+    ])
+    def test_validate_names_a_hand_built_violation(self, parent, bfs_order, message):
+        tree = SpanningTree(np.array(parent), np.array(bfs_order), np.zeros(len(parent)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tree.validate()
+
+    def test_cycle_below_a_long_chain_is_named(self):
+        """Vertices 1..499 hang from the root as a chain; 500..996 are a
+        chain whose pointers lead into the cycle 997 -> 998 -> 999 -> 997,
+        so vertex 500 is 497 jumps short of the cycle."""
+        parent = np.arange(-1, 999)
+        parent[0] = 0
+        parent[500:997] = np.arange(501, 998)
+        parent[997:] = [998, 999, 997]
+        tree = SpanningTree(parent, np.arange(1000), np.zeros(1000))
+        with pytest.raises(ValueError, match=re.escape("parent pointers cycle through [997, 998, 999]")):
+            tree.validate()
+        # depths raise the same, so no kernel walks the cycle either
+        with pytest.raises(ValueError, match="cycle"):
+            tree.level_bounds
 
     def test_invariants_for_every_root(self):
         rng = np.random.default_rng(3)
@@ -409,7 +443,7 @@ class TestRootTreeAgainstReference:
             ([[0, 1], [0, 1], [2, 3]], 4, 0, unreachable.format([2, 3])),
             ([[0, 1], [1, 2], [2, 1]], 4, 0, unreachable.format([3])),
             ([[1, 2], [2, 3], [1, 3]], 4, 0, unreachable.format([1, 2, 3])),  # root has no edge
-            ([[0, 1], [1, 2]], 3, 3, "root out of range"),
+            ([[0, 1], [1, 2]], 3, 3, "root 3 out of range for 3 vertices"),
             ([[0, 1], [1, 4], [-1, 2]], 4, 0, "bad edge (1, 4)"),
             ([[0, 1], [1, 2]], 4, 0, "a spanning tree over 4 vertices needs exactly 3 edges, got 2"),
             ([[0, 1]], 1, 0, "a spanning tree over 1 vertices needs exactly 0 edges, got 1"),

@@ -53,7 +53,7 @@ def stress_instance(tree_name, a_kind, seed=0):
     rng = np.random.default_rng(seed)
     tree = {
         "shuffled-levels": lambda: SpanningTree(
-            9, 8, np.array([6, 8, 3, 8, 3, 1, 1, 2, 8]),
+            np.array([6, 8, 3, 8, 3, 1, 1, 2, 8]),
             np.array([8, 3, 1, 5, 2, 6, 4, 0, 7]), np.zeros(9)),
         "chain-5000": lambda: chain_tree(5000),
         "causal-2000": lambda: causal_tree(rng, 2000),
@@ -206,8 +206,8 @@ class TestRankSchedule:
         n = tree.num_vertices
         old_order = np.lexsort((np.arange(n), tree.parent, tree.depths))
         assert not np.array_equal(old_order, tree.bfs_order)
-        io.write_tree(tmp_path / "old.json", SpanningTree(
-            n, tree.root, tree.parent, old_order, tree.edge_weight_to_parent))
+        io.write_tree(tmp_path / "old.json",
+                      SpanningTree(tree.parent, old_order, tree.edge_weight_to_parent))
         old = io.read_tree(tmp_path / "old.json")
         np.testing.assert_array_equal(old.bfs_order, old_order)
         np.testing.assert_array_equal(old.pos[old.bfs_order], np.arange(n))
@@ -247,8 +247,7 @@ def parent_vertex_order(tree):
     """The same tree with each level in (parent, vertex) order, as older tree
     files hold it: more, shorter runs than the rank-major order."""
     order = np.lexsort((np.arange(tree.num_vertices), tree.parent, tree.depths))
-    return SpanningTree(tree.num_vertices, tree.root, tree.parent, order,
-                        tree.edge_weight_to_parent)
+    return SpanningTree(tree.parent, order, tree.edge_weight_to_parent)
 
 
 BANDED_TREES = {
