@@ -14,6 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 METRICS = ("cosine", "euclidean", "manhattan")
+# Channel counts below which the edge weights reduce over channel-major
+# features.  numpy reduces a short trailing axis on a slow generic path (the
+# max-abs of a 224x224x3 map: 3.1 ms, channel-major 0.17 ms); below its
+# pairwise block of 8 a row sum adds the channels in sequence in either
+# layout, so no bit changes.  From 8 channels on the sums differ, and at 64
+# the copy costs more than it saves.
+CHANNEL_MAJOR_BELOW = 8
 
 
 @dataclass
@@ -96,6 +103,8 @@ def _neighbors(metric: str, x: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     edges = np.concatenate([np.stack(uv, axis=-1).reshape(-1, 2) for uv in ends(np.arange(len(x)))])
+    if x.shape[1] < CHANNEL_MAJOR_BELOW:  # the same (L, C) array, each channel contiguous
+        x = np.ascontiguousarray(x.T).T
     with np.errstate(over="ignore"):  # reported below, by metric
         weights = _edge_weights(metric, x, ends)
     if not np.all(np.isfinite(weights)):

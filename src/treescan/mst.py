@@ -10,7 +10,7 @@ bit-for-bit identical to a Kruskal run with the same rule.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from math import isqrt
 
@@ -168,7 +168,13 @@ class SpanningTree:
         return [self.bfs_order[lo:hi] for lo, hi in zip(b, b[1:])]
 
     def validate(self) -> None:
-        """Check the structural invariants; raises ValueError naming the first violation."""
+        """Check the structural invariants of the fields as they are now:
+        every value cached from earlier ones (the root and the depths that
+        ``root_tree`` fills in among them) is dropped first.  Raises
+        ValueError naming the first violation."""
+        current = {f.name: getattr(self, f.name) for f in fields(self)}
+        vars(self).clear()
+        vars(self).update(current)
         n = self.num_vertices
         if self.parent.shape != (n,) or self.bfs_order.shape != (n,):
             raise ValueError("parent and bfs_order must be 1-D arrays of one length")
@@ -176,7 +182,8 @@ class SpanningTree:
             raise ValueError(f"exactly one vertex may be its own parent, found {selfs}")
         if np.any(self.parent < 0) or np.any(self.parent >= n):
             raise ValueError("parent index out of range")
-        if not np.array_equal(np.sort(self.bfs_order), np.arange(n)):
+        order = self.bfs_order  # n >= 1 entries here
+        if order.min() < 0 or order.max() >= n or np.bincount(order, minlength=n).max() > 1:
             raise ValueError("bfs_order is not a permutation of the vertices")
         if self.bfs_order[0] != self.root:
             raise ValueError(f"bfs_order must start at the root {self.root}")
@@ -305,7 +312,7 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
             f"a spanning tree over {n} vertices needs exactly {n - 1} edges, got {edges.shape[0]}"
         )
     eu, ev = edges[:, 0], edges[:, 1]
-    bad = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1) | (eu == ev))
+    bad = np.flatnonzero((eu < 0) | (eu >= n) | (ev < 0) | (ev >= n) | (eu == ev))
     if bad.size:
         raise ValueError(f"bad edge ({eu[bad[0]]}, {ev[bad[0]]})")
     parent, depth, kids, rank = _euler_tour(eu, ev, n, root)
@@ -317,7 +324,7 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
     weight_to_parent = np.zeros(n, dtype=np.float64)
     weight_to_parent[np.where(parent[eu] == ev, eu, ev)] = weights
     # kids are in (parent, vertex) order, so a stable sort on (depth, rank) is by all four
-    by_level = np.argsort(depth[kids] * n + rank, kind="stable")
+    by_level = _stable_argsort(depth[kids] * (int(rank.max(initial=0)) + 1) + rank)
     bfs_order = np.concatenate([[root], kids[by_level]])
     tree = SpanningTree(parent, bfs_order, weight_to_parent)
     tree.root, tree.depths = int(root), depth  # known here, nothing to re-derive
@@ -354,9 +361,10 @@ def _euler_tour(
     slot = np.empty(arcs, dtype=np.int64)
     slot[by_arc] = np.arange(arcs)
     twin = slot[(by_arc + (n - 1)) % arcs]  # slot of each slot's reverse arc
-    nxt = twin + 1  # successor: the arc after the twin around the head, cyclically
-    wrap = nxt == starts[head + 1]
-    nxt[wrap] = starts[head[wrap]]
+    after = np.arange(1, arcs + 1)  # the next slot around the same tail, cyclically
+    has = starts[1:] > starts[:-1]  # an edge set that is no tree may leave a vertex arcless
+    after[starts[1:][has] - 1] = starts[:-1][has]
+    nxt = after[twin]  # successor: the arc after the twin around the head
     last = twin[starts[root + 1] - 1]  # re-enters the root just before its first arc
     nxt[last] = last
     dist = np.ones(arcs, dtype=np.int64)  # arcs left to the end of the tour
@@ -376,6 +384,15 @@ def _euler_tour(
         before = np.cumsum(down) - down  # down arcs in earlier slots; the k-th has k
         rank = np.arange(n - 1) - before[starts[tail[at]]]
     return parent, depth, kids, rank
+
+
+def _stable_argsort(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of nonnegative int64 keys: keys
+    below 2^16 as ``uint16``, which numpy sorts by one radix pass; larger
+    keys by the comparison sort."""
+    if int(key.max(initial=0)) >> 16:
+        return np.argsort(key, kind="stable")
+    return np.argsort(key.astype(np.uint16), kind="stable")
 
 
 def _unreachable(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> list[int]:

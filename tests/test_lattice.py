@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treescan import FeatureMap, WeightedGraph, build_causal_graph, build_grid_graph
+from treescan import FeatureMap, WeightedGraph, build_causal_graph, build_grid_graph, lattice
 from treescan.oracle import pair_dissimilarity
 
 from conftest import bfs_reachable
@@ -155,6 +155,18 @@ class TestEdgeWeight:
             g = build_grid_graph(FeatureMap(data, spatial=(int(h), int(w))), metric)
             assert g.num_edges == h * (w - 1) + w * (h - 1)
             assert_weights_match_reference(g, data, metric)
+
+    @pytest.mark.parametrize("channels", [1, 3, 7, 8])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean", "manhattan"])
+    def test_reference_on_both_sides_of_the_layout_cut(self, metric, channels):
+        """Below ``CHANNEL_MAJOR_BELOW`` = 8 channels the weights reduce
+        over channel-major features, from 8 on over row-major ones."""
+        rng = np.random.default_rng(18 + channels)
+        data = edge_rows(rng, 9 * 11, channels)
+        assert_weights_match_reference(
+            build_grid_graph(FeatureMap(data, spatial=(9, 11)), metric), data, metric)
+        assert_weights_match_reference(
+            build_causal_graph(FeatureMap(data), m=3, metric=metric), data, metric)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean", "manhattan"])
     def test_causal_matches_reference(self, metric):
@@ -338,3 +350,30 @@ class TestCausalGraph:
         order = np.lexsort((g.edges[:, 0], g.edges[:, 1]))
         listed = [[j, i] for i in range(1, n) for j in range(max(0, i - m), i)]
         assert g.edges[order].tolist() == listed
+
+
+@pytest.mark.parametrize("channels", range(1, lattice.CHANNEL_MAJOR_BELOW))
+@pytest.mark.parametrize("metric", lattice.METRICS)
+def test_channel_major_weights_are_the_row_major_bytes(metric, channels):
+    """Below ``CHANNEL_MAJOR_BELOW`` channels, every reduction of the edge
+    weights gives the same bits on channel-major memory as on row-major
+    memory: rows scaled by e^-5 .. e^5, zero rows and repeated rows."""
+    rng = np.random.default_rng(channels)
+    h, w = 17, 23
+    x = rng.standard_normal((h * w, channels)) * np.exp(rng.uniform(-5, 5, (h * w, channels)))
+    x[rng.random(h * w) < 0.1] = 0.0
+    for i in np.flatnonzero(rng.random(h * w) < 0.2):
+        x[i] = x[i - 1] * 2.0 ** int(rng.integers(-3, 4))
+
+    def grid(r):
+        g = r.reshape(h, w, *r.shape[1:])
+        return [(g[:, :-1], g[:, 1:]), (g[:-1], g[1:])]
+
+    def causal(r):
+        return [(r[:-d], r[d:]) for d in (1, 2, 3)]
+
+    x_cm = np.ascontiguousarray(x.T).T
+    assert x_cm.flags.f_contiguous and np.array_equal(x_cm, x)
+    for ends in (grid, causal):
+        row_major = lattice._edge_weights(metric, x, ends)
+        assert row_major.tobytes() == lattice._edge_weights(metric, x_cm, ends).tobytes()

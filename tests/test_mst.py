@@ -12,6 +12,7 @@ from treescan import (
     build_causal_graph,
     build_grid_graph,
     kruskal_mst,
+    mst,
     root_tree,
 )
 from treescan.oracle import bfs_root_tree
@@ -302,11 +303,31 @@ class TestRootTree:
         ([0, 2, 1], [0, 1, 2], "parent pointers cycle through [1, 2]"),
         ([0, 3, 1, 2], [0, 1, 2, 3], "parent pointers cycle through [1, 2, 3]"),
         ([0, 0, 1, 1, 3], [0, 1, 2, 4, 3], "it lists a vertex after a deeper one"),
+        ([0, 0, 1, 1], [0, 1, 1, 3], "bfs_order is not a permutation of the vertices"),
+        ([0, 0, 1, 1], [0, 1, 2, 4], "bfs_order is not a permutation of the vertices"),
+        ([0, 0, 1, 1], [0, 1, -1, 3], "bfs_order is not a permutation of the vertices"),
     ])
     def test_validate_names_a_hand_built_violation(self, parent, bfs_order, message):
         tree = SpanningTree(np.array(parent), np.array(bfs_order), np.zeros(len(parent)))
         with pytest.raises(ValueError, match=re.escape(message)):
             tree.validate()
+
+    def test_validate_reads_reassigned_fields(self):
+        """Fields reassigned after ``root_tree``, which fills in the root and
+        the depths, are checked as they are now, as a fresh tree of the same
+        arrays would be."""
+        chain = np.array([[0, 1], [1, 2], [2, 3]])
+        for field, value, message in [
+            ("parent", np.array([1, 0, 3, 3]), "parent pointers cycle through [0, 1]"),
+            ("bfs_order", np.array([3, 1, 2, 0]), "it lists a vertex after a deeper one"),
+        ]:
+            tree = root_tree(chain, np.ones(3), 4, 3)
+            tree.validate()
+            setattr(tree, field, value)
+            fresh = SpanningTree(tree.parent, tree.bfs_order, tree.edge_weight_to_parent)
+            for t in (fresh, tree):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    t.validate()
 
     def test_cycle_below_a_long_chain_is_named(self):
         """Vertices 1..499 hang from the root as a chain; 500..996 are a
@@ -414,6 +435,22 @@ class TestRootTreeAgainstReference:
         t = assert_rooting_matches_reference(*shuffled(rng, edges, weights), n, n - 1)
         assert len(t.levels) == n
 
+    def test_level_key_past_16_bits(self):
+        """The level sort's key depth * (max rank + 1) + rank passes 2^16 on
+        a chain of 70,000 rooted at an end (depths to 69,999) and on a star
+        of 70,000 (ranks to 69,997), so it takes the comparison sort
+        instead of the 16-bit radix sort."""
+        n = 70000
+        rng = np.random.default_rng(36)
+        chain = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+        for r in (0, n - 1):
+            t = assert_rooting_matches_reference(chain, rng.random(n - 1), n, r)
+            assert t.depths.max() == n - 1
+        star = np.stack([np.full(n - 1, 5), np.flatnonzero(np.arange(n) != 5)], axis=1)
+        for r in (5, n - 1):
+            t = assert_rooting_matches_reference(*shuffled(rng, star, rng.random(n - 1)), n, r)
+            assert t.depths.max() == (1 if r == 5 else 2)
+
     def test_wide_star(self):
         n = 5001
         rng = np.random.default_rng(34)
@@ -469,3 +506,19 @@ class TestRootTreeAgainstReference:
                     bfs_root_tree(edges, np.zeros(n - 1), n, root)
                 except ValueError:
                     same_rooting_error(edges, n, root)
+
+
+@pytest.mark.parametrize("top", [1, 2**16 - 1, 2**16, 2**20, 2**40])
+def test_stable_argsort_is_numpys(top):
+    """The level sort against ``np.argsort(kind="stable")``, bitwise: keys
+    below 2^16 (the 16-bit radix sort) and from 2^16 on (the comparison
+    sort), each with many repeats so that a lost tie order shows."""
+    rng = np.random.default_rng(top % 1000)
+    key = rng.integers(0, top + 1, 5000)
+    repeats = rng.random(5000) < 0.5
+    key[repeats] = rng.choice(key[:7], np.count_nonzero(repeats))
+    key[:3] = [top, 0, top]
+    for k in (key, key[:1], key[:0], np.sort(key), np.sort(key)[::-1]):
+        expected = np.argsort(k, kind="stable")
+        got = mst._stable_argsort(k)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
