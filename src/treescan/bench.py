@@ -1,8 +1,9 @@
 """Wall-clock scaling measurement for the scan kernels.
 
 Builds one instance per requested size (tree construction excluded from the
-timed region), times the two-pass scan and, where the guard allows, the
-quadratic reference, and reports medians plus consecutive-size growth ratios.
+timed region), then times the two-pass scan and, where the guard allows, the
+quadratic reference in rounds of one run per size, and reports medians plus
+consecutive-size growth ratios.
 """
 
 from __future__ import annotations
@@ -46,21 +47,14 @@ def build_instance(num_tokens: int, seed: int = 0):
     return x, params, tree
 
 
-def _time_runs(fn, repeat: int) -> list[float]:
-    fn()  # warm caches (tree levels, allocator) outside the measurement
-    times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return times
-
-
 def run_benchmark(sizes: list[int], repeat: int = 10, seed: int = 0) -> dict:
     """Median scan times per size plus t(size[k+1]) / t(size[k]) ratios.
 
     Every size must be at least 2.  The quadratic reference is only run for
-    sizes within its guard.  Returns a JSON-serializable report.
+    sizes within its guard.  All instances are built first, and every timed
+    call runs once untimed (tree levels, allocator).  The sizes are then
+    timed interleaved, one run of each per round, so that a drift in the
+    machine's load hits every size alike.  Returns a JSON-serializable report.
     """
     if len(sizes) < 2:
         raise ValueError("need at least 2 sizes to form ratios")
@@ -69,22 +63,29 @@ def run_benchmark(sizes: list[int], repeat: int = 10, seed: int = 0) -> dict:
         raise ValueError(f"every size must be at least 2, got {small[0]}")
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
-    entries = []
-    for num_tokens in sizes:
+    runs = {}  # (index into sizes, "dp" or "naive") -> (call, its times)
+    for k, num_tokens in enumerate(sizes):
         x, params, tree = build_instance(num_tokens, seed=seed)
-        dp_times = _time_runs(lambda: tree_scan_vision_forward(x, params, tree), repeat)
-        entry = {
-            "size": int(num_tokens),
-            "dp_median_s": median(dp_times),
-            "dp_times_s": dp_times,
-            "naive_median_s": None,
-        }
+        runs[k, "dp"] = (lambda x=x, p=params, t=tree: tree_scan_vision_forward(x, p, t), [])
         if num_tokens <= NAIVE_SCAN_GUARD:
-            naive_times = _time_runs(
-                lambda: naive_tree_scan(x, params, tree, roots="all"), repeat
-            )
-            entry["naive_median_s"] = median(naive_times)
-        entries.append(entry)
+            runs[k, "naive"] = (
+                lambda x=x, p=params, t=tree: naive_tree_scan(x, p, t, roots="all"), [])
+    for fn, _ in runs.values():
+        fn()
+    for _ in range(repeat):
+        for fn, times in runs.values():
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+    entries = [
+        {
+            "size": int(num_tokens),
+            "dp_median_s": median(runs[k, "dp"][1]),
+            "dp_times_s": runs[k, "dp"][1],
+            "naive_median_s": median(runs[k, "naive"][1]) if (k, "naive") in runs else None,
+        }
+        for k, num_tokens in enumerate(sizes)
+    ]
     dp_ratios = [
         entries[k + 1]["dp_median_s"] / entries[k]["dp_median_s"]
         for k in range(len(entries) - 1)

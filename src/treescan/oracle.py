@@ -201,9 +201,10 @@ def finite_diff_gradients(
     input is perturbed by +/- ``FiniteDifferenceConfig.epsilon`` in turn.
     """
     eps = FiniteDifferenceConfig.epsilon
-    x = np.array(x, dtype=np.float64)
-    a_bar = np.array(a_bar, dtype=np.float64)
-    b_bar = np.array(b_bar, dtype=np.float64)
+    # C-ordered copies, so that reshape(-1) below is a view that perturbs them
+    x = np.array(x, dtype=np.float64, order="C")
+    a_bar = np.array(a_bar, dtype=np.float64, order="C")
+    b_bar = np.array(b_bar, dtype=np.float64, order="C")
     weights = np.asarray(weights, dtype=np.float64)
 
     def loss() -> float:

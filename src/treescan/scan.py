@@ -6,6 +6,16 @@ transition scalar of vertex i, ``a_bar[i]``, is attached to the tree edge
 between i and its parent under the rooting of the tree that is passed in;
 path weights are products of these child-keyed scalars.
 
+Every full-size lane array allocated here is state-major: C-contiguous
+(L, N, C) memory, handed out as its (L, C, N) view ``.transpose(0, 2, 1)``,
+so that numpy's inner loops run over the C channels, not over the few
+states.  With N > 1 such a view is not C-contiguous, and reshaping it
+copies.  ``DiscreteScanParams`` copies a_bar and b_bar of any other layout
+into this one; the kernels read h, xi and d_h of any layout in their
+gathers (an index reads any strides), and the projections read h by row
+blocks, so an h of another layout costs a block copy.  Outputs do not
+depend on the layout of the inputs.
+
 The tree scan computes, for every vertex i, the aggregation over all vertices
 j of (path weight from j to i) * b_bar[j] * x[j].  Done directly that costs
 O(L^2); the two-pass dynamic program below does it in O(L): a leaf-to-root
@@ -45,7 +55,9 @@ full-size (L, C, N) passes and fresh full-size arrays: at training sizes a
 pass costs about a millisecond, and a fresh array more, as its pages fault
 in.  Arithmetic runs in place where a buffer exists, and a chain that needs
 a temporary runs by row blocks of ``ROW_BLOCK_BYTES`` so the temporary is
-block-sized and the block stays in cache.  ``tests/test_budget.py`` pins
+block-sized and the block stays in cache.  Broadcasts of (L, C) arrays and
+outer products run along C, and each contraction over N or C is one
+``einsum`` written in (L, N, C) order.  ``tests/test_budget.py`` pins
 each stage's full-size arrays at the peak (outputs included), and README
 "Pass and allocation budget" says how each stage keeps to them.
 """
@@ -123,17 +135,18 @@ class ContinuousScanParams:
 
 @dataclass
 class DiscreteScanParams:
-    """Per-token transition and input scalars, shape (L, C, N) each; a zero
-    transition (``discretize``'s exp underflowing) cuts its edge."""
+    """Per-token transition and input scalars, shape (L, C, N) each, held as
+    float64 views of state-major memory (copied only if not already so); a
+    zero transition (``discretize``'s exp underflowing) cuts its edge."""
 
     a_bar: np.ndarray
     b_bar: np.ndarray
 
     def __post_init__(self):
-        self.a_bar = np.asarray(self.a_bar, dtype=np.float64)
-        self.b_bar = np.asarray(self.b_bar, dtype=np.float64)
-        if self.a_bar.ndim != 3 or self.a_bar.shape != self.b_bar.shape:
+        a_bar, b_bar = np.asarray(self.a_bar), np.asarray(self.b_bar)
+        if a_bar.ndim != 3 or a_bar.shape != b_bar.shape:
             raise ValueError("a_bar and b_bar must both be (L, C, N)")
+        self.a_bar, self.b_bar = _swap(_state_major(a_bar)), _swap(_state_major(b_bar))
         # min and max of each array: four reductions, no boolean temporaries
         ends = [f(arr) for arr in (self.a_bar, self.b_bar) for f in (np.min, np.max)
                 if arr.size]
@@ -156,6 +169,17 @@ class GradBundle:
     d_b_bar: np.ndarray
 
 
+def _swap(arr: np.ndarray) -> np.ndarray:
+    """The (L, N, C) view of an (L, C, N) array, and back."""
+    return arr.transpose(0, 2, 1)
+
+
+def _state_major(arr: np.ndarray) -> np.ndarray:
+    """The (L, N, C) float64 C-contiguous memory of an (L, C, N) array of
+    any layout, copied only if it is not already that."""
+    return np.ascontiguousarray(_swap(arr), dtype=np.float64)
+
+
 def discretize(params: ContinuousScanParams) -> DiscreteScanParams:
     """Zero-order-hold transition with first-order-Taylor input scalars.
 
@@ -163,10 +187,12 @@ def discretize(params: ContinuousScanParams) -> DiscreteScanParams:
     b[i,n]; the output matrix and feedthrough pass through unchanged (they
     stay on ``params``).
     """
-    a_bar = np.einsum("lc,cn->lcn", params.delta, params.a)
+    length, channels, states = params.shape
+    a_bar = np.einsum("lc,nc->lnc", params.delta, params.a.T.copy(),
+                      out=np.empty((length, states, channels)))
     np.exp(a_bar, out=a_bar)
-    b_bar = np.einsum("lc,ln->lcn", params.delta, params.b)
-    return DiscreteScanParams(a_bar, b_bar)
+    b_bar = np.einsum("lc,ln->lnc", params.delta, params.b)
+    return DiscreteScanParams(_swap(a_bar), _swap(b_bar))
 
 
 def _check_instance(
@@ -300,10 +326,18 @@ def _row_blocks(rows: int, row_bytes: int):
 
 
 def _input_terms(x: FeatureMap, p: DiscreteScanParams, order: np.ndarray) -> np.ndarray:
-    """b_bar * x in BFS position order: one gather, then one product in place."""
-    u = p.b_bar.take(order, axis=0)
-    u *= x.data.take(order, axis=0)[:, :, None]
+    """b_bar * x in BFS position order, (L, N, C): one gather, then one
+    product in place."""
+    u = _swap(p.b_bar).take(order, axis=0)
+    u *= x.data.take(order, axis=0)[:, None, :]
     return u
+
+
+def _gather(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows of a caller's (L, C, N) array, of any layout, as fresh (len(rows),
+    N, C) state-major memory (an index, unlike ``take``, reads any strides
+    without first copying the whole array)."""
+    return _swap(np.asarray(arr))[rows]
 
 
 def _all_roots(tree: SpanningTree, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -324,12 +358,12 @@ def _gradients(x: FeatureMap, p: DiscreteScanParams, tree: SpanningTree, rho: np
                d_a_bar: np.ndarray) -> GradBundle:
     """Gradient tail shared by both backward passes, given rho, the loss
     gradient of each vertex's subtree sum in vertex order, and ``d_a_bar``,
-    whose root row (its transition is unused) is set to 0 here.  ``rho``
-    becomes d_b_bar in place."""
+    whose root row (its transition is unused) is set to 0 here, both
+    (L, N, C).  ``rho`` becomes d_b_bar in place."""
     d_a_bar[tree.root] = 0.0
-    d_x = np.einsum("lcn,lcn->lc", p.b_bar, rho)
-    rho *= x.data[:, :, None]
-    return GradBundle(d_x, d_a_bar, rho)
+    d_x = np.einsum("lnc,lnc->lc", _swap(p.b_bar), rho)
+    rho *= x.data[:, None, :]
+    return GradBundle(d_x, _swap(d_a_bar), _swap(rho))
 
 
 def tree_scan_vision_forward(
@@ -345,8 +379,8 @@ def tree_scan_vision_forward(
     _check_instance(x, p, tree)
     order = tree.bfs_order
     xi = _input_terms(x, p, order)
-    h = _all_roots(tree, xi, p.a_bar.take(order, axis=0)).take(tree.pos, axis=0)
-    return h, xi.take(tree.pos, axis=0)
+    h = _all_roots(tree, xi, _swap(p.a_bar).take(order, axis=0)).take(tree.pos, axis=0)
+    return _swap(h), _swap(xi.take(tree.pos, axis=0))
 
 
 def tree_scan_vision_backward(
@@ -372,20 +406,21 @@ def tree_scan_vision_backward(
     """
     _check_instance(x, p, tree, d_h=d_h, xi=xi, h=h)
     order = tree.bfs_order
-    eta = np.asarray(d_h).take(order, axis=0)
-    rho = _all_roots(tree, eta, p.a_bar.take(order, axis=0)).take(tree.pos, axis=0)
+    a_bar = _swap(p.a_bar)
+    eta = _gather(d_h, order)
+    rho = _all_roots(tree, eta, a_bar.take(order, axis=0)).take(tree.pos, axis=0)
     eta = eta.take(tree.pos, axis=0)
-    par = tree.parent
+    par, xi = tree.parent, _swap(np.asarray(xi))
     # (eta * h[par] + xi * rho[par]) - ((2 * a_bar) * eta) * xi, in that
     # order, by row blocks, with one block-sized term buffer
-    d_a_bar = np.empty(h.shape)
-    for r in _row_blocks(len(h), d_a_bar[0].nbytes):
+    d_a_bar = np.empty(rho.shape)
+    for r in _row_blocks(len(rho), d_a_bar[0].nbytes):
         out = d_a_bar[r]
-        np.multiply(h.take(par[r], axis=0), eta[r], out=out)
+        np.multiply(_gather(h, par[r]), eta[r], out=out)
         term = rho.take(par[r], axis=0)
         term *= xi[r]
         out += term
-        np.multiply(p.a_bar[r], 2.0, out=term)
+        np.multiply(a_bar[r], 2.0, out=term)
         term *= eta[r]
         term *= xi[r]
         out -= term
@@ -404,8 +439,8 @@ def tree_scan_language_forward(
     _check_instance(x, p, tree, causal=True)
     order = tree.bfs_order
     h = _input_terms(x, p, order)
-    _up(tree, h, p.a_bar.take(order, axis=0), tree.bands)
-    return h.take(tree.pos, axis=0)
+    _up(tree, h, _swap(p.a_bar).take(order, axis=0), tree.bands)
+    return _swap(h.take(tree.pos, axis=0))
 
 
 def tree_scan_language_backward(
@@ -424,11 +459,11 @@ def tree_scan_language_backward(
     """
     _check_instance(x, p, tree, causal=True, d_h=d_h, h=h)
     order = tree.bfs_order
-    rho = np.asarray(d_h).take(order, axis=0)
-    _down(tree, rho, p.a_bar.take(order, axis=0), tree.bands)
+    rho = _gather(d_h, order)
+    _down(tree, rho, _swap(p.a_bar).take(order, axis=0), tree.bands)
     rho = rho.take(tree.pos, axis=0)
     d_a_bar = rho.take(tree.parent, axis=0)
-    d_a_bar *= h
+    d_a_bar *= _swap(np.asarray(h))
     return _gradients(x, p, tree, rho, d_a_bar)
 
 
@@ -471,7 +506,7 @@ def naive_tree_scan(
         if u != v:
             adj[v].append((u, v))  # edge (v, parent) keyed by child v
             adj[u].append((v, v))
-    out = np.empty((len(targets),) + unit.shape[1:], dtype=unit.dtype)
+    out = _swap(np.empty((len(targets), unit.shape[2], unit.shape[1])))
     prod = np.empty_like(unit)
     for row, source in enumerate(targets):
         seen = [False] * n
@@ -490,31 +525,45 @@ def naive_tree_scan(
 
 
 def _rms_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-token RMS normalization over the flattened (C, N) entries, as
-    factors: returns ``(g, inv, k)`` with h = k * g per token and
-    g * inv the normalized state, g / rms(g).
+    """Per-token RMS normalization over the flattened (C, N) entries of h,
+    of any layout, as factors: returns ``(inv, k, far)`` with h = k * g per
+    token and g * inv the normalized state, g / rms(g), g's rows read by
+    ``_rms_rows``.  The sums of squares run by row blocks of state-major
+    memory, so a foreign layout costs a block copy, not a full one.
 
-    g is h itself and k is 1, unless a nonzero token's sum of squares
-    leaves ``SQUARES_RANGE`` (its squares under- or overflow, or its 1/rms^3
-    would); such tokens are divided by their max-abs in a copy of h, so the
-    result does not depend on the scale of h.  An all-zero token has inv 0.
+    g is h and k is 1, unless a nonzero token's sum of squares leaves
+    ``SQUARES_RANGE`` (its squares under- or overflow, or its 1/rms^3
+    would); such tokens, ``far`` (ascending), are divided by their max-abs,
+    so the result does not depend on the scale of h.  An all-zero token has
+    inv 0.
     """
-    flat = h.reshape(len(h), -1)
-    m = flat.shape[1]
-    squares = np.einsum("lk,lk->l", flat, flat)
-    k = np.ones(len(h))
+    squares = np.empty(len(h))
+    for r in _row_blocks(len(h), h[0].nbytes):
+        flat = _state_major(h[r]).reshape(len(squares[r]), -1)
+        np.einsum("lk,lk->l", flat, flat, out=squares[r])
     lo, hi = SQUARES_RANGE
     far = np.flatnonzero((squares < lo) | (squares > hi))
-    mx = np.abs(flat[far]).max(axis=1, initial=0.0)
+    mx = np.abs(h[far]).max(axis=(1, 2), initial=0.0)
     far, mx = far[mx > 0], mx[mx > 0]
-    if far.size:
-        h = h.copy()
-        h[far] /= mx[:, None, None]
-        k[far] = mx
-        rows = h[far].reshape(len(far), -1)
-        squares[far] = np.einsum("lk,lk->l", rows, rows)
+    k = np.ones(len(h))
+    k[far] = mx
+    m = h[0].size
+    rows = _state_major(h[far]).reshape(len(far), m) / mx[:, None]
+    squares[far] = np.einsum("lk,lk->l", rows, rows)
     inv = np.divide(1.0, np.sqrt(squares / m), out=np.zeros_like(squares), where=squares > 0)
-    return h, inv, k
+    return inv, k, far
+
+
+def _rms_rows(h: np.ndarray, r: slice, k: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """The rows ``r`` of ``_rms_scale``'s g as (rows, N, C) state-major
+    memory: a view of h, or a block copy if h is not state-major or the
+    block holds ``far`` tokens."""
+    g = _state_major(h[r])
+    i, j = bisect_left(far, r.start), bisect_left(far, r.stop)
+    if i < j:
+        g = g.copy()
+        g[far[i:j] - r.start] /= k[far[i:j], None, None]
+    return g
 
 
 def output_projection(h: np.ndarray, p: ContinuousScanParams, x: FeatureMap) -> FeatureMap:
@@ -523,11 +572,13 @@ def output_projection(h: np.ndarray, p: ContinuousScanParams, x: FeatureMap) -> 
     y[i,c] = sum_n c_out[i,n] * hn[i,c,n] + d[c] * x[i,c], where hn is h
     RMS-normalized per token over all C*N hidden entries (an all-zero token
     stays zero).  hn is never formed: the 1/rms factor scales the (L, C)
-    contraction.
+    contraction, by row blocks, so an h of any layout is read in place.
     """
     _check_instance(x, p, h=h)
-    g, inv, _ = _rms_scale(h)
-    y = np.einsum("ln,lcn->lc", p.c_out, g)
+    inv, k, far = _rms_scale(h)
+    y = np.empty(x.data.shape)
+    for r in _row_blocks(len(y), h[0].nbytes):
+        np.einsum("ln,lnc->lc", p.c_out[r], _rms_rows(h, r, k, far), out=y[r])
     y *= inv[:, None]
     y += p.d[None, :] * x.data
     return FeatureMap(y, spatial=x.spatial)
@@ -546,27 +597,29 @@ def output_projection_backward(
         d_h = (d_y outer c_out) / r - h * <d_y outer c_out, h> / (m r^3),
 
     one outer product minus one scaled h, the per-token factor taken as
-    ((inner / r) / r) * (1 / (m r)) so that r^3 is never formed.
+    ((inner / r) / r) * (1 / (m r)) so that r^3 is never formed.  With
+    s = <d_y, g> over C, d_c_out = s / r and inner = <s, c_out> over N.
     """
     _check_instance(x, p, h=h)
     d_y = np.asarray(d_y, dtype=np.float64)
     if d_y.shape != x.data.shape:
         raise ValueError("d_y must have the feature map's (L, C) shape")
-    g, inv, k = _rms_scale(h)
+    inv, k, far = _rms_scale(h)
     m = h[0].size
     scale = inv / k  # d_h = d_g / k on rescaled tokens
-    d_h = np.empty(g.shape)
+    d_h = np.empty((len(h), p.shape[2], p.shape[1]))
     d_c_out = np.empty(p.c_out.shape)
-    for r in _row_blocks(len(g), d_h[0].nbytes):
-        g_r, d_y_r, c_r = g[r], d_y[r], p.c_out[r]
-        inner = np.einsum("lc,lc->l", d_y_r, np.einsum("lcn,ln->lc", g_r, c_r))
-        np.einsum("lc,ln->lcn", d_y_r, c_r * scale[r, None], out=d_h[r])
-        d_h[r] -= g_r * (((inner * inv[r]) * inv[r]) * (scale[r] / m))[:, None, None]
-        np.einsum("lc,lcn->ln", d_y_r, g_r, out=d_c_out[r])
+    for r in _row_blocks(len(d_h), d_h[0].nbytes):
+        g, d_y_r, c_r = _rms_rows(h, r, k, far), d_y[r], p.c_out[r]
+        s = np.einsum("lnc,lc->ln", g, d_y_r, out=d_c_out[r])  # scaled by 1 / r below
+        inner = np.einsum("ln,ln->l", s, c_r)
+        np.einsum("lc,ln->lnc", d_y_r, c_r * scale[r, None], out=d_h[r])
+        d_h[r] -= g * (((inner * inv[r]) * inv[r]) * (scale[r] / m))[:, None, None]
+    del g  # a block copy if h is not state-major; not held through d_x
     d_c_out *= inv[:, None]
     d_d = np.einsum("lc,lc->c", d_y, x.data)
     d_x = d_y * p.d[None, :]
-    return d_h, d_c_out, d_d, d_x
+    return _swap(d_h), d_c_out, d_d, d_x
 
 
 def discretization_backward(
@@ -581,16 +634,15 @@ def discretization_backward(
     d(b_bar)/d(delta) = b and d(b_bar)/d(b) = delta.  Returns
     ``(d_a, d_b, d_delta)`` with shapes (C, N), (L, N), (L, C).
     """
-    d_a_bar = np.asarray(d_a_bar, dtype=np.float64)
-    d_b_bar = np.asarray(d_b_bar, dtype=np.float64)
+    d_a_bar, d_b_bar = np.asarray(d_a_bar), np.asarray(d_b_bar)
     for name, arr in (("d_a_bar", d_a_bar), ("d_b_bar", d_b_bar), ("disc", disc)):
         if arr.shape != p.shape:
             raise ValueError(f"{name} shape {arr.shape} does not match params shape {p.shape}")
-    d_a = np.einsum("lcn,lc,lcn->cn", d_a_bar, p.delta, disc.a_bar)
-    d_b = np.einsum("lcn,lc->ln", d_b_bar, p.delta)
-    d_delta = np.einsum("lcn,cn,lcn->lc", d_a_bar, p.a, disc.a_bar) + np.einsum(
-        "lcn,ln->lc", d_b_bar, p.b
-    )
+    d_a_bar, d_b_bar, a_bar = _state_major(d_a_bar), _state_major(d_b_bar), _swap(disc.a_bar)
+    d_a = np.einsum("lnc,lc,lnc->nc", d_a_bar, p.delta, a_bar).T.copy()
+    d_b = np.einsum("lnc,lc->ln", d_b_bar, p.delta)
+    d_delta = np.einsum("lnc,nc,lnc->lc", d_a_bar, p.a.T.copy(), a_bar)
+    d_delta += np.einsum("ln,lnc->lc", p.b, d_b_bar)
     return d_a, d_b, d_delta
 
 
@@ -615,10 +667,10 @@ def affinity_map(tree: SpanningTree, p: DiscreteScanParams, anchor: int) -> np.n
     path = [int(tree.pos[anchor])]  # BFS rows from the anchor up to the root
     while path[-1]:
         path.append(int(tree.ppos[path[-1]]))
-    a = p.a_bar.take(tree.bfs_order, axis=0)
-    prod = np.zeros(p.shape)
+    a = _swap(p.a_bar).take(tree.bfs_order, axis=0)
+    prod = np.zeros(a.shape)
     prod[path[0]] = 1.0
     prod[path[1:]] = np.cumprod(a[path[:-1]], axis=0)
     a[path] = 0.0
     _down(tree, prod, a)
-    return prod.take(tree.pos, axis=0).reshape(n, -1).mean(axis=1)
+    return _swap(prod)[tree.pos].reshape(n, -1).mean(axis=1)  # lanes in (C, N) order

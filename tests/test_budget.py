@@ -123,6 +123,22 @@ def test_causal_step_within_budget(causal_peaks, stage):
     assert causal_peaks[stage] <= CAUSAL_BUDGET[stage], f"{stage}: {causal_peaks[stage]:.3f} arrays"
 
 
+@pytest.mark.parametrize("stage", ["output_projection", "output_projection_backward"])
+def test_c_order_h_within_budget(stage):
+    """An h in C order, not the kernels' state-major layout, is read by row
+    blocks: no full-size copy, also on a token that the RMS scale rescales."""
+    rng = np.random.default_rng(7)
+    params = make_continuous(rng, 1024, 64, 4)
+    x = FeatureMap(rng.standard_normal((1024, 64)))
+    h = rng.standard_normal((1024, 64, 4))
+    h[5] *= 1e-170
+    d_y = rng.standard_normal((1024, 64))
+    call = {"output_projection": lambda: output_projection(h, params, x),
+            "output_projection_backward": lambda: output_projection_backward(h, params, x, d_y)}
+    peak = traced_peak(call[stage])[1] / h.nbytes
+    assert peak <= VISION_BUDGET[stage], f"{stage}: {peak:.3f} arrays"
+
+
 def test_a_full_size_temporary_is_caught():
     """numpy's buffers reach tracemalloc: a reduction traces next to nothing,
     the same reduction over a fresh product one array more."""

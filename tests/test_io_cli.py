@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import treescan
-from treescan import io
+from treescan import bench, io
 from treescan.bench import build_instance
 from treescan.cli import main
 from treescan.mst import SpanningTree, root_tree
@@ -768,6 +768,20 @@ class TestCmdBench:
         assert report["sizes"] == [64, 128]
         assert len(report["dp_ratios"]) == 1
         assert report["entries"][0]["naive_median_s"] is not None
+
+    def test_sizes_timed_interleaved(self, monkeypatch):
+        """Every timed call runs once untimed, then once a round in the order
+        of the sizes, so that a drift in load hits every size alike; a
+        repeated size keeps its own entry."""
+        calls = []
+        monkeypatch.setattr(bench, "tree_scan_vision_forward",
+                            lambda x, p, tree: calls.append(("dp", len(x.data))))
+        monkeypatch.setattr(bench, "naive_tree_scan",
+                            lambda x, p, tree, roots: calls.append(("naive", len(x.data))))
+        report = bench.run_benchmark([8, 5000, 8], repeat=2)
+        assert calls == [("dp", 8), ("naive", 8), ("dp", 5000), ("dp", 8), ("naive", 8)] * 3
+        assert [len(e["dp_times_s"]) for e in report["entries"]] == [2, 2, 2]
+        assert [e["naive_median_s"] is None for e in report["entries"]] == [False, True, False]
 
     def test_repeat_zero_usage_error(self, tmp_path, capsys):
         code = main(["bench", "--sizes", "16,32", "--repeat", "0", "--out", str(tmp_path / "r.json")])

@@ -9,6 +9,7 @@ from treescan import (
     FeatureMap,
     SpanningTree,
     affinity_map,
+    discretization_backward,
     discretize,
     io,
     mst,
@@ -19,7 +20,9 @@ from treescan import (
     root_tree,
     scan,
     sequential_selective_scan,
+    tree_scan_language_backward,
     tree_scan_language_forward,
+    tree_scan_vision_backward,
     tree_scan_vision_forward,
 )
 from treescan.selfcheck import (
@@ -1029,3 +1032,93 @@ def test_validation_messages(case):
     call, message = VALIDATION_CASES[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def is_state_major(arr):
+    """An (L, C, N) view of C-contiguous (L, N, C) memory."""
+    return arr.base is not None and arr.transpose(0, 2, 1).flags.c_contiguous
+
+
+def training_outputs(x, p, params, tree, d_y, to=lambda arr: arr):
+    """Every output of both modes' steps, by name, each full-size array
+    handed on through ``to``; one token of h is scaled by 1e-170 for the
+    projections, so that they also take their rescaled path."""
+    h, xi = map(to, tree_scan_vision_forward(x, p, tree))
+    h_lang = to(tree_scan_language_forward(x, p, tree))
+    h_far = h.copy(order="K")
+    h_far[len(h) // 2] *= 1e-170
+    out = {"h": h, "xi": xi, "h_lang": h_lang}
+    for name, hp in (("", h), ("far ", h_far)):
+        out[name + "y"] = output_projection(hp, params, x).data
+        d_h, *rest = output_projection_backward(hp, params, x, d_y)
+        out.update({name + "d_h": to(d_h), **dict(zip((name + "d_c_out", name + "d_d",
+                                                        name + "d_x"), rest))})
+    for mode, g in (
+        ("vision", tree_scan_vision_backward(x, p, tree, xi, h, out["d_h"])),
+        ("language", tree_scan_language_backward(x, p, tree, h_lang, out["d_h"])),
+    ):
+        d_a_bar, d_b_bar = to(g.d_a_bar), to(g.d_b_bar)
+        out.update({f"{mode} d_x": g.d_x, f"{mode} d_a_bar": d_a_bar,
+                    f"{mode} d_b_bar": d_b_bar})
+        out.update(zip((f"{mode} d_a", f"{mode} d_b", f"{mode} d_delta"),
+                       discretization_backward(params, p, d_a_bar, d_b_bar)))
+    return out
+
+
+class TestStateMajorLayout:
+    """Full-size lane arrays live as (L, N, C) memory behind (L, C, N)
+    views; inputs of any layout give the same bytes."""
+
+    @pytest.mark.parametrize("tree_name", ["random-60", "chain-200"])
+    def test_full_size_outputs_are_state_major(self, tree_name):
+        rng = np.random.default_rng(40)
+        n = {"random-60": 60, "chain-200": 200}[tree_name]
+        x, _, tree = random_scan_instance(rng, n, 3, 4, root=n - 1)
+        if tree_name == "chain-200":
+            tree = chain_tree(n)
+            assert tree.bands is not None
+        params = make_continuous(rng, n, 3, 4)
+        disc = discretize(params)
+        out = training_outputs(x, disc, params, tree, rng.standard_normal((n, 3)))
+        full = {"a_bar": disc.a_bar, "b_bar": disc.b_bar,
+                **{k: v for k, v in out.items() if np.ndim(v) == 3}}
+        assert len(full) == 11
+        for name, arr in full.items():
+            assert arr.shape == (n, 3, 4) and arr.dtype == np.float64, name
+            assert is_state_major(arr) and not arr.flags.c_contiguous, name
+
+    def test_params_copy_only_foreign_layouts(self):
+        rng = np.random.default_rng(41)
+        a_bar, b_bar = rng.uniform(0.1, 0.9, (6, 3, 4)), rng.standard_normal((6, 3, 4))
+        p = DiscreteScanParams(a_bar, b_bar)
+        assert is_state_major(p.a_bar) and is_state_major(p.b_bar)
+        assert not np.shares_memory(p.a_bar, a_bar)
+        np.testing.assert_array_equal(p.a_bar, a_bar)
+        np.testing.assert_array_equal(p.b_bar, b_bar)
+        q = DiscreteScanParams(p.a_bar, p.b_bar)
+        assert np.shares_memory(q.a_bar, p.a_bar) and np.shares_memory(q.b_bar, p.b_bar)
+        one = np.full((6, 3, 1), 0.5)  # with N = 1 both layouts are one
+        assert np.shares_memory(DiscreteScanParams(one, one).a_bar, one)
+
+    @pytest.mark.parametrize("states", [1, 4])
+    @pytest.mark.parametrize("tree_name", ["random-60", "chain-200"])
+    def test_c_order_inputs_give_the_same_bytes(self, tree_name, states):
+        """User-built ``DiscreteScanParams`` and C-order copies of h, xi,
+        d_h, d_a_bar and d_b_bar give every kernel, both projections and
+        ``discretization_backward`` the bytes of state-major inputs."""
+        rng = np.random.default_rng(42)
+        n = {"random-60": 60, "chain-200": 200}[tree_name]
+        x, _, tree = random_scan_instance(rng, n, 7, states, root=n - 1)
+        if tree_name == "chain-200":
+            tree = chain_tree(n)
+        params = make_continuous(rng, n, 7, states)
+        disc = discretize(params)
+        d_y = rng.standard_normal((n, 7))
+        user = DiscreteScanParams(np.ascontiguousarray(disc.a_bar), np.ascontiguousarray(disc.b_bar))
+        c_order = training_outputs(x, user, params, tree, d_y, to=np.ascontiguousarray)
+        if states > 1:
+            assert c_order["h"].flags.c_contiguous and not is_state_major(c_order["h"])
+        state_major = training_outputs(x, disc, params, tree, d_y)
+        assert c_order.keys() == state_major.keys()
+        for name in state_major:
+            assert c_order[name].tobytes() == state_major[name].tobytes(), name
