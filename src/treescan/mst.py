@@ -2,62 +2,20 @@
 
 Boruvka contraction prunes the neighborhood graph down to the spanning tree
 of minimum total dissimilarity; ``root_tree`` then fixes a root and derives
-the parent/BFS structure the scan kernels traverse.  Ties are broken
-by the lexicographic (weight, u, v) order, which makes the result unique and
-bit-for-bit identical to a Kruskal run with the same rule.
+the parent/BFS structure that the scan kernels walk (``SpanningTree.walk``).
+Ties are broken by the lexicographic (weight, u, v) order, which makes the
+result unique and bit-for-bit identical to a Kruskal run with the same rule.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
-from math import isqrt
 
 import numpy as np
 
 from .lattice import WeightedGraph
-
-# Mean rows per level below which a tree of depth D is walked by bands of
-# isqrt(D) levels (``SpanningTree.bands``) instead of one level per step.
-# Measured (_up + _down, medians, 2-core VM): bands win on a causal m=3 tree
-# of 8192 tokens (1.9 rows a level, 64 lanes: 45 -> 14 ms) and lose on a
-# 56x56 blurred-grid tree (15 rows, 256 lanes: 7.7 -> 12.9 ms) and a 224x224
-# noise-grid tree (40 rows, 3 lanes: 13.4 -> 14.1 ms).  On levels of random
-# parents they break even near 7 rows a level at 256 lanes (6 rows: 17.1 ->
-# 15.3 ms, 8 rows: 14.4 -> 16.2 ms) and still win at 24 rows at 3 and 64 lanes.
-BAND_ROWS_MAX = 4
-
-
-@dataclass(eq=False)
-class BandPlan:
-    """A tree's levels below the root cut into bands of ``height``
-    consecutive levels, as the banded scan walks read them: integer arrays
-    of BFS rows (positions in ``bfs_order``).
-
-    Band b holds levels 1 + b * height onwards, up to ``height`` of them
-    (the last band may hold fewer), so its rows start at
-    ``level_bounds[1 + b * height]``.  A row's offset is its level's place
-    in its band; its band top is its ancestor at offset 0.  For every offset
-    j in 1 .. height - 1 (index 0 of the lists is unused):
-
-    - ``rows[j]``, the offset-j rows of every band, cut by the bounds
-      ``groups[j]`` into one group per run index of ``run_bounds`` (per
-      sibling rank, on a ``root_tree`` tree): no group holds a parent
-      twice, so that each is one plain indexed add;
-    - ``parents[j]``, their parent rows.
-
-    Per row: ``top``, its band top (the root and the band tops are their
-    own), and ``place``, its place among the rows of its offset (in
-    ``rows[j]`` for offset j >= 1; 0 at the root).
-    """
-
-    height: int
-    rows: list[np.ndarray]
-    groups: list[list[int]]
-    parents: list[np.ndarray]
-    top: np.ndarray
-    place: np.ndarray
+from .walk import Walk, tree_walk
 
 
 @dataclass(eq=False)
@@ -116,49 +74,9 @@ class SpanningTree:
         return [0] + np.cumsum(np.bincount(self.depths)).tolist()
 
     @cached_property
-    def pos(self) -> np.ndarray:
-        """BFS position of every vertex, the inverse of ``bfs_order``: a
-        BFS-position array ``u`` in vertex order is ``u.take(pos, axis=0)``."""
-        pos = np.empty(self.num_vertices, dtype=np.int64)
-        pos[self.bfs_order] = np.arange(self.num_vertices)
-        return pos
-
-    @cached_property
-    def ppos(self) -> np.ndarray:
-        """BFS position of the parent of the vertex at each BFS position (0
-        at the root, position 0): the parent array of the tree relabelled by
-        ``bfs_order``, on which every level is a contiguous slice."""
-        return self.pos[self.parent[self.bfs_order]]
-
-    @cached_property
-    def run_bounds(self) -> list[int]:
-        """Start of every run of ``bfs_order`` within a level in which the
-        parent ids climb, then ``num_vertices``; Python ints, like
-        ``level_bounds``, which it contains.  A run holds no parent twice, and
-        on a level that ``root_tree`` ordered the runs are its rank blocks:
-        every parent's first child, then every second child, and so on."""
-        return np.flatnonzero(self._run_starts()).tolist()
-
-    def _run_starts(self) -> np.ndarray:
-        """(num_vertices + 1,) bool, True at the start of every run of
-        ``run_bounds`` and at the end."""
-        par = self.parent[self.bfs_order]
-        depth = self.depths[self.bfs_order]
-        cut = np.ones(self.num_vertices + 1, dtype=bool)
-        cut[1:-1] = (par[1:] <= par[:-1]) | (depth[1:] != depth[:-1])
-        return cut
-
-    @cached_property
-    def bands(self) -> BandPlan | None:
-        """The band plan of a deep, narrow tree: bands of isqrt(depth)
-        levels when the levels hold fewer than ``BAND_ROWS_MAX`` rows on
-        average and that height is at least 2; None for any other tree,
-        which the scans walk one level per step.  Built from the depths,
-        ``ppos`` and the runs of ``run_bounds``, which give the rank
-        groups."""
-        depth = len(self.level_bounds) - 1
-        k = isqrt(depth) if self.num_vertices < BAND_ROWS_MAX * depth else 1
-        return _band_plan(self, k) if k > 1 else None
+    def walk(self) -> Walk:
+        """The schedule of the scan passes (``walk.tree_walk``); raises like ``depths``."""
+        return tree_walk(self)
 
     @cached_property
     def levels(self) -> list[np.ndarray]:
@@ -170,8 +88,8 @@ class SpanningTree:
     def validate(self) -> None:
         """Check the structural invariants of the fields as they are now:
         every value cached from earlier ones (the root and the depths that
-        ``root_tree`` fills in among them) is dropped first.  Raises
-        ValueError naming the first violation."""
+        ``root_tree`` fills in among them, and the walk) is dropped first.
+        Raises ValueError naming the first violation."""
         current = {f.name: getattr(self, f.name) for f in fields(self)}
         vars(self).clear()
         vars(self).update(current)
@@ -195,41 +113,6 @@ class SpanningTree:
             raise ValueError("edge weights to parent must be finite and >= 0")
         if w[self.root] != 0.0:
             raise ValueError("edge weight at the root must be 0")
-
-
-def _band_plan(tree: SpanningTree, k: int) -> BandPlan:
-    """The ``BandPlan`` of ``tree`` for bands of k >= 2 levels; the tree has
-    more than k levels."""
-    n, ppos = tree.num_vertices, tree.ppos
-    level = tree.depths[tree.bfs_order]
-    run = np.cumsum(tree._run_starts()[:-1]) - 1
-    new_level = np.ones(n, dtype=bool)
-    new_level[1:] = level[1:] != level[:-1]
-    rank = run - np.maximum.accumulate(np.where(new_level, run, 0))  # run within the level
-    band, off = np.divmod(level[1:] - 1, k)  # of rows 1, 2, ...
-    # by offset, then rank, then band, then row (the sort is stable)
-    num_bands = int(band[-1]) + 1
-    key = (off * (int(rank.max()) + 1) + rank[1:]) * num_bands + band
-    by_key = np.argsort(key, kind="stable")
-    inner, key = by_key + 1, key[by_key] // num_bands
-    at = np.searchsorted(off[by_key], np.arange(k + 1)).tolist()  # offset j from at[j]
-    place = np.zeros(n, dtype=np.int64)  # a row's place among the rows of its offset
-    place[inner] = np.arange(n - 1) - np.repeat(at[:-1], np.diff(at))
-    cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()  # rank groups, all offsets
-    par = ppos[inner]
-    rows, groups, parents = [None], [None], [None]
-    for lo, hi in zip(at[1:-1], at[2:]):
-        rows.append(inner[lo:hi])
-        groups.append([0, *(c - lo for c in cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)]),
-                       hi - lo])
-        parents.append(par[lo:hi])
-    # band tops by pointer jumping up the parents, a band top stopping at
-    # itself: 2^r jumps after r gathers, and a row is under k jumps from its top
-    top = ppos.copy()
-    top[1:][off == 0] = np.flatnonzero(off == 0) + 1
-    for _ in range((k - 1).bit_length()):
-        top = top[top]
-    return BandPlan(height=k, rows=rows, groups=groups, parents=parents, top=top, place=place)
 
 
 def boruvka_mst(graph: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:

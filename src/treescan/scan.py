@@ -23,32 +23,8 @@ pass accumulates subtree sums (xi), then a root-to-leaf pass combines each
 subtree sum with the complement flowing down from the parent.  The backward
 pass has the same structure run on the output gradients.
 
-The passes run on copies of the arrays in BFS position order: row k holds
-vertex ``tree.bfs_order[k]``, the root is row 0, every level is a contiguous
-slice (``tree.level_bounds``) and ``tree.ppos`` gives each row's parent row.
-Each kernel gathers its inputs into that order once, walks the tree, and
-gathers its outputs back to vertex order once, by ``tree.pos``, the tree's
-cached inverse permutation (a gather is cheaper than a scatter).
-
-A walk takes one numpy step per level, unless ``tree.bands`` holds a band
-plan: on a deep, narrow tree (fewer than ``mst.BAND_ROWS_MAX`` rows a level
-on average) the kernels walk bands of k = isqrt(depth) consecutive levels,
-a step per band offset in each phase and one per band, O(k + depth / k)
-steps in place of depth (``_up``, ``_down``).  The plan holds, per band
-offset, its rows, their rank groups and their parents, and per row its band
-top and its place among the rows of its offset; the band bounds are every
-k-th of ``tree.level_bounds``.  The banded walks re-associate the
-products, so their outputs differ from the per-level walk's in the last
-bits; every other tree takes exactly the per-level walk.
-``affinity_map`` is one per-level root-to-leaf pass on the same layout, on
-the tree it is given.  The per-level leaf-to-root step of a level with at
-least ``RANK_BLOCK_MIN`` rows x lanes is one plain indexed add per run of
-``tree.run_bounds`` (a run holds no parent twice; on a ``root_tree`` level
-the runs are its rank blocks: every parent's first child, then every second
-child, and so on); any other level takes one ``np.add.at``.  Either way each
-parent adds its children in ``bfs_order`` order, so both give bitwise
-identical results.  The banded leaf-to-root walk adds by the same runs: one
-plain indexed add per run index, over that run of every band at one offset.
+The passes are ``walk._up`` and ``walk._down`` on the tree's walk
+(``tree.walk``); ``affinity_map`` is one per-level root-to-leaf pass.
 
 Outside the walks, every stage of a training step is held to a budget of
 full-size (L, C, N) passes and fresh full-size arrays: at training sizes a
@@ -70,13 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FeatureMap
-from .mst import BandPlan, SpanningTree
+from .mst import SpanningTree
+from .walk import Walk, _down, _up
 
 NAIVE_SCAN_GUARD = 4096
-# Rows x lanes from which a level's leaf-to-root step is cheaper as one plain
-# indexed add per rank block than as one np.add.at over the level (measured
-# on the benchmark workloads' trees, 2-core VM).
-RANK_BLOCK_MIN = 500
 # Per-token sums of squares inside which the RMS projection uses h as it is.
 # Outside it a token's squares lose digits to underflow or overflow, or the
 # backward's per-token factor ~ |d_y c_out| / (r^2 sqrt(m)) leaves the float
@@ -222,103 +195,6 @@ def _check_instance(
             raise ValueError(f"{name} shape {np.shape(arr)} does not match params shape {p.shape}")
 
 
-def _up_level(tree: SpanningTree, u: np.ndarray, a: np.ndarray, lo: int, hi: int) -> None:
-    """One leaf-to-root step: the rows lo:hi, one level, add u * a into
-    their parents, by runs of ``tree.run_bounds`` when the level has at
-    least ``RANK_BLOCK_MIN`` rows x lanes and by one ``np.add.at`` otherwise."""
-    ppos = tree.ppos
-    if (hi - lo) * u[0].size >= RANK_BLOCK_MIN:
-        runs = tree.run_bounds
-        i = bisect_left(runs, lo)
-        j = bisect_left(runs, hi, i)
-        for s, e in zip(runs[i:j], runs[i + 1 : j + 1]):
-            u[ppos[s:e]] += u[s:e] * a[s:e]
-    else:
-        np.add.at(u, ppos[lo:hi], u[lo:hi] * a[lo:hi])
-
-
-def _up(tree: SpanningTree, u: np.ndarray, a: np.ndarray, bands: BandPlan | None = None) -> None:
-    """Leaf-to-root pass in place on BFS-position arrays: u[i] += sum over
-    children j of u[j] * a[j].  Without ``bands``, one level per step
-    (``_up_level``), deepest first.  With them, in three phases:
-
-    1. band-local subtree sums, all bands at once, offset height - 1 up to
-       1, one plain indexed add per sibling-rank group;
-    2. the band tops, last band first, each band's final: each top adds
-       (u * a) * q into its parent's band top by one ``np.add.at`` a band,
-       q the product of a from that parent up to just below the band top,
-       and u * a into ``below`` (both compact, one row per
-       offset-(height - 1) row); band 0's tops join the root by one level
-       step;
-    3. the rows below the tops, offset height - 1 up to 1, take ``below``,
-       the sum over the next band's tops under them, carried up from offset
-       to offset in compact buffers by rank groups like phase 1.
-
-    ``a`` is not changed."""
-    if bands is None:
-        b = tree.level_bounds
-        for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
-            _up_level(tree, u, a, lo, hi)
-        return
-    k, rows, groups, place = bands.height, bands.rows, bands.groups, bands.place
-    cpar = [None, None, *(place[par] for par in bands.parents[2:])]  # places in rows[j - 1]
-    q = a.take(rows[1], axis=0)
-    for j in range(2, k):
-        q_j = a.take(rows[j], axis=0)
-        q_j *= q.take(cpar[j], axis=0)
-        q = q_j
-    for j in range(k - 1, 0, -1):
-        g, par = groups[j], bands.parents[j]
-        step = u.take(rows[j], axis=0)
-        step *= a.take(rows[j], axis=0)
-        for s, e in zip(g, g[1:]):
-            u[par[s:e]] += step[s:e]
-    below = np.zeros(q.shape)  # phase 3's start, gathered from the tops in phase 2
-    b, ppos = tree.level_bounds, tree.ppos
-    for lo, hi in reversed([*zip(b[1 + k :: k], b[2 + k :: k])]):  # the tops of bands 1, 2, ...
-        top = u[lo:hi] * a[lo:hi]
-        at = place[ppos[lo:hi]]
-        np.add.at(below, at, top)
-        top *= q.take(at, axis=0)
-        np.add.at(u, bands.top[ppos[lo:hi]], top)
-    _up_level(tree, u, a, *b[1:3])
-    del q  # not held through phase 3
-    for j in range(k - 1, 0, -1):
-        u[rows[j]] += below
-        if j > 1:
-            below *= a.take(rows[j], axis=0)
-            g, up = groups[j], np.zeros((len(rows[j - 1]),) + u.shape[1:])
-            for s, e in zip(g, g[1:]):
-                up[cpar[j][s:e]] += below[s:e]
-            below = up
-
-
-def _down(tree: SpanningTree, u: np.ndarray, a: np.ndarray, bands: BandPlan | None = None) -> None:
-    """Root-to-leaf pass in place on BFS-position arrays: u[i] += a[i] *
-    u[parent] below the root, one band of levels a step.  Without ``bands``
-    a band is one level.  With them, in two phases, and ``a`` is overwritten:
-
-    1. within bands, all bands at once, offset 1 to height - 1: u += a *
-       u[parent], then a *= a[parent], so that a row holds its sum and its
-       path product from its band top down;
-    2. one step per band, first band first: u[band] += a[band] *
-       u[anc[band]], anc the parent of each row's band top (``ppos[top]``)."""
-    height, anc = 1, tree.ppos  # one level a band, each row's own parent
-    if bands is not None:
-        for r, par in zip(bands.rows[1:], bands.parents[1:]):
-            a_r = a.take(r, axis=0)
-            step = u.take(par, axis=0)
-            step *= a_r
-            u[r] += step
-            a_r *= a.take(par, axis=0)
-            a[r] = a_r
-        height, anc = bands.height, tree.ppos[bands.top]
-    b = tree.level_bounds
-    cuts = [*b[1:-1:height], b[-1]]  # the bands' row bounds
-    for lo, hi in zip(cuts, cuts[1:]):
-        u[lo:hi] += a[lo:hi] * u.take(anc[lo:hi], axis=0)
-
-
 def _row_blocks(rows: int, row_bytes: int):
     """Consecutive row slices of about ``ROW_BLOCK_BYTES`` each."""
     step = max(1, ROW_BLOCK_BYTES // max(row_bytes, 1))
@@ -326,7 +202,7 @@ def _row_blocks(rows: int, row_bytes: int):
 
 
 def _input_terms(x: FeatureMap, p: DiscreteScanParams, order: np.ndarray) -> np.ndarray:
-    """b_bar * x in BFS position order, (L, N, C): one gather, then one
+    """b_bar * x in the row order ``order``, (L, N, C): one gather, then one
     product in place."""
     u = _swap(p.b_bar).take(order, axis=0)
     u *= x.data.take(order, axis=0)[:, None, :]
@@ -340,17 +216,17 @@ def _gather(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return _swap(np.asarray(arr))[rows]
 
 
-def _all_roots(tree: SpanningTree, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """On BFS-position arrays, turn ``agg`` into subtree sums in place
+def _all_roots(walk: Walk, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """On row-order arrays, turn ``agg`` into subtree sums in place
     (``_up``), then return the aggregation over every vertex: (1 - a^2) *
     agg pushed down by ``_down``, with ``agg`` kept at the root.  ``a``,
-    the caller's own BFS-order copy, may be overwritten."""
-    _up(tree, agg, a, tree.bands)
+    the caller's own row-order copy, may be overwritten."""
+    _up(walk, agg, a, walk.bands)
     out = a * a
     np.subtract(1.0, out, out=out)
     out *= agg
     out[0] = agg[0]
-    _down(tree, out, a, tree.bands)
+    _down(walk, out, a, walk.bands)
     return out
 
 
@@ -377,10 +253,10 @@ def tree_scan_vision_forward(
     Returns ``(h, xi)``, both (L, C, N); the backward pass consumes xi.
     """
     _check_instance(x, p, tree)
-    order = tree.bfs_order
-    xi = _input_terms(x, p, order)
-    h = _all_roots(tree, xi, _swap(p.a_bar).take(order, axis=0)).take(tree.pos, axis=0)
-    return _swap(h), _swap(xi.take(tree.pos, axis=0))
+    walk = tree.walk
+    xi = _input_terms(x, p, walk.order)
+    h = _all_roots(walk, xi, _swap(p.a_bar).take(walk.order, axis=0)).take(walk.pos, axis=0)
+    return _swap(h), _swap(xi.take(walk.pos, axis=0))
 
 
 def tree_scan_vision_backward(
@@ -405,11 +281,11 @@ def tree_scan_vision_backward(
     is the caller's contract and cannot be checked here.
     """
     _check_instance(x, p, tree, d_h=d_h, xi=xi, h=h)
-    order = tree.bfs_order
+    walk = tree.walk
     a_bar = _swap(p.a_bar)
-    eta = _gather(d_h, order)
-    rho = _all_roots(tree, eta, a_bar.take(order, axis=0)).take(tree.pos, axis=0)
-    eta = eta.take(tree.pos, axis=0)
+    eta = _gather(d_h, walk.order)
+    rho = _all_roots(walk, eta, a_bar.take(walk.order, axis=0)).take(walk.pos, axis=0)
+    eta = eta.take(walk.pos, axis=0)
     par, xi = tree.parent, _swap(np.asarray(xi))
     # (eta * h[par] + xi * rho[par]) - ((2 * a_bar) * eta) * xi, in that
     # order, by row blocks, with one block-sized term buffer
@@ -437,10 +313,10 @@ def tree_scan_language_forward(
     each token only sees its own subtree.  Raises unless tree.root == L - 1.
     """
     _check_instance(x, p, tree, causal=True)
-    order = tree.bfs_order
-    h = _input_terms(x, p, order)
-    _up(tree, h, _swap(p.a_bar).take(order, axis=0), tree.bands)
-    return _swap(h.take(tree.pos, axis=0))
+    walk = tree.walk
+    h = _input_terms(x, p, walk.order)
+    _up(walk, h, _swap(p.a_bar).take(walk.order, axis=0), walk.bands)
+    return _swap(h.take(walk.pos, axis=0))
 
 
 def tree_scan_language_backward(
@@ -458,10 +334,10 @@ def tree_scan_language_backward(
     unused).
     """
     _check_instance(x, p, tree, causal=True, d_h=d_h, h=h)
-    order = tree.bfs_order
-    rho = _gather(d_h, order)
-    _down(tree, rho, _swap(p.a_bar).take(order, axis=0), tree.bands)
-    rho = rho.take(tree.pos, axis=0)
+    walk = tree.walk
+    rho = _gather(d_h, walk.order)
+    _down(walk, rho, _swap(p.a_bar).take(walk.order, axis=0), walk.bands)
+    rho = rho.take(walk.pos, axis=0)
     d_a_bar = rho.take(tree.parent, axis=0)
     d_a_bar *= _swap(np.asarray(h))
     return _gradients(x, p, tree, rho, d_a_bar)
@@ -578,9 +454,9 @@ def output_projection(h: np.ndarray, p: ContinuousScanParams, x: FeatureMap) -> 
     inv, k, far = _rms_scale(h)
     y = np.empty(x.data.shape)
     for r in _row_blocks(len(y), h[0].nbytes):
-        np.einsum("ln,lnc->lc", p.c_out[r], _rms_rows(h, r, k, far), out=y[r])
-    y *= inv[:, None]
-    y += p.d[None, :] * x.data
+        y_r = np.einsum("ln,lnc->lc", p.c_out[r], _rms_rows(h, r, k, far), out=y[r])
+        y_r *= inv[r, None]
+        y_r += p.d[None, :] * x.data[r]
     return FeatureMap(y, spatial=x.spatial)
 
 
@@ -664,13 +540,14 @@ def affinity_map(tree: SpanningTree, p: DiscreteScanParams, anchor: int) -> np.n
         raise ValueError("params length does not match the tree")
     if np.any(p.a_bar > 1.0):
         raise ValueError("affinity map requires a_bar entries in [0, 1]")
-    path = [int(tree.pos[anchor])]  # BFS rows from the anchor up to the root
+    walk = tree.walk
+    path = [int(walk.pos[anchor])]  # rows from the anchor up to the root
     while path[-1]:
-        path.append(int(tree.ppos[path[-1]]))
-    a = _swap(p.a_bar).take(tree.bfs_order, axis=0)
+        path.append(int(walk.ppos[path[-1]]))
+    a = _swap(p.a_bar).take(walk.order, axis=0)
     prod = np.zeros(a.shape)
     prod[path[0]] = 1.0
     prod[path[1:]] = np.cumprod(a[path[:-1]], axis=0)
     a[path] = 0.0
-    _down(tree, prod, a)
-    return _swap(prod)[tree.pos].reshape(n, -1).mean(axis=1)  # lanes in (C, N) order
+    _down(walk, prod, a)
+    return _swap(prod)[walk.pos].reshape(n, -1).mean(axis=1)  # lanes in (C, N) order

@@ -15,7 +15,7 @@ from .lattice import FeatureMap, WeightedGraph, build_causal_graph, build_grid_g
 from .mst import SpanningTree, boruvka_mst, root_tree
 from .oracle import (FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst,
                      sequential_selective_scan)
-from . import scan
+from . import walk
 from .scan import (
     ContinuousScanParams,
     DiscreteScanParams,
@@ -138,13 +138,7 @@ def smooth_grid_tree(rng: np.random.Generator, root_last: bool = False) -> Spann
 
 def rank_block_levels(tree: SpanningTree, lanes: int) -> int:
     """Number of levels whose leaf-to-root step takes rank blocks at ``lanes``."""
-    return int(np.count_nonzero(np.diff(tree.level_bounds)[1:] * lanes >= scan.RANK_BLOCK_MIN))
-
-
-def band_height(tree: SpanningTree) -> int:
-    """Levels per band of the tree's scan walks: 1 unless ``tree.bands``
-    cuts the tree into bands."""
-    return tree.bands.height if tree.bands else 1
+    return int(np.count_nonzero(np.diff(tree.level_bounds)[1:] * lanes >= walk.RANK_BLOCK_MIN))
 
 
 def directional_error(loss, base, grads, rng: np.random.Generator) -> float:
@@ -261,7 +255,7 @@ def check_scan_equivalence(
         return False, f"two-traversal identity violated by {ident:.3e}", ident
     return True, (f"{shape} L={n} C={c} N={s} levels={len(tree.level_bounds) - 1} "
                   f"rank-block levels={rank_block_levels(tree, c * s)} "
-                  f"band height={band_height(tree)} diff={diff:.1e}"), diff
+                  f"band height={tree.walk.height} diff={diff:.1e}"), diff
 
 
 def check_gradients(seed: int, shape: str = "random",
@@ -303,7 +297,7 @@ def check_gradients(seed: int, shape: str = "random",
                             (analytic.d_x, analytic.d_a_bar, analytic.d_b_bar), rng)
     return err < tol, (
         f"{shape} L={n} C={c} N={s} rank-block levels={rank_block_levels(tree, c * s)} "
-        f"band height={band_height(tree)} directional rel_err={err:.2e}"), err
+        f"band height={tree.walk.height} directional rel_err={err:.2e}"), err
 
 
 def check_training_chain(seed: int, shape: str = "random",

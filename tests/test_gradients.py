@@ -10,7 +10,6 @@ from treescan import (
     discretization_backward,
     discretize,
     finite_diff_gradients,
-    mst,
     output_projection,
     output_projection_backward,
     path_product,
@@ -21,6 +20,7 @@ from treescan import (
     tree_scan_language_forward,
     tree_scan_vision_backward,
     tree_scan_vision_forward,
+    walk,
 )
 from treescan import selfcheck
 from treescan.selfcheck import (
@@ -225,9 +225,9 @@ class TestLayoutStress:
         20-chain, of 7 with a one-level last band on a 51-chain, 3 level-1
         band tops on a spider, and a broom just below the banding cut."""
         tree = {"chain-20": lambda: chain_tree(20), "chain-51": lambda: chain_tree(51),
-                "spider": lambda: spider(3, 6), "broom": lambda: broom(16, mst.BAND_ROWS_MAX * 16 - 1 - 16)}[
+                "spider": lambda: spider(3, 6), "broom": lambda: broom(16, walk.BAND_ROWS_MAX * 16 - 1 - 16)}[
             tree_name]()
-        assert tree.bands is not None
+        assert tree.walk.bands is not None
         rng = np.random.default_rng(12)
         x, p = banded_params(rng, tree.num_vertices, "random", 2, 1)
         w = rng.standard_normal(p.shape)
@@ -253,8 +253,8 @@ class TestLayoutStress:
         2000-chain at a_bar = 1 - 1e-12)."""
         ok, detail, _ = selfcheck.check_gradients(11, shape=shape, causal=causal)
         assert ok, detail
-        assert selfcheck.band_height(selfcheck.scan_equivalence_instance(
-            np.random.default_rng(11), shape)[2]) > 1
+        assert selfcheck.scan_equivalence_instance(
+            np.random.default_rng(11), shape)[2].walk.height > 1
 
     @pytest.mark.parametrize("tree_name", UP_BRANCH_TREES)
     def test_up_branches_give_identical_gradients(self, tree_name, monkeypatch):
@@ -272,7 +272,7 @@ class TestLayoutStress:
 
         default = gradients()
         for bound in (0, 2**62):
-            monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
+            monkeypatch.setattr(walk, "RANK_BLOCK_MIN", bound)
             assert gradients() == default
 
     @pytest.mark.parametrize("instance", ["wide-grid", "causal-2000", "L1", "L2",

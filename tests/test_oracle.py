@@ -216,6 +216,6 @@ def test_module_boundaries():
     assert package_imports("oracle") == {
         ("lattice", "FeatureMap"), ("lattice", "WeightedGraph"), ("mst", "SpanningTree"),
         ("scan", "DiscreteScanParams"), ("scan", "GradBundle")}
-    for module in ("lattice", "mst", "scan", "io"):
+    for module in ("lattice", "mst", "walk", "scan", "io"):
         imported = {base for base, _ in package_imports(module)}
         assert not imported & {"", "oracle", "selfcheck", "bench", "cli"}, module

@@ -1,4 +1,5 @@
 import re
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from treescan import (
     discretization_backward,
     discretize,
     io,
-    mst,
     naive_tree_scan,
     output_projection,
     output_projection_backward,
@@ -24,6 +24,7 @@ from treescan import (
     tree_scan_language_forward,
     tree_scan_vision_backward,
     tree_scan_vision_forward,
+    walk,
 )
 from treescan.selfcheck import (
     align_chain_params,
@@ -126,7 +127,7 @@ class TestLayoutStress:
             assert 0 < rank_block_levels(tree, 64) < len(tree.levels) - 1
         default = scan_outputs(x, p, tree)
         for bound in (0, 2**62):
-            monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
+            monkeypatch.setattr(walk, "RANK_BLOCK_MIN", bound)
             assert scan_outputs(x, p, tree) == default
 
 
@@ -137,7 +138,7 @@ def assert_rank_runs(tree, rank_major=True):
     ``rank_major`` (a ``root_tree`` layout), run k of a level is its rank
     block: the k-th smallest child of every parent with more than k
     children, parents ascending."""
-    runs, b = tree.run_bounds, tree.level_bounds
+    runs, b = tree.walk.runs, tree.level_bounds
     assert runs[0] == 0 and runs[-1] == tree.num_vertices
     assert set(b) <= set(runs) and all(s < e for s, e in zip(runs, runs[1:]))
     par = tree.parent[tree.bfs_order]
@@ -171,7 +172,7 @@ class TestRankSchedule:
         star = np.stack([np.zeros(49, dtype=np.int64), np.arange(1, 50)], axis=1)
         tree = root_tree(star, np.ones(49), 50, 0)
         assert_rank_runs(tree)
-        assert tree.run_bounds == list(range(51))  # one run per child of the centre
+        assert tree.walk.runs == list(range(51))  # one run per child of the centre
 
     def test_one_wide_level_at_three_lanes(self, monkeypatch):
         """A tree whose only level of at least ceil(500 / 3) = 167 rows is
@@ -188,7 +189,7 @@ class TestRankSchedule:
         assert rank_block_levels(tree, 3) == 1
         assert_rank_runs(tree)
         lo, hi = tree.level_bounds[2:4]
-        runs = tree.run_bounds
+        runs = tree.walk.runs
         assert runs[runs.index(lo):runs.index(hi) + 1] == list(range(lo, hi + 1, 10))
         np.testing.assert_array_equal(tree.parent[tree.bfs_order[lo:lo + 10]], tree.bfs_order[1:11])
         rng = np.random.default_rng(4)
@@ -196,7 +197,7 @@ class TestRankSchedule:
         p = DiscreteScanParams(rng.uniform(0.05, 0.95, (n, 3, 1)), rng.standard_normal((n, 3, 1)))
         default = scan_outputs(x, p, tree)
         for bound in (0, 500, 10**12):
-            monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
+            monkeypatch.setattr(walk, "RANK_BLOCK_MIN", bound)
             assert scan_outputs(x, p, tree) == default
 
     def test_tree_file_in_parent_vertex_order(self, tmp_path, monkeypatch):
@@ -213,16 +214,28 @@ class TestRankSchedule:
                       SpanningTree(tree.parent, old_order, tree.edge_weight_to_parent))
         old = io.read_tree(tmp_path / "old.json")
         np.testing.assert_array_equal(old.bfs_order, old_order)
-        np.testing.assert_array_equal(old.pos[old.bfs_order], np.arange(n))
-        np.testing.assert_array_equal(old.bfs_order[old.pos], np.arange(n))
+        np.testing.assert_array_equal(old.walk.pos[old.bfs_order], np.arange(n))
+        np.testing.assert_array_equal(old.bfs_order[old.walk.pos], np.arange(n))
         for anchor in (tree.root, int(old.bfs_order[-1]), n // 2):
             assert affinity_map(old, p, anchor).tobytes() == affinity_map(tree, p, anchor).tobytes()
         assert old.level_bounds == tree.level_bounds
         assert_rank_runs(old, rank_major=False)
-        assert len(old.run_bounds) > len(tree.run_bounds)
-        for bound in (0, scan.RANK_BLOCK_MIN, 2**62):
-            monkeypatch.setattr(scan, "RANK_BLOCK_MIN", bound)
+        assert len(old.walk.runs) > len(tree.walk.runs)
+        for bound in (0, walk.RANK_BLOCK_MIN, 2**62):
+            monkeypatch.setattr(walk, "RANK_BLOCK_MIN", bound)
             assert scan_outputs(x, p, old) == scan_outputs(x, p, tree)
+
+    def test_validate_drops_a_cached_walk(self):
+        """A walk cached before ``bfs_order`` is reassigned is dropped by
+        ``validate``: the walk built after it has the rows and runs of a
+        fresh tree with the new order, not those of the rank-major tree."""
+        tree = stress_instance("wide-grid", "random")[2]
+        stale, fresh = tree.walk, parent_vertex_order(tree)
+        tree.bfs_order = fresh.bfs_order
+        tree.validate()
+        assert not np.array_equal(fresh.walk.pos, stale.pos) and fresh.walk.runs != stale.runs
+        np.testing.assert_array_equal(tree.walk.pos, fresh.walk.pos)
+        assert tree.walk.runs == fresh.walk.runs
 
 
 def rooted_at_last(parent):
@@ -261,7 +274,7 @@ BANDED_TREES = {
     "chain-51": lambda: chain_tree(51),  # 7 bands of 7 levels below the root, then 1 of 1
     "chain-50": lambda: chain_tree(50),  # 7 full bands
     "spider": lambda: spider(3, 40),
-    "broom-below-cut": lambda: broom(64, mst.BAND_ROWS_MAX * 64 - 1 - 64),
+    "broom-below-cut": lambda: broom(64, walk.BAND_ROWS_MAX * 64 - 1 - 64),
 }
 
 
@@ -282,10 +295,10 @@ def banded_params(rng, n, a_kind, c=2, s=2):
 
 def band_top(tree, row):
     """The row of ``row``'s band top, found by walking up its parents."""
-    k = tree.bands.height
+    k = tree.walk.bands.height
     level = int(tree.depths[tree.bfs_order[row]])
     for _ in range((level - 1) % k):
-        row = int(tree.ppos[row])
+        row = int(tree.walk.ppos[row])
     return row
 
 
@@ -295,15 +308,15 @@ class TestBandedWalks:
         ``BAND_ROWS_MAX`` rows on average: a broom of 64 levels bands with
         one vertex fewer than 64 times that and not with exactly as many;
         L = 1, L = 2, 3 levels (height 1) and a wide grid never band."""
-        cut = mst.BAND_ROWS_MAX * 64
+        cut = walk.BAND_ROWS_MAX * 64
         below, at_cut = broom(64, cut - 1 - 64), broom(64, cut - 64)
         assert (below.num_vertices, at_cut.num_vertices) == (cut - 1, cut)
         assert len(below.level_bounds) == len(at_cut.level_bounds) == 65
         for tree in (single_vertex_tree(), chain_tree(2), chain_tree(3), at_cut,
                      smooth_grid_tree(np.random.default_rng(0))):
-            assert tree.bands is None
+            assert tree.walk.bands is None
         for tree, height in ((chain_tree(4), 2), (chain_tree(5000), 70), (below, 8)):
-            assert tree.bands.height == height
+            assert tree.walk.bands.height == height
 
     @pytest.mark.parametrize("tree_name", BANDED_TREES)
     def test_plan_layout(self, tree_name):
@@ -313,14 +326,14 @@ class TestBandedWalks:
         bands 1, 2, ... (levels 1 + k, 1 + 2k, ...): the parent's band top
         and the parent's place in the last offset's rows."""
         tree = BANDED_TREES[tree_name]()
-        plan, n = tree.bands, tree.num_vertices
+        plan, n = tree.walk.bands, tree.num_vertices
         k = plan.height
         level = tree.depths[tree.bfs_order]
         for j in range(1, k):
             rows = plan.rows[j]
             at_j = np.flatnonzero((level > 0) & ((level - 1) % k == j))
             assert sorted(rows.tolist()) == at_j.tolist()
-            np.testing.assert_array_equal(plan.parents[j], tree.ppos[rows])
+            np.testing.assert_array_equal(plan.parents[j], tree.walk.ppos[rows])
             np.testing.assert_array_equal(plan.place[rows], np.arange(rows.size))
             g = plan.groups[j]
             assert g[0] == 0 and g[-1] == rows.size and all(s < e for s, e in zip(g, g[1:]))
@@ -332,13 +345,13 @@ class TestBandedWalks:
         assert plan.top.tolist() == [band_top(tree, r) for r in range(n)]
         assert np.flatnonzero(plan.top == np.arange(n)).tolist() == [
             0, *np.flatnonzero((level > 0) & ((level - 1) % k == 0)).tolist()]
-        assert tree.ppos[plan.top[1:]].tolist() == [
-            int(tree.ppos[band_top(tree, r)]) for r in range(1, n)]
+        assert tree.walk.ppos[plan.top[1:]].tolist() == [
+            int(tree.walk.ppos[band_top(tree, r)]) for r in range(1, n)]
         tops = np.flatnonzero((level > k) & ((level - 1) % k == 0))
-        np.testing.assert_array_equal(plan.rows[k - 1][plan.place[tree.ppos[tops]]],
-                                      tree.ppos[tops])
-        assert plan.top[tree.ppos[tops]].tolist() == [
-            band_top(tree, int(tree.ppos[t])) for t in tops]
+        np.testing.assert_array_equal(plan.rows[k - 1][plan.place[tree.walk.ppos[tops]]],
+                                      tree.walk.ppos[tops])
+        assert plan.top[tree.walk.ppos[tops]].tolist() == [
+            band_top(tree, int(tree.walk.ppos[t])) for t in tops]
 
     @pytest.mark.parametrize("a_kind", ["random", "near-one", "zeros", "small"])
     @pytest.mark.parametrize("tree_name", BANDED_TREES)
@@ -349,7 +362,7 @@ class TestBandedWalks:
         leaving ``a`` as it was; ``h_lang == xi`` bitwise, and the same
         bytes on a second run."""
         tree = BANDED_TREES[tree_name]()
-        assert tree.bands is not None
+        assert tree.walk.bands is not None
         rng = np.random.default_rng(7)
         n = tree.num_vertices
         x, p = banded_params(rng, n, a_kind)
@@ -364,24 +377,53 @@ class TestBandedWalks:
         assert scan_outputs(x, p, tree) == [h.tobytes(), xi.tobytes(), h_lang.tobytes()]
         a = p.a_bar.take(tree.bfs_order, axis=0)
         u = rng.standard_normal(a.shape)
-        for walk in (scan._up, scan._down):
+        for walk_pass in (walk._up, walk._down):
             ref, got, a_got = u.copy(), u.copy(), a.copy()
-            walk(tree, ref, a.copy())
-            walk(tree, got, a_got, tree.bands)
+            walk_pass(tree.walk, ref, a.copy())
+            walk_pass(tree.walk, got, a_got, tree.walk.bands)
             assert np.max(np.abs(got - ref)) < 1e-9
-            if walk is scan._up:
+            if walk_pass is walk._up:
                 assert a_got.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("tree_name", ["smooth-grid", "random-bushy"])
+    def test_any_height_matches_the_level_walks(self, tree_name):
+        """Plans of height 2, 3 and isqrt(depth) on trees that
+        ``BAND_ROWS_MAX`` does not band, with wide levels and many rank
+        groups per offset: the banded walks within 1e-9 of the per-level
+        ones at every row, the leaf-to-root walk leaving ``a`` as it was."""
+        rng = np.random.default_rng(10)
+        tree = {
+            "smooth-grid": lambda: smooth_grid_tree(rng),
+            "random-bushy": lambda: rooted_at_last(
+                [0, *rng.integers(np.arange(1, 2000) // 2, np.arange(1, 2000)).tolist()]),
+        }[tree_name]()
+        assert tree.walk.bands is None
+        depth = len(tree.level_bounds) - 1
+        assert depth > 3 and tree.num_vertices > walk.BAND_ROWS_MAX * depth
+        x, p = banded_params(rng, tree.num_vertices, "random")
+        a = p.a_bar.take(tree.bfs_order, axis=0)
+        u = rng.standard_normal(a.shape)
+        for height in (2, 3, isqrt(depth)):
+            banded = walk._walk(tree, height)
+            assert banded.height == height
+            for walk_pass in (walk._up, walk._down):
+                ref, got, a_got = u.copy(), u.copy(), a.copy()
+                walk_pass(tree.walk, ref, a.copy())
+                walk_pass(banded, got, a_got, banded.bands)
+                assert np.max(np.abs(got - ref)) < 1e-9
+                if walk_pass is walk._up:
+                    assert a_got.tobytes() == a.tobytes()
 
     def test_band_products_underflow(self):
         """On a 12000-chain (bands of 109 levels) with a_bar about 1e-3, the
         root-to-leaf walk's band products underflow to 0, and the kernels
         still match ``naive_tree_scan`` within 1e-9."""
         tree = chain_tree(12000)
-        assert tree.bands.height == 109
+        assert tree.walk.bands.height == 109
         rng = np.random.default_rng(8)
         x, p = banded_params(rng, tree.num_vertices, "small", 1, 1)
         a = p.a_bar.take(tree.bfs_order, axis=0)
-        scan._down(tree, np.zeros(a.shape), a, tree.bands)
+        walk._down(tree.walk, np.zeros(a.shape), a, tree.walk.bands)
         assert np.all(p.a_bar > 0) and np.any(a == 0.0)
         at = np.array([tree.root, 0, 6000, 11000 - 1])
         h, _ = tree_scan_vision_forward(x, p, tree)
@@ -404,17 +446,17 @@ class TestBandedWalks:
             "L1": single_vertex_tree,
             "L2": lambda: chain_tree(2),
         }[tree_name]()
-        assert tree.bands is None
+        assert tree.walk.bands is None
         n = tree.num_vertices
         x, p = banded_params(rng, n, "random")
-        order, pos = tree.bfs_order, tree.pos
+        order, pos = tree.bfs_order, tree.walk.pos
         h = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
-        scan._up(tree, h, p.a_bar.take(order, axis=0))
+        walk._up(tree.walk, h, p.a_bar.take(order, axis=0))
         h = h.take(pos, axis=0)
         assert tree_scan_language_forward(x, p, tree).tobytes() == h.tobytes()
         d_h = rng.standard_normal(p.shape)
         rho = d_h.take(order, axis=0)
-        scan._down(tree, rho, p.a_bar.take(order, axis=0))
+        walk._down(tree.walk, rho, p.a_bar.take(order, axis=0))
         d_b_bar = rho.take(pos, axis=0) * x.data[:, :, None]
         g = scan.tree_scan_language_backward(x, p, tree, h, d_h)
         assert g.d_b_bar.tobytes() == d_b_bar.tobytes()
@@ -878,8 +920,8 @@ def rerooted_affinity(tree, p, anchor):
     key = np.where(tree.parent == anchored.parent, np.arange(n), anchored.parent)
     prod = np.zeros(p.shape)
     prod[0] = 1.0
-    scan._down(anchored, prod, p.a_bar.take(key[anchored.bfs_order], axis=0))
-    return prod.take(anchored.pos, axis=0).reshape(n, -1).mean(axis=1)
+    walk._down(anchored.walk, prod, p.a_bar.take(key[anchored.bfs_order], axis=0))
+    return prod.take(anchored.walk.pos, axis=0).reshape(n, -1).mean(axis=1)
 
 
 class TestAffinityMap:
@@ -1076,7 +1118,7 @@ class TestStateMajorLayout:
         x, _, tree = random_scan_instance(rng, n, 3, 4, root=n - 1)
         if tree_name == "chain-200":
             tree = chain_tree(n)
-            assert tree.bands is not None
+            assert tree.walk.bands is not None
         params = make_continuous(rng, n, 3, 4)
         disc = discretize(params)
         out = training_outputs(x, disc, params, tree, rng.standard_normal((n, 3)))

@@ -1,0 +1,84 @@
+"""Digests of every pipeline output, to show that a refactor changes no byte.
+
+Run from the root of a checkout, once with each source tree on PYTHONPATH,
+and compare the two outputs line by line:
+
+    PYTHONPATH=src python3 tools/digests.py > new.txt
+    PYTHONPATH=../other-checkout/src python3 tools/digests.py > old.txt
+    diff old.txt new.txt
+
+For every perfbench workload it steps each input of the pools of seeds 1-3
+and prints the workload's own digest, then a blake2b digest of every array
+that the step returns (and, for cli-grid, of the tree and h files that the
+step writes).  Then it prints digests of ``treescan selfcheck``'s stdout
+and of ``affinity_map`` on the first cli-grid tree at three anchors.  It
+reads only public names of ``treescan`` and takes no options.
+"""
+
+import os
+
+# One BLAS thread, as the benchmark runs, before numpy is imported.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
+import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+from tracing import NullTracer  # noqa: E402
+from treescan import affinity_map, cli  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def blake(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def arrays(name: str, value):
+    """(name, array) for every array in a step's output: in dicts and
+    dataclasses, depth first, in their own order."""
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from arrays(f"{name}.{key}", item)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from arrays(f"{name}.{field.name}", getattr(value, field.name))
+
+
+def main() -> None:
+    anchored = None  # the first cli-grid tree and its scan scalars
+    with tempfile.TemporaryDirectory() as tmp:
+        for wl in workloads.WORKLOADS.values():
+            for seed in SEEDS:
+                workdir = Path(tmp) / f"{wl.name}-{seed}"
+                workdir.mkdir()
+                for k, inp in enumerate(wl.make_pool(np.random.default_rng(seed), workdir)):
+                    out = wl.step(NullTracer(), inp)
+                    print(f"{wl.name} seed={seed} input={k} digest={wl.digest(inp, out)}")
+                    for name, arr in arrays("", out):
+                        print(f"  {name[1:]} {arr.dtype}{list(arr.shape)} {blake(arr.tobytes())}")
+                    if wl.name == "cli-grid":
+                        for path in wl.outputs(inp):
+                            print(f"  file {path.name} {blake(path.read_bytes())}")
+                        anchored = anchored or (out["tree"], out["disc"])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["selfcheck"])
+    print(f"selfcheck exit={code} stdout={blake(stdout.getvalue().encode())}")
+    tree, disc = anchored
+    for anchor in (0, tree.num_vertices // 2, tree.num_vertices - 1):
+        print(f"affinity_map anchor={anchor} {blake(affinity_map(tree, disc, anchor).tobytes())}")
+
+
+if __name__ == "__main__":
+    main()
