@@ -41,7 +41,7 @@ each stage's full-size arrays at the peak (outputs included), and README
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,12 +221,12 @@ def _all_roots(walk: Walk, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
     (``_up``), then return the aggregation over every vertex: (1 - a^2) *
     agg pushed down by ``_down``, with ``agg`` kept at the root.  ``a``,
     the caller's own row-order copy, may be overwritten."""
-    _up(walk, agg, a, walk.bands)
+    _up(walk, agg, a)
     out = a * a
     np.subtract(1.0, out, out=out)
     out *= agg
     out[0] = agg[0]
-    _down(walk, out, a, walk.bands)
+    _down(walk, out, a)
     return out
 
 
@@ -315,7 +315,7 @@ def tree_scan_language_forward(
     _check_instance(x, p, tree, causal=True)
     walk = tree.walk
     h = _input_terms(x, p, walk.order)
-    _up(walk, h, _swap(p.a_bar).take(walk.order, axis=0), walk.bands)
+    _up(walk, h, _swap(p.a_bar).take(walk.order, axis=0))
     return _swap(h.take(walk.pos, axis=0))
 
 
@@ -336,7 +336,7 @@ def tree_scan_language_backward(
     _check_instance(x, p, tree, causal=True, d_h=d_h, h=h)
     walk = tree.walk
     rho = _gather(d_h, walk.order)
-    _down(walk, rho, _swap(p.a_bar).take(walk.order, axis=0), walk.bands)
+    _down(walk, rho, _swap(p.a_bar).take(walk.order, axis=0))
     rho = rho.take(walk.pos, axis=0)
     d_a_bar = rho.take(tree.parent, axis=0)
     d_a_bar *= _swap(np.asarray(h))
@@ -549,5 +549,5 @@ def affinity_map(tree: SpanningTree, p: DiscreteScanParams, anchor: int) -> np.n
     prod[path[0]] = 1.0
     prod[path[1:]] = np.cumprod(a[path[:-1]], axis=0)
     a[path] = 0.0
-    _down(walk, prod, a)
+    _down(replace(walk, height=1), prod, a)
     return _swap(prod)[walk.pos].reshape(n, -1).mean(axis=1)  # lanes in (C, N) order

@@ -4,25 +4,18 @@ passes that read it.  They run on arrays in row order: row k holds vertex
 a contiguous slice.  A kernel gathers its inputs into row order once,
 walks, and gathers its outputs back by ``pos`` (cheaper than a scatter).
 
-A walk takes one numpy step per level, unless it holds a band plan: on a
-deep, narrow tree (fewer than ``BAND_ROWS_MAX`` rows a level on average)
-the kernels walk bands of k = isqrt(depth) consecutive levels, a step per
-band offset in each phase and one per band, O(k + depth / k) steps in
-place of depth (``_up``, ``_down``).  The banded walks re-associate the
-products, so their outputs differ from the per-level walk's in the last
-bits; every other tree takes exactly the per-level walk.
-
-A per-level leaf-to-root step adds a level's rows into their parents by
-one plain indexed add per run of ``runs`` or by one ``np.add.at``
-(``_up_level``); either way each parent adds its children in ``order``
-order, so both give bitwise identical results.  The banded leaf-to-root
-walk adds by the same runs, over that run of every band at one offset.
+A walk of height 1 takes one numpy step per level.  A walk of height k
+walks bands of k consecutive levels, O(k + depth / k) steps in place of
+depth (``_up``, ``_down``); ``tree_walk`` picks k = isqrt(depth) on a
+deep, narrow tree.  The banded walks re-associate the products, so their
+outputs differ from the per-level walk's in the last bits.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from typing import TYPE_CHECKING
 
@@ -48,7 +41,7 @@ RANK_BLOCK_MIN = 500
 
 @dataclass(eq=False)
 class BandPlan:
-    """A tree's levels below the root cut into bands of ``height``
+    """A tree's levels below the root cut into bands of a walk's ``height``
     consecutive levels, as the banded walks read them: integer arrays of
     rows.  Band b holds levels 1 + b * height onwards, up to ``height`` of
     them (the last band may hold fewer), so its rows start at ``bounds[1 +
@@ -67,7 +60,6 @@ class BandPlan:
     ``rows[j]`` for offset j >= 1; 0 at the root).
     """
 
-    height: int
     rows: list[np.ndarray]
     groups: list[list[int]]
     parents: list[np.ndarray]
@@ -81,75 +73,85 @@ class Walk:
     ``bfs_order``.  A run is a stretch of rows within a level in which the
     parent ids climb: it holds no parent twice, and on a ``root_tree``
     level the runs are its rank blocks (every parent's first child, then
-    every second child, and so on)."""
+    every second child, and so on).  ``runs`` and ``bands`` are built on
+    first read, from one gather of each row's parent and level; the walk
+    in another ``height`` is ``dataclasses.replace(walk, height=...)``."""
 
     order: np.ndarray  # (L,) the tree's bfs_order: row k holds vertex order[k]
     pos: np.ndarray  # (L,) the row of every vertex, the inverse of order
     ppos: np.ndarray  # (L,) the parent row of every row, 0 at the root (row 0)
     bounds: list[int]  # the first row of every level, then L (ints: no conversion to slice)
-    runs: list[int]  # the first row of every run, then L (ints)
-    bands: BandPlan | None  # None for one level a step
+    height: int  # levels per band: 1 for a walk of one level a step
+    parent: np.ndarray  # (L,) the tree's parent of every vertex
+    depths: np.ndarray  # (L,) the tree's depth of every vertex
 
-    @property
-    def height(self) -> int:
-        """Levels per band: 1 for a walk of one level a step."""
-        return self.bands.height if self.bands else 1
+    @cached_property
+    def _cuts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's level; whether rows 1, 2, ... start a level; and
+        (L + 1,) whether each row starts a run, True at the end."""
+        par, level = self.parent[self.order], self.depths[self.order]
+        new_level = level[1:] != level[:-1]
+        starts = np.ones(len(par) + 1, dtype=bool)
+        starts[1:-1] = (par[1:] <= par[:-1]) | new_level
+        return level, new_level, starts
+
+    @cached_property
+    def runs(self) -> list[int]:
+        """The first row of every run, then L (ints)."""
+        return np.flatnonzero(self._cuts[2]).tolist()
+
+    @cached_property
+    def bands(self) -> BandPlan | None:
+        """The plan of bands of ``height`` = k levels (the tree has more than
+        k), its rank groups the runs counted within each level; None at 1."""
+        if self.height == 1:
+            return None
+        n, k, ppos = len(self.order), self.height, self.ppos
+        level, new_level, starts = self._cuts
+        run = np.cumsum(starts[1:-1])  # of rows 1, 2, ... (row 0 is run 0)
+        rank = run - np.maximum.accumulate(np.where(new_level, run, 0))  # run within the level
+        band, off = np.divmod(level[1:] - 1, k)
+        # by offset, then rank, then band, then row (the sort is stable)
+        num_bands = int(band[-1]) + 1
+        key = (off * (int(rank.max()) + 1) + rank) * num_bands + band
+        by_key = np.argsort(key, kind="stable")
+        inner, key = by_key + 1, key[by_key] // num_bands
+        at = np.searchsorted(off[by_key], np.arange(k + 1)).tolist()  # offset j from at[j]
+        place = np.zeros(n, dtype=np.int64)  # a row's place among the rows of its offset
+        place[inner] = np.arange(n - 1) - np.repeat(at[:-1], np.diff(at))
+        cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()  # rank groups, all offsets
+        rows, groups, parents = [None], [None], [None]
+        for lo, hi in zip(at[1:-1], at[2:]):
+            rows.append(inner[lo:hi])
+            inside = cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)]
+            groups.append([0, *(c - lo for c in inside), hi - lo])
+            parents.append(ppos[inner[lo:hi]])
+        # band tops by pointer jumping up the parents, a band top stopping at
+        # itself: 2^r jumps after r gathers, and a row is under k jumps from its top
+        top = ppos.copy()
+        top[1:][off == 0] = np.flatnonzero(off == 0) + 1
+        for _ in range((k - 1).bit_length()):
+            top = top[top]
+        return BandPlan(rows=rows, groups=groups, parents=parents, top=top, place=place)
 
 
 def tree_walk(tree: SpanningTree) -> Walk:
     """The walk of ``tree``: bands of isqrt(depth) levels when the levels
     hold fewer than ``BAND_ROWS_MAX`` rows on average, else one a step."""
-    depth = len(tree.level_bounds) - 1
-    return _walk(tree, isqrt(depth) if tree.num_vertices < BAND_ROWS_MAX * depth else 1)
-
-
-def _walk(tree: SpanningTree, k: int) -> Walk:
-    """The ``Walk`` of ``tree`` in bands of k levels (the tree has more than
-    k), or of one level a step at k < 2: every field is read off each row's
-    parent and level, gathered once."""
     n, order, bounds = tree.num_vertices, tree.bfs_order, tree.level_bounds
+    depth = len(bounds) - 1
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
-    par, level = tree.parent[order], tree.depths[order]
-    new_level = level[1:] != level[:-1]  # of rows 1, 2, ...
-    starts = np.ones(n + 1, dtype=bool)  # of the runs, and True at the end
-    starts[1:-1] = (par[1:] <= par[:-1]) | new_level
-    ppos = pos[par]
-    walk = Walk(order, pos, ppos, bounds, np.flatnonzero(starts).tolist(), None)
-    if k < 2:
-        return walk
-    run = np.cumsum(starts[1:-1])  # of rows 1, 2, ... (row 0 is run 0)
-    rank = run - np.maximum.accumulate(np.where(new_level, run, 0))  # run within the level
-    band, off = np.divmod(level[1:] - 1, k)
-    # by offset, then rank, then band, then row (the sort is stable)
-    num_bands = int(band[-1]) + 1
-    key = (off * (int(rank.max()) + 1) + rank) * num_bands + band
-    by_key = np.argsort(key, kind="stable")
-    inner, key = by_key + 1, key[by_key] // num_bands
-    at = np.searchsorted(off[by_key], np.arange(k + 1)).tolist()  # offset j from at[j]
-    place = np.zeros(n, dtype=np.int64)  # a row's place among the rows of its offset
-    place[inner] = np.arange(n - 1) - np.repeat(at[:-1], np.diff(at))
-    cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()  # rank groups, all offsets
-    rows, groups, parents = [None], [None], [None]
-    for lo, hi in zip(at[1:-1], at[2:]):
-        rows.append(inner[lo:hi])
-        groups.append([0, *(c - lo for c in cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)]),
-                       hi - lo])
-        parents.append(ppos[inner[lo:hi]])
-    # band tops by pointer jumping up the parents, a band top stopping at
-    # itself: 2^r jumps after r gathers, and a row is under k jumps from its top
-    top = ppos.copy()
-    top[1:][off == 0] = np.flatnonzero(off == 0) + 1
-    for _ in range((k - 1).bit_length()):
-        top = top[top]
-    walk.bands = BandPlan(height=k, rows=rows, groups=groups, parents=parents, top=top, place=place)
-    return walk
+    height = isqrt(depth) if n < BAND_ROWS_MAX * depth else 1
+    return Walk(order, pos, pos[tree.parent[order]], bounds, height, tree.parent, tree.depths)
 
 
 def _up_level(walk: Walk, u: np.ndarray, a: np.ndarray, lo: int, hi: int) -> None:
     """One leaf-to-root step: the rows lo:hi, one level, add u * a into
     their parents, by runs of ``walk.runs`` when the level has at least
-    ``RANK_BLOCK_MIN`` rows x lanes and by one ``np.add.at`` otherwise."""
+    ``RANK_BLOCK_MIN`` rows x lanes and by one ``np.add.at`` otherwise:
+    either way each parent adds its children in row order, so both give
+    bitwise identical results."""
     ppos = walk.ppos
     if (hi - lo) * u[0].size >= RANK_BLOCK_MIN:
         runs = walk.runs
@@ -161,10 +163,10 @@ def _up_level(walk: Walk, u: np.ndarray, a: np.ndarray, lo: int, hi: int) -> Non
         np.add.at(u, ppos[lo:hi], u[lo:hi] * a[lo:hi])
 
 
-def _up(walk: Walk, u: np.ndarray, a: np.ndarray, bands: BandPlan | None = None) -> None:
+def _up(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     """Leaf-to-root pass in place on row-order arrays: u[i] += sum over
-    children j of u[j] * a[j].  Without ``bands``, one level per step
-    (``_up_level``), deepest first.  With them, in three phases:
+    children j of u[j] * a[j].  At height 1, one level per step
+    (``_up_level``), deepest first; else by ``bands``, in three phases:
 
     1. band-local subtree sums, all bands at once, offset height - 1 up to
        1, one plain indexed add per sibling-rank group;
@@ -179,12 +181,12 @@ def _up(walk: Walk, u: np.ndarray, a: np.ndarray, bands: BandPlan | None = None)
        to offset in compact buffers by rank groups like phase 1.
 
     ``a`` is not changed."""
+    bands, b = walk.bands, walk.bounds
     if bands is None:
-        b = walk.bounds
         for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
             _up_level(walk, u, a, lo, hi)
         return
-    k, rows, groups, place = bands.height, bands.rows, bands.groups, bands.place
+    k, rows, groups, place = walk.height, bands.rows, bands.groups, bands.place
     cpar = [None, None, *(place[par] for par in bands.parents[2:])]  # places in rows[j - 1]
     q = a.take(rows[1], axis=0)
     for j in range(2, k):
@@ -198,7 +200,7 @@ def _up(walk: Walk, u: np.ndarray, a: np.ndarray, bands: BandPlan | None = None)
         for s, e in zip(g, g[1:]):
             u[par[s:e]] += step[s:e]
     below = np.zeros(q.shape)  # phase 3's start, gathered from the tops in phase 2
-    b, ppos = walk.bounds, walk.ppos
+    ppos = walk.ppos
     for lo, hi in reversed([*zip(b[1 + k :: k], b[2 + k :: k])]):  # the tops of bands 1, 2, ...
         top = u[lo:hi] * a[lo:hi]
         at = place[ppos[lo:hi]]
@@ -217,17 +219,17 @@ def _up(walk: Walk, u: np.ndarray, a: np.ndarray, bands: BandPlan | None = None)
             below = up
 
 
-def _down(walk: Walk, u: np.ndarray, a: np.ndarray, bands: BandPlan | None = None) -> None:
+def _down(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     """Root-to-leaf pass in place on row-order arrays: u[i] += a[i] *
-    u[parent] below the root, one band of levels a step.  Without ``bands``
-    a band is one level.  With them, in two phases, and ``a`` is overwritten:
+    u[parent] below the root, one band of ``height`` levels a step; above
+    height 1, by ``bands`` in two phases, and ``a`` is overwritten:
 
     1. within bands, all bands at once, offset 1 to height - 1: u += a *
        u[parent], then a *= a[parent], so that a row holds its sum and its
        path product from its band top down;
     2. one step per band, first band first: u[band] += a[band] *
        u[anc[band]], anc the parent of each row's band top (``ppos[top]``)."""
-    height, anc = 1, walk.ppos  # one level a band, each row's own parent
+    anc, bands = walk.ppos, walk.bands  # at height 1, each row's own parent
     if bands is not None:
         for r, par in zip(bands.rows[1:], bands.parents[1:]):
             a_r = a.take(r, axis=0)
@@ -236,8 +238,8 @@ def _down(walk: Walk, u: np.ndarray, a: np.ndarray, bands: BandPlan | None = Non
             u[r] += step
             a_r *= a.take(par, axis=0)
             a[r] = a_r
-        height, anc = bands.height, walk.ppos[bands.top]
+        anc = walk.ppos[bands.top]
     b = walk.bounds
-    cuts = [*b[1:-1:height], b[-1]]  # the bands' row bounds
+    cuts = [*b[1:-1:walk.height], b[-1]]  # the bands' row bounds
     for lo, hi in zip(cuts, cuts[1:]):
         u[lo:hi] += a[lo:hi] * u.take(anc[lo:hi], axis=0)

@@ -79,7 +79,7 @@ def training_step_peaks(x, params, tree, causal):
         peaks[name] = peak / unit
         return out
 
-    tree.walk  # cached before tracing
+    tree.walk.runs, tree.walk.bands  # cached before tracing
     disc = run("discretize", discretize, params)
     if causal:
         h = run("language_forward", tree_scan_language_forward, x, disc, tree)

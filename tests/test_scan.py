@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from math import isqrt
 
 import numpy as np
@@ -295,7 +296,7 @@ def banded_params(rng, n, a_kind, c=2, s=2):
 
 def band_top(tree, row):
     """The row of ``row``'s band top, found by walking up its parents."""
-    k = tree.walk.bands.height
+    k = tree.walk.height
     level = int(tree.depths[tree.bfs_order[row]])
     for _ in range((level - 1) % k):
         row = int(tree.walk.ppos[row])
@@ -316,7 +317,7 @@ class TestBandedWalks:
                      smooth_grid_tree(np.random.default_rng(0))):
             assert tree.walk.bands is None
         for tree, height in ((chain_tree(4), 2), (chain_tree(5000), 70), (below, 8)):
-            assert tree.walk.bands.height == height
+            assert tree.walk.height == height and tree.walk.bands is not None
 
     @pytest.mark.parametrize("tree_name", BANDED_TREES)
     def test_plan_layout(self, tree_name):
@@ -327,7 +328,7 @@ class TestBandedWalks:
         and the parent's place in the last offset's rows."""
         tree = BANDED_TREES[tree_name]()
         plan, n = tree.walk.bands, tree.num_vertices
-        k = plan.height
+        k = tree.walk.height
         level = tree.depths[tree.bfs_order]
         for j in range(1, k):
             rows = plan.rows[j]
@@ -379,8 +380,8 @@ class TestBandedWalks:
         u = rng.standard_normal(a.shape)
         for walk_pass in (walk._up, walk._down):
             ref, got, a_got = u.copy(), u.copy(), a.copy()
-            walk_pass(tree.walk, ref, a.copy())
-            walk_pass(tree.walk, got, a_got, tree.walk.bands)
+            walk_pass(replace(tree.walk, height=1), ref, a.copy())
+            walk_pass(tree.walk, got, a_got)
             assert np.max(np.abs(got - ref)) < 1e-9
             if walk_pass is walk._up:
                 assert a_got.tobytes() == a.tobytes()
@@ -404,12 +405,11 @@ class TestBandedWalks:
         a = p.a_bar.take(tree.bfs_order, axis=0)
         u = rng.standard_normal(a.shape)
         for height in (2, 3, isqrt(depth)):
-            banded = walk._walk(tree, height)
-            assert banded.height == height
+            banded = replace(tree.walk, height=height)
             for walk_pass in (walk._up, walk._down):
                 ref, got, a_got = u.copy(), u.copy(), a.copy()
                 walk_pass(tree.walk, ref, a.copy())
-                walk_pass(banded, got, a_got, banded.bands)
+                walk_pass(banded, got, a_got)
                 assert np.max(np.abs(got - ref)) < 1e-9
                 if walk_pass is walk._up:
                     assert a_got.tobytes() == a.tobytes()
@@ -419,11 +419,11 @@ class TestBandedWalks:
         root-to-leaf walk's band products underflow to 0, and the kernels
         still match ``naive_tree_scan`` within 1e-9."""
         tree = chain_tree(12000)
-        assert tree.walk.bands.height == 109
+        assert tree.walk.height == 109
         rng = np.random.default_rng(8)
         x, p = banded_params(rng, tree.num_vertices, "small", 1, 1)
         a = p.a_bar.take(tree.bfs_order, axis=0)
-        walk._down(tree.walk, np.zeros(a.shape), a, tree.walk.bands)
+        walk._down(tree.walk, np.zeros(a.shape), a)
         assert np.all(p.a_bar > 0) and np.any(a == 0.0)
         at = np.array([tree.root, 0, 6000, 11000 - 1])
         h, _ = tree_scan_vision_forward(x, p, tree)
@@ -432,6 +432,18 @@ class TestBandedWalks:
         for v in at.tolist():
             causal_ref = naive_tree_scan(x, subtree_only(p, tree, v), tree, roots=[v], force=True)
             assert np.max(np.abs(h_lang[v] - causal_ref[0])) < 1e-9
+
+    def test_plan_built_on_first_read(self):
+        """A walk builds its band plan only when a pass reads it:
+        ``affinity_map`` takes the per-level walk of a banded tree and builds
+        no plan; the language forward builds it."""
+        tree = chain_tree(5000)
+        rng = np.random.default_rng(12)
+        x, p = banded_params(rng, tree.num_vertices, "random", 1, 1)
+        affinity_map(tree, p, 2500)
+        assert tree.walk.height == 70 and "bands" not in vars(tree.walk)
+        tree_scan_language_forward(x, p, tree)
+        assert vars(tree.walk)["bands"] is not None
 
     @pytest.mark.parametrize("tree_name", ["smooth-grid", "random-bushy", "L1", "L2"])
     def test_unbanded_tree_takes_the_level_walk(self, tree_name):
@@ -920,7 +932,8 @@ def rerooted_affinity(tree, p, anchor):
     key = np.where(tree.parent == anchored.parent, np.arange(n), anchored.parent)
     prod = np.zeros(p.shape)
     prod[0] = 1.0
-    walk._down(anchored.walk, prod, p.a_bar.take(key[anchored.bfs_order], axis=0))
+    level_walk = replace(anchored.walk, height=1)
+    walk._down(level_walk, prod, p.a_bar.take(key[anchored.bfs_order], axis=0))
     return prod.take(anchored.walk.pos, axis=0).reshape(n, -1).mean(axis=1)
 
 
