@@ -76,6 +76,9 @@ def cmd_affinity(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # before any instance is built
+        raise ValueError(f"bench --out {out}: not a file in an existing directory")
     sizes = []
     for entry in filter(None, map(str.strip, args.sizes.split(","))):
         try:  # numpy must index and allocate the features each instance draws first
@@ -83,7 +86,7 @@ def cmd_bench(args) -> int:
         except (ValueError, MemoryError) as exc:
             raise ValueError(f"bench --sizes entry {entry!r}: {exc}") from None
     report = run_benchmark(sizes, repeat=args.repeat, seed=args.seed)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
 

@@ -66,23 +66,16 @@ class SpanningTree:
         return depth
 
     @cached_property
-    def level_bounds(self) -> list[int]:
-        """Start of every level in ``bfs_order``, then ``num_vertices``: level
-        k is ``bfs_order[level_bounds[k]:level_bounds[k + 1]]``.  Python ints,
-        so the scans slice with them at no conversion cost; raises like
-        ``depths`` unless ``bfs_order`` is breadth-first."""
-        return [0] + np.cumsum(np.bincount(self.depths)).tolist()
-
-    @cached_property
     def walk(self) -> Walk:
-        """The schedule of the scan passes (``walk.tree_walk``); raises like ``depths``."""
+        """The levels and the schedule of the scan passes (``walk.tree_walk``);
+        raises like ``depths``."""
         return tree_walk(self)
 
     @cached_property
     def levels(self) -> list[np.ndarray]:
-        """``bfs_order`` cut into depth levels (views), each in BFS order;
-        raises like ``depths`` unless ``bfs_order`` is breadth-first."""
-        b = self.level_bounds
+        """``bfs_order`` cut into depth levels (views) at the walk's
+        ``bounds``; raises like ``depths`` unless it is breadth-first."""
+        b = self.walk.bounds
         return [self.bfs_order[lo:hi] for lo, hi in zip(b, b[1:])]
 
     def validate(self) -> None:

@@ -138,7 +138,7 @@ def smooth_grid_tree(rng: np.random.Generator, root_last: bool = False) -> Spann
 
 def rank_block_levels(tree: SpanningTree, lanes: int) -> int:
     """Number of levels whose leaf-to-root step takes rank blocks at ``lanes``."""
-    return int(np.count_nonzero(np.diff(tree.level_bounds)[1:] * lanes >= walk.RANK_BLOCK_MIN))
+    return int(np.count_nonzero(np.diff(tree.walk.bounds)[1:] * lanes >= walk.RANK_BLOCK_MIN))
 
 
 def directional_error(loss, base, grads, rng: np.random.Generator) -> float:
@@ -253,7 +253,7 @@ def check_scan_equivalence(
     )
     if ident >= 1e-12:
         return False, f"two-traversal identity violated by {ident:.3e}", ident
-    return True, (f"{shape} L={n} C={c} N={s} levels={len(tree.level_bounds) - 1} "
+    return True, (f"{shape} L={n} C={c} N={s} levels={len(tree.walk.bounds) - 1} "
                   f"rank-block levels={rank_block_levels(tree, c * s)} "
                   f"band height={tree.walk.height} diff={diff:.1e}"), diff
 

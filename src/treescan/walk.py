@@ -1,5 +1,6 @@
 """The walk, the schedule of the scan passes over a rooted tree, and the
-passes that read it.  They run on arrays in row order: row k holds vertex
+passes that read it.  ``tree_walk`` alone cuts the tree into levels, at its
+depths.  The passes run on arrays in row order: row k holds vertex
 ``order[k]``, a BFS from the root, so the root is row 0 and every level is
 a contiguous slice.  A kernel gathers its inputs into row order once,
 walks, and gathers its outputs back by ``pos`` (cheaper than a scatter).
@@ -74,22 +75,22 @@ class Walk:
     parent ids climb: it holds no parent twice, and on a ``root_tree``
     level the runs are its rank blocks (every parent's first child, then
     every second child, and so on).  ``runs`` and ``bands`` are built on
-    first read, from one gather of each row's parent and level; the walk
-    in another ``height`` is ``dataclasses.replace(walk, height=...)``."""
+    first read, from each row's parent vertex, ``order[ppos]``, and level,
+    off ``bounds``; the walk in another ``height`` is
+    ``dataclasses.replace(walk, height=...)``."""
 
     order: np.ndarray  # (L,) the tree's bfs_order: row k holds vertex order[k]
     pos: np.ndarray  # (L,) the row of every vertex, the inverse of order
     ppos: np.ndarray  # (L,) the parent row of every row, 0 at the root (row 0)
     bounds: list[int]  # the first row of every level, then L (ints: no conversion to slice)
     height: int  # levels per band: 1 for a walk of one level a step
-    parent: np.ndarray  # (L,) the tree's parent of every vertex
-    depths: np.ndarray  # (L,) the tree's depth of every vertex
 
     @cached_property
     def _cuts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each row's level; whether rows 1, 2, ... start a level; and
         (L + 1,) whether each row starts a run, True at the end."""
-        par, level = self.parent[self.order], self.depths[self.order]
+        par, b = self.order[self.ppos], self.bounds  # each row's parent vertex
+        level = np.repeat(np.arange(len(b) - 1), np.diff(b))
         new_level = level[1:] != level[:-1]
         starts = np.ones(len(par) + 1, dtype=bool)
         starts[1:-1] = (par[1:] <= par[:-1]) | new_level
@@ -110,12 +111,11 @@ class Walk:
         level, new_level, starts = self._cuts
         run = np.cumsum(starts[1:-1])  # of rows 1, 2, ... (row 0 is run 0)
         rank = run - np.maximum.accumulate(np.where(new_level, run, 0))  # run within the level
-        band, off = np.divmod(level[1:] - 1, k)
-        # by offset, then rank, then band, then row (the sort is stable)
-        num_bands = int(band[-1]) + 1
-        key = (off * (int(rank.max()) + 1) + rank) * num_bands + band
+        off = (level[1:] - 1) % k
+        # by offset, then rank, then row: the rows are in band order already
+        key = off * (int(rank.max()) + 1) + rank
         by_key = np.argsort(key, kind="stable")
-        inner, key = by_key + 1, key[by_key] // num_bands
+        inner, key = by_key + 1, key[by_key]
         at = np.searchsorted(off[by_key], np.arange(k + 1)).tolist()  # offset j from at[j]
         place = np.zeros(n, dtype=np.int64)  # a row's place among the rows of its offset
         place[inner] = np.arange(n - 1) - np.repeat(at[:-1], np.diff(at))
@@ -138,12 +138,13 @@ class Walk:
 def tree_walk(tree: SpanningTree) -> Walk:
     """The walk of ``tree``: bands of isqrt(depth) levels when the levels
     hold fewer than ``BAND_ROWS_MAX`` rows on average, else one a step."""
-    n, order, bounds = tree.num_vertices, tree.bfs_order, tree.level_bounds
+    n, order = tree.num_vertices, tree.bfs_order
+    bounds = [0] + np.cumsum(np.bincount(tree.depths)).tolist()  # raises unless breadth-first
     depth = len(bounds) - 1
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     height = isqrt(depth) if n < BAND_ROWS_MAX * depth else 1
-    return Walk(order, pos, pos[tree.parent[order]], bounds, height, tree.parent, tree.depths)
+    return Walk(order, pos, pos[tree.parent[order]], bounds, height)
 
 
 def _up_level(walk: Walk, u: np.ndarray, a: np.ndarray, lo: int, hi: int) -> None:

@@ -1,7 +1,24 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 from treescan import DiscreteScanParams, FeatureMap, root_tree
+from treescan.cli import main
+
+
+@pytest.fixture(scope="session")
+def selfcheck_runs():
+    """``treescan selfcheck`` run once per session in each mode, "clean"
+    and "negative-control": each mode's (exit code, stdout)."""
+    runs = {}
+    for mode, flags in (("clean", []), ("negative-control", ["--negative-control"])):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["selfcheck", *flags])
+        runs[mode] = code, stdout.getvalue()
+    return runs
 
 
 @pytest.fixture

@@ -273,9 +273,9 @@ def test_discretization_identities():
     )
 
 
-def test_selfcheck_exit_codes(capsys):
-    clean = main(["selfcheck"])
-    perturbed = main(["selfcheck", "--negative-control"])
-    out = capsys.readouterr().out
+def test_selfcheck_exit_codes(selfcheck_runs):
+    clean, clean_out = selfcheck_runs["clean"]
+    perturbed, perturbed_out = selfcheck_runs["negative-control"]
+    out = clean_out + perturbed_out
     ok = clean == 0 and perturbed == 1 and "seed=" in out
     _report("selfcheck-exit-codes", ok, f"clean exit {clean} == 0, negative control exit {perturbed} == 1")

@@ -814,9 +814,9 @@ class TestCmdBench:
 
 
 class TestCmdSelfcheck:
-    def test_clean_build_exits_zero(self, capsys):
-        assert main(["selfcheck"]) == 0
-        out = capsys.readouterr().out
+    def test_clean_build_exits_zero(self, selfcheck_runs):
+        code, out = selfcheck_runs["clean"]
+        assert code == 0
         assert "all checks passed" in out
         assert "seed=" in out
         # every group line carries the group's worst error
@@ -837,9 +837,9 @@ class TestCmdSelfcheck:
         for shape, height in deep:
             assert (int(height) > 1) == (shape in ("chain", "causal", "near-one"))
 
-    def test_negative_control_exits_one(self, capsys):
-        assert main(["selfcheck", "--negative-control"]) == 1
-        out = capsys.readouterr().out
+    def test_negative_control_exits_one(self, selfcheck_runs):
+        code, out = selfcheck_runs["negative-control"]
+        assert code == 1
         assert "FAIL" in out
         # the injected 1e-6 shows as the failing group's worst error
         match = re.search(r"^---- scan-equivalence: FAIL \(45 instances, worst (\S+)\)$", out, re.M)
@@ -853,6 +853,16 @@ def test_negative_seed_named(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {command} --seed")
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("out", ["missing/r.json", "."])
+def test_bench_out_checked_before_any_instance(tmp_path, capsys, monkeypatch, out):
+    """An ``--out`` in a missing directory, or a directory, exits 2 with one
+    line naming ``--out``, before the benchmark builds anything."""
+    monkeypatch.setattr("treescan.cli.run_benchmark", lambda *a, **k: pytest.fail("benchmark ran"))
+    assert main(["bench", "--sizes", "4,8", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: bench --out")
 
 
 JSON_VALUES = st.recursive(
@@ -991,6 +1001,7 @@ SUBPROCESS_CASES = {
     # virtual address space of the largest 64-bit machines: it fails at once
     "bench-size-unallocatable": _bench_case("4,10000000000000000"),
     "bench-size-beyond-int64": _bench_case("4,99999999999999999999"),
+    "bench-out-missing-dir": lambda d: _bench_case("4,8")(d / "missing"),
     "affinity-negative-size": _affinity_case("--height", "-4", "--width", "-4"),
     "affinity-negative-delta": _affinity_case("--height", "4", "--width", "4", "--delta", "-1"),
     "affinity-nan-delta": _affinity_case("--height", "4", "--width", "4", "--delta", "nan"),

@@ -293,7 +293,7 @@ class TestRootTree:
         assert (tree.num_vertices, tree.root) == (4, 2)
         tree.validate()
         assert tree.depths.tolist() == [1, 1, 0, 2]
-        assert tree.level_bounds == [0, 1, 3, 4]
+        assert tree.walk.bounds == [0, 1, 3, 4]
 
     @pytest.mark.parametrize("parent,bfs_order,message", [
         ([1, 2, 0], [0, 1, 2], "exactly one vertex may be its own parent, found 0"),
@@ -342,7 +342,7 @@ class TestRootTree:
             tree.validate()
         # depths raise the same, so no kernel walks the cycle either
         with pytest.raises(ValueError, match="cycle"):
-            tree.level_bounds
+            tree.walk.bounds
 
     def test_invariants_for_every_root(self):
         rng = np.random.default_rng(3)

@@ -4,6 +4,8 @@ from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treescan import (
     ContinuousScanParams,
@@ -11,6 +13,8 @@ from treescan import (
     FeatureMap,
     SpanningTree,
     affinity_map,
+    boruvka_mst,
+    build_causal_graph,
     discretization_backward,
     discretize,
     io,
@@ -27,6 +31,7 @@ from treescan import (
     tree_scan_vision_forward,
     walk,
 )
+from treescan.oracle import bfs_root_tree
 from treescan.selfcheck import (
     align_chain_params,
     causal_tree,
@@ -139,7 +144,7 @@ def assert_rank_runs(tree, rank_major=True):
     ``rank_major`` (a ``root_tree`` layout), run k of a level is its rank
     block: the k-th smallest child of every parent with more than k
     children, parents ascending."""
-    runs, b = tree.walk.runs, tree.level_bounds
+    runs, b = tree.walk.runs, tree.walk.bounds
     assert runs[0] == 0 and runs[-1] == tree.num_vertices
     assert set(b) <= set(runs) and all(s < e for s, e in zip(runs, runs[1:]))
     par = tree.parent[tree.bfs_order]
@@ -186,10 +191,10 @@ class TestRankSchedule:
         n = parent.size
         edges = n - 1 - np.stack([np.arange(1, n), parent[1:]], axis=1)  # rooted at the last token
         tree = root_tree(edges, np.ones(n - 1), n, n - 1)
-        assert np.diff(tree.level_bounds).tolist() == [1, 10, 200, 100]
+        assert np.diff(tree.walk.bounds).tolist() == [1, 10, 200, 100]
         assert rank_block_levels(tree, 3) == 1
         assert_rank_runs(tree)
-        lo, hi = tree.level_bounds[2:4]
+        lo, hi = tree.walk.bounds[2:4]
         runs = tree.walk.runs
         assert runs[runs.index(lo):runs.index(hi) + 1] == list(range(lo, hi + 1, 10))
         np.testing.assert_array_equal(tree.parent[tree.bfs_order[lo:lo + 10]], tree.bfs_order[1:11])
@@ -219,7 +224,7 @@ class TestRankSchedule:
         np.testing.assert_array_equal(old.bfs_order[old.walk.pos], np.arange(n))
         for anchor in (tree.root, int(old.bfs_order[-1]), n // 2):
             assert affinity_map(old, p, anchor).tobytes() == affinity_map(tree, p, anchor).tobytes()
-        assert old.level_bounds == tree.level_bounds
+        assert old.walk.bounds == tree.walk.bounds
         assert_rank_runs(old, rank_major=False)
         assert len(old.walk.runs) > len(tree.walk.runs)
         for bound in (0, walk.RANK_BLOCK_MIN, 2**62):
@@ -303,7 +308,60 @@ def band_top(tree, row):
     return row
 
 
+@st.composite
+def walk_instances(draw):
+    """A tree of 2 to 200 vertices, a band height from 2 to its level count
+    + 1, a lane count from 1 to 8 and a random generator.  The shapes: a
+    random tree rooted at a random vertex, by ``root_tree`` ("random") or
+    by the oracle's plain BFS, whose levels are not rank-major
+    ("bfs-order"); a chain and a caterpillar (a spine with leaves), each at
+    a random root; and a causal m = 1-4 tree rooted at its last token."""
+    shape = draw(st.sampled_from(["random", "bfs-order", "chain", "caterpillar", "causal"]))
+    n = draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    root, v = int(rng.integers(0, n)), np.arange(1, n)
+    if shape == "causal":
+        m = draw(st.integers(1, 4))
+        graph = build_causal_graph(FeatureMap(rng.standard_normal((n, 4))), m=m)
+        tree = root_tree(*boruvka_mst(graph), n, n - 1)
+    else:
+        if shape == "chain":
+            up = v - 1
+        elif shape == "caterpillar":
+            spine = draw(st.integers(1, n))
+            up = np.where(v < spine, v - 1, rng.integers(0, spine, n - 1))
+        else:
+            up = rng.integers(0, v)  # vertex v hangs off a smaller one
+        rooting = bfs_root_tree if shape == "bfs-order" else root_tree
+        tree = rooting(np.stack([v, up], axis=1), np.zeros(n - 1), n, root)
+    height = draw(st.integers(2, len(tree.walk.bounds)))
+    return tree, height, draw(st.integers(1, 8)), rng
+
+
 class TestBandedWalks:
+    @settings(max_examples=300, deadline=None)
+    @given(instance=walk_instances())
+    def test_any_band_height_matches_the_level_walk(self, instance):
+        """On small trees of every shape, the banded walks at any height
+        equal the per-level walks within 1e-12, and the leaf-to-root walk
+        leaves ``a`` as it was."""
+        tree, height, lanes, rng = instance
+        a = rng.uniform(0.05, 0.95, (tree.num_vertices, lanes))
+        u = rng.standard_normal(a.shape)
+        level_walk, banded = replace(tree.walk, height=1), replace(tree.walk, height=height)
+        for walk_pass in (walk._up, walk._down):
+            ref, got, a_got = u.copy(), u.copy(), a.copy()
+            walk_pass(level_walk, ref, a.copy())
+            walk_pass(banded, got, a_got)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+            if walk_pass is walk._up:
+                assert a_got.tobytes() == a.tobytes()
+
+    def test_single_vertex_walks_one_level_a_step(self):
+        """At L = 1 no band plan fits (one of height 2 would index past the
+        one row), and ``tree_walk`` builds none."""
+        assert single_vertex_tree().walk.height == 1
+
     def test_band_height_follows_the_shape(self):
         """isqrt(depth) levels a band when the levels hold fewer than
         ``BAND_ROWS_MAX`` rows on average: a broom of 64 levels bands with
@@ -312,7 +370,7 @@ class TestBandedWalks:
         cut = walk.BAND_ROWS_MAX * 64
         below, at_cut = broom(64, cut - 1 - 64), broom(64, cut - 64)
         assert (below.num_vertices, at_cut.num_vertices) == (cut - 1, cut)
-        assert len(below.level_bounds) == len(at_cut.level_bounds) == 65
+        assert len(below.walk.bounds) == len(at_cut.walk.bounds) == 65
         for tree in (single_vertex_tree(), chain_tree(2), chain_tree(3), at_cut,
                      smooth_grid_tree(np.random.default_rng(0))):
             assert tree.walk.bands is None
@@ -399,7 +457,7 @@ class TestBandedWalks:
                 [0, *rng.integers(np.arange(1, 2000) // 2, np.arange(1, 2000)).tolist()]),
         }[tree_name]()
         assert tree.walk.bands is None
-        depth = len(tree.level_bounds) - 1
+        depth = len(tree.walk.bounds) - 1
         assert depth > 3 and tree.num_vertices > walk.BAND_ROWS_MAX * depth
         x, p = banded_params(rng, tree.num_vertices, "random")
         a = p.a_bar.take(tree.bfs_order, axis=0)

@@ -10,9 +10,12 @@ and compare the two outputs line by line:
 For every perfbench workload it steps each input of the pools of seeds 1-3
 and prints the workload's own digest, then a blake2b digest of every array
 that the step returns (and, for cli-grid, of the tree and h files that the
-step writes).  Then it prints digests of ``treescan selfcheck``'s stdout
-and of ``affinity_map`` on the first cli-grid tree at three anchors.  It
-reads only public names of ``treescan`` and takes no options.
+step writes), and digests of the integers of the step's tree's walk: its
+rows, parent rows, level bounds and runs, and its band plan at its own
+height and at heights 2 and 3.  Then it prints digests of ``treescan
+selfcheck``'s stdout and of ``affinity_map`` on the first cli-grid tree at
+three anchors.  It reads only public names of ``treescan`` and of its
+walks and takes no options.
 """
 
 import os
@@ -55,6 +58,29 @@ def arrays(name: str, value):
             yield from arrays(f"{name}.{field.name}", getattr(value, field.name))
 
 
+def ints(value) -> bytes:
+    """The bytes of an integer array, or of a list of them (or of lists of
+    ints, or None) with each item's length before it."""
+    if value is None:
+        return b""
+    if isinstance(value, list) and value and not isinstance(value[0], int):
+        return b"".join(len(ints(item)).to_bytes(8, "little") + ints(item) for item in value)
+    return np.asarray(value, dtype=np.int64).tobytes()
+
+
+def walk_lines(walk):
+    """Digests of a walk's integers, then of its band plan at its own height
+    and at heights 2 and 3."""
+    yield f"walk height={walk.height} " + " ".join(
+        f"{name} {blake(ints(getattr(walk, name)))}" for name in ("pos", "ppos", "bounds", "runs"))
+    for height in (walk.height, 2, 3):
+        plan = dataclasses.replace(walk, height=height).bands
+        if plan is not None:
+            yield f"bands height={height} " + " ".join(
+                f"{name} {blake(ints(getattr(plan, name)))}"
+                for name in ("rows", "groups", "parents", "top", "place"))
+
+
 def main() -> None:
     anchored = None  # the first cli-grid tree and its scan scalars
     with tempfile.TemporaryDirectory() as tmp:
@@ -67,6 +93,8 @@ def main() -> None:
                     print(f"{wl.name} seed={seed} input={k} digest={wl.digest(inp, out)}")
                     for name, arr in arrays("", out):
                         print(f"  {name[1:]} {arr.dtype}{list(arr.shape)} {blake(arr.tobytes())}")
+                    for line in walk_lines(out["tree"].walk):
+                        print(f"  {line}")
                     if wl.name == "cli-grid":
                         for path in wl.outputs(inp):
                             print(f"  file {path.name} {blake(path.read_bytes())}")
