@@ -122,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("affinity", help="render the path-weight map of an anchor pixel")
     p.add_argument("--tree", required=True)
-    p.add_argument("--params", help="continuous scan parameter file")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--params", help="continuous scan parameter file")
+    source.add_argument(
         "--from-weights",
         action="store_true",
         help="derive transitions as exp(-delta * edge weight) instead of --params",
@@ -154,10 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "affinity" and bool(args.params) == bool(args.from_weights):
-        parser.error("affinity needs exactly one of --params or --from-weights")
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"{args.command} --seed must be >= 0, got {args.seed}")

@@ -12,7 +12,8 @@ so that numpy's inner loops run over the C channels, not over the few
 states.  With N > 1 such a view is not C-contiguous, and reshaping it
 copies.  ``DiscreteScanParams`` copies a_bar and b_bar of any other layout
 into this one; the kernels read h, xi and d_h of any layout in their
-gathers (an index reads any strides), and the projections read h by row
+gathers (an index reads any strides) into fresh state-major memory, which
+the leaf-to-root pass views flat, and the projections read h by row
 blocks, so an h of another layout costs a block copy.  Outputs do not
 depend on the layout of the inputs.
 
@@ -212,8 +213,9 @@ def _input_terms(x: FeatureMap, p: DiscreteScanParams, order: np.ndarray) -> np.
 def _gather(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rows of a caller's (L, C, N) array, of any layout, as fresh (len(rows),
     N, C) state-major memory (an index, unlike ``take``, reads any strides
-    without first copying the whole array)."""
-    return _swap(np.asarray(arr))[rows]
+    without first copying the whole array, but keeps the caller's memory
+    order, which is then copied once)."""
+    return np.ascontiguousarray(_swap(np.asarray(arr))[rows])
 
 
 def _all_roots(walk: Walk, agg: np.ndarray, a: np.ndarray) -> np.ndarray:

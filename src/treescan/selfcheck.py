@@ -15,7 +15,6 @@ from .lattice import FeatureMap, WeightedGraph, build_causal_graph, build_grid_g
 from .mst import SpanningTree, boruvka_mst, root_tree
 from .oracle import (FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst,
                      sequential_selective_scan)
-from . import walk
 from .scan import (
     ContinuousScanParams,
     DiscreteScanParams,
@@ -136,11 +135,6 @@ def smooth_grid_tree(rng: np.random.Generator, root_last: bool = False) -> Spann
     return root_tree(edges, weights, h * w, h * w - 1 if root_last else 0)
 
 
-def rank_block_levels(tree: SpanningTree, lanes: int) -> int:
-    """Number of levels whose leaf-to-root step takes rank blocks at ``lanes``."""
-    return int(np.count_nonzero(np.diff(tree.walk.bounds)[1:] * lanes >= walk.RANK_BLOCK_MIN))
-
-
 def directional_error(loss, base, grads, rng: np.random.Generator) -> float:
     """Relative error of the gradients' inner product with one random
     direction d in the arrays ``base`` against the central difference of
@@ -254,7 +248,6 @@ def check_scan_equivalence(
     if ident >= 1e-12:
         return False, f"two-traversal identity violated by {ident:.3e}", ident
     return True, (f"{shape} L={n} C={c} N={s} levels={len(tree.walk.bounds) - 1} "
-                  f"rank-block levels={rank_block_levels(tree, c * s)} "
                   f"band height={tree.walk.height} diff={diff:.1e}"), diff
 
 
@@ -296,8 +289,8 @@ def check_gradients(seed: int, shape: str = "random",
                             (x.data, p.a_bar, p.b_bar),
                             (analytic.d_x, analytic.d_a_bar, analytic.d_b_bar), rng)
     return err < tol, (
-        f"{shape} L={n} C={c} N={s} rank-block levels={rank_block_levels(tree, c * s)} "
-        f"band height={tree.walk.height} directional rel_err={err:.2e}"), err
+        f"{shape} L={n} C={c} N={s} band height={tree.walk.height} "
+        f"directional rel_err={err:.2e}"), err
 
 
 def check_training_chain(seed: int, shape: str = "random",

@@ -2,10 +2,13 @@
 passes that read it.  ``tree_walk`` alone cuts the tree into levels, at its
 depths.  The passes run on arrays in row order: row k holds vertex
 ``order[k]``, a BFS from the root, so the root is row 0 and every level is
-a contiguous slice.  A kernel gathers its inputs into row order once,
-walks, and gathers its outputs back by ``pos`` (cheaper than a scatter).
+a contiguous slice.  A kernel gathers its inputs into row order once, as
+C-contiguous memory, walks, and gathers its outputs back by ``pos``
+(cheaper than a scatter).
 
-A walk of height 1 takes one numpy step per level.  A walk of height k
+A walk of height 1 takes one numpy step per level; the leaf-to-root step
+is one ``np.add.at`` over the level's rows and lanes, into the array
+viewed flat.  A walk of height k
 walks bands of k consecutive levels, O(k + depth / k) steps in place of
 depth (``_up``, ``_down``); ``tree_walk`` picks k = isqrt(depth) on a
 deep, narrow tree.  The banded walks re-associate the products, so their
@@ -34,10 +37,6 @@ if TYPE_CHECKING:
 # parents they break even near 7 rows a level at 256 lanes (6 rows: 17.1 ->
 # 15.3 ms, 8 rows: 14.4 -> 16.2 ms) and still win at 24 rows at 3 and 64 lanes.
 BAND_ROWS_MAX = 4
-# Rows x lanes from which a level's leaf-to-root step is cheaper as one plain
-# indexed add per rank block than as one np.add.at over the level (measured
-# on the benchmark workloads' trees, 2-core VM).
-RANK_BLOCK_MIN = 500
 
 
 @dataclass(eq=False)
@@ -51,9 +50,9 @@ class BandPlan:
     height - 1 (index 0 of the lists is unused):
 
     - ``rows[j]``, the offset-j rows of every band, cut by the bounds
-      ``groups[j]`` into one group per run index of ``runs`` (per sibling
-      rank, on a ``root_tree`` tree): no group holds a parent twice, so
-      that each is one plain indexed add;
+      ``groups[j]`` into one group per run index within a level (per
+      sibling rank, on a ``root_tree`` tree): no group holds a parent
+      twice, so that each is one plain indexed add;
     - ``parents[j]``, their parent rows.
 
     Per row: ``top``, its band top (the root and the band tops are their
@@ -71,13 +70,9 @@ class BandPlan:
 @dataclass(eq=False)
 class Walk:
     """The schedule of the scan passes over a tree, read off its
-    ``bfs_order``.  A run is a stretch of rows within a level in which the
-    parent ids climb: it holds no parent twice, and on a ``root_tree``
-    level the runs are its rank blocks (every parent's first child, then
-    every second child, and so on).  ``runs`` and ``bands`` are built on
-    first read, from each row's parent vertex, ``order[ppos]``, and level,
-    off ``bounds``; the walk in another ``height`` is
-    ``dataclasses.replace(walk, height=...)``."""
+    ``bfs_order``.  ``bands`` is built on first read, from each row's
+    parent vertex, ``order[ppos]``, and level, off ``bounds``; the walk in
+    another ``height`` is ``dataclasses.replace(walk, height=...)``."""
 
     order: np.ndarray  # (L,) the tree's bfs_order: row k holds vertex order[k]
     pos: np.ndarray  # (L,) the row of every vertex, the inverse of order
@@ -87,19 +82,15 @@ class Walk:
 
     @cached_property
     def _cuts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's level; whether rows 1, 2, ... start a level; and
-        (L + 1,) whether each row starts a run, True at the end."""
+        """Each row's level, and whether rows 1, 2, ... start a level and a
+        run.  A run is a stretch of rows within a level in which the parent
+        ids climb: it holds no parent twice, and on a ``root_tree`` level
+        the runs are its rank blocks (every parent's first child, then every
+        second child, and so on)."""
         par, b = self.order[self.ppos], self.bounds  # each row's parent vertex
         level = np.repeat(np.arange(len(b) - 1), np.diff(b))
         new_level = level[1:] != level[:-1]
-        starts = np.ones(len(par) + 1, dtype=bool)
-        starts[1:-1] = (par[1:] <= par[:-1]) | new_level
-        return level, new_level, starts
-
-    @cached_property
-    def runs(self) -> list[int]:
-        """The first row of every run, then L (ints)."""
-        return np.flatnonzero(self._cuts[2]).tolist()
+        return level, new_level, (par[1:] <= par[:-1]) | new_level
 
     @cached_property
     def bands(self) -> BandPlan | None:
@@ -109,7 +100,7 @@ class Walk:
             return None
         n, k, ppos = len(self.order), self.height, self.ppos
         level, new_level, starts = self._cuts
-        run = np.cumsum(starts[1:-1])  # of rows 1, 2, ... (row 0 is run 0)
+        run = np.cumsum(starts)  # of rows 1, 2, ... (row 0 is run 0)
         rank = run - np.maximum.accumulate(np.where(new_level, run, 0))  # run within the level
         off = (level[1:] - 1) % k
         # by offset, then rank, then row: the rows are in band order already
@@ -147,46 +138,40 @@ def tree_walk(tree: SpanningTree) -> Walk:
     return Walk(order, pos, pos[tree.parent[order]], bounds, height)
 
 
-def _up_level(walk: Walk, u: np.ndarray, a: np.ndarray, lo: int, hi: int) -> None:
-    """One leaf-to-root step: the rows lo:hi, one level, add u * a into
-    their parents, by runs of ``walk.runs`` when the level has at least
-    ``RANK_BLOCK_MIN`` rows x lanes and by one ``np.add.at`` otherwise:
-    either way each parent adds its children in row order, so both give
-    bitwise identical results."""
-    ppos = walk.ppos
-    if (hi - lo) * u[0].size >= RANK_BLOCK_MIN:
-        runs = walk.runs
-        i = bisect_left(runs, lo)
-        j = bisect_left(runs, hi, i)
-        for s, e in zip(runs[i:j], runs[i + 1 : j + 1]):
-            u[ppos[s:e]] += u[s:e] * a[s:e]
-    else:
-        np.add.at(u, ppos[lo:hi], u[lo:hi] * a[lo:hi])
-
-
 def _up(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     """Leaf-to-root pass in place on row-order arrays: u[i] += sum over
-    children j of u[j] * a[j].  At height 1, one level per step
-    (``_up_level``), deepest first; else by ``bands``, in three phases:
+    children j of u[j] * a[j].  ``u`` must be C-contiguous: it is viewed
+    flat, and a layout that would need a copy raises a ValueError instead
+    of adding into the copy.  One level step a level, deepest first: one
+    ``np.add.at`` into the flat ``u`` at ``pm`` + lane for every (row,
+    lane) of the level, ``pm`` = ppos * m with m the lanes, so that each
+    parent adds its children in row order.  Above height 1, ``_up_bands``
+    first finishes every row below level 1, and one level step joins band
+    0's tops to the root.  ``a`` is not changed."""
+    flat, b = u.reshape(-1, copy=False), walk.bounds
+    if walk.bands is not None:
+        _up_bands(walk, u, a)
+        b = b[:3]  # level 1 alone
+    m = u[0].size
+    pm, lanes = walk.ppos * m, np.arange(m)
+    for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
+        np.add.at(flat, (pm[lo:hi, None] + lanes).ravel(), (u[lo:hi] * a[lo:hi]).ravel())
+
+
+def _up_bands(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
+    """``_up`` below level 1 by ``bands``, in three phases:
 
     1. band-local subtree sums, all bands at once, offset height - 1 up to
        1, one plain indexed add per sibling-rank group;
-    2. the band tops, last band first, each band's final: each top adds
-       (u * a) * q into its parent's band top by one ``np.add.at`` a band,
-       q the product of a from that parent up to just below the band top,
-       and u * a into ``below`` (both compact, one row per
-       offset-(height - 1) row); band 0's tops join the root by one level
-       step;
+    2. the band tops, last band first, each band's final: each top of bands
+       1, 2, ... adds (u * a) * q into its parent's band top by one
+       ``np.add.at`` a band, q the product of a from that parent up to just
+       below the band top, and u * a into ``below`` (both compact, one row
+       per offset-(height - 1) row);
     3. the rows below the tops, offset height - 1 up to 1, take ``below``,
        the sum over the next band's tops under them, carried up from offset
-       to offset in compact buffers by rank groups like phase 1.
-
-    ``a`` is not changed."""
+       to offset in compact buffers by rank groups like phase 1."""
     bands, b = walk.bands, walk.bounds
-    if bands is None:
-        for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
-            _up_level(walk, u, a, lo, hi)
-        return
     k, rows, groups, place = walk.height, bands.rows, bands.groups, bands.place
     cpar = [None, None, *(place[par] for par in bands.parents[2:])]  # places in rows[j - 1]
     q = a.take(rows[1], axis=0)
@@ -208,7 +193,6 @@ def _up(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
         np.add.at(below, at, top)
         top *= q.take(at, axis=0)
         np.add.at(u, bands.top[ppos[lo:hi]], top)
-    _up_level(walk, u, a, *b[1:3])
     del q  # not held through phase 3
     for j in range(k - 1, 0, -1):
         u[rows[j]] += below

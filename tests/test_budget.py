@@ -79,7 +79,7 @@ def training_step_peaks(x, params, tree, causal):
         peaks[name] = peak / unit
         return out
 
-    tree.walk.runs, tree.walk.bands  # cached before tracing
+    tree.walk.bands  # cached before tracing
     disc = run("discretize", discretize, params)
     if causal:
         h = run("language_forward", tree_scan_language_forward, x, disc, tree)
@@ -137,6 +137,33 @@ def test_c_order_h_within_budget(stage):
             "output_projection_backward": lambda: output_projection_backward(h, params, x, d_y)}
     peak = traced_peak(call[stage])[1] / h.nbytes
     assert peak <= VISION_BUDGET[stage], f"{stage}: {peak:.3f} arrays"
+
+
+@pytest.mark.parametrize("stage", ["vision_backward", "language_backward"])
+def test_c_order_d_h_within_budget(stage):
+    """A d_h in C order, not the kernels' state-major layout, is gathered
+    into row order as state-major memory: the gathered rows are not copied
+    whole again by a later ``take``."""
+    rng = np.random.default_rng(8)
+    if stage == "vision_backward":
+        n, c, budget = 1024, 64, VISION_BUDGET
+        x = FeatureMap(rng.standard_normal((n, c)), spatial=(32, 32))
+        tree = root_tree(*boruvka_mst(build_grid_graph(x)), n, 0)
+    else:
+        n, c, budget = 4096, 16, CAUSAL_BUDGET
+        tree = causal_tree(rng, n)
+        x = FeatureMap(rng.standard_normal((n, c)))
+    disc = discretize(make_continuous(rng, n, c, 4))
+    d_h = rng.standard_normal((n, c, 4))
+    tree.walk.bands  # cached before tracing
+    if stage == "vision_backward":
+        h, xi = tree_scan_vision_forward(x, disc, tree)
+        call = (tree_scan_vision_backward, x, disc, tree, xi, h, d_h)
+    else:
+        h = tree_scan_language_forward(x, disc, tree)
+        call = (tree_scan_language_backward, x, disc, tree, h, d_h)
+    peak = traced_peak(*call)[1] / d_h.nbytes
+    assert peak <= budget[stage], f"{stage}: {peak:.3f} arrays"
 
 
 def test_a_full_size_temporary_is_caught():

@@ -34,7 +34,6 @@ from treescan.selfcheck import (
 
 from test_scan import (
     STRESS_TREES,
-    UP_BRANCH_TREES,
     banded_params,
     broom,
     make_continuous,
@@ -255,25 +254,6 @@ class TestLayoutStress:
         assert ok, detail
         assert selfcheck.scan_equivalence_instance(
             np.random.default_rng(11), shape)[2].walk.height > 1
-
-    @pytest.mark.parametrize("tree_name", UP_BRANCH_TREES)
-    def test_up_branches_give_identical_gradients(self, tree_name, monkeypatch):
-        """Rank blocks on every level (bound 0), np.add.at on every level (a
-        huge bound) and the default mix give the same gradient bytes."""
-        x, p, tree = stress_instance(tree_name, "random")
-        w = np.random.default_rng(3).standard_normal(p.shape)
-
-        def gradients():
-            h, xi = tree_scan_vision_forward(x, p, tree)
-            h_lang = tree_scan_language_forward(x, p, tree)
-            return [g.tobytes() for bundle in (tree_scan_vision_backward(x, p, tree, xi, h, w),
-                                               tree_scan_language_backward(x, p, tree, h_lang, w))
-                    for g in (bundle.d_x, bundle.d_a_bar, bundle.d_b_bar)]
-
-        default = gradients()
-        for bound in (0, 2**62):
-            monkeypatch.setattr(walk, "RANK_BLOCK_MIN", bound)
-            assert gradients() == default
 
     @pytest.mark.parametrize("instance", ["wide-grid", "causal-2000", "L1", "L2",
                                           (1000, 64, 4), (777, 3, 1), (5000, 16, 4)],

@@ -758,6 +758,19 @@ class TestCmdAffinity:
             ])
         assert exc.value.code == 2
 
+    def test_params_and_from_weights_together(self, tmp_path, capsys):
+        self.build_tree(tmp_path, 2, 2)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "affinity", "--tree", str(tmp_path / "tree.json"),
+                "--params", str(tmp_path / "params.json"), "--from-weights",
+                "--anchor", "0", "--height", "2", "--width", "2",
+                "--out", str(tmp_path / "a.pgm"),
+            ])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "a.pgm").exists()
+
 
 class TestCmdBench:
     def test_report_structure_and_quadratic_growth(self, tmp_path):

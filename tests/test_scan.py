@@ -39,7 +39,6 @@ from treescan.selfcheck import (
     random_connected_graph,
     random_scan_instance,
     random_tree,
-    rank_block_levels,
     smooth_grid_tree,
 )
 
@@ -49,8 +48,8 @@ def single_vertex_tree():
 
 
 STRESS_TREES = ("shuffled-levels", "chain-5000", "causal-2000", "L1", "L2")
-# plus a tree whose leaf-to-root pass mixes rank blocks and np.add.at at C = N = 8
-UP_BRANCH_TREES = STRESS_TREES + ("wide-grid",)
+# plus a smooth-grid tree of ~1400 levels of up to ~45 rows, at C = N = 8
+LAYOUT_TREES = STRESS_TREES + ("wide-grid",)
 
 
 def stress_instance(tree_name, a_kind, seed=0):
@@ -124,32 +123,76 @@ class TestLayoutStress:
         assert again[0].tobytes() == h.tobytes() and again[1].tobytes() == xi.tobytes()
         assert tree_scan_language_forward(x, p, tree).tobytes() == h_lang.tobytes()
 
-    @pytest.mark.parametrize("tree_name", UP_BRANCH_TREES)
-    def test_up_branches_give_identical_outputs(self, tree_name, monkeypatch):
-        """Rank blocks on every level (bound 0), np.add.at on every level (a
-        huge bound) and the default mix give the same output bytes."""
-        x, p, tree = stress_instance(tree_name, "random")
-        if tree_name == "wide-grid":
-            assert 0 < rank_block_levels(tree, 64) < len(tree.levels) - 1
-        default = scan_outputs(x, p, tree)
-        for bound in (0, 2**62):
-            monkeypatch.setattr(walk, "RANK_BLOCK_MIN", bound)
-            assert scan_outputs(x, p, tree) == default
+    @pytest.mark.parametrize("tree_name", [*LAYOUT_TREES, "star", "one-wide-level"])
+    def test_level_step_matches_a_per_row_reference(self, tree_name):
+        """The per-level ``_up`` gives the bytes of ``up_by_rows``, on the
+        stress trees, a star and a tree of one wide level at three lanes."""
+        rng = np.random.default_rng(3)
+        if tree_name == "star":
+            tree = star_tree()
+            x, p, _ = random_scan_instance(rng, 50, 2, 3)
+        elif tree_name == "one-wide-level":
+            tree = one_wide_level_tree()
+            x, p, _ = random_scan_instance(rng, tree.num_vertices, 3, 1)
+        else:
+            x, p, tree = stress_instance(tree_name, "random")
+        level = replace(tree.walk, height=1)
+        u = scan._input_terms(x, p, level.order)
+        a = scan._swap(p.a_bar).take(level.order, axis=0)
+        expected = u.copy()
+        up_by_rows(level, expected, a)
+        walk._up(level, u, a)
+        assert u.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("height", [1, 2])
+    def test_up_refuses_a_u_it_cannot_view_flat(self, height):
+        """A row-order ``u`` that is not C-contiguous raises instead of
+        being summed into a copy, and is left as it was."""
+        x, p, tree = stress_instance("causal-2000", "random")
+        w = replace(tree.walk, height=height)
+        a = scan._swap(p.a_bar).take(w.order, axis=0)
+        u = scan._swap(np.ascontiguousarray(scan._swap(scan._input_terms(x, p, w.order))))
+        before = u.copy()
+        with pytest.raises(ValueError, match="copy"):
+            walk._up(w, u, a)
+        np.testing.assert_array_equal(u, before)
 
 
-def assert_rank_runs(tree, rank_major=True):
-    """``run_bounds`` cuts every level of ``bfs_order`` into consecutive runs,
-    and no run holds a parent twice, so a leaf-to-root step run by run adds
-    each parent's children in their ``bfs_order`` order.  With
-    ``rank_major`` (a ``root_tree`` layout), run k of a level is its rank
-    block: the k-th smallest child of every parent with more than k
-    children, parents ascending."""
-    runs, b = tree.walk.runs, tree.walk.bounds
-    assert runs[0] == 0 and runs[-1] == tree.num_vertices
-    assert set(b) <= set(runs) and all(s < e for s, e in zip(runs, runs[1:]))
-    par = tree.parent[tree.bfs_order]
-    for s, e in zip(runs, runs[1:]):
-        assert np.unique(par[s:e]).size == e - s
+def up_by_rows(w, u, a):
+    """The leaf-to-root pass one row at a time: the levels deepest first,
+    the rows of a level in row order."""
+    b = w.bounds
+    for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
+        for r in range(lo, hi):
+            u[w.ppos[r]] += u[r] * a[r]
+
+
+def star_tree():
+    """49 leaves under vertex 0."""
+    star = np.stack([np.zeros(49, dtype=np.int64), np.arange(1, 50)], axis=1)
+    return root_tree(star, np.ones(49), 50, 0)
+
+
+def one_wide_level_tree():
+    """A tree rooted at its last token whose level 2 holds 200 rows, 20
+    under each of the 10 rows of level 1; every other level-2 row has one
+    child."""
+    mid = np.repeat(np.arange(1, 11), 20)  # parents of vertices 11..210
+    low = np.arange(11, 211, 2)  # every other level-2 vertex has one child
+    parent = np.concatenate([[0], np.zeros(10, dtype=np.int64), mid, low])
+    n = parent.size
+    edges = n - 1 - np.stack([np.arange(1, n), parent[1:]], axis=1)  # rooted at the last token
+    return root_tree(edges, np.ones(n - 1), n, n - 1)
+
+
+def assert_level_order(tree, rank_major=True):
+    """The walk's ``ppos`` is each row's parent row, and with ``rank_major``
+    (a ``root_tree`` layout) every level of ``bfs_order`` is its rank
+    blocks in turn: block k the k-th smallest child of every parent with
+    more than k children, parents ascending."""
+    w, b = tree.walk, tree.walk.bounds
+    assert w.ppos[0] == 0
+    np.testing.assert_array_equal(w.order[w.ppos[1:]], tree.parent[w.order[1:]])
     if not rank_major:
         return
     kids = {}
@@ -161,57 +204,44 @@ def assert_rank_runs(tree, rank_major=True):
         blocks = [[kids[q][k] for q in parents if len(kids[q]) > k]
                   for k in range(max(len(kids[q]) for q in parents))]
         assert tree.bfs_order[lo:hi].tolist() == [v for block in blocks for v in block]
-        assert runs[runs.index(lo):runs.index(hi) + 1] == (
-            lo + np.cumsum([0] + [len(block) for block in blocks])).tolist()
 
 
 class TestRankSchedule:
-    @pytest.mark.parametrize("tree_name", UP_BRANCH_TREES)
+    @pytest.mark.parametrize("tree_name", LAYOUT_TREES)
     def test_stress_trees(self, tree_name):
-        assert_rank_runs(stress_instance(tree_name, "random")[2],
-                         rank_major=tree_name != "shuffled-levels")
+        assert_level_order(stress_instance(tree_name, "random")[2],
+                           rank_major=tree_name != "shuffled-levels")
 
     def test_random_trees_and_a_star(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            assert_rank_runs(random_tree(rng, int(rng.integers(1, 200))))
-        star = np.stack([np.zeros(49, dtype=np.int64), np.arange(1, 50)], axis=1)
-        tree = root_tree(star, np.ones(49), 50, 0)
-        assert_rank_runs(tree)
-        assert tree.walk.runs == list(range(51))  # one run per child of the centre
+            assert_level_order(random_tree(rng, int(rng.integers(1, 200))))
+        tree = star_tree()
+        assert_level_order(tree)
+        assert tree.bfs_order.tolist() == list(range(50))
+        assert tree.walk.ppos.tolist() == [0] * 50  # every child of the centre under row 0
 
-    def test_one_wide_level_at_three_lanes(self, monkeypatch):
-        """A tree whose only level of at least ceil(500 / 3) = 167 rows is
-        level 2 (200 rows, 20 under each of 10 parents): at 3 lanes only that
-        level takes runs, 20 rank blocks of one child per parent.  Outputs
-        are the same bytes at bounds 0, 500 and 1e12."""
-        mid = np.repeat(np.arange(1, 11), 20)  # parents of vertices 11..210
-        low = np.arange(11, 211, 2)  # every other level-2 vertex has one child
-        parent = np.concatenate([[0], np.zeros(10, dtype=np.int64), mid, low])
-        n = parent.size
-        edges = n - 1 - np.stack([np.arange(1, n), parent[1:]], axis=1)  # rooted at the last token
-        tree = root_tree(edges, np.ones(n - 1), n, n - 1)
+    def test_one_wide_level_at_three_lanes(self):
+        """A tree whose level 2 holds 200 rows, 20 under each of 10 parents,
+        in 20 rank blocks of one child per parent, scans at 3 lanes to the
+        same bytes as the same tree in (parent, vertex) order."""
+        tree = one_wide_level_tree()
+        n = tree.num_vertices
         assert np.diff(tree.walk.bounds).tolist() == [1, 10, 200, 100]
-        assert rank_block_levels(tree, 3) == 1
-        assert_rank_runs(tree)
+        assert_level_order(tree)
         lo, hi = tree.walk.bounds[2:4]
-        runs = tree.walk.runs
-        assert runs[runs.index(lo):runs.index(hi) + 1] == list(range(lo, hi + 1, 10))
+        np.testing.assert_array_equal(tree.walk.ppos[lo:hi], np.tile(np.arange(1, 11), 20))
         np.testing.assert_array_equal(tree.parent[tree.bfs_order[lo:lo + 10]], tree.bfs_order[1:11])
         rng = np.random.default_rng(4)
         x = FeatureMap(rng.standard_normal((n, 3)))
         p = DiscreteScanParams(rng.uniform(0.05, 0.95, (n, 3, 1)), rng.standard_normal((n, 3, 1)))
-        default = scan_outputs(x, p, tree)
-        for bound in (0, 500, 10**12):
-            monkeypatch.setattr(walk, "RANK_BLOCK_MIN", bound)
-            assert scan_outputs(x, p, tree) == default
+        assert scan_outputs(x, p, parent_vertex_order(tree)) == scan_outputs(x, p, tree)
 
-    def test_tree_file_in_parent_vertex_order(self, tmp_path, monkeypatch):
+    def test_tree_file_in_parent_vertex_order(self, tmp_path):
         """A tree file whose levels are ordered by (parent, vertex), as files
         written before the rank-major order were, loads with ``pos`` the
-        inverse of its ``bfs_order`` and scans to the same bytes as the
-        rank-major tree, on either branch of the leaf-to-root step, and to
-        the same affinity maps; its wide levels take more, shorter runs."""
+        inverse of its ``bfs_order`` and other parent rows, and scans to the
+        same bytes as the rank-major tree and to the same affinity maps."""
         x, p, tree = stress_instance("wide-grid", "random")
         n = tree.num_vertices
         old_order = np.lexsort((np.arange(n), tree.parent, tree.depths))
@@ -225,23 +255,23 @@ class TestRankSchedule:
         for anchor in (tree.root, int(old.bfs_order[-1]), n // 2):
             assert affinity_map(old, p, anchor).tobytes() == affinity_map(tree, p, anchor).tobytes()
         assert old.walk.bounds == tree.walk.bounds
-        assert_rank_runs(old, rank_major=False)
-        assert len(old.walk.runs) > len(tree.walk.runs)
-        for bound in (0, walk.RANK_BLOCK_MIN, 2**62):
-            monkeypatch.setattr(walk, "RANK_BLOCK_MIN", bound)
-            assert scan_outputs(x, p, old) == scan_outputs(x, p, tree)
+        assert_level_order(old, rank_major=False)
+        assert not np.array_equal(old.walk.ppos, tree.walk.ppos)
+        assert scan_outputs(x, p, old) == scan_outputs(x, p, tree)
 
     def test_validate_drops_a_cached_walk(self):
         """A walk cached before ``bfs_order`` is reassigned is dropped by
-        ``validate``: the walk built after it has the rows and runs of a
-        fresh tree with the new order, not those of the rank-major tree."""
+        ``validate``: the walk built after it has the rows and parent rows
+        of a fresh tree with the new order, not those of the rank-major
+        tree."""
         tree = stress_instance("wide-grid", "random")[2]
         stale, fresh = tree.walk, parent_vertex_order(tree)
         tree.bfs_order = fresh.bfs_order
         tree.validate()
-        assert not np.array_equal(fresh.walk.pos, stale.pos) and fresh.walk.runs != stale.runs
+        assert not np.array_equal(fresh.walk.pos, stale.pos)
+        assert not np.array_equal(fresh.walk.ppos, stale.ppos)
         np.testing.assert_array_equal(tree.walk.pos, fresh.walk.pos)
-        assert tree.walk.runs == fresh.walk.runs
+        np.testing.assert_array_equal(tree.walk.ppos, fresh.walk.ppos)
 
 
 def rooted_at_last(parent):
@@ -1052,7 +1082,7 @@ class TestAffinityMap:
                                            rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("a_kind", ["random", "near-one"])
-    @pytest.mark.parametrize("tree_name", UP_BRANCH_TREES)
+    @pytest.mark.parametrize("tree_name", LAYOUT_TREES)
     def test_matches_path_product_oracle_on_stress_trees(self, tree_name, a_kind):
         """Anchors at the root, the deepest leaf and a middle vertex, against
         ``oracle.path_product`` at those vertices and 20 random ones, within
@@ -1071,7 +1101,7 @@ class TestAffinityMap:
         unit transitions or all edges cut, and on the stress trees, at the
         root, vertices 0 and L - 1, the deepest leaf and a middle vertex."""
         rng = np.random.default_rng(30)
-        cases = [stress_instance(name, kind)[1:] for name in UP_BRANCH_TREES
+        cases = [stress_instance(name, kind)[1:] for name in LAYOUT_TREES
                  for kind in ("random", "near-one")]
         for n in [1, 2, *rng.integers(3, 200, 20).tolist()]:
             _, p, tree = random_scan_instance(rng, n, int(rng.integers(1, 4)),

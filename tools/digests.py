@@ -11,8 +11,8 @@ For every perfbench workload it steps each input of the pools of seeds 1-3
 and prints the workload's own digest, then a blake2b digest of every array
 that the step returns (and, for cli-grid, of the tree and h files that the
 step writes), and digests of the integers of the step's tree's walk: its
-rows, parent rows, level bounds and runs, and its band plan at its own
-height and at heights 2 and 3.  Then it prints digests of ``treescan
+rows, parent rows and level bounds, and its band plan at its own height
+and at heights 2 and 3.  Then it prints digests of ``treescan
 selfcheck``'s stdout and of ``affinity_map`` on the first cli-grid tree at
 three anchors.  It reads only public names of ``treescan`` and of its
 walks and takes no options.
@@ -72,7 +72,7 @@ def walk_lines(walk):
     """Digests of a walk's integers, then of its band plan at its own height
     and at heights 2 and 3."""
     yield f"walk height={walk.height} " + " ".join(
-        f"{name} {blake(ints(getattr(walk, name)))}" for name in ("pos", "ppos", "bounds", "runs"))
+        f"{name} {blake(ints(getattr(walk, name)))}" for name in ("pos", "ppos", "bounds"))
     for height in (walk.height, 2, 3):
         plan = dataclasses.replace(walk, height=height).bands
         if plan is not None:
