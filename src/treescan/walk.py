@@ -29,13 +29,8 @@ if TYPE_CHECKING:
     from .mst import SpanningTree
 
 # Mean rows per level below which a tree of depth D is walked by bands of
-# isqrt(D) levels instead of one level per step.
-# Measured (_up + _down, medians, 2-core VM): bands win on a causal m=3 tree
-# of 8192 tokens (1.9 rows a level, 64 lanes: 45 -> 14 ms) and lose on a
-# 56x56 blurred-grid tree (15 rows, 256 lanes: 7.7 -> 12.9 ms) and a 224x224
-# noise-grid tree (40 rows, 3 lanes: 13.4 -> 14.1 ms).  On levels of random
-# parents they break even near 7 rows a level at 256 lanes (6 rows: 17.1 ->
-# 15.3 ms, 8 rows: 14.4 -> 16.2 ms) and still win at 24 rows at 3 and 64 lanes.
+# isqrt(D) levels instead of one level per step (measured: README "Banded
+# walks").
 BAND_ROWS_MAX = 4
 
 
@@ -81,26 +76,20 @@ class Walk:
     height: int  # levels per band: 1 for a walk of one level a step
 
     @cached_property
-    def _cuts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's level, and whether rows 1, 2, ... start a level and a
-        run.  A run is a stretch of rows within a level in which the parent
-        ids climb: it holds no parent twice, and on a ``root_tree`` level
-        the runs are its rank blocks (every parent's first child, then every
-        second child, and so on)."""
-        par, b = self.order[self.ppos], self.bounds  # each row's parent vertex
-        level = np.repeat(np.arange(len(b) - 1), np.diff(b))
-        new_level = level[1:] != level[:-1]
-        return level, new_level, (par[1:] <= par[:-1]) | new_level
-
-    @cached_property
     def bands(self) -> BandPlan | None:
         """The plan of bands of ``height`` = k levels (the tree has more than
-        k), its rank groups the runs counted within each level; None at 1."""
+        k); None at 1.  Its rank groups are the runs of each level, counted
+        from the level's start: a run is a stretch of rows in which the
+        parent ids climb, so it holds no parent twice, and on a
+        ``root_tree`` level the runs are its rank blocks (every parent's
+        first child, then every second child, and so on)."""
         if self.height == 1:
             return None
-        n, k, ppos = len(self.order), self.height, self.ppos
-        level, new_level, starts = self._cuts
-        run = np.cumsum(starts)  # of rows 1, 2, ... (row 0 is run 0)
+        n, k, ppos, b = len(self.order), self.height, self.ppos, self.bounds
+        par = self.order[ppos]  # each row's parent vertex
+        level = np.repeat(np.arange(len(b) - 1), np.diff(b))
+        new_level = level[1:] != level[:-1]
+        run = np.cumsum((par[1:] <= par[:-1]) | new_level)  # of rows 1, 2, ... (row 0 is run 0)
         rank = run - np.maximum.accumulate(np.where(new_level, run, 0))  # run within the level
         off = (level[1:] - 1) % k
         # by offset, then rank, then row: the rows are in band order already
@@ -141,14 +130,16 @@ def tree_walk(tree: SpanningTree) -> Walk:
 def _up(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     """Leaf-to-root pass in place on row-order arrays: u[i] += sum over
     children j of u[j] * a[j].  ``u`` must be C-contiguous: it is viewed
-    flat, and a layout that would need a copy raises a ValueError instead
-    of adding into the copy.  One level step a level, deepest first: one
-    ``np.add.at`` into the flat ``u`` at ``pm`` + lane for every (row,
-    lane) of the level, ``pm`` = ppos * m with m the lanes, so that each
-    parent adds its children in row order.  Above height 1, ``_up_bands``
-    first finishes every row below level 1, and one level step joins band
-    0's tops to the root.  ``a`` is not changed."""
-    flat, b = u.reshape(-1, copy=False), walk.bounds
+    flat, and any other layout, whose flat form would be a copy, raises a
+    ValueError instead of adding into the copy.  One level step a level,
+    deepest first: one ``np.add.at`` into the flat ``u`` at ``pm`` + lane
+    for every (row, lane) of the level, ``pm`` = ppos * m with m the lanes,
+    so that each parent adds its children in row order.  Above height 1,
+    ``_up_bands`` first finishes every row below level 1, and one level
+    step joins band 0's tops to the root.  ``a`` is not changed."""
+    if not u.flags.c_contiguous:
+        raise ValueError("_up needs a C-contiguous u: viewing it flat would copy")
+    flat, b = u.reshape(-1), walk.bounds
     if walk.bands is not None:
         _up_bands(walk, u, a)
         b = b[:3]  # level 1 alone

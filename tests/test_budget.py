@@ -105,6 +105,16 @@ def vision_peaks():
 
 
 @pytest.fixture(scope="module")
+def star_peaks():
+    """1023 leaves under vertex 0, C = 64, N = 4: one level as wide as the tree."""
+    rng = np.random.default_rng(8)
+    star = np.stack([np.zeros(1023, dtype=np.int64), np.arange(1, 1024)], axis=1)
+    tree = root_tree(star, np.ones(1023), 1024, 0)
+    x = FeatureMap(rng.standard_normal((1024, 64)))
+    return training_step_peaks(x, make_continuous(rng, 1024, 64, 4), tree, False)
+
+
+@pytest.fixture(scope="module")
 def causal_peaks():
     """A causal m=3 tree of 4096 noise tokens (~2000 levels), C = 16, N = 4."""
     rng = np.random.default_rng(6)
@@ -116,6 +126,15 @@ def causal_peaks():
 @pytest.mark.parametrize("stage", VISION_BUDGET)
 def test_vision_step_within_budget(vision_peaks, stage):
     assert vision_peaks[stage] <= VISION_BUDGET[stage], f"{stage}: {vision_peaks[stage]:.3f} arrays"
+
+
+@pytest.mark.parametrize("stage", VISION_BUDGET)
+def test_star_step_within_budget(star_peaks, stage):
+    """A walk's level steps hold temporaries of one level's rows x lanes, and
+    the star's one level is the whole tree: each walking stage may hold one
+    array more than on the grid, where the levels are narrow."""
+    budget = VISION_BUDGET[stage] + (stage in ("vision_forward", "vision_backward"))
+    assert star_peaks[stage] <= budget, f"{stage}: {star_peaks[stage]:.3f} arrays"
 
 
 @pytest.mark.parametrize("stage", CAUSAL_BUDGET)
