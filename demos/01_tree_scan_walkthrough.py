@@ -55,7 +55,7 @@ print(f"two-pass scan vs direct aggregation: max |diff| = {np.max(np.abs(h - ref
 
 # The root-to-leaf pass is exactly the propagation identity
 #   h[v] = a[v] * h[parent] + (1 - a[v]^2) * xi[v]
-v = int(tree.bfs_order[-1])  # the last-visited leaf
+v = int(tree.walk.order[-1])  # the walk's last row: a deepest vertex, so a leaf
 a = params.a_bar[v]
 lhs = h[v]
 rhs = a * h[tree.parent[v]] + (1 - a * a) * xi[v]

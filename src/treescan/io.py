@@ -24,7 +24,7 @@ from .scan import ContinuousScanParams
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "i64": np.dtype("<i8")}
 _TENSOR_TAGS = ("f32", "f64")
-_TREE_FIELDS = {"parent": "i64", "bfs_order": "i64", "edge_weight_to_parent": "f64"}
+_TREE_FIELDS = {"parent": "i64", "edge_weight_to_parent": "f64"}
 _PARAMS_FIELDS = {"a": "f64", "b": "f64", "c_out": "f64", "d": "f64", "delta": "f64"}
 _ALIGN = 64  # the first payload's offset; every payload is then 8-byte aligned
 
@@ -76,12 +76,16 @@ def _from_bytes(where: str, payload, shape: list[int], dtype: np.dtype) -> np.nd
 
 def _read_fields(path, what: str, fields: dict[str, str]) -> dict:
     """Load a tree or params file: every key of ``fields`` an array of its
-    dtype tag; other header keys are ignored."""
+    dtype tag; other header keys are ignored unless they hold an object, as
+    an array field of an older format does."""
     where, buf = f"{what} {path}", _read_buffer(path)
     end = buf.find(b"\n")
     header = _json_object(buf[:end] if end >= 0 else buf, f"{where}: header line")
     if any(isinstance(v, dict) and "data" in v for v in header.values()):
         raise ValueError(f"{where} is in the old base64 format; write it again with this version")
+    if old := [key for key, v in header.items() if isinstance(v, dict) and key not in fields]:
+        raise ValueError(f"{where} is in an older format with field {old[0]!r}; "
+                         f"write it again with this version")
     for key in fields:
         if key not in header:
             raise ValueError(f"{where}: missing field {key!r}")

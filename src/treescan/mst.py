@@ -2,7 +2,7 @@
 
 Boruvka contraction prunes the neighborhood graph down to the spanning tree
 of minimum total dissimilarity; ``root_tree`` then fixes a root and derives
-the parent/BFS structure that the scan kernels walk (``SpanningTree.walk``).
+the parents whose walk the scan kernels take (``SpanningTree.walk``).
 Ties are broken by the lexicographic (weight, u, v) order, which makes the
 result unique and bit-for-bit identical to a Kruskal run with the same rule.
 """
@@ -22,17 +22,12 @@ from .walk import Walk, tree_walk
 class SpanningTree:
     """Rooted spanning tree in the arrays the scan kernels consume.
 
-    The root is the one vertex that is its own parent; ``bfs_order`` is
-    breadth-first: it starts at the root and lists each level of the tree
-    after the level above it, in any order within a level (``root_tree``
-    orders each level by sibling rank, parent, then vertex, where a
-    vertex's rank is the number of its siblings with a smaller id);
+    The root is the one vertex that is its own parent;
     ``edge_weight_to_parent[i]`` is the weight of the tree edge
     (i, parent[i]) and 0 at the root.  The rest is read off these arrays.
     """
 
     parent: np.ndarray  # (L,) int64
-    bfs_order: np.ndarray  # (L,) int64
     edge_weight_to_parent: np.ndarray  # (L,) float64
 
     @property
@@ -50,8 +45,7 @@ class SpanningTree:
         fills it in with the depths it computed): each round adds up the depths
         jumped and doubles the jump, until every pointer is at the root, in at
         most ceil(log2(L)) rounds.  Raises ValueError naming the vertices of a
-        parent cycle, and unless the depths never decrease along ``bfs_order``,
-        i.e. unless it is breadth-first."""
+        parent cycle."""
         n, root = self.num_vertices, self.root
         up, depth = self.parent, (self.parent != np.arange(n)).astype(np.int64)
         for _ in range((n - 1).bit_length()):
@@ -61,8 +55,6 @@ class SpanningTree:
             up = up[up]
         if (stuck := up[up != root]).size:  # on cycles, each cycle vertex among them
             raise ValueError(f"parent pointers cycle through {np.unique(stuck).tolist()}")
-        if np.any(np.diff(depth[self.bfs_order]) < 0):
-            raise ValueError("bfs_order is not breadth-first: it lists a vertex after a deeper one")
         return depth
 
     @cached_property
@@ -73,10 +65,10 @@ class SpanningTree:
 
     @cached_property
     def levels(self) -> list[np.ndarray]:
-        """``bfs_order`` cut into depth levels (views) at the walk's
-        ``bounds``; raises like ``depths`` unless it is breadth-first."""
-        b = self.walk.bounds
-        return [self.bfs_order[lo:hi] for lo, hi in zip(b, b[1:])]
+        """The walk's ``order`` cut into depth levels (views) at its
+        ``bounds``; raises like ``depths``."""
+        w = self.walk
+        return [w.order[lo:hi] for lo, hi in zip(w.bounds, w.bounds[1:])]
 
     def validate(self) -> None:
         """Check the structural invariants of the fields as they are now:
@@ -87,18 +79,13 @@ class SpanningTree:
         vars(self).clear()
         vars(self).update(current)
         n = self.num_vertices
-        if self.parent.shape != (n,) or self.bfs_order.shape != (n,):
-            raise ValueError("parent and bfs_order must be 1-D arrays of one length")
+        if self.parent.ndim != 1:
+            raise ValueError("parent must be a 1-D array")
         if (selfs := np.count_nonzero(self.parent == np.arange(n))) != 1:
             raise ValueError(f"exactly one vertex may be its own parent, found {selfs}")
         if np.any(self.parent < 0) or np.any(self.parent >= n):
             raise ValueError("parent index out of range")
-        order = self.bfs_order  # n >= 1 entries here
-        if order.min() < 0 or order.max() >= n or np.bincount(order, minlength=n).max() > 1:
-            raise ValueError("bfs_order is not a permutation of the vertices")
-        if self.bfs_order[0] != self.root:
-            raise ValueError(f"bfs_order must start at the root {self.root}")
-        self.depths  # raises on a parent cycle or unless bfs_order is breadth-first
+        self.depths  # raises on a parent cycle
         w = self.edge_weight_to_parent
         if w.shape != (n,):
             raise ValueError("edge_weight_to_parent length must equal num_vertices")
@@ -171,10 +158,8 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
     Each arc u -> v is followed by the arc after v -> u around v; the tour
     this walks from the root is ranked by pointer doubling.  An arc the tour
     takes before its twin points down and names a parent, and the running
-    sum of +1 down, -1 up gives depths (``_euler_tour``).  ``bfs_order`` lists
-    the vertices by (depth, sibling rank, parent, vertex), so that each level
-    is rank-major: every parent's first child, then every second child, and
-    so on.  Raises if the edge set is not a tree over exactly
+    sum of +1 down, -1 up gives depths (``_euler_tour``).  Raises if the
+    edge set is not a tree over exactly
     ``num_vertices`` vertices, naming the first bad edge (out of range or a
     self-loop) or the unreachable vertices.
     """
@@ -191,7 +176,7 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
     bad = np.flatnonzero((eu < 0) | (eu >= n) | (ev < 0) | (ev >= n) | (eu == ev))
     if bad.size:
         raise ValueError(f"bad edge ({eu[bad[0]]}, {ev[bad[0]]})")
-    parent, depth, kids, rank = _euler_tour(eu, ev, n, root)
+    parent, depth = _euler_tour(eu, ev, n, root)
     if not np.all(depth[np.arange(n) != root]):
         raise ValueError(
             f"edge set is not a spanning tree: vertices {_unreachable(eu, ev, n, root)} "
@@ -199,41 +184,32 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
         )
     weight_to_parent = np.zeros(n, dtype=np.float64)
     weight_to_parent[np.where(parent[eu] == ev, eu, ev)] = weights
-    # kids are in (parent, vertex) order, so a stable sort on (depth, rank) is by all four
-    by_level = _stable_argsort(depth[kids] * (int(rank.max(initial=0)) + 1) + rank)
-    bfs_order = np.concatenate([[root], kids[by_level]])
-    tree = SpanningTree(parent, bfs_order, weight_to_parent)
+    tree = SpanningTree(parent, weight_to_parent)
     tree.root, tree.depths = int(root), depth  # known here, nothing to re-derive
     return tree
 
 
-def _euler_tour(
-    eu: np.ndarray, ev: np.ndarray, n: int, root: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.ndarray, np.ndarray]:
     """Parent and depth of every vertex, read off the Euler tour from ``root``
-    of the n - 1 edges (eu, ev), and the children in (parent, vertex) order
-    with their sibling ranks; unless the tour covers every arc, every depth
-    is left 0 and no child is listed.  With n - 1 edges, a vertex left at
-    depth 0 besides the root means the edges are no tree.
+    of the n - 1 edges (eu, ev); unless the tour covers every arc, every
+    depth is left 0.  With n - 1 edges, a vertex left at depth 0 besides the
+    root means the edges are no tree.
 
     Arc k < n - 1 is edge k forwards and arc k + n - 1 its twin; slots list
-    the arcs by (tail, head), so a vertex's arcs to its children run in
-    ascending child order and a child's rank is the number of down arcs
-    before its own in its parent's slots.  The tour is cut where it re-enters
+    the arcs by (tail, head).  The tour is cut where it re-enters
     the root and ranked by pointer doubling in ceil(log2(arcs)) rounds, enough
     for a tour of every arc; the other closed walks of a graph with a cycle
     never reach the cut, and the bound stops them too.
     """
     parent = np.full(n, root, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
-    kids = rank = np.zeros(0, dtype=np.int64)
     arcs = 2 * (n - 1)
     tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
     by_arc = np.argsort(tails * n + heads, kind="stable")  # slot -> arc
     tail, head = tails[by_arc], heads[by_arc]
     starts = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
     if starts[root] == starts[root + 1]:  # no arcs at the root (or n == 1)
-        return parent, depth, kids, rank
+        return parent, depth
     slot = np.empty(arcs, dtype=np.int64)
     slot[by_arc] = np.arange(arcs)
     twin = slot[(by_arc + (n - 1)) % arcs]  # slot of each slot's reverse arc
@@ -257,18 +233,7 @@ def _euler_tour(
         kids = head[at]
         parent[kids] = tail[at]
         depth[kids] = np.cumsum(step)[step_at[at]]
-        before = np.cumsum(down) - down  # down arcs in earlier slots; the k-th has k
-        rank = np.arange(n - 1) - before[starts[tail[at]]]
-    return parent, depth, kids, rank
-
-
-def _stable_argsort(key: np.ndarray) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` of nonnegative int64 keys: keys
-    below 2^16 as ``uint16``, which numpy sorts by one radix pass; larger
-    keys by the comparison sort."""
-    if int(key.max(initial=0)) >> 16:
-        return np.argsort(key, kind="stable")
-    return np.argsort(key.astype(np.uint16), kind="stable")
+    return parent, depth
 
 
 def _unreachable(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> list[int]:

@@ -100,9 +100,8 @@ def bfs_root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int,
                   root: int) -> SpanningTree:
     """Root an undirected spanning tree by a plain breadth-first walk.
 
-    Children are visited in ascending vertex order and levels come out in
-    the order their parents were reached.  Raises like ``mst.root_tree``
-    (same messages) unless the edge set is a tree over ``num_vertices``.
+    Raises like ``mst.root_tree`` (same messages) unless the edge set is a
+    tree over ``num_vertices``.
     """
     edges = np.asarray(edges, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -123,7 +122,7 @@ def bfs_root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int,
     parent[root] = root
     bfs = [root]
     for v in bfs:  # the list grows as vertices are reached
-        for nb in sorted(nbrs[v]):
+        for nb in nbrs[v]:
             if parent[nb] < 0:
                 parent[nb] = v
                 bfs.append(nb)
@@ -135,8 +134,7 @@ def bfs_root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int,
     weight_to_parent = np.zeros(num_vertices, dtype=np.float64)
     for (u, v), w in zip(edges.tolist(), weights.tolist()):
         weight_to_parent[u if parent[u] == v else v] = w
-    return SpanningTree(np.array(parent, dtype=np.int64), np.array(bfs, dtype=np.int64),
-                        weight_to_parent)
+    return SpanningTree(np.array(parent, dtype=np.int64), weight_to_parent)
 
 
 def sequential_selective_scan(x: FeatureMap, p: DiscreteScanParams) -> np.ndarray:

@@ -196,10 +196,9 @@ def scan_equivalence_instance(
     """A random tree of 1 to 128 vertices, or one of the deep shapes: a
     2000-chain, a causal m=3 tree of ~2000 levels, a smooth-grid tree of
     ~1300 levels, the smooth grid rooted at its last pixel with C = N = 8
-    ("wide-grid", wide enough that the leaf-to-root pass takes rank blocks on
-    some levels), or a 2000-chain whose a_bar is 1 - 1e-12 in every lane, so
-    every vertex sees all others.  Deep shapes other than "wide-grid" have
-    C = N = 2."""
+    ("wide-grid": levels of up to ~45 rows at 64 lanes), or a 2000-chain
+    whose a_bar is 1 - 1e-12 in every lane, so every vertex sees all others.
+    Deep shapes other than "wide-grid" have C = N = 2."""
     if shape == "random":
         n = int(rng.integers(1, 129))
         return random_scan_instance(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
@@ -234,7 +233,7 @@ def check_scan_equivalence(
     if shape == "random":
         at = np.arange(n)
     else:
-        at = np.unique([tree.root, tree.bfs_order[-1], *rng.integers(0, n, 3)])
+        at = np.unique([tree.root, tree.walk.order[-1], *rng.integers(0, n, 3)])
     ref = naive_tree_scan(x, p, tree, roots=at, force=True)
     diff = float(np.max(np.abs(h[at] - ref)))
     if diff >= 1e-9:

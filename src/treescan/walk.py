@@ -1,10 +1,10 @@
 """The walk, the schedule of the scan passes over a rooted tree, and the
-passes that read it.  ``tree_walk`` alone cuts the tree into levels, at its
-depths.  The passes run on arrays in row order: row k holds vertex
-``order[k]``, a BFS from the root, so the root is row 0 and every level is
-a contiguous slice.  A kernel gathers its inputs into row order once, as
-C-contiguous memory, walks, and gathers its outputs back by ``pos``
-(cheaper than a scatter).
+passes that read it.  ``tree_walk`` alone orders the vertices and cuts them
+into levels, at their depths.  The passes run on arrays in row order: row k
+holds vertex ``order[k]``, the vertices by (depth, vertex), so the root is
+row 0 and every level is a contiguous slice.  A kernel gathers its inputs
+into row order once, as C-contiguous memory, walks, and gathers its outputs
+back by ``pos`` (cheaper than a scatter).
 
 A walk of height 1 takes one numpy step per level; the leaf-to-root step
 is one ``np.add.at`` over the level's rows and lanes, into the array
@@ -45,9 +45,8 @@ class BandPlan:
     height - 1 (index 0 of the lists is unused):
 
     - ``rows[j]``, the offset-j rows of every band, cut by the bounds
-      ``groups[j]`` into one group per run index within a level (per
-      sibling rank, on a ``root_tree`` tree): no group holds a parent
-      twice, so that each is one plain indexed add;
+      ``groups[j]`` into one group per run index within a level: no group
+      holds a parent twice, so that each is one plain indexed add;
     - ``parents[j]``, their parent rows.
 
     Per row: ``top``, its band top (the root and the band tops are their
@@ -64,12 +63,12 @@ class BandPlan:
 
 @dataclass(eq=False)
 class Walk:
-    """The schedule of the scan passes over a tree, read off its
-    ``bfs_order``.  ``bands`` is built on first read, from each row's
-    parent vertex, ``order[ppos]``, and level, off ``bounds``; the walk in
-    another ``height`` is ``dataclasses.replace(walk, height=...)``."""
+    """The schedule of the scan passes over a tree, read off its depths.
+    ``bands`` is built on first read, from each row's parent vertex,
+    ``order[ppos]``, and level, off ``bounds``; the walk in another
+    ``height`` is ``dataclasses.replace(walk, height=...)``."""
 
-    order: np.ndarray  # (L,) the tree's bfs_order: row k holds vertex order[k]
+    order: np.ndarray  # (L,) the vertices by (depth, vertex): row k holds vertex order[k]
     pos: np.ndarray  # (L,) the row of every vertex, the inverse of order
     ppos: np.ndarray  # (L,) the parent row of every row, 0 at the root (row 0)
     bounds: list[int]  # the first row of every level, then L (ints: no conversion to slice)
@@ -80,9 +79,7 @@ class Walk:
         """The plan of bands of ``height`` = k levels (the tree has more than
         k); None at 1.  Its rank groups are the runs of each level, counted
         from the level's start: a run is a stretch of rows in which the
-        parent ids climb, so it holds no parent twice, and on a
-        ``root_tree`` level the runs are its rank blocks (every parent's
-        first child, then every second child, and so on)."""
+        parent ids climb, so it holds no parent twice."""
         if self.height == 1:
             return None
         n, k, ppos, b = len(self.order), self.height, self.ppos, self.bounds
@@ -117,14 +114,25 @@ class Walk:
 
 def tree_walk(tree: SpanningTree) -> Walk:
     """The walk of ``tree``: bands of isqrt(depth) levels when the levels
-    hold fewer than ``BAND_ROWS_MAX`` rows on average, else one a step."""
-    n, order = tree.num_vertices, tree.bfs_order
-    bounds = [0] + np.cumsum(np.bincount(tree.depths)).tolist()  # raises unless breadth-first
+    hold fewer than ``BAND_ROWS_MAX`` rows on average, else one a step.
+    Raises like ``tree.depths``."""
+    n, depths = tree.num_vertices, tree.depths
+    order = _stable_argsort(depths)
+    bounds = [0] + np.cumsum(np.bincount(depths)).tolist()
     depth = len(bounds) - 1
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     height = isqrt(depth) if n < BAND_ROWS_MAX * depth else 1
     return Walk(order, pos, pos[tree.parent[order]], bounds, height)
+
+
+def _stable_argsort(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of nonnegative int64 keys: keys
+    below 2^16 as ``uint16``, which numpy sorts by one radix pass; larger
+    keys by the comparison sort."""
+    if int(key.max(initial=0)) >> 16:
+        return np.argsort(key, kind="stable")
+    return np.argsort(key.astype(np.uint16), kind="stable")
 
 
 def _up(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
@@ -153,7 +161,7 @@ def _up_bands(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     """``_up`` below level 1 by ``bands``, in three phases:
 
     1. band-local subtree sums, all bands at once, offset height - 1 up to
-       1, one plain indexed add per sibling-rank group;
+       1, one plain indexed add per rank group;
     2. the band tops, last band first, each band's final: each top of bands
        1, 2, ... adds (u * a) * q into its parent's band top by one
        ``np.add.at`` a band, q the product of a from that parent up to just

@@ -94,6 +94,14 @@ def edit_file(path, edit):
     path.write_bytes(encode_file(obj))
 
 
+def write_three_array_tree(path):
+    """Rewrite a tree file in the format that also held ``bfs_order``, the
+    vertices in breadth-first order, between the two arrays."""
+    tree = io.read_tree(path)
+    path.write_bytes(encode_file({"parent": tree.parent, "bfs_order": tree.walk.order,
+                                  "edge_weight_to_parent": tree.edge_weight_to_parent}))
+
+
 def write_old_format(path):
     """Rewrite a tree or params file in the old format: one JSON object whose
     array fields hold base64 ``data`` strings."""
@@ -146,7 +154,7 @@ class TestTreeFile:
         back = io.read_tree(tmp_path / "t.tree.json")
         assert back.root == tree.root
         np.testing.assert_array_equal(back.parent, tree.parent)
-        np.testing.assert_array_equal(back.bfs_order, tree.bfs_order)
+        np.testing.assert_array_equal(back.walk.order, tree.walk.order)
         np.testing.assert_array_equal(back.edge_weight_to_parent, tree.edge_weight_to_parent)
 
     def test_corrupt_parent_rejected(self, tmp_path):
@@ -163,13 +171,14 @@ class TestTreeFile:
     def test_header_holds_only_the_arrays(self, tmp_path):
         io.write_tree(tmp_path / "t.json", random_tree(rng(), 9, root=4))
         header, _ = split_file((tmp_path / "t.json").read_bytes())
-        assert list(header) == ["parent", "bfs_order", "edge_weight_to_parent"]
+        assert list(header) == ["parent", "edge_weight_to_parent"]
 
     def test_previous_layout_reads_to_the_same_arrays(self, tmp_path):
-        """Files once also held the integers ``num_vertices`` and ``root``;
-        they still read, and writing what was read drops exactly those keys."""
+        """Header keys that hold no object, such as the integers
+        ``num_vertices`` and ``root`` that files once held, are ignored: the
+        file reads, and writing what was read drops exactly those keys."""
         tree = random_tree(rng(), 23, root=5)
-        arrays = {k: getattr(tree, k) for k in ("parent", "bfs_order", "edge_weight_to_parent")}
+        arrays = {k: getattr(tree, k) for k in ("parent", "edge_weight_to_parent")}
         (tmp_path / "old.json").write_bytes(encode_file({"num_vertices": 23, "root": 5, **arrays}))
         back = io.read_tree(tmp_path / "old.json")
         assert (back.num_vertices, back.root) == (23, 5)
@@ -182,10 +191,11 @@ class TestTreeFile:
         assert set(new_header) <= set(old_header) and new_payloads == old_payloads
 
     def test_bad_bfs_order_rejected(self, tmp_path):
-        tree = random_tree(rng(), 8)
-        io.write_tree(tmp_path / "t.json", tree)
-        edit_file(tmp_path / "t.json", lambda obj: obj.update(bfs_order=obj["bfs_order"][::-1]))
-        with pytest.raises(ValueError, match="bfs_order"):
+        """A tree file in the three-array format, with ``bfs_order`` between
+        the two arrays, is rejected naming that field instead of misread."""
+        io.write_tree(tmp_path / "t.json", random_tree(rng(), 8))
+        write_three_array_tree(tmp_path / "t.json")
+        with pytest.raises(ValueError, match="older format with field 'bfs_order'"):
             io.read_tree(tmp_path / "t.json")
 
 
@@ -318,11 +328,11 @@ class TestArrayEncoding:
     def test_tree_round_trip_bit_exact(self, tmp_path):
         tree = random_tree(rng(), 7, root=2)
         weights = np.where(np.arange(7) == 2, -0.0, np.abs(EXTREMES[np.arange(7) % 6]))
-        tree = SpanningTree(tree.parent, tree.bfs_order, weights)
+        tree = SpanningTree(tree.parent, weights)
         io.write_tree(tmp_path / "t.json", tree)
         back = io.read_tree(tmp_path / "t.json")
         assert (back.num_vertices, back.root) == (7, 2)
-        for name in ("parent", "bfs_order", "edge_weight_to_parent"):
+        for name in ("parent", "edge_weight_to_parent"):
             assert_same_array(getattr(back, name), getattr(tree, name))
         assert back.parent.dtype == np.int64
         # the stored bytes are the little-endian row-major array
@@ -383,7 +393,7 @@ class TestArrayEncoding:
         if kind == "tree":
             obj = random_tree(rng(), 23, root=5)
             write, read = io.write_tree, io.read_tree
-            keys = ("parent", "bfs_order", "edge_weight_to_parent")
+            keys = ("parent", "edge_weight_to_parent")
         else:
             obj = ContinuousScanParams(a=EXTREMES.reshape(2, 3), b=EXTREMES[::-1].reshape(2, 3),
                                        c_out=EXTREMES.reshape(2, 3), d=EXTREMES[:2],
@@ -604,17 +614,14 @@ class TestCmdScan:
         h = io.read_tensor(tmp_path / "h.json")
         np.testing.assert_allclose(h.ravel(), 6.0, atol=1e-12)
 
-    @pytest.mark.parametrize("case", ["x-rows", "tree-vertices", "3-d-input", "dfs-tree",
-                                      "parent-cycle"])
+    @pytest.mark.parametrize("case", ["x-rows", "tree-vertices", "3-d-input", "parent-cycle"])
     def test_rejected_inputs_exit_2(self, tmp_path, capsys, case):
         length = 4
         write_simple_params(tmp_path, length)
         x_shape = {"x-rows": (length + 1, 1), "3-d-input": (length, 1, 1)}.get(case, (length, 1))
         io.write_tensor(tmp_path / "x", np.ones(x_shape))
-        if case == "dfs-tree":  # parents before children, but depth-first
-            tree = SpanningTree(np.array([0, 0, 0, 1]), np.array([0, 1, 3, 2]), np.zeros(4))
-        elif case == "parent-cycle":  # vertices 1 -> 2 -> 3 -> 1 never reach the root
-            tree = SpanningTree(np.array([0, 2, 3, 1]), np.arange(4), np.zeros(4))
+        if case == "parent-cycle":  # vertices 1 -> 2 -> 3 -> 1 never reach the root
+            tree = SpanningTree(np.array([0, 2, 3, 1]), np.zeros(4))
         else:
             n = length + (case == "tree-vertices")
             tree = root_tree(np.stack([np.arange(n - 1), np.arange(1, n)], axis=1),
@@ -885,7 +892,7 @@ JSON_VALUES = st.recursive(
 )
 FILE_KEYS = {
     "x.json": ("shape", "dtype", "layout"),
-    "tree.json": ("parent", "bfs_order", "edge_weight_to_parent"),
+    "tree.json": ("parent", "edge_weight_to_parent"),
     "params.json": ("a", "b", "c_out", "d", "delta"),
 }
 ARRAY_FILES = st.sampled_from([(name, key) for name in ("tree.json", "params.json")
@@ -1006,6 +1013,7 @@ SUBPROCESS_CASES = {
     "truncated-payload": _scan_case(lambda d: (d / "x.bin").write_bytes((d / "x.bin").read_bytes()[:5])),
     "truncated-json": _scan_case(lambda d: (d / "params.json").write_text('{"a": {"shape": [1, ')),
     "old-base64-tree": _scan_case(lambda d: write_old_format(d / "tree.json")),
+    "old-three-array-tree": _scan_case(lambda d: write_three_array_tree(d / "tree.json")),
     "selfcheck-negative-seed": lambda d: ["selfcheck", "--seed", "-1"],
     "bench-negative-seed": lambda d: [*_bench_case("4,8")(d), "--seed", "-1"],
     "bench-size-zero": _bench_case("0,4"),

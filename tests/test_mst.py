@@ -12,8 +12,8 @@ from treescan import (
     build_causal_graph,
     build_grid_graph,
     kruskal_mst,
-    mst,
     root_tree,
+    walk,
 )
 from treescan.oracle import bfs_root_tree
 from treescan.selfcheck import chain_tree, random_connected_graph
@@ -193,24 +193,24 @@ class TestRootTree:
         edges, w = self.path()
         t = root_tree(edges, w, 3, 0)
         assert t.parent.tolist() == [0, 0, 1]
-        assert t.bfs_order.tolist() == [0, 1, 2]
+        assert t.walk.order.tolist() == [0, 1, 2]
         assert t.edge_weight_to_parent.tolist() == [0.0, 0.25, 0.5]
 
     def test_path_rooted_at_2(self):
         edges, w = self.path()
         t = root_tree(edges, w, 3, 2)
         assert t.parent.tolist() == [1, 2, 2]
-        assert t.bfs_order.tolist() == [2, 1, 0]
+        assert t.walk.order.tolist() == [2, 1, 0]
 
     def test_star(self):
         edges = np.array([[0, 3], [1, 3], [2, 3]])
         t = root_tree(edges, np.zeros(3), 4, 3)
-        assert t.bfs_order.tolist() == [3, 0, 1, 2]
+        assert t.walk.order.tolist() == [3, 0, 1, 2]
         assert t.parent.tolist() == [3, 3, 3, 3]
         # centre between its leaves, edges unsorted: children still ascend
         edges = np.array([[2, 4], [0, 2], [2, 3], [1, 2]])
         t = root_tree(edges, np.array([0.5, 1.0, 2.0, 3.0]), 5, 2)
-        assert t.bfs_order.tolist() == [2, 0, 1, 3, 4]
+        assert t.walk.order.tolist() == [2, 0, 1, 3, 4]
         assert t.edge_weight_to_parent.tolist() == [1.0, 3.0, 0.0, 2.0, 0.5]
 
     def test_levels_and_depths(self):
@@ -227,23 +227,17 @@ class TestRootTree:
         star = root_tree(np.stack([np.zeros(9, dtype=np.int64), np.arange(1, 10)], axis=1),
                          np.zeros(9), 10, 0)
         assert [lv.tolist() for lv in star.levels] == [[0], list(range(1, 10))]
-        # random trees at every root: levels partition bfs_order, parents one level up
+        # random trees at every root: levels partition the walk's order, parents one level up
         rng = np.random.default_rng(21)
         g = random_connected_graph(rng, 40, extra_edges=30)
         edges, weights = boruvka_mst(g)
         for r in range(40):
             t = root_tree(edges, weights, 40, r)
-            np.testing.assert_array_equal(np.concatenate(t.levels), t.bfs_order)
+            np.testing.assert_array_equal(np.concatenate(t.levels), t.walk.order)
             for k in range(1, len(t.levels)):
                 assert set(t.parent[t.levels[k]].tolist()) <= set(t.levels[k - 1].tolist())
             nonroot = np.arange(40) != r
             np.testing.assert_array_equal(t.depths[t.parent[nonroot]], t.depths[nonroot] - 1)
-        # a depth-first order lists parents first but is not breadth-first
-        dfs = SpanningTree(np.array([0, 0, 0, 1]), np.array([0, 1, 3, 2]), np.zeros(4))
-        with pytest.raises(ValueError, match="breadth-first"):
-            dfs.levels
-        with pytest.raises(ValueError, match="breadth-first"):
-            dfs.validate()
 
     def test_not_a_tree_cycle(self):
         edges = np.array([[0, 1], [1, 2], [0, 2]])
@@ -273,8 +267,8 @@ class TestRootTree:
             root_tree(edges, np.zeros(3), 4, 0)
 
     @pytest.mark.parametrize("field,value,message", [
-        ("parent", np.array([0, 0]), "parent and bfs_order must be 1-D arrays of one length"),
-        ("bfs_order", np.array([0, 1, 2, 2]), "parent and bfs_order must be 1-D arrays of one length"),
+        ("parent", np.array([0, 0]), "edge_weight_to_parent length must equal num_vertices"),
+        ("parent", np.array([[0, 0, 1]]), "parent must be a 1-D array"),
         ("parent", np.array([0, 1, 1]), "exactly one vertex may be its own parent"),
         ("edge_weight_to_parent", np.zeros(2), "edge_weight_to_parent length must equal"),
         ("edge_weight_to_parent", np.array([0.0, -0.25, 0.5]),
@@ -289,26 +283,21 @@ class TestRootTree:
             tree.validate()
 
     def test_root_and_size_read_off_parent(self):
-        tree = SpanningTree(np.array([2, 2, 2, 0]), np.array([2, 0, 1, 3]), np.zeros(4))
+        tree = SpanningTree(np.array([2, 2, 2, 0]), np.zeros(4))
         assert (tree.num_vertices, tree.root) == (4, 2)
         tree.validate()
         assert tree.depths.tolist() == [1, 1, 0, 2]
+        assert tree.walk.order.tolist() == [2, 0, 1, 3]
         assert tree.walk.bounds == [0, 1, 3, 4]
 
-    @pytest.mark.parametrize("parent,bfs_order,message", [
-        ([1, 2, 0], [0, 1, 2], "exactly one vertex may be its own parent, found 0"),
-        ([0, 1, 1], [0, 1, 2], "exactly one vertex may be its own parent, found 2"),
-        ([0, 0, 1], [0, 1], "parent and bfs_order must be 1-D arrays of one length"),
-        ([1, 1, 1], [0, 1, 2], "bfs_order must start at the root 1"),
-        ([0, 2, 1], [0, 1, 2], "parent pointers cycle through [1, 2]"),
-        ([0, 3, 1, 2], [0, 1, 2, 3], "parent pointers cycle through [1, 2, 3]"),
-        ([0, 0, 1, 1, 3], [0, 1, 2, 4, 3], "it lists a vertex after a deeper one"),
-        ([0, 0, 1, 1], [0, 1, 1, 3], "bfs_order is not a permutation of the vertices"),
-        ([0, 0, 1, 1], [0, 1, 2, 4], "bfs_order is not a permutation of the vertices"),
-        ([0, 0, 1, 1], [0, 1, -1, 3], "bfs_order is not a permutation of the vertices"),
+    @pytest.mark.parametrize("parent,message", [
+        ([1, 2, 0], "exactly one vertex may be its own parent, found 0"),
+        ([0, 1, 1], "exactly one vertex may be its own parent, found 2"),
+        ([0, 2, 1], "parent pointers cycle through [1, 2]"),
+        ([0, 3, 1, 2], "parent pointers cycle through [1, 2, 3]"),
     ])
-    def test_validate_names_a_hand_built_violation(self, parent, bfs_order, message):
-        tree = SpanningTree(np.array(parent), np.array(bfs_order), np.zeros(len(parent)))
+    def test_validate_names_a_hand_built_violation(self, parent, message):
+        tree = SpanningTree(np.array(parent), np.zeros(len(parent)))
         with pytest.raises(ValueError, match=re.escape(message)):
             tree.validate()
 
@@ -316,18 +305,13 @@ class TestRootTree:
         """Fields reassigned after ``root_tree``, which fills in the root and
         the depths, are checked as they are now, as a fresh tree of the same
         arrays would be."""
-        chain = np.array([[0, 1], [1, 2], [2, 3]])
-        for field, value, message in [
-            ("parent", np.array([1, 0, 3, 3]), "parent pointers cycle through [0, 1]"),
-            ("bfs_order", np.array([3, 1, 2, 0]), "it lists a vertex after a deeper one"),
-        ]:
-            tree = root_tree(chain, np.ones(3), 4, 3)
-            tree.validate()
-            setattr(tree, field, value)
-            fresh = SpanningTree(tree.parent, tree.bfs_order, tree.edge_weight_to_parent)
-            for t in (fresh, tree):
-                with pytest.raises(ValueError, match=re.escape(message)):
-                    t.validate()
+        tree = root_tree(np.array([[0, 1], [1, 2], [2, 3]]), np.ones(3), 4, 3)
+        tree.validate()
+        tree.parent = np.array([1, 0, 3, 3])
+        fresh = SpanningTree(tree.parent, tree.edge_weight_to_parent)
+        for t in (fresh, tree):
+            with pytest.raises(ValueError, match=re.escape("parent pointers cycle through [0, 1]")):
+                t.validate()
 
     def test_cycle_below_a_long_chain_is_named(self):
         """Vertices 1..499 hang from the root as a chain; 500..996 are a
@@ -337,7 +321,7 @@ class TestRootTree:
         parent[0] = 0
         parent[500:997] = np.arange(501, 998)
         parent[997:] = [998, 999, 997]
-        tree = SpanningTree(parent, np.arange(1000), np.zeros(1000))
+        tree = SpanningTree(parent, np.zeros(1000))
         with pytest.raises(ValueError, match=re.escape("parent pointers cycle through [997, 998, 999]")):
             tree.validate()
         # depths raise the same, so no kernel walks the cycle either
@@ -360,30 +344,15 @@ class TestRootTree:
             assert rebuilt == undirected  # re-rooting preserves the edge set
 
 
-def sibling_ranks(parent, root):
-    """Each vertex's number of siblings with a smaller id (0 at the root)."""
-    rank = np.zeros(len(parent), dtype=np.int64)
-    seen = {}
-    for v, p in enumerate(parent.tolist()):
-        if v != root:
-            rank[v] = seen.get(p, 0)
-            seen[p] = rank[v] + 1
-    return rank
-
-
 def assert_rooting_matches_reference(edges, weights, n, root):
     """``root_tree`` against the list-BFS reference: the same parents, depths
-    and weights, and ``bfs_order`` sorted by (depth, sibling rank, parent,
-    vertex), so each level lists every parent's first child, then every
-    second child, and so on."""
+    and weights, and a walk whose rows are the vertices by (depth, vertex)."""
     t = root_tree(edges, weights, n, root)
     ref = bfs_root_tree(edges, weights, n, root)
     np.testing.assert_array_equal(t.parent, ref.parent)
     np.testing.assert_array_equal(t.depths, ref.depths)
     np.testing.assert_array_equal(t.edge_weight_to_parent, ref.edge_weight_to_parent)
-    rank = sibling_ranks(ref.parent, root)
-    np.testing.assert_array_equal(t.bfs_order,
-                                  np.lexsort((np.arange(n), ref.parent, rank, ref.depths)))
+    np.testing.assert_array_equal(t.walk.order, np.argsort(ref.depths, kind="stable"))
     t.validate()
     return t
 
@@ -436,20 +405,15 @@ class TestRootTreeAgainstReference:
         assert len(t.levels) == n
 
     def test_level_key_past_16_bits(self):
-        """The level sort's key depth * (max rank + 1) + rank passes 2^16 on
-        a chain of 70,000 rooted at an end (depths to 69,999) and on a star
-        of 70,000 (ranks to 69,997), so it takes the comparison sort
-        instead of the 16-bit radix sort."""
+        """The walk's level sort, keyed by depth, passes 2^16 on a chain of
+        70,000 rooted at an end (depths to 69,999), so it takes the
+        comparison sort instead of the 16-bit radix sort."""
         n = 70000
         rng = np.random.default_rng(36)
         chain = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
         for r in (0, n - 1):
             t = assert_rooting_matches_reference(chain, rng.random(n - 1), n, r)
             assert t.depths.max() == n - 1
-        star = np.stack([np.full(n - 1, 5), np.flatnonzero(np.arange(n) != 5)], axis=1)
-        for r in (5, n - 1):
-            t = assert_rooting_matches_reference(*shuffled(rng, star, rng.random(n - 1)), n, r)
-            assert t.depths.max() == (1 if r == 5 else 2)
 
     def test_wide_star(self):
         n = 5001
@@ -465,11 +429,11 @@ class TestRootTreeAgainstReference:
 
     def test_one_and_two_vertices(self):
         t = assert_rooting_matches_reference(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 1, 0)
-        assert t.bfs_order.tolist() == [0] and t.parent.tolist() == [0]
+        assert t.walk.order.tolist() == [0] and t.parent.tolist() == [0]
         for edge in ([0, 1], [1, 0]):
             for r in (0, 1):
                 t = assert_rooting_matches_reference(np.array([edge]), np.array([0.5]), 2, r)
-                assert t.bfs_order.tolist() == [r, 1 - r]
+                assert t.walk.order.tolist() == [r, 1 - r]
                 assert t.edge_weight_to_parent.tolist() == [0.5 * r, 0.5 * (1 - r)]
 
     def test_existing_non_trees_give_the_reference_error(self):
@@ -510,9 +474,10 @@ class TestRootTreeAgainstReference:
 
 @pytest.mark.parametrize("top", [1, 2**16 - 1, 2**16, 2**20, 2**40])
 def test_stable_argsort_is_numpys(top):
-    """The level sort against ``np.argsort(kind="stable")``, bitwise: keys
-    below 2^16 (the 16-bit radix sort) and from 2^16 on (the comparison
-    sort), each with many repeats so that a lost tie order shows."""
+    """The walk's level sort against ``np.argsort(kind="stable")``,
+    bitwise: keys below 2^16 (the 16-bit radix sort) and from 2^16 on (the
+    comparison sort), each with many repeats so that a lost tie order
+    shows."""
     rng = np.random.default_rng(top % 1000)
     key = rng.integers(0, top + 1, 5000)
     repeats = rng.random(5000) < 0.5
@@ -520,5 +485,5 @@ def test_stable_argsort_is_numpys(top):
     key[:3] = [top, 0, top]
     for k in (key, key[:1], key[:0], np.sort(key), np.sort(key)[::-1]):
         expected = np.argsort(k, kind="stable")
-        got = mst._stable_argsort(k)
+        got = walk._stable_argsort(k)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()

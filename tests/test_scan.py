@@ -31,7 +31,6 @@ from treescan import (
     tree_scan_vision_forward,
     walk,
 )
-from treescan.oracle import bfs_root_tree
 from treescan.selfcheck import (
     align_chain_params,
     causal_tree,
@@ -53,17 +52,16 @@ LAYOUT_TREES = STRESS_TREES + ("wide-grid",)
 
 
 def stress_instance(tree_name, a_kind, seed=0):
-    """An instance on a tree whose BFS-position layout the level walks must
-    get right, every one rooted at its last token so that both modes apply.
-    ``shuffled-levels`` is built directly: within each level the vertices
-    are neither ascending nor grouped by parent, and vertex 1's two children
-    sit apart in level 2.  ``a_kind`` "near-one" sets every a_bar to 1 - 1e-12.
-    Every tree but "wide-grid" (C = N = 8) has C = N = 2."""
+    """An instance on a tree whose row layout the level walks must get
+    right, every one rooted at its last token so that both modes apply.
+    ``shuffled-levels`` is built directly: the parents of each level, in
+    vertex order, are neither ascending nor grouped, and vertex 1's two
+    children sit apart in level 2.  ``a_kind`` "near-one" sets every a_bar
+    to 1 - 1e-12.  Every tree but "wide-grid" (C = N = 8) has C = N = 2."""
     rng = np.random.default_rng(seed)
     tree = {
-        "shuffled-levels": lambda: SpanningTree(
-            np.array([6, 8, 3, 8, 3, 1, 1, 2, 8]),
-            np.array([8, 3, 1, 5, 2, 6, 4, 0, 7]), np.zeros(9)),
+        "shuffled-levels": lambda: SpanningTree(np.array([6, 8, 3, 8, 1, 3, 1, 2, 8]),
+                                                np.zeros(9)),
         "chain-5000": lambda: chain_tree(5000),
         "causal-2000": lambda: causal_tree(rng, 2000),
         "L1": single_vertex_tree,
@@ -87,19 +85,23 @@ def subtree_only(p, tree, vertex):
     inside = [False] * tree.num_vertices
     inside[vertex] = True
     parent = tree.parent.tolist()
-    for v in tree.bfs_order.tolist()[1:]:
+    for v in tree.walk.order.tolist()[1:]:
         inside[v] = inside[v] or inside[parent[v]]
     return DiscreteScanParams(p.a_bar, p.b_bar * np.array(inside)[:, None, None])
 
 
-def scan_outputs(x, p, tree):
-    """Output bytes of the vision forward pass (h, xi) and, on a tree rooted
+def scan_arrays(x, p, tree):
+    """The outputs of the vision forward pass (h, xi) and, on a tree rooted
     at its last token, of the language forward pass."""
-    h, xi = tree_scan_vision_forward(x, p, tree)
-    out = [h.tobytes(), xi.tobytes()]
+    out = list(tree_scan_vision_forward(x, p, tree))
     if tree.root == tree.num_vertices - 1:
-        out.append(tree_scan_language_forward(x, p, tree).tobytes())
+        out.append(tree_scan_language_forward(x, p, tree))
     return out
+
+
+def scan_outputs(x, p, tree):
+    """The bytes of ``scan_arrays``."""
+    return [arr.tobytes() for arr in scan_arrays(x, p, tree)]
 
 
 class TestLayoutStress:
@@ -109,7 +111,7 @@ class TestLayoutStress:
         x, p, tree = stress_instance(tree_name, a_kind)
         n = tree.num_vertices
         rng = np.random.default_rng(1)
-        at = np.unique([tree.root, tree.bfs_order[-1], *rng.integers(0, n, 4)])
+        at = np.unique([tree.root, tree.walk.order[-1], *rng.integers(0, n, 4)])
         h, xi = tree_scan_vision_forward(x, p, tree)
         h_lang = tree_scan_language_forward(x, p, tree)
         assert np.max(np.abs(h[at] - naive_tree_scan(x, p, tree, roots=at, force=True))) < 1e-9
@@ -175,9 +177,9 @@ def star_tree():
 
 def one_wide_level_tree():
     """A tree rooted at its last token whose level 2 holds 200 rows, 20
-    under each of the 10 rows of level 1; every other level-2 row has one
-    child."""
-    mid = np.repeat(np.arange(1, 11), 20)  # parents of vertices 11..210
+    under each of the 10 rows of level 1, which take turns as the parent
+    of the next level-2 row; every other level-2 row has one child."""
+    mid = np.tile(np.arange(1, 11), 20)  # parents of vertices 11..210
     low = np.arange(11, 211, 2)  # every other level-2 vertex has one child
     parent = np.concatenate([[0], np.zeros(10, dtype=np.int64), mid, low])
     n = parent.size
@@ -185,32 +187,20 @@ def one_wide_level_tree():
     return root_tree(edges, np.ones(n - 1), n, n - 1)
 
 
-def assert_level_order(tree, rank_major=True):
-    """The walk's ``ppos`` is each row's parent row, and with ``rank_major``
-    (a ``root_tree`` layout) every level of ``bfs_order`` is its rank
-    blocks in turn: block k the k-th smallest child of every parent with
-    more than k children, parents ascending."""
+def assert_level_order(tree):
+    """The walk's ``ppos`` is each row's parent row, and its level d lists
+    the vertices of depth d, ascending."""
     w, b = tree.walk, tree.walk.bounds
     assert w.ppos[0] == 0
     np.testing.assert_array_equal(w.order[w.ppos[1:]], tree.parent[w.order[1:]])
-    if not rank_major:
-        return
-    kids = {}
-    for v in range(tree.num_vertices):
-        if v != tree.root:
-            kids.setdefault(int(tree.parent[v]), []).append(v)
-    for lo, hi in zip(b[1:-1], b[2:]):
-        parents = sorted(set(tree.parent[tree.bfs_order[lo:hi]].tolist()))
-        blocks = [[kids[q][k] for q in parents if len(kids[q]) > k]
-                  for k in range(max(len(kids[q]) for q in parents))]
-        assert tree.bfs_order[lo:hi].tolist() == [v for block in blocks for v in block]
+    for d, (lo, hi) in enumerate(zip(b, b[1:])):
+        assert w.order[lo:hi].tolist() == np.flatnonzero(tree.depths == d).tolist()
 
 
 class TestRankSchedule:
     @pytest.mark.parametrize("tree_name", LAYOUT_TREES)
     def test_stress_trees(self, tree_name):
-        assert_level_order(stress_instance(tree_name, "random")[2],
-                           rank_major=tree_name != "shuffled-levels")
+        assert_level_order(stress_instance(tree_name, "random")[2])
 
     def test_random_trees_and_a_star(self):
         rng = np.random.default_rng(11)
@@ -218,55 +208,57 @@ class TestRankSchedule:
             assert_level_order(random_tree(rng, int(rng.integers(1, 200))))
         tree = star_tree()
         assert_level_order(tree)
-        assert tree.bfs_order.tolist() == list(range(50))
+        assert tree.walk.order.tolist() == list(range(50))
         assert tree.walk.ppos.tolist() == [0] * 50  # every child of the centre under row 0
 
     def test_one_wide_level_at_three_lanes(self):
         """A tree whose level 2 holds 200 rows, 20 under each of 10 parents,
-        in 20 rank blocks of one child per parent, scans at 3 lanes to the
-        same bytes as the same tree in (parent, vertex) order."""
+        one child of every parent in turn, scans at 3 lanes to the bytes of
+        the same tree relabelled so that level 2 lists each parent's
+        children together, in the same order."""
         tree = one_wide_level_tree()
         n = tree.num_vertices
         assert np.diff(tree.walk.bounds).tolist() == [1, 10, 200, 100]
         assert_level_order(tree)
         lo, hi = tree.walk.bounds[2:4]
         np.testing.assert_array_equal(tree.walk.ppos[lo:hi], np.tile(np.arange(1, 11), 20))
-        np.testing.assert_array_equal(tree.parent[tree.bfs_order[lo:lo + 10]], tree.bfs_order[1:11])
+        # vertex k of ``grouped`` is vertex perm[k]: the deepest level first,
+        # each level by (parent, vertex), so that the root stays last
+        perm = np.lexsort((np.arange(n), tree.parent, -tree.depths))
+        grouped = SpanningTree(np.argsort(perm)[tree.parent[perm]],
+                               tree.edge_weight_to_parent[perm])
+        assert grouped.root == n - 1
+        np.testing.assert_array_equal(grouped.walk.ppos[lo:hi], np.repeat(np.arange(1, 11), 20))
         rng = np.random.default_rng(4)
         x = FeatureMap(rng.standard_normal((n, 3)))
         p = DiscreteScanParams(rng.uniform(0.05, 0.95, (n, 3, 1)), rng.standard_normal((n, 3, 1)))
-        assert scan_outputs(x, p, parent_vertex_order(tree)) == scan_outputs(x, p, tree)
+        got = scan_outputs(FeatureMap(x.data[perm]),
+                           DiscreteScanParams(p.a_bar[perm], p.b_bar[perm]), grouped)
+        assert got == [arr[perm].tobytes() for arr in scan_arrays(x, p, tree)]
 
-    def test_tree_file_in_parent_vertex_order(self, tmp_path):
-        """A tree file whose levels are ordered by (parent, vertex), as files
-        written before the rank-major order were, loads with ``pos`` the
-        inverse of its ``bfs_order`` and other parent rows, and scans to the
-        same bytes as the rank-major tree and to the same affinity maps."""
+    def test_tree_file_round_trips_the_walk(self, tmp_path):
+        """A tree written and read back has the same walk (rows, parent rows
+        and level bounds), scans to the same bytes and gives the same
+        affinity maps."""
         x, p, tree = stress_instance("wide-grid", "random")
         n = tree.num_vertices
-        old_order = np.lexsort((np.arange(n), tree.parent, tree.depths))
-        assert not np.array_equal(old_order, tree.bfs_order)
-        io.write_tree(tmp_path / "old.json",
-                      SpanningTree(tree.parent, old_order, tree.edge_weight_to_parent))
-        old = io.read_tree(tmp_path / "old.json")
-        np.testing.assert_array_equal(old.bfs_order, old_order)
-        np.testing.assert_array_equal(old.walk.pos[old.bfs_order], np.arange(n))
-        np.testing.assert_array_equal(old.bfs_order[old.walk.pos], np.arange(n))
-        for anchor in (tree.root, int(old.bfs_order[-1]), n // 2):
-            assert affinity_map(old, p, anchor).tobytes() == affinity_map(tree, p, anchor).tobytes()
-        assert old.walk.bounds == tree.walk.bounds
-        assert_level_order(old, rank_major=False)
-        assert not np.array_equal(old.walk.ppos, tree.walk.ppos)
-        assert scan_outputs(x, p, old) == scan_outputs(x, p, tree)
+        io.write_tree(tmp_path / "t.json", tree)
+        back = io.read_tree(tmp_path / "t.json")
+        for name in ("order", "pos", "ppos"):
+            assert getattr(back.walk, name).tobytes() == getattr(tree.walk, name).tobytes()
+        assert back.walk.bounds == tree.walk.bounds
+        for anchor in (tree.root, int(tree.walk.order[-1]), n // 2):
+            assert affinity_map(back, p, anchor).tobytes() == affinity_map(tree, p, anchor).tobytes()
+        assert scan_outputs(x, p, back) == scan_outputs(x, p, tree)
 
     def test_validate_drops_a_cached_walk(self):
-        """A walk cached before ``bfs_order`` is reassigned is dropped by
+        """A walk cached before ``parent`` is reassigned is dropped by
         ``validate``: the walk built after it has the rows and parent rows
-        of a fresh tree with the new order, not those of the rank-major
-        tree."""
+        of a fresh tree with the new parents, here the same grid rooted at
+        pixel 0 instead of its last pixel."""
         tree = stress_instance("wide-grid", "random")[2]
-        stale, fresh = tree.walk, parent_vertex_order(tree)
-        tree.bfs_order = fresh.bfs_order
+        stale, fresh = tree.walk, smooth_grid_tree(np.random.default_rng(0))
+        tree.parent, tree.edge_weight_to_parent = fresh.parent, fresh.edge_weight_to_parent
         tree.validate()
         assert not np.array_equal(fresh.walk.pos, stale.pos)
         assert not np.array_equal(fresh.walk.ppos, stale.ppos)
@@ -295,18 +287,9 @@ def spider(legs, length):
     return rooted_at_last([0, *[0 if i % length == 0 else i for i in range(legs * length)]])
 
 
-def parent_vertex_order(tree):
-    """The same tree with each level in (parent, vertex) order, as older tree
-    files hold it: more, shorter runs than the rank-major order."""
-    order = np.lexsort((np.arange(tree.num_vertices), tree.parent, tree.depths))
-    return SpanningTree(tree.parent, order, tree.edge_weight_to_parent)
-
-
 BANDED_TREES = {
     "chain-5000": lambda: chain_tree(5000),
     "causal-2000": lambda: causal_tree(np.random.default_rng(0), 2000),
-    "causal-2000-parent-order": lambda: parent_vertex_order(
-        causal_tree(np.random.default_rng(0), 2000)),
     "chain-51": lambda: chain_tree(51),  # 7 bands of 7 levels below the root, then 1 of 1
     "chain-50": lambda: chain_tree(50),  # 7 full bands
     "spider": lambda: spider(3, 40),
@@ -332,7 +315,7 @@ def banded_params(rng, n, a_kind, c=2, s=2):
 def band_top(tree, row):
     """The row of ``row``'s band top, found by walking up its parents."""
     k = tree.walk.height
-    level = int(tree.depths[tree.bfs_order[row]])
+    level = int(tree.depths[tree.walk.order[row]])
     for _ in range((level - 1) % k):
         row = int(tree.walk.ppos[row])
     return row
@@ -342,11 +325,10 @@ def band_top(tree, row):
 def walk_instances(draw):
     """A tree of 2 to 200 vertices, a band height from 2 to its level count
     + 1, a lane count from 1 to 8 and a random generator.  The shapes: a
-    random tree rooted at a random vertex, by ``root_tree`` ("random") or
-    by the oracle's plain BFS, whose levels are not rank-major
-    ("bfs-order"); a chain and a caterpillar (a spine with leaves), each at
-    a random root; and a causal m = 1-4 tree rooted at its last token."""
-    shape = draw(st.sampled_from(["random", "bfs-order", "chain", "caterpillar", "causal"]))
+    random tree, a chain and a caterpillar (a spine with leaves), each
+    rooted at a random vertex; and a causal m = 1-4 tree rooted at its last
+    token."""
+    shape = draw(st.sampled_from(["random", "chain", "caterpillar", "causal"]))
     n = draw(st.integers(2, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     root, v = int(rng.integers(0, n)), np.arange(1, n)
@@ -362,8 +344,7 @@ def walk_instances(draw):
             up = np.where(v < spine, v - 1, rng.integers(0, spine, n - 1))
         else:
             up = rng.integers(0, v)  # vertex v hangs off a smaller one
-        rooting = bfs_root_tree if shape == "bfs-order" else root_tree
-        tree = rooting(np.stack([v, up], axis=1), np.zeros(n - 1), n, root)
+        tree = root_tree(np.stack([v, up], axis=1), np.zeros(n - 1), n, root)
     height = draw(st.integers(2, len(tree.walk.bounds)))
     return tree, height, draw(st.integers(1, 8)), rng
 
@@ -417,7 +398,7 @@ class TestBandedWalks:
         tree = BANDED_TREES[tree_name]()
         plan, n = tree.walk.bands, tree.num_vertices
         k = tree.walk.height
-        level = tree.depths[tree.bfs_order]
+        level = tree.depths[tree.walk.order]
         for j in range(1, k):
             rows = plan.rows[j]
             at_j = np.flatnonzero((level > 0) & ((level - 1) % k == j))
@@ -455,7 +436,7 @@ class TestBandedWalks:
         rng = np.random.default_rng(7)
         n = tree.num_vertices
         x, p = banded_params(rng, n, a_kind)
-        at = np.unique([tree.root, tree.bfs_order[-1], *rng.integers(0, n, 3)])
+        at = np.unique([tree.root, tree.walk.order[-1], *rng.integers(0, n, 3)])
         h, xi = tree_scan_vision_forward(x, p, tree)
         h_lang = tree_scan_language_forward(x, p, tree)
         assert np.max(np.abs(h[at] - naive_tree_scan(x, p, tree, roots=at, force=True))) < 1e-9
@@ -464,7 +445,7 @@ class TestBandedWalks:
             assert np.max(np.abs(h_lang[v] - causal_ref[0])) < 1e-9
         np.testing.assert_array_equal(h_lang, xi)
         assert scan_outputs(x, p, tree) == [h.tobytes(), xi.tobytes(), h_lang.tobytes()]
-        a = p.a_bar.take(tree.bfs_order, axis=0)
+        a = p.a_bar.take(tree.walk.order, axis=0)
         u = rng.standard_normal(a.shape)
         for walk_pass in (walk._up, walk._down):
             ref, got, a_got = u.copy(), u.copy(), a.copy()
@@ -490,7 +471,7 @@ class TestBandedWalks:
         depth = len(tree.walk.bounds) - 1
         assert depth > 3 and tree.num_vertices > walk.BAND_ROWS_MAX * depth
         x, p = banded_params(rng, tree.num_vertices, "random")
-        a = p.a_bar.take(tree.bfs_order, axis=0)
+        a = p.a_bar.take(tree.walk.order, axis=0)
         u = rng.standard_normal(a.shape)
         for height in (2, 3, isqrt(depth)):
             banded = replace(tree.walk, height=height)
@@ -510,7 +491,7 @@ class TestBandedWalks:
         assert tree.walk.height == 109
         rng = np.random.default_rng(8)
         x, p = banded_params(rng, tree.num_vertices, "small", 1, 1)
-        a = p.a_bar.take(tree.bfs_order, axis=0)
+        a = p.a_bar.take(tree.walk.order, axis=0)
         walk._down(tree.walk, np.zeros(a.shape), a)
         assert np.all(p.a_bar > 0) and np.any(a == 0.0)
         at = np.array([tree.root, 0, 6000, 11000 - 1])
@@ -549,7 +530,7 @@ class TestBandedWalks:
         assert tree.walk.bands is None
         n = tree.num_vertices
         x, p = banded_params(rng, n, "random")
-        order, pos = tree.bfs_order, tree.walk.pos
+        order, pos = tree.walk.order, tree.walk.pos
         h = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
         walk._up(tree.walk, h, p.a_bar.take(order, axis=0))
         h = h.take(pos, axis=0)
@@ -858,7 +839,7 @@ class TestLanguageForward:
         h = tree_scan_language_forward(x, p, tree)
         # brute force: h[i] = sum over j in subtree(i) of pathweight * b*x
         descendants = [set([v]) for v in range(n)]
-        for v in reversed(tree.bfs_order.tolist()):
+        for v in reversed(tree.walk.order.tolist()):
             if v != tree.root:
                 descendants[int(tree.parent[v])] |= descendants[v]
         unit = p.b_bar * x.data[:, :, None]
@@ -1021,7 +1002,7 @@ def rerooted_affinity(tree, p, anchor):
     prod = np.zeros(p.shape)
     prod[0] = 1.0
     level_walk = replace(anchored.walk, height=1)
-    walk._down(level_walk, prod, p.a_bar.take(key[anchored.bfs_order], axis=0))
+    walk._down(level_walk, prod, p.a_bar.take(key[anchored.walk.order], axis=0))
     return prod.take(anchored.walk.pos, axis=0).reshape(n, -1).mean(axis=1)
 
 
@@ -1089,7 +1070,7 @@ class TestAffinityMap:
         1e-12."""
         _, p, tree = stress_instance(tree_name, a_kind)
         n = tree.num_vertices
-        anchors = sorted({tree.root, int(tree.bfs_order[-1]), n // 2})
+        anchors = sorted({tree.root, int(tree.walk.order[-1]), n // 2})
         at = np.unique([*anchors, *np.random.default_rng(2).integers(0, n, 20)])
         for anchor in anchors:
             expected = [path_product(tree, p, anchor, j).mean() for j in at]
@@ -1111,7 +1092,7 @@ class TestAffinityMap:
                 cases.append((DiscreteScanParams(a_bar, p.b_bar), tree))
         for p, tree in cases:
             n = tree.num_vertices
-            for anchor in {tree.root, 0, n - 1, int(tree.bfs_order[-1]), n // 2}:
+            for anchor in {tree.root, 0, n - 1, int(tree.walk.order[-1]), n // 2}:
                 assert (affinity_map(tree, p, anchor).tobytes()
                         == rerooted_affinity(tree, p, anchor).tobytes())
 
