@@ -614,7 +614,8 @@ class TestCmdScan:
         h = io.read_tensor(tmp_path / "h.json")
         np.testing.assert_allclose(h.ravel(), 6.0, atol=1e-12)
 
-    @pytest.mark.parametrize("case", ["x-rows", "tree-vertices", "3-d-input", "parent-cycle"])
+    @pytest.mark.parametrize("case", ["x-rows", "tree-vertices", "3-d-input", "dfs-tree",
+                                      "parent-cycle"])
     def test_rejected_inputs_exit_2(self, tmp_path, capsys, case):
         length = 4
         write_simple_params(tmp_path, length)
@@ -627,6 +628,10 @@ class TestCmdScan:
             tree = root_tree(np.stack([np.arange(n - 1), np.arange(1, n)], axis=1),
                              np.zeros(n - 1), n, 0)
         io.write_tree(tmp_path / "tree.json", tree)
+        if case == "dfs-tree":  # a file that also stores an order, depth-first
+            (tmp_path / "tree.json").write_bytes(encode_file({
+                "parent": np.array([0, 0, 0, 1]), "bfs_order": np.array([0, 1, 3, 2]),
+                "edge_weight_to_parent": np.zeros(4)}))
         code = main([
             "scan", "--input", str(tmp_path / "x.json"), "--tree", str(tmp_path / "tree.json"),
             "--params", str(tmp_path / "params.json"), "--mode", "vision",
@@ -636,6 +641,7 @@ class TestCmdScan:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert case != "parent-cycle" or "cycle through [1, 2, 3]" in err
+        assert case != "dfs-tree" or "older format with field 'bfs_order'" in err
 
     @staticmethod
     def write_overflow_inputs(tmp_path, case):

@@ -295,6 +295,8 @@ class TestRootTree:
         ([0, 1, 1], "exactly one vertex may be its own parent, found 2"),
         ([0, 2, 1], "parent pointers cycle through [1, 2]"),
         ([0, 3, 1, 2], "parent pointers cycle through [1, 2, 3]"),
+        ([0, 3, 1], "parent index out of range"),
+        ([0, -1, 1], "parent index out of range"),
     ])
     def test_validate_names_a_hand_built_violation(self, parent, message):
         tree = SpanningTree(np.array(parent), np.zeros(len(parent)))

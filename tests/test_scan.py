@@ -187,6 +187,29 @@ def one_wide_level_tree():
     return root_tree(edges, np.ones(n - 1), n, n - 1)
 
 
+def parent_vertex_order(tree):
+    """The same tree relabelled so that its walk lists each level in
+    (parent, vertex) order of the old labels: every parent's children
+    together, in their old order.  Vertex k of the result is vertex
+    ``perm[k]`` of ``tree``; the deepest level comes first, so that a root
+    at the last vertex stays there.  Returns the tree and ``perm``."""
+    n = tree.num_vertices
+    perm = np.lexsort((np.arange(n), tree.parent, -tree.depths))
+    return SpanningTree(np.argsort(perm)[tree.parent[perm]], tree.edge_weight_to_parent[perm]), perm
+
+
+def assert_grouped_by_parent(tree):
+    """Every level of the walk lists each parent's children in one run."""
+    w, b = tree.walk, tree.walk.bounds
+    for lo, hi in zip(b[1:], b[2:]):
+        assert np.count_nonzero(np.diff(w.ppos[lo:hi])) + 1 == np.unique(w.ppos[lo:hi]).size
+
+
+def permuted_instance(x, p, perm):
+    """``x`` and ``p`` with their rows taken in ``perm`` order."""
+    return FeatureMap(x.data[perm]), DiscreteScanParams(p.a_bar[perm], p.b_bar[perm])
+
+
 def assert_level_order(tree):
     """The walk's ``ppos`` is each row's parent row, and its level d lists
     the vertices of depth d, ascending."""
@@ -222,19 +245,55 @@ class TestRankSchedule:
         assert_level_order(tree)
         lo, hi = tree.walk.bounds[2:4]
         np.testing.assert_array_equal(tree.walk.ppos[lo:hi], np.tile(np.arange(1, 11), 20))
-        # vertex k of ``grouped`` is vertex perm[k]: the deepest level first,
-        # each level by (parent, vertex), so that the root stays last
-        perm = np.lexsort((np.arange(n), tree.parent, -tree.depths))
-        grouped = SpanningTree(np.argsort(perm)[tree.parent[perm]],
-                               tree.edge_weight_to_parent[perm])
+        grouped, perm = parent_vertex_order(tree)
         assert grouped.root == n - 1
         np.testing.assert_array_equal(grouped.walk.ppos[lo:hi], np.repeat(np.arange(1, 11), 20))
         rng = np.random.default_rng(4)
         x = FeatureMap(rng.standard_normal((n, 3)))
         p = DiscreteScanParams(rng.uniform(0.05, 0.95, (n, 3, 1)), rng.standard_normal((n, 3, 1)))
-        got = scan_outputs(FeatureMap(x.data[perm]),
-                           DiscreteScanParams(p.a_bar[perm], p.b_bar[perm]), grouped)
+        got = scan_outputs(*permuted_instance(x, p, perm), grouped)
         assert got == [arr[perm].tobytes() for arr in scan_arrays(x, p, tree)]
+
+    @pytest.mark.parametrize("tree_name", LAYOUT_TREES)
+    def test_order_within_a_level_is_free(self, tree_name):
+        """Relabelled so that every level lists each parent's children
+        together (``parent_vertex_order``), a tree scans to the same bytes,
+        row for row: no kernel reads the order of a level beyond the order
+        in which each parent adds its children, which the relabelling
+        keeps."""
+        x, p, tree = stress_instance(tree_name, "random")
+        grouped, perm = parent_vertex_order(tree)
+        assert grouped.root == tree.root == tree.num_vertices - 1
+        assert_level_order(grouped)
+        assert_grouped_by_parent(grouped)
+        assert grouped.walk.bounds == tree.walk.bounds
+        got = scan_outputs(*permuted_instance(x, p, perm), grouped)
+        assert got == [arr[perm].tobytes() for arr in scan_arrays(x, p, tree)]
+
+    def test_tree_file_in_parent_vertex_order(self, tmp_path):
+        """A tree file of the wide grid relabelled so that each level of its
+        walk is in (parent, vertex) order loads with ``pos`` the inverse of
+        its ``order`` and other parent rows, and scans to the grid's bytes
+        and affinity maps, row for row."""
+        x, p, tree = stress_instance("wide-grid", "random")
+        n = tree.num_vertices
+        grouped, perm = parent_vertex_order(tree)
+        io.write_tree(tmp_path / "grouped.json", grouped)
+        back = io.read_tree(tmp_path / "grouped.json")
+        np.testing.assert_array_equal(back.parent, grouped.parent)
+        np.testing.assert_array_equal(back.walk.pos[back.walk.order], np.arange(n))
+        np.testing.assert_array_equal(back.walk.order[back.walk.pos], np.arange(n))
+        assert back.walk.bounds == tree.walk.bounds
+        assert_level_order(back)
+        assert_grouped_by_parent(back)
+        assert not np.array_equal(back.walk.ppos, tree.walk.ppos)
+        xg, pg = permuted_instance(x, p, perm)
+        new_label = np.argsort(perm)
+        for anchor in (tree.root, int(tree.walk.order[-1]), n // 2):
+            assert (affinity_map(back, pg, int(new_label[anchor])).tobytes()
+                    == affinity_map(tree, p, anchor)[perm].tobytes())
+        assert scan_outputs(xg, pg, back) == [arr[perm].tobytes()
+                                              for arr in scan_arrays(x, p, tree)]
 
     def test_tree_file_round_trips_the_walk(self, tmp_path):
         """A tree written and read back has the same walk (rows, parent rows
@@ -290,6 +349,8 @@ def spider(legs, length):
 BANDED_TREES = {
     "chain-5000": lambda: chain_tree(5000),
     "causal-2000": lambda: causal_tree(np.random.default_rng(0), 2000),
+    "causal-2000-parent-order": lambda: parent_vertex_order(
+        causal_tree(np.random.default_rng(0), 2000))[0],
     "chain-51": lambda: chain_tree(51),  # 7 bands of 7 levels below the root, then 1 of 1
     "chain-50": lambda: chain_tree(50),  # 7 full bands
     "spider": lambda: spider(3, 40),
