@@ -16,7 +16,8 @@ from treescan import (
     tree_scan_vision_backward,
     tree_scan_vision_forward,
 )
-from treescan.selfcheck import random_scan_instance, relative_gradient_error
+from treescan.scenarios import random_scan_instance
+from treescan.selfcheck import relative_gradient_error
 
 rng = np.random.default_rng(7)
 L, C, N = 24, 2, 2

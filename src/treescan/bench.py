@@ -13,32 +13,20 @@ from statistics import median
 
 import numpy as np
 
-from .lattice import FeatureMap, build_grid_graph
-from .mst import boruvka_mst, root_tree
+from .lattice import FeatureMap
 from .scan import NAIVE_SCAN_GUARD, DiscreteScanParams, naive_tree_scan, tree_scan_vision_forward
-
-
-def near_square_factors(n: int) -> tuple[int, int]:
-    """Largest divisor pair (h, w) with h <= w and h as close to sqrt(n) as possible."""
-    h = int(np.sqrt(n))
-    while h > 1 and n % h != 0:
-        h -= 1
-    return h, n // h
+from .scenarios import noise_grid
 
 
 def build_instance(num_tokens: int, seed: int = 0):
     """Feature map, discrete params (C = N = 1) and rooted MST for one size.
 
-    Every instance is a grid of ``near_square_factors`` (a prime size is a
-    1 x L grid, i.e. a chain).  The features are drawn first, so a size that
-    cannot be allocated raises before any other work.
+    Every instance is a 4-channel euclidean ``scenarios.noise_grid``.  The
+    features are drawn first, so a size that cannot be allocated raises
+    before any other work.
     """
     rng = np.random.default_rng(seed)
-    features = rng.standard_normal((num_tokens, 4))
-    fmap = FeatureMap(features, spatial=near_square_factors(num_tokens))
-    graph = build_grid_graph(fmap, "euclidean")
-    edges, weights = boruvka_mst(graph)
-    tree = root_tree(edges, weights, num_tokens, root=0)
+    fmap, tree = noise_grid(rng, num_tokens, 4, "euclidean")
     params = DiscreteScanParams(
         rng.uniform(0.05, 0.95, size=(num_tokens, 1, 1)),
         rng.standard_normal((num_tokens, 1, 1)),

@@ -1,8 +1,6 @@
-"""Seeded random instances and the end-to-end consistency suite.
-
-The generators here are shared by the self-check command and the test suite:
-every instance is reproducible from a single integer seed, and the checks
-compare the fast kernels against the brute-force references.
+"""The end-to-end consistency suite: each check draws an instance from one
+integer seed, mostly with the builders of ``scenarios``, and compares the
+fast kernels against the brute-force references.
 """
 
 from __future__ import annotations
@@ -11,8 +9,8 @@ from functools import partial
 
 import numpy as np
 
-from .lattice import FeatureMap, WeightedGraph, build_causal_graph, build_grid_graph
-from .mst import SpanningTree, boruvka_mst, root_tree
+from .lattice import FeatureMap, WeightedGraph
+from .mst import boruvka_mst
 from .oracle import (FiniteDifferenceConfig, finite_diff_gradients, kruskal_mst,
                      sequential_selective_scan)
 from .scan import (
@@ -29,6 +27,8 @@ from .scan import (
     tree_scan_vision_backward,
     tree_scan_vision_forward,
 )
+from .scenarios import (chain_tree, random_connected_graph, random_scan_instance, random_tree,
+                        scan_equivalence_instance)
 
 # Components below this magnitude are measured against it instead of their own
 # size, i.e. they must agree within rtol * GRAD_DENOM_FLOOR = 1e-8 absolutely.
@@ -36,68 +36,6 @@ from .scan import (
 # intrinsic rounding noise (~1e-9 at desk scale), so a pure relative test on
 # near-zero components would fail against an exact analytic gradient.
 GRAD_DENOM_FLOOR = 1e-4
-
-
-def random_connected_graph(
-    rng: np.random.Generator, n: int, extra_edges: int = 0, distinct: bool = False
-) -> WeightedGraph:
-    """Random spanning tree plus ``extra_edges`` random chords.
-
-    With ``distinct=True`` the weights are a shuffled arithmetic progression,
-    so no two edges tie and the minimum spanning tree is unique.
-    """
-    pairs = set()
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        pairs.add((u, v))
-    attempts = 0
-    while len(pairs) < n - 1 + extra_edges and attempts < 50 * (extra_edges + 1):
-        u, v = rng.integers(0, n, size=2)
-        attempts += 1
-        if u == v:
-            continue
-        pairs.add((min(int(u), int(v)), max(int(u), int(v))))
-    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    m = len(edges)
-    if distinct:
-        weights = rng.permutation(m).astype(np.float64) / max(m, 1) + 0.5
-    else:
-        weights = rng.random(m)
-    return WeightedGraph(n, edges, weights)
-
-
-def random_tree(rng: np.random.Generator, n: int, root: int | None = None) -> SpanningTree:
-    graph = random_connected_graph(rng, n, extra_edges=n // 2)
-    edges, weights = boruvka_mst(graph)
-    if root is None:
-        root = int(rng.integers(0, n))
-    return root_tree(edges, weights, n, root)
-
-
-def random_scan_instance(
-    rng: np.random.Generator,
-    num_tokens: int,
-    channels: int,
-    states: int,
-    root: int | None = None,
-    a_range: tuple[float, float] = (0.05, 0.95),
-) -> tuple[FeatureMap, DiscreteScanParams, SpanningTree]:
-    """Random tree plus random per-lane scan scalars with a_bar in ``a_range``."""
-    tree = random_tree(rng, num_tokens, root=root)
-    lo, hi = a_range
-    a_bar = rng.uniform(lo, hi, size=(num_tokens, channels, states))
-    b_bar = rng.standard_normal((num_tokens, channels, states))
-    x = FeatureMap(rng.standard_normal((num_tokens, channels)))
-    return x, DiscreteScanParams(a_bar, b_bar), tree
-
-
-def chain_tree(num_tokens: int) -> SpanningTree:
-    """Path 0-1-...-(L-1) rooted at the last token."""
-    edges = np.stack(
-        [np.arange(num_tokens - 1, dtype=np.int64), np.arange(1, num_tokens, dtype=np.int64)],
-        axis=1,
-    )
-    return root_tree(edges, np.zeros(num_tokens - 1), num_tokens, num_tokens - 1)
 
 
 def align_chain_params(p: DiscreteScanParams) -> DiscreteScanParams:
@@ -112,27 +50,6 @@ def align_chain_params(p: DiscreteScanParams) -> DiscreteScanParams:
     a[:-1] = p.a_bar[1:]
     a[-1] = 1.0  # root slot, never read
     return DiscreteScanParams(a, p.b_bar)
-
-
-def causal_tree(rng: np.random.Generator, num_tokens: int) -> SpanningTree:
-    """Minimum spanning tree of a noise token sequence's causal m=3 graph,
-    rooted at the last token: about num_tokens / 2 levels of ~2 vertices."""
-    graph = build_causal_graph(FeatureMap(rng.standard_normal((num_tokens, 4))), m=3)
-    edges, weights = boruvka_mst(graph)
-    return root_tree(edges, weights, num_tokens, num_tokens - 1)
-
-
-def smooth_grid_tree(rng: np.random.Generator, root_last: bool = False) -> SpanningTree:
-    """Minimum spanning tree of a 32 x 512 grid of 7 x 7 box-blurred noise,
-    rooted at pixel 0 (or the last pixel): smooth features make long winding
-    paths, ~1300 levels."""
-    h, w, k = 32, 512, 7
-    noise = rng.standard_normal((h + k - 1, w + k - 1, 4))
-    sums = np.pad(noise, ((1, 0), (1, 0), (0, 0))).cumsum(0).cumsum(1)
-    box = sums[k:, k:] - sums[:-k, k:] - sums[k:, :-k] + sums[:-k, :-k]
-    graph = build_grid_graph(FeatureMap(box.reshape(h * w, 4), spatial=(h, w)))
-    edges, weights = boruvka_mst(graph)
-    return root_tree(edges, weights, h * w, h * w - 1 if root_last else 0)
 
 
 def directional_error(loss, base, grads, rng: np.random.Generator) -> float:
@@ -188,34 +105,6 @@ def check_mst(seed: int, tie_levels: int = 0) -> tuple[bool, str, float]:
         return False, "edges or weights differ", gap
     ties = f" weight levels={tie_levels}" if tie_levels else ""
     return True, f"n={n}{ties} total={total_b:.6f}", gap
-
-
-def scan_equivalence_instance(
-    rng: np.random.Generator, shape: str
-) -> tuple[FeatureMap, DiscreteScanParams, SpanningTree]:
-    """A random tree of 1 to 128 vertices, or one of the deep shapes: a
-    2000-chain, a causal m=3 tree of ~2000 levels, a smooth-grid tree of
-    ~1300 levels, the smooth grid rooted at its last pixel with C = N = 8
-    ("wide-grid": levels of up to ~45 rows at 64 lanes), or a 2000-chain
-    whose a_bar is 1 - 1e-12 in every lane, so every vertex sees all others.
-    Deep shapes other than "wide-grid" have C = N = 2."""
-    if shape == "random":
-        n = int(rng.integers(1, 129))
-        return random_scan_instance(rng, n, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-    if shape == "causal":
-        tree = causal_tree(rng, 4000)
-    elif shape in ("smooth-grid", "wide-grid"):
-        tree = smooth_grid_tree(rng, root_last=shape == "wide-grid")
-    else:
-        tree = chain_tree(2000)
-    n = tree.num_vertices
-    c, s = (8, 8) if shape == "wide-grid" else (2, 2)
-    if shape == "near-one":
-        a_bar = np.full((n, c, s), 1.0 - 1e-12)
-    else:
-        a_bar = rng.uniform(0.05, 0.95, (n, c, s))
-    x = FeatureMap(rng.standard_normal((n, c)))
-    return x, DiscreteScanParams(a_bar, rng.standard_normal((n, c, s))), tree
 
 
 def check_scan_equivalence(

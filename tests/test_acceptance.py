@@ -28,13 +28,8 @@ from treescan import (
 from treescan import io as tio
 from treescan.cli import main
 from treescan.scan import ContinuousScanParams
-from treescan.selfcheck import (
-    align_chain_params,
-    chain_tree,
-    random_connected_graph,
-    random_scan_instance,
-    relative_gradient_error,
-)
+from treescan.scenarios import chain_tree, random_connected_graph, random_scan_instance
+from treescan.selfcheck import align_chain_params, relative_gradient_error
 
 BASE_SEED = 777
 

@@ -15,21 +15,16 @@ import pytest
 
 from treescan import (
     FeatureMap,
-    boruvka_mst,
-    build_grid_graph,
     discretization_backward,
     discretize,
     output_projection,
     output_projection_backward,
-    root_tree,
     tree_scan_language_backward,
     tree_scan_language_forward,
     tree_scan_vision_backward,
     tree_scan_vision_forward,
 )
-from treescan.selfcheck import causal_tree
-
-from test_scan import make_continuous
+from treescan.scenarios import causal_tree, make_continuous, noise_grid, star_tree
 
 # Peak above entry, in (L, C, N) arrays, pinned a few hundredths above the
 # measured value. The outputs count: discretize returns two full-size arrays,
@@ -99,8 +94,7 @@ def training_step_peaks(x, params, tree, causal):
 def vision_peaks():
     """The minimum spanning tree of a 32 x 32 noise grid, C = 64, N = 4."""
     rng = np.random.default_rng(5)
-    x = FeatureMap(rng.standard_normal((1024, 64)), spatial=(32, 32))
-    tree = root_tree(*boruvka_mst(build_grid_graph(x)), 1024, 0)
+    x, tree = noise_grid(rng, 1024, 64)
     return training_step_peaks(x, make_continuous(rng, 1024, 64, 4), tree, False)
 
 
@@ -108,8 +102,7 @@ def vision_peaks():
 def star_peaks():
     """1023 leaves under vertex 0, C = 64, N = 4: one level as wide as the tree."""
     rng = np.random.default_rng(8)
-    star = np.stack([np.zeros(1023, dtype=np.int64), np.arange(1, 1024)], axis=1)
-    tree = root_tree(star, np.ones(1023), 1024, 0)
+    tree = star_tree(1023)
     x = FeatureMap(rng.standard_normal((1024, 64)))
     return training_step_peaks(x, make_continuous(rng, 1024, 64, 4), tree, False)
 
@@ -166,8 +159,7 @@ def test_c_order_d_h_within_budget(stage):
     rng = np.random.default_rng(8)
     if stage == "vision_backward":
         n, c, budget = 1024, 64, VISION_BUDGET
-        x = FeatureMap(rng.standard_normal((n, c)), spatial=(32, 32))
-        tree = root_tree(*boruvka_mst(build_grid_graph(x)), n, 0)
+        x, tree = noise_grid(rng, n, c)
     else:
         n, c, budget = 4096, 16, CAUSAL_BUDGET
         tree = causal_tree(rng, n)

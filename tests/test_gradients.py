@@ -23,24 +23,16 @@ from treescan import (
     walk,
 )
 from treescan import selfcheck
+from treescan.scenarios import (chain_tree, lane_inputs, make_continuous, random_scan_instance,
+                                scan_equivalence_instance)
 from treescan.selfcheck import (
     align_chain_params,
-    chain_tree,
     check_training_chain,
     directional_error,
-    random_scan_instance,
     relative_gradient_error,
 )
 
-from test_scan import (
-    STRESS_TREES,
-    banded_params,
-    broom,
-    make_continuous,
-    single_vertex_tree,
-    spider,
-    stress_instance,
-)
+from test_scan import STRESS_TREES, broom, spider, stress_instance
 
 
 def vision_backward_of(x, p, tree, d_h):
@@ -59,7 +51,7 @@ class TestVisionBackward:
         x = FeatureMap(np.array([[2.0]]))
         p = DiscreteScanParams(np.array([[[0.7]]]), np.array([[[3.0]]]))
         d_h = np.array([[[5.0]]])
-        g = vision_backward_of(x, p, single_vertex_tree(), d_h)
+        g = vision_backward_of(x, p, chain_tree(1), d_h)
         assert g.d_x[0, 0] == 15.0  # d_h * b_bar
         assert g.d_b_bar[0, 0, 0] == 10.0  # d_h * x
         assert g.d_a_bar[0, 0, 0] == 0.0
@@ -228,7 +220,7 @@ class TestLayoutStress:
             tree_name]()
         assert tree.walk.bands is not None
         rng = np.random.default_rng(12)
-        x, p = banded_params(rng, tree.num_vertices, "random", 2, 1)
+        x, p = lane_inputs(rng, tree.num_vertices, 2, 1, "random")
         w = rng.standard_normal(p.shape)
         h, xi = tree_scan_vision_forward(x, p, tree)
         h_lang = tree_scan_language_forward(x, p, tree)
@@ -252,8 +244,7 @@ class TestLayoutStress:
         2000-chain at a_bar = 1 - 1e-12)."""
         ok, detail, _ = selfcheck.check_gradients(11, shape=shape, causal=causal)
         assert ok, detail
-        assert selfcheck.scan_equivalence_instance(
-            np.random.default_rng(11), shape)[2].walk.height > 1
+        assert scan_equivalence_instance(np.random.default_rng(11), shape)[2].walk.height > 1
 
     @pytest.mark.parametrize("instance", ["wide-grid", "causal-2000", "L1", "L2",
                                           (1000, 64, 4), (777, 3, 1), (5000, 16, 4)],

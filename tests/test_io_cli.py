@@ -20,7 +20,7 @@ from treescan.bench import build_instance
 from treescan.cli import main
 from treescan.mst import SpanningTree, root_tree
 from treescan.scan import ContinuousScanParams
-from treescan.selfcheck import random_tree
+from treescan.scenarios import chain_tree, random_tree
 
 
 def rng():
@@ -651,9 +651,7 @@ class TestCmdScan:
         length, a, b = {"huge-input": (4, -0.1, 1e308), "a-bar-above-1": (2000, 0.4, 1.0),
                         "exp-overflow": (4, 1000.0, 1.0)}[case]
         io.write_tensor(tmp_path / "x", np.ones((length, 1)))
-        chain = np.stack([np.arange(length - 1), np.arange(1, length)], axis=1)
-        tree = root_tree(chain, np.zeros(length - 1), length, length - 1)
-        io.write_tree(tmp_path / "tree.json", tree)
+        io.write_tree(tmp_path / "tree.json", chain_tree(length))
         io.write_params(tmp_path / "params.json", ContinuousScanParams(
             a=np.array([[a]]), b=np.full((length, 1), b), c_out=np.ones((length, 1)),
             d=np.zeros(1), delta=np.ones((length, 1)),

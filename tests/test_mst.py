@@ -16,7 +16,7 @@ from treescan import (
     walk,
 )
 from treescan.oracle import bfs_root_tree
-from treescan.selfcheck import chain_tree, random_connected_graph
+from treescan.scenarios import causal_graph, chain_tree, random_connected_graph
 
 
 def construction_cases():
@@ -26,8 +26,8 @@ def construction_cases():
     return [
         build_grid_graph(FeatureMap(np.ones((1, 2)), spatial=(1, 1)), "cosine"),
         build_grid_graph(FeatureMap(np.ones((1600, 2)), spatial=(40, 40)), "cosine"),
-        build_causal_graph(FeatureMap(rng.standard_normal((500, 4))), m=3),
-        build_causal_graph(FeatureMap(rng.standard_normal((300, 4))), m=1),
+        causal_graph(rng, 500),
+        causal_graph(rng, 300, m=1),
     ]
 
 

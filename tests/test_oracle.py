@@ -18,7 +18,7 @@ from treescan import (
     path_product,
     root_tree,
 )
-from treescan.selfcheck import random_connected_graph, random_scan_instance
+from treescan.scenarios import random_connected_graph, random_scan_instance
 
 
 def triangle():

@@ -13,8 +13,6 @@ from treescan import (
     FeatureMap,
     SpanningTree,
     affinity_map,
-    boruvka_mst,
-    build_causal_graph,
     discretization_backward,
     discretize,
     io,
@@ -31,19 +29,18 @@ from treescan import (
     tree_scan_vision_forward,
     walk,
 )
-from treescan.selfcheck import (
-    align_chain_params,
+from treescan.scenarios import (
     causal_tree,
     chain_tree,
+    lane_inputs,
+    make_continuous,
     random_connected_graph,
     random_scan_instance,
     random_tree,
     smooth_grid_tree,
+    star_tree,
 )
-
-
-def single_vertex_tree():
-    return root_tree(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 1, 0)
+from treescan.selfcheck import align_chain_params
 
 
 STRESS_TREES = ("shuffled-levels", "chain-5000", "causal-2000", "L1", "L2")
@@ -64,19 +61,13 @@ def stress_instance(tree_name, a_kind, seed=0):
                                                 np.zeros(9)),
         "chain-5000": lambda: chain_tree(5000),
         "causal-2000": lambda: causal_tree(rng, 2000),
-        "L1": single_vertex_tree,
+        "L1": lambda: chain_tree(1),
         "L2": lambda: chain_tree(2),
         "wide-grid": lambda: smooth_grid_tree(rng, root_last=True),
     }[tree_name]()
     tree.validate()
-    n = tree.num_vertices
-    c, s = (8, 8) if tree_name == "wide-grid" else (2, 2)
-    if a_kind == "near-one":
-        a_bar = np.full((n, c, s), 1.0 - 1e-12)
-    else:
-        a_bar = rng.uniform(0.05, 0.95, (n, c, s))
-    x = FeatureMap(rng.standard_normal((n, c)))
-    return x, DiscreteScanParams(a_bar, rng.standard_normal((n, c, s))), tree
+    c = 8 if tree_name == "wide-grid" else 2
+    return (*lane_inputs(rng, tree.num_vertices, c, c, a_kind), tree)
 
 
 def subtree_only(p, tree, vertex):
@@ -131,7 +122,7 @@ class TestLayoutStress:
         stress trees, a star and a tree of one wide level at three lanes."""
         rng = np.random.default_rng(3)
         if tree_name == "star":
-            tree = star_tree()
+            tree = star_tree(49)
             x, p, _ = random_scan_instance(rng, 50, 2, 3)
         elif tree_name == "one-wide-level":
             tree = one_wide_level_tree()
@@ -167,12 +158,6 @@ def up_by_rows(w, u, a):
     for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
         for r in range(lo, hi):
             u[w.ppos[r]] += u[r] * a[r]
-
-
-def star_tree():
-    """49 leaves under vertex 0."""
-    star = np.stack([np.zeros(49, dtype=np.int64), np.arange(1, 50)], axis=1)
-    return root_tree(star, np.ones(49), 50, 0)
 
 
 def one_wide_level_tree():
@@ -229,7 +214,7 @@ class TestRankSchedule:
         rng = np.random.default_rng(11)
         for _ in range(30):
             assert_level_order(random_tree(rng, int(rng.integers(1, 200))))
-        tree = star_tree()
+        tree = star_tree(49)
         assert_level_order(tree)
         assert tree.walk.order.tolist() == list(range(50))
         assert tree.walk.ppos.tolist() == [0] * 50  # every child of the centre under row 0
@@ -358,21 +343,6 @@ BANDED_TREES = {
 }
 
 
-def banded_params(rng, n, a_kind, c=2, s=2):
-    """Scan scalars whose a_bar is random in [0.05, 0.95] ("random"), 1 -
-    1e-12 in every lane ("near-one"), random with 30 % exact zeros
-    ("zeros"), or about 1e-3 ("small")."""
-    a_bar = {
-        "random": lambda: rng.uniform(0.05, 0.95, (n, c, s)),
-        "near-one": lambda: np.full((n, c, s), 1.0 - 1e-12),
-        "zeros": lambda: np.where(rng.random((n, c, s)) < 0.3, 0.0,
-                                  rng.uniform(0.05, 0.95, (n, c, s))),
-        "small": lambda: rng.uniform(0.9e-3, 1.1e-3, (n, c, s)),
-    }[a_kind]()
-    x = FeatureMap(rng.standard_normal((n, c)))
-    return x, DiscreteScanParams(a_bar, rng.standard_normal((n, c, s)))
-
-
 def band_top(tree, row):
     """The row of ``row``'s band top, found by walking up its parents."""
     k = tree.walk.height
@@ -394,9 +364,7 @@ def walk_instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     root, v = int(rng.integers(0, n)), np.arange(1, n)
     if shape == "causal":
-        m = draw(st.integers(1, 4))
-        graph = build_causal_graph(FeatureMap(rng.standard_normal((n, 4))), m=m)
-        tree = root_tree(*boruvka_mst(graph), n, n - 1)
+        tree = causal_tree(rng, n, draw(st.integers(1, 4)))
     else:
         if shape == "chain":
             up = v - 1
@@ -432,7 +400,7 @@ class TestBandedWalks:
     def test_single_vertex_walks_one_level_a_step(self):
         """At L = 1 no band plan fits (one of height 2 would index past the
         one row), and ``tree_walk`` builds none."""
-        assert single_vertex_tree().walk.height == 1
+        assert chain_tree(1).walk.height == 1
 
     def test_band_height_follows_the_shape(self):
         """isqrt(depth) levels a band when the levels hold fewer than
@@ -443,7 +411,7 @@ class TestBandedWalks:
         below, at_cut = broom(64, cut - 1 - 64), broom(64, cut - 64)
         assert (below.num_vertices, at_cut.num_vertices) == (cut - 1, cut)
         assert len(below.walk.bounds) == len(at_cut.walk.bounds) == 65
-        for tree in (single_vertex_tree(), chain_tree(2), chain_tree(3), at_cut,
+        for tree in (chain_tree(1), chain_tree(2), chain_tree(3), at_cut,
                      smooth_grid_tree(np.random.default_rng(0))):
             assert tree.walk.bands is None
         for tree, height in ((chain_tree(4), 2), (chain_tree(5000), 70), (below, 8)):
@@ -496,7 +464,7 @@ class TestBandedWalks:
         assert tree.walk.bands is not None
         rng = np.random.default_rng(7)
         n = tree.num_vertices
-        x, p = banded_params(rng, n, a_kind)
+        x, p = lane_inputs(rng, n, 2, 2, a_kind)
         at = np.unique([tree.root, tree.walk.order[-1], *rng.integers(0, n, 3)])
         h, xi = tree_scan_vision_forward(x, p, tree)
         h_lang = tree_scan_language_forward(x, p, tree)
@@ -531,7 +499,7 @@ class TestBandedWalks:
         assert tree.walk.bands is None
         depth = len(tree.walk.bounds) - 1
         assert depth > 3 and tree.num_vertices > walk.BAND_ROWS_MAX * depth
-        x, p = banded_params(rng, tree.num_vertices, "random")
+        x, p = lane_inputs(rng, tree.num_vertices, 2, 2, "random")
         a = p.a_bar.take(tree.walk.order, axis=0)
         u = rng.standard_normal(a.shape)
         for height in (2, 3, isqrt(depth)):
@@ -551,7 +519,7 @@ class TestBandedWalks:
         tree = chain_tree(12000)
         assert tree.walk.height == 109
         rng = np.random.default_rng(8)
-        x, p = banded_params(rng, tree.num_vertices, "small", 1, 1)
+        x, p = lane_inputs(rng, tree.num_vertices, 1, 1, "small")
         a = p.a_bar.take(tree.walk.order, axis=0)
         walk._down(tree.walk, np.zeros(a.shape), a)
         assert np.all(p.a_bar > 0) and np.any(a == 0.0)
@@ -569,7 +537,7 @@ class TestBandedWalks:
         no plan; the language forward builds it."""
         tree = chain_tree(5000)
         rng = np.random.default_rng(12)
-        x, p = banded_params(rng, tree.num_vertices, "random", 1, 1)
+        x, p = lane_inputs(rng, tree.num_vertices, 1, 1, "random")
         affinity_map(tree, p, 2500)
         assert tree.walk.height == 70 and "bands" not in vars(tree.walk)
         tree_scan_language_forward(x, p, tree)
@@ -585,12 +553,12 @@ class TestBandedWalks:
             "smooth-grid": lambda: smooth_grid_tree(rng, root_last=True),
             "random-bushy": lambda: rooted_at_last(
                 [0, *(rng.integers(0, np.arange(1, 500)) // 4).tolist()]),
-            "L1": single_vertex_tree,
+            "L1": lambda: chain_tree(1),
             "L2": lambda: chain_tree(2),
         }[tree_name]()
         assert tree.walk.bands is None
         n = tree.num_vertices
-        x, p = banded_params(rng, n, "random")
+        x, p = lane_inputs(rng, n, 2, 2, "random")
         order, pos = tree.walk.order, tree.walk.pos
         h = (p.b_bar * x.data[:, :, None]).take(order, axis=0)
         walk._up(tree.walk, h, p.a_bar.take(order, axis=0))
@@ -602,16 +570,6 @@ class TestBandedWalks:
         d_b_bar = rho.take(pos, axis=0) * x.data[:, :, None]
         g = scan.tree_scan_language_backward(x, p, tree, h, d_h)
         assert g.d_b_bar.tobytes() == d_b_bar.tobytes()
-
-
-def make_continuous(rng, length, channels, states):
-    return ContinuousScanParams(
-        a=-rng.uniform(0.1, 2.0, size=(channels, states)),
-        b=rng.standard_normal((length, states)),
-        c_out=rng.standard_normal((length, states)),
-        d=rng.standard_normal(channels),
-        delta=rng.uniform(0.05, 1.0, size=(length, channels)),
-    )
 
 
 class TestDiscretize:
@@ -757,7 +715,7 @@ class TestVisionForward:
     def test_single_vertex(self):
         x = FeatureMap(np.array([[2.0]]))
         p = DiscreteScanParams(np.array([[[0.7]]]), np.array([[[3.0]]]))
-        h, xi = tree_scan_vision_forward(x, p, single_vertex_tree())
+        h, xi = tree_scan_vision_forward(x, p, chain_tree(1))
         assert h[0, 0, 0] == 6.0 and xi[0, 0, 0] == 6.0
 
     def test_chain_frozen_values(self, chain3_vision):
@@ -923,7 +881,7 @@ class TestNaiveScan:
     def test_single_vertex(self):
         x = FeatureMap(np.array([[2.0]]))
         p = DiscreteScanParams(np.array([[[0.7]]]), np.array([[[3.0]]]))
-        h = naive_tree_scan(x, p, single_vertex_tree())
+        h = naive_tree_scan(x, p, chain_tree(1))
         assert h[0, 0, 0] == 6.0
 
     def test_single_token_random_instance(self):

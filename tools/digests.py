@@ -14,8 +14,9 @@ step writes), and digests of the integers of the step's tree's walk: its
 rows, parent rows and level bounds, and its band plan at its own height
 and at heights 2 and 3.  Then it prints digests of ``treescan
 selfcheck``'s stdout and of ``affinity_map`` on the first cli-grid tree at
-three anchors.  It reads only public names of ``treescan`` and of its
-walks and takes no options.
+three anchors, and of every array of ``bench.build_instance`` at the sizes
+and seed of ``test_linear_complexity_via_bench``.  It reads only public
+names of ``treescan`` and of its walks and takes no options.
 """
 
 import os
@@ -36,9 +37,11 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 from tracing import NullTracer  # noqa: E402
-from treescan import affinity_map, cli  # noqa: E402
+from treescan import affinity_map, bench, cli  # noqa: E402
 
 SEEDS = (1, 2, 3)
+# the sizes and seed of tests/test_acceptance.py::test_linear_complexity_via_bench
+BENCH_SIZES, BENCH_SEED = (256, 512, 16384, 32768, 65536), 5
 
 
 def blake(data: bytes) -> str:
@@ -106,6 +109,11 @@ def main() -> None:
     tree, disc = anchored
     for anchor in (0, tree.num_vertices // 2, tree.num_vertices - 1):
         print(f"affinity_map anchor={anchor} {blake(affinity_map(tree, disc, anchor).tobytes())}")
+    for size in BENCH_SIZES:
+        print(f"bench.build_instance size={size} seed={BENCH_SEED}")
+        instance = dict(zip(("x", "params", "tree"), bench.build_instance(size, seed=BENCH_SEED)))
+        for name, arr in arrays("", instance):
+            print(f"  {name[1:]} {arr.dtype}{list(arr.shape)} {blake(arr.tobytes())}")
 
 
 if __name__ == "__main__":
