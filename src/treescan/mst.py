@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import WeightedGraph
-from .walk import Walk, tree_walk
+from .walk import Levels, Walk, tree_walk
 
 
 @dataclass(eq=False)
@@ -63,12 +63,12 @@ class SpanningTree:
         raises like ``depths``."""
         return tree_walk(self)
 
-    @cached_property
-    def levels(self) -> list[np.ndarray]:
-        """The walk's ``order`` cut into depth levels (views) at its
-        ``bounds``; raises like ``depths``."""
-        w = self.walk
-        return [w.order[lo:hi] for lo, hi in zip(w.bounds, w.bounds[1:])]
+    @property
+    def levels(self) -> Levels:
+        """The walk's ``order`` cut into depth levels at its ``bounds``, each
+        a view made when it is read (``walk.Levels``); raises like
+        ``depths``."""
+        return Levels(self.walk)
 
     def validate(self) -> None:
         """Check the structural invariants of the fields as they are now:

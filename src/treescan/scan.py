@@ -219,10 +219,10 @@ def _gather(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _all_roots(walk: Walk, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """On row-order arrays, turn ``agg`` into subtree sums in place
-    (``_up``), then return the aggregation over every vertex: (1 - a^2) *
-    agg pushed down by ``_down``, with ``agg`` kept at the root.  ``a``,
-    the caller's own row-order copy, may be overwritten."""
+    """On arrays in the walk's ``layout``, turn ``agg`` into subtree sums
+    in place (``_up``), then return the aggregation over every vertex: (1 -
+    a^2) * agg pushed down by ``_down``, with ``agg`` kept at the root.
+    ``a``, the caller's own copy in the layout, may be overwritten."""
     _up(walk, agg, a)
     out = a * a
     np.subtract(1.0, out, out=out)
@@ -256,9 +256,10 @@ def tree_scan_vision_forward(
     """
     _check_instance(x, p, tree)
     walk = tree.walk
-    xi = _input_terms(x, p, walk.order)
-    h = _all_roots(walk, xi, _swap(p.a_bar).take(walk.order, axis=0)).take(walk.pos, axis=0)
-    return _swap(h), _swap(xi.take(walk.pos, axis=0))
+    order, pos = walk.layout
+    xi = _input_terms(x, p, order)
+    h = _all_roots(walk, xi, _swap(p.a_bar).take(order, axis=0)).take(pos, axis=0)
+    return _swap(h), _swap(xi.take(pos, axis=0))
 
 
 def tree_scan_vision_backward(
@@ -284,10 +285,11 @@ def tree_scan_vision_backward(
     """
     _check_instance(x, p, tree, d_h=d_h, xi=xi, h=h)
     walk = tree.walk
+    order, pos = walk.layout
     a_bar = _swap(p.a_bar)
-    eta = _gather(d_h, walk.order)
-    rho = _all_roots(walk, eta, a_bar.take(walk.order, axis=0)).take(walk.pos, axis=0)
-    eta = eta.take(walk.pos, axis=0)
+    eta = _gather(d_h, order)
+    rho = _all_roots(walk, eta, a_bar.take(order, axis=0)).take(pos, axis=0)
+    eta = eta.take(pos, axis=0)
     par, xi = tree.parent, _swap(np.asarray(xi))
     # (eta * h[par] + xi * rho[par]) - ((2 * a_bar) * eta) * xi, in that
     # order, by row blocks, with one block-sized term buffer
@@ -316,9 +318,10 @@ def tree_scan_language_forward(
     """
     _check_instance(x, p, tree, causal=True)
     walk = tree.walk
-    h = _input_terms(x, p, walk.order)
-    _up(walk, h, _swap(p.a_bar).take(walk.order, axis=0))
-    return _swap(h.take(walk.pos, axis=0))
+    order, pos = walk.layout
+    h = _input_terms(x, p, order)
+    _up(walk, h, _swap(p.a_bar).take(order, axis=0))
+    return _swap(h.take(pos, axis=0))
 
 
 def tree_scan_language_backward(
@@ -337,9 +340,10 @@ def tree_scan_language_backward(
     """
     _check_instance(x, p, tree, causal=True, d_h=d_h, h=h)
     walk = tree.walk
-    rho = _gather(d_h, walk.order)
-    _down(walk, rho, _swap(p.a_bar).take(walk.order, axis=0))
-    rho = rho.take(walk.pos, axis=0)
+    order, pos = walk.layout
+    rho = _gather(d_h, order)
+    _down(walk, rho, _swap(p.a_bar).take(order, axis=0))
+    rho = rho.take(pos, axis=0)
     d_a_bar = rho.take(tree.parent, axis=0)
     d_a_bar *= _swap(np.asarray(h))
     return _gradients(x, p, tree, rho, d_a_bar)

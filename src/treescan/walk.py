@@ -1,10 +1,12 @@
 """The walk, the schedule of the scan passes over a rooted tree, and the
 passes that read it.  ``tree_walk`` alone orders the vertices and cuts them
-into levels, at their depths.  The passes run on arrays in row order: row k
-holds vertex ``order[k]``, the vertices by (depth, vertex), so the root is
-row 0 and every level is a contiguous slice.  A kernel gathers its inputs
-into row order once, as C-contiguous memory, walks, and gathers its outputs
-back by ``pos`` (cheaper than a scatter).
+into levels, at their depths: row k holds vertex ``order[k]``, the
+vertices by (depth, vertex), so the root is row 0 and every level is a
+contiguous slice.  The passes run on arrays in the walk's ``layout``: at
+height 1 that row order, above it the band plan's, in which every band
+offset's rows are a contiguous slice.  A kernel gathers its inputs into the
+layout once, as C-contiguous memory, walks, and gathers its outputs back by
+the layout's ``pos`` (cheaper than a scatter).
 
 A walk of height 1 takes one numpy step per level; the leaf-to-root step
 is one ``np.add.at`` over the level's rows and lanes, into the array
@@ -18,6 +20,7 @@ outputs differ from the per-level walk's in the last bits.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
@@ -37,28 +40,39 @@ BAND_ROWS_MAX = 4
 @dataclass(eq=False)
 class BandPlan:
     """A tree's levels below the root cut into bands of a walk's ``height``
-    consecutive levels, as the banded walks read them: integer arrays of
-    rows.  Band b holds levels 1 + b * height onwards, up to ``height`` of
-    them (the last band may hold fewer), so its rows start at ``bounds[1 +
-    b * height]``.  A row's offset is its level's place in its band; its
-    band top is its ancestor at offset 0.  For every offset j in 1 ..
-    height - 1 (index 0 of the lists is unused):
+    = k consecutive levels, and the row layout in which the banded passes
+    run.  Band b holds levels 1 + b * k onwards, up to k of them (the last
+    band may hold fewer).  A row's offset is its level's place in its band;
+    its band top is its ancestor at offset 0.
 
-    - ``rows[j]``, the offset-j rows of every band, cut by the bounds
-      ``groups[j]`` into one group per run index within a level: no group
-      holds a parent twice, so that each is one plain indexed add;
-    - ``parents[j]``, their parent rows.
+    Pass row r holds vertex ``order[r]``: row 0 the root, then the band
+    tops band by band (band b's are the rows ``tops[b]`` to ``tops[b +
+    1]``, in the walk's order), then the rows of each offset j = 1 .. k - 1
+    (``offsets[j]`` to ``offsets[j + 1]``, ``offsets[0]`` = 1 the first top
+    and ``offsets[k]`` = L), by rank group, then band.  ``groups[j]`` cuts
+    offset j's rows into its rank groups, counted from ``offsets[j]``: no
+    group holds a parent twice, so that each is one plain indexed add.  A
+    row's place among the rows of its offset is the row minus the offset's
+    first row.
 
-    Per row: ``top``, its band top (the root and the band tops are their
-    own), and ``place``, its place among the rows of its offset (in
-    ``rows[j]`` for offset j >= 1; 0 at the root).
+    Per row: ``pos`` is the inverse of ``order``, ``ppos`` each row's parent
+    row (0 at the root), ``top`` its band top (the root and the band tops
+    are their own) and ``anc`` the index in ``links`` of its band top's
+    parent.  ``links`` is the root, then the rows that parent the next
+    band's tops, band by band (band b's are ``links[link_bounds[b]:
+    link_bounds[b + 1]]``).
     """
 
-    rows: list[np.ndarray]
-    groups: list[list[int]]
-    parents: list[np.ndarray]
+    order: np.ndarray
+    pos: np.ndarray
+    ppos: np.ndarray
+    tops: list[int]
+    offsets: list[int]
+    groups: list[list[int] | None]
     top: np.ndarray
-    place: np.ndarray
+    links: np.ndarray
+    link_bounds: list[int]
+    anc: np.ndarray
 
 
 @dataclass(eq=False)
@@ -74,6 +88,13 @@ class Walk:
     bounds: list[int]  # the first row of every level, then L (ints: no conversion to slice)
     height: int  # levels per band: 1 for a walk of one level a step
 
+    @property
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row layout of the passes, ``(order, pos)``: the walk's own at
+        height 1, the band plan's above it."""
+        plan = self.bands
+        return (self.order, self.pos) if plan is None else (plan.order, plan.pos)
+
     @cached_property
     def bands(self) -> BandPlan | None:
         """The plan of bands of ``height`` = k levels (the tree has more than
@@ -82,34 +103,62 @@ class Walk:
         parent ids climb, so it holds no parent twice."""
         if self.height == 1:
             return None
-        n, k, ppos, b = len(self.order), self.height, self.ppos, self.bounds
-        par = self.order[ppos]  # each row's parent vertex
-        level = np.repeat(np.arange(len(b) - 1), np.diff(b))
+        n, k, sizes = len(self.order), self.height, np.diff(self.bounds)  # rows per level
+        par = self.order[self.ppos]  # each row's parent vertex
+        level = np.repeat(np.arange(len(sizes)), sizes)
         new_level = level[1:] != level[:-1]
         run = np.cumsum((par[1:] <= par[:-1]) | new_level)  # of rows 1, 2, ... (row 0 is run 0)
         rank = run - np.maximum.accumulate(np.where(new_level, run, 0))  # run within the level
         off = (level[1:] - 1) % k
-        # by offset, then rank, then row: the rows are in band order already
-        key = off * (int(rank.max()) + 1) + rank
-        by_key = np.argsort(key, kind="stable")
-        inner, key = by_key + 1, key[by_key]
-        at = np.searchsorted(off[by_key], np.arange(k + 1)).tolist()  # offset j from at[j]
-        place = np.zeros(n, dtype=np.int64)  # a row's place among the rows of its offset
-        place[inner] = np.arange(n - 1) - np.repeat(at[:-1], np.diff(at))
-        cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()  # rank groups, all offsets
-        rows, groups, parents = [None], [None], [None]
-        for lo, hi in zip(at[1:-1], at[2:]):
-            rows.append(inner[lo:hi])
+        # the band tops first, in row order (band order); then by offset,
+        # then rank, then row: the rows are in band order already
+        key = np.where(off > 0, off * (int(rank.max()) + 1) + rank, 0)
+        lay = np.concatenate([[0], _stable_argsort(key) + 1])  # the walk row of each pass row
+        key = key[lay[1:] - 1]
+        offsets = [*(np.searchsorted(off[lay[1:] - 1], np.arange(k)) + 1).tolist(), n]
+        cuts = (np.flatnonzero(key[1:] != key[:-1]) + 2).tolist()  # rank groups, all offsets
+        groups = [None]
+        for lo, hi in zip(offsets[1:-1], offsets[2:]):
             inside = cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)]
             groups.append([0, *(c - lo for c in inside), hi - lo])
-            parents.append(ppos[inner[lo:hi]])
+        inv = np.empty(n, dtype=np.int64)
+        inv[lay] = np.arange(n)
+        ppos = inv[self.ppos[lay]]
+        tops = [1, *(np.cumsum(sizes[1::k]) + 1).tolist()]
         # band tops by pointer jumping up the parents, a band top stopping at
         # itself: 2^r jumps after r gathers, and a row is under k jumps from its top
         top = ppos.copy()
-        top[1:][off == 0] = np.flatnonzero(off == 0) + 1
+        top[1 : tops[-1]] = np.arange(1, tops[-1])
         for _ in range((k - 1).bit_length()):
             top = top[top]
-        return BandPlan(rows=rows, groups=groups, parents=parents, top=top, place=place)
+        index = np.zeros(n, dtype=np.int64)  # marks the links, then numbers them
+        index[ppos[tops[1] : tops[-1]]] = 1
+        links = np.flatnonzero(index)
+        links = np.concatenate([[0], links[np.argsort(top[links], kind="stable")]])
+        link_bounds = np.searchsorted(top[links[1:]], tops) + 1
+        index[links] = np.arange(len(links))
+        return BandPlan(order=self.order[lay], pos=inv[self.pos], ppos=ppos, tops=tops,
+                        offsets=offsets, groups=groups, top=top, links=links,
+                        link_bounds=link_bounds.tolist(), anc=index[ppos[top]])
+
+
+class Levels(Sequence):
+    """A walk's ``order`` cut into depth levels at its ``bounds``, read-only:
+    its length is the level count, and item d is the view ``order[bounds[d]:
+    bounds[d + 1]]``, made when it is read."""
+
+    def __init__(self, walk: Walk):
+        self._walk = walk
+
+    def __len__(self) -> int:
+        return len(self._walk.bounds) - 1
+
+    def __getitem__(self, d):
+        if isinstance(d, slice):
+            return [self[i] for i in range(len(self))[d]]
+        d = range(len(self))[d]  # negative from the end; IndexError outside
+        lo, hi = self._walk.bounds[d : d + 2]
+        return self._walk.order[lo:hi]
 
 
 def tree_walk(tree: SpanningTree) -> Walk:
@@ -136,29 +185,30 @@ def _stable_argsort(key: np.ndarray) -> np.ndarray:
 
 
 def _up(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
-    """Leaf-to-root pass in place on row-order arrays: u[i] += sum over
-    children j of u[j] * a[j].  ``u`` must be C-contiguous: it is viewed
-    flat, and any other layout, whose flat form would be a copy, raises a
-    ValueError instead of adding into the copy.  One level step a level,
-    deepest first: one ``np.add.at`` into the flat ``u`` at ``pm`` + lane
-    for every (row, lane) of the level, ``pm`` = ppos * m with m the lanes,
-    so that each parent adds its children in row order.  Above height 1,
-    ``_up_bands`` first finishes every row below level 1, and one level
-    step joins band 0's tops to the root.  ``a`` is not changed."""
+    """Leaf-to-root pass in place on arrays in the walk's ``layout``: u[i]
+    += sum over children j of u[j] * a[j].  ``u`` must be C-contiguous: it
+    is viewed flat, and any other layout, whose flat form would be a copy,
+    raises a ValueError instead of adding into the copy.  One level step a
+    level, deepest first: one ``np.add.at`` into the flat ``u`` at ``pm`` +
+    lane for every (row, lane) of the level, ``pm`` = ppos * m with m the
+    lanes, so that each parent adds its children in row order.  Above
+    height 1, ``_up_bands`` first finishes every row below level 1, and one
+    level step joins band 0's tops to the root.  ``a`` is not changed."""
     if not u.flags.c_contiguous:
         raise ValueError("_up needs a C-contiguous u: viewing it flat would copy")
-    flat, b = u.reshape(-1), walk.bounds
+    flat, ppos, b = u.reshape(-1), walk.ppos, walk.bounds
     if walk.bands is not None:
         _up_bands(walk, u, a)
-        b = b[:3]  # level 1 alone
+        ppos, b = walk.bands.ppos, [0, *walk.bands.tops[:2]]  # level 1 alone
     m = u[0].size
-    pm, lanes = walk.ppos * m, np.arange(m)
+    pm, lanes = ppos * m, np.arange(m)
     for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
         np.add.at(flat, (pm[lo:hi, None] + lanes).ravel(), (u[lo:hi] * a[lo:hi]).ravel())
 
 
 def _up_bands(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
-    """``_up`` below level 1 by ``bands``, in three phases:
+    """``_up`` below level 1 by ``bands``, on slices of its layout, in
+    three phases:
 
     1. band-local subtree sums, all bands at once, offset height - 1 up to
        1, one plain indexed add per rank group;
@@ -170,60 +220,72 @@ def _up_bands(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     3. the rows below the tops, offset height - 1 up to 1, take ``below``,
        the sum over the next band's tops under them, carried up from offset
        to offset in compact buffers by rank groups like phase 1."""
-    bands, b = walk.bands, walk.bounds
-    k, rows, groups, place = walk.height, bands.rows, bands.groups, bands.place
-    cpar = [None, None, *(place[par] for par in bands.parents[2:])]  # places in rows[j - 1]
-    q = a.take(rows[1], axis=0)
+    bands = walk.bands
+    k, o, ppos, groups = walk.height, bands.offsets, bands.ppos, bands.groups
+
+    def places(j):  # the places of offset j's parents among offset j - 1's rows
+        return ppos[o[j] : o[j + 1]] - o[j - 1]
+
+    q = a[o[1] : o[2]]
     for j in range(2, k):
-        q_j = a.take(rows[j], axis=0)
-        q_j *= q.take(cpar[j], axis=0)
-        q = q_j
+        q = a[o[j] : o[j + 1]] * q.take(places(j), axis=0)
     for j in range(k - 1, 0, -1):
-        g, par = groups[j], bands.parents[j]
-        step = u.take(rows[j], axis=0)
-        step *= a.take(rows[j], axis=0)
+        g, par = groups[j], ppos[o[j] : o[j + 1]]
+        step = u[o[j] : o[j + 1]] * a[o[j] : o[j + 1]]
         for s, e in zip(g, g[1:]):
             u[par[s:e]] += step[s:e]
     below = np.zeros(q.shape)  # phase 3's start, gathered from the tops in phase 2
-    ppos = walk.ppos
-    for lo, hi in reversed([*zip(b[1 + k :: k], b[2 + k :: k])]):  # the tops of bands 1, 2, ...
+    t = bands.tops
+    for lo, hi in reversed([*zip(t[1:-1], t[2:])]):  # the tops of bands 1, 2, ...
         top = u[lo:hi] * a[lo:hi]
-        at = place[ppos[lo:hi]]
+        at = ppos[lo:hi] - o[k - 1]
         np.add.at(below, at, top)
         top *= q.take(at, axis=0)
         np.add.at(u, bands.top[ppos[lo:hi]], top)
     del q  # not held through phase 3
     for j in range(k - 1, 0, -1):
-        u[rows[j]] += below
+        u[o[j] : o[j + 1]] += below
         if j > 1:
-            below *= a.take(rows[j], axis=0)
-            g, up = groups[j], np.zeros((len(rows[j - 1]),) + u.shape[1:])
+            below *= a[o[j] : o[j + 1]]
+            g, at, up = groups[j], places(j), np.zeros((o[j] - o[j - 1],) + u.shape[1:])
             for s, e in zip(g, g[1:]):
-                up[cpar[j][s:e]] += below[s:e]
+                up[at[s:e]] += below[s:e]
             below = up
 
 
 def _down(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
-    """Root-to-leaf pass in place on row-order arrays: u[i] += a[i] *
-    u[parent] below the root, one band of ``height`` levels a step; above
-    height 1, by ``bands`` in two phases, and ``a`` is overwritten:
+    """Root-to-leaf pass in place on arrays in the walk's ``layout``: u[i]
+    += a[i] * u[parent] below the root, one level a step; above height 1,
+    by ``bands`` in two phases, and ``a`` is overwritten:
 
     1. within bands, all bands at once, offset 1 to height - 1: u += a *
        u[parent], then a *= a[parent], so that a row holds its sum and its
        path product from its band top down;
-    2. one step per band, first band first: u[band] += a[band] *
-       u[anc[band]], anc the parent of each row's band top (``ppos[top]``)."""
-    anc, bands = walk.ppos, walk.bands  # at height 1, each row's own parent
-    if bands is not None:
-        for r, par in zip(bands.rows[1:], bands.parents[1:]):
-            a_r = a.take(r, axis=0)
-            step = u.take(par, axis=0)
-            step *= a_r
-            u[r] += step
-            a_r *= a.take(par, axis=0)
-            a[r] = a_r
-        anc = walk.ppos[bands.top]
-    b = walk.bounds
-    cuts = [*b[1:-1:walk.height], b[-1]]  # the bands' row bounds
-    for lo, hi in zip(cuts, cuts[1:]):
-        u[lo:hi] += a[lo:hi] * u.take(anc[lo:hi], axis=0)
+    2. the final values of the ``links``, the rows that parent the next
+       band's tops, band by band in a compact buffer, f = u + a * f[anc];
+       then every row below the root, one offset's rows a step (the band
+       tops first): u += a * f[anc], anc the link that parents its band
+       top."""
+    bands = walk.bands
+    if bands is None:
+        b = walk.bounds
+        for lo, hi in zip(b[1:-1], b[2:]):
+            u[lo:hi] += a[lo:hi] * u.take(walk.ppos[lo:hi], axis=0)
+        return
+    o, ppos, anc = bands.offsets, bands.ppos, bands.anc
+    for lo, hi in zip(o[1:-1], o[2:]):
+        par = ppos[lo:hi]
+        step = u.take(par, axis=0)
+        step *= a[lo:hi]
+        u[lo:hi] += step
+        a[lo:hi] *= a.take(par, axis=0)
+    links, lb = bands.links, bands.link_bounds
+    f, f_a, f_anc = u.take(links, axis=0), a.take(links, axis=0), anc[links]
+    for lo, hi in zip(lb, lb[1:]):
+        step = f.take(f_anc[lo:hi], axis=0)
+        step *= f_a[lo:hi]
+        f[lo:hi] += step
+    for lo, hi in zip(o, o[1:]):
+        step = f.take(anc[lo:hi], axis=0)
+        step *= a[lo:hi]
+        u[lo:hi] += step

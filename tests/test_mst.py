@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -16,7 +17,13 @@ from treescan import (
     walk,
 )
 from treescan.oracle import bfs_root_tree
-from treescan.scenarios import causal_graph, chain_tree, random_connected_graph
+from treescan.scenarios import (
+    causal_graph,
+    causal_tree,
+    chain_tree,
+    random_connected_graph,
+    random_tree,
+)
 
 
 def construction_cases():
@@ -212,6 +219,35 @@ class TestRootTree:
         t = root_tree(edges, np.array([0.5, 1.0, 2.0, 3.0]), 5, 2)
         assert t.walk.order.tolist() == [2, 0, 1, 3, 4]
         assert t.edge_weight_to_parent.tolist() == [1.0, 3.0, 0.0, 2.0, 0.5]
+
+    @pytest.mark.parametrize("banded", [True, False])
+    def test_levels_contract(self, banded, monkeypatch):
+        """``tree.levels`` is a read-only sequence over the walk, on a banded
+        and on a per-level tree: its length is the level count, read
+        without ``walk.order``, so without making a level; item d is the
+        view of ``walk.order`` that lists the depth-d vertices ascending,
+        negative indices counting from the end; the levels concatenate to
+        ``walk.order``."""
+        rng = np.random.default_rng(37)
+        t = causal_tree(rng, 2000) if banded else random_tree(rng, 300)
+        w = t.walk
+        assert (w.height > 1) == banded
+        depth = int(t.depths.max()) + 1
+        levels = t.levels
+        assert isinstance(levels, Sequence) and "levels" not in vars(t)
+        with monkeypatch.context() as m:
+            m.setattr(w, "order", None)  # every level is a view of it
+            assert len(t.levels) == depth == len(w.bounds) - 1
+        for d in range(depth):
+            expected = np.flatnonzero(t.depths == d).tolist()
+            assert levels[d].tolist() == levels[d - depth].tolist() == expected
+            assert np.shares_memory(levels[d], w.order)
+        for d in (depth, -depth - 1):
+            with pytest.raises(IndexError):
+                levels[d]
+        with pytest.raises(TypeError):
+            levels[0] = w.order[:1]
+        np.testing.assert_array_equal(np.concatenate(levels), w.order)
 
     def test_levels_and_depths(self):
         edges = np.array([[0, 1], [1, 2], [1, 3]])

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 from math import isqrt
@@ -343,6 +344,37 @@ BANDED_TREES = {
 }
 
 
+PINNED_TREES = {**BANDED_TREES, "causal-8192": lambda: causal_tree(np.random.default_rng(1), 8192)}
+# blake2b of ``kernel_outputs`` on each tree, recorded while the band phases
+# still gathered their rows out of the (depth, vertex) order
+KERNEL_DIGESTS = {
+    "chain-5000": "a7ce60473cc7734f8723b98bb7020712",
+    "causal-2000": "4f0bcb47fc1f078eaadf4b4ee9cd0db0",
+    "causal-2000-parent-order": "9c2eb5bac8de5cbb9db2b249d131abcc",
+    "chain-51": "993c6fa059296cff6b3927b87477be16",
+    "chain-50": "a16ccd69e497f5da091340d09ed37a79",
+    "spider": "6e6be72cf41c174aec51651c1640f533",
+    "broom-below-cut": "05163a10faebe040d8468f288c67fde6",
+    "causal-8192": "59e397eaae923a51d6cde87c86941a78",
+}
+
+
+def kernel_outputs(tree):
+    """Every output of the four kernels at C = N = 2: h and xi of the vision
+    forward, h_lang, then d_x, d_a_bar and d_b_bar of the vision and of the
+    language backward, on one random d_h."""
+    rng = np.random.default_rng(13)
+    x, p = lane_inputs(rng, tree.num_vertices, 2, 2, "random")
+    d_h = rng.standard_normal(p.shape)
+    h, xi = tree_scan_vision_forward(x, p, tree)
+    h_lang = tree_scan_language_forward(x, p, tree)
+    out = [h, xi, h_lang]
+    for g in (tree_scan_vision_backward(x, p, tree, xi, h, d_h),
+              tree_scan_language_backward(x, p, tree, h_lang, d_h)):
+        out += [g.d_x, g.d_a_bar, g.d_b_bar]
+    return out
+
+
 def band_top(tree, row):
     """The row of ``row``'s band top, found by walking up its parents."""
     k = tree.walk.height
@@ -350,6 +382,16 @@ def band_top(tree, row):
     for _ in range((level - 1) % k):
         row = int(tree.walk.ppos[row])
     return row
+
+
+def walked(walk_pass, w, u, a):
+    """``walk_pass`` on ``w`` of the vertex-order arrays ``u`` and ``a``:
+    each gathered into ``w``'s layout, walked, and gathered back.  Returns
+    ``(u, a)`` after the pass, in vertex order."""
+    order, pos = w.layout
+    u_w, a_w = u.take(order, axis=0), a.take(order, axis=0)
+    walk_pass(w, u_w, a_w)
+    return u_w.take(pos, axis=0), a_w.take(pos, axis=0)
 
 
 @st.composite
@@ -390,9 +432,8 @@ class TestBandedWalks:
         u = rng.standard_normal(a.shape)
         level_walk, banded = replace(tree.walk, height=1), replace(tree.walk, height=height)
         for walk_pass in (walk._up, walk._down):
-            ref, got, a_got = u.copy(), u.copy(), a.copy()
-            walk_pass(level_walk, ref, a.copy())
-            walk_pass(banded, got, a_got)
+            ref, _ = walked(walk_pass, level_walk, u, a)
+            got, a_got = walked(walk_pass, banded, u, a)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
             if walk_pass is walk._up:
                 assert a_got.tobytes() == a.tobytes()
@@ -419,38 +460,62 @@ class TestBandedWalks:
 
     @pytest.mark.parametrize("tree_name", BANDED_TREES)
     def test_plan_layout(self, tree_name):
-        """Every offset's rows once, with their parents, in rank groups that
-        hold no parent twice; each row's place among its offset's rows, and
-        its band top as a walk up its parents finds it.  At the tops of
-        bands 1, 2, ... (levels 1 + k, 1 + 2k, ...): the parent's band top
-        and the parent's place in the last offset's rows."""
+        """The pass layout: the root, then each band's tops, then every
+        offset's rows once, with their parent rows, in rank groups that
+        hold no parent twice, in band order within a group; each row's
+        parent among the rows of the offset above (its place), and its band
+        top as a walk up its parents finds it.  At the tops of bands 1, 2,
+        ... (levels 1 + k, 1 + 2k, ...): the parent's band top and the
+        parent among the last offset's rows; those parents are the links,
+        band by band, and every row's ``anc`` finds its band top's parent
+        among them."""
         tree = BANDED_TREES[tree_name]()
-        plan, n = tree.walk.bands, tree.num_vertices
-        k = tree.walk.height
-        level = tree.depths[tree.walk.order]
+        w, plan, n = tree.walk, tree.walk.bands, tree.num_vertices
+        k, o, t = w.height, plan.offsets, plan.tops
+        rows = w.pos[plan.order]  # the walk row of every pass row
+        np.testing.assert_array_equal(plan.pos[plan.order], np.arange(n))
+        assert plan.order[0] == tree.root and plan.ppos[0] == 0
+        np.testing.assert_array_equal(plan.order[plan.ppos[1:]], tree.parent[plan.order[1:]])
+        assert (o[0], o[1], o[k], len(t) - 1) == (1, t[-1], n, -(-(len(w.bounds) - 2) // k))
+        for b in range(len(t) - 1):
+            assert plan.order[t[b] : t[b + 1]].tolist() == tree.levels[1 + b * k].tolist()
         for j in range(1, k):
-            rows = plan.rows[j]
-            at_j = np.flatnonzero((level > 0) & ((level - 1) % k == j))
-            assert sorted(rows.tolist()) == at_j.tolist()
-            np.testing.assert_array_equal(plan.parents[j], tree.walk.ppos[rows])
-            np.testing.assert_array_equal(plan.place[rows], np.arange(rows.size))
+            lo, hi = o[j], o[j + 1]
+            at_j = np.flatnonzero((tree.depths > 0) & ((tree.depths - 1) % k == j))
+            assert sorted(plan.order[lo:hi].tolist()) == at_j.tolist()
+            par = plan.ppos[lo:hi]
+            assert np.all((par >= o[j - 1]) & (par < o[j]))  # places among offset j - 1's rows
             g = plan.groups[j]
-            assert g[0] == 0 and g[-1] == rows.size and all(s < e for s, e in zip(g, g[1:]))
+            assert g[0] == 0 and g[-1] == hi - lo and all(s < e for s, e in zip(g, g[1:]))
             for s, e in zip(g, g[1:]):
-                assert np.unique(plan.parents[j][s:e]).size == e - s
-            if j > 1:
-                cpar = plan.place[plan.parents[j]]
-                np.testing.assert_array_equal(plan.rows[j - 1][cpar], plan.parents[j])
-        assert plan.top.tolist() == [band_top(tree, r) for r in range(n)]
-        assert np.flatnonzero(plan.top == np.arange(n)).tolist() == [
-            0, *np.flatnonzero((level > 0) & ((level - 1) % k == 0)).tolist()]
-        assert tree.walk.ppos[plan.top[1:]].tolist() == [
-            int(tree.walk.ppos[band_top(tree, r)]) for r in range(1, n)]
-        tops = np.flatnonzero((level > k) & ((level - 1) % k == 0))
-        np.testing.assert_array_equal(plan.rows[k - 1][plan.place[tree.walk.ppos[tops]]],
-                                      tree.walk.ppos[tops])
-        assert plan.top[tree.walk.ppos[tops]].tolist() == [
-            band_top(tree, int(tree.walk.ppos[t])) for t in tops]
+                assert np.unique(par[s:e]).size == e - s
+                assert np.all(np.diff(rows[lo + s : lo + e]) > 0)
+        assert rows[plan.top].tolist() == [band_top(tree, r) for r in rows.tolist()]
+        assert np.flatnonzero(plan.top == np.arange(n)).tolist() == list(range(o[1]))
+        tops = np.arange(t[1], t[-1])
+        assert np.all(plan.ppos[tops] >= o[k - 1])
+        assert rows[plan.top[plan.ppos[tops]]].tolist() == [
+            band_top(tree, int(w.ppos[r])) for r in rows[tops]]
+        links, lb = plan.links, plan.link_bounds
+        assert links[0] == 0 and sorted(links[1:].tolist()) == np.unique(plan.ppos[tops]).tolist()
+        assert (lb[0], lb[-1], len(lb)) == (1, len(links), len(t))
+        for b in range(len(t) - 1):
+            band = plan.top[links[lb[b] : lb[b + 1]]]
+            assert np.all((band >= t[b]) & (band < t[b + 1]))
+        np.testing.assert_array_equal(links[plan.anc], plan.ppos[plan.top])
+
+    @pytest.mark.parametrize("tree_name", PINNED_TREES)
+    def test_kernel_bytes_pinned(self, tree_name):
+        """The bytes of every kernel output on the banded trees and a
+        causal-train-sized one: a change to the banded walks that moves an
+        addition or a product, such as the order of two rank groups, fails
+        here."""
+        tree = PINNED_TREES[tree_name]()
+        assert tree.walk.bands is not None
+        digest = hashlib.blake2b(digest_size=16)
+        for arr in kernel_outputs(tree):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == KERNEL_DIGESTS[tree_name]
 
     @pytest.mark.parametrize("a_kind", ["random", "near-one", "zeros", "small"])
     @pytest.mark.parametrize("tree_name", BANDED_TREES)
@@ -474,12 +539,11 @@ class TestBandedWalks:
             assert np.max(np.abs(h_lang[v] - causal_ref[0])) < 1e-9
         np.testing.assert_array_equal(h_lang, xi)
         assert scan_outputs(x, p, tree) == [h.tobytes(), xi.tobytes(), h_lang.tobytes()]
-        a = p.a_bar.take(tree.walk.order, axis=0)
+        a = p.a_bar
         u = rng.standard_normal(a.shape)
         for walk_pass in (walk._up, walk._down):
-            ref, got, a_got = u.copy(), u.copy(), a.copy()
-            walk_pass(replace(tree.walk, height=1), ref, a.copy())
-            walk_pass(tree.walk, got, a_got)
+            ref, _ = walked(walk_pass, replace(tree.walk, height=1), u, a)
+            got, a_got = walked(walk_pass, tree.walk, u, a)
             assert np.max(np.abs(got - ref)) < 1e-9
             if walk_pass is walk._up:
                 assert a_got.tobytes() == a.tobytes()
@@ -500,14 +564,13 @@ class TestBandedWalks:
         depth = len(tree.walk.bounds) - 1
         assert depth > 3 and tree.num_vertices > walk.BAND_ROWS_MAX * depth
         x, p = lane_inputs(rng, tree.num_vertices, 2, 2, "random")
-        a = p.a_bar.take(tree.walk.order, axis=0)
+        a = p.a_bar
         u = rng.standard_normal(a.shape)
         for height in (2, 3, isqrt(depth)):
             banded = replace(tree.walk, height=height)
             for walk_pass in (walk._up, walk._down):
-                ref, got, a_got = u.copy(), u.copy(), a.copy()
-                walk_pass(tree.walk, ref, a.copy())
-                walk_pass(banded, got, a_got)
+                ref, _ = walked(walk_pass, tree.walk, u, a)
+                got, a_got = walked(walk_pass, banded, u, a)
                 assert np.max(np.abs(got - ref)) < 1e-9
                 if walk_pass is walk._up:
                     assert a_got.tobytes() == a.tobytes()
@@ -520,7 +583,7 @@ class TestBandedWalks:
         assert tree.walk.height == 109
         rng = np.random.default_rng(8)
         x, p = lane_inputs(rng, tree.num_vertices, 1, 1, "small")
-        a = p.a_bar.take(tree.walk.order, axis=0)
+        a = p.a_bar.take(tree.walk.layout[0], axis=0)
         walk._down(tree.walk, np.zeros(a.shape), a)
         assert np.all(p.a_bar > 0) and np.any(a == 0.0)
         at = np.array([tree.root, 0, 6000, 11000 - 1])

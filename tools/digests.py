@@ -11,12 +11,13 @@ For every perfbench workload it steps each input of the pools of seeds 1-3
 and prints the workload's own digest, then a blake2b digest of every array
 that the step returns (and, for cli-grid, of the tree and h files that the
 step writes), and digests of the integers of the step's tree's walk: its
-rows, parent rows and level bounds, and its band plan at its own height
-and at heights 2 and 3.  Then it prints digests of ``treescan
-selfcheck``'s stdout and of ``affinity_map`` on the first cli-grid tree at
-three anchors, and of every array of ``bench.build_instance`` at the sizes
-and seed of ``test_linear_complexity_via_bench``.  It reads only public
-names of ``treescan`` and of its walks and takes no options.
+rows, parent rows and level bounds, and every field of its band plan (the
+passes' row layout first) at its own height and at heights 2 and 3.  Then
+it prints digests of ``treescan selfcheck``'s stdout and of
+``affinity_map`` on the first cli-grid tree at three anchors, and of every
+array of ``bench.build_instance`` at the sizes and seed of
+``test_linear_complexity_via_bench``.  It reads only public names of
+``treescan`` and of its walks and takes no options.
 """
 
 import os
@@ -72,16 +73,16 @@ def ints(value) -> bytes:
 
 
 def walk_lines(walk):
-    """Digests of a walk's integers, then of its band plan at its own height
-    and at heights 2 and 3."""
+    """Digests of a walk's integers, then of every field of its band plan at
+    its own height and at heights 2 and 3."""
     yield f"walk height={walk.height} " + " ".join(
         f"{name} {blake(ints(getattr(walk, name)))}" for name in ("pos", "ppos", "bounds"))
     for height in (walk.height, 2, 3):
         plan = dataclasses.replace(walk, height=height).bands
         if plan is not None:
             yield f"bands height={height} " + " ".join(
-                f"{name} {blake(ints(getattr(plan, name)))}"
-                for name in ("rows", "groups", "parents", "top", "place"))
+                f"{field.name} {blake(ints(getattr(plan, field.name)))}"
+                for field in dataclasses.fields(plan))
 
 
 def main() -> None:
