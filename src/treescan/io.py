@@ -133,7 +133,8 @@ def write_tensor(path, array: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr, dtype=_DTYPES[tag])
     header = {"shape": list(arr.shape), "dtype": tag, "layout": "row-major"}
     header_path.write_text(json.dumps(header) + "\n")
-    payload_path.write_bytes(arr.tobytes())
+    with open(payload_path, "wb") as f:
+        f.write(arr)
 
 
 def read_tensor(path) -> np.ndarray:

@@ -15,7 +15,12 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import WeightedGraph
-from .walk import Levels, Walk, tree_walk
+from .walk import Levels, Walk, _stable_argsort, tree_walk
+
+# Pointer jumping packs each pointer and its running sum into one int64,
+# pointer << 32 | sum, so pointers must stay below 2^31; the Euler tour of a
+# tree of n vertices has 2(n - 1) arcs.
+MAX_VERTICES = 1 << 30
 
 
 @dataclass(eq=False)
@@ -42,17 +47,13 @@ class SpanningTree:
     @cached_property
     def depths(self) -> np.ndarray:
         """Depth of every vertex, by pointer jumping up ``parent`` (``root_tree``
-        fills it in with the depths it computed): each round adds up the depths
-        jumped and doubles the jump, until every pointer is at the root, in at
-        most ceil(log2(L)) rounds.  Raises ValueError naming the vertices of a
-        parent cycle."""
+        fills it in with the depths it computed; ``_pointer_jump``): each round
+        adds up the depths jumped and doubles the jump, until every pointer is
+        at the root, in at most ceil(log2(L)) rounds.  Raises ValueError naming
+        the vertices of a parent cycle."""
         n, root = self.num_vertices, self.root
-        up, depth = self.parent, (self.parent != np.arange(n)).astype(np.int64)
-        for _ in range((n - 1).bit_length()):
-            if np.all(up == root):
-                break
-            depth += depth[up]
-            up = up[up]
+        nonroot = (self.parent != np.arange(n)).astype(np.int64)
+        up, depth = _pointer_jump(self.parent, nonroot, (n - 1).bit_length(), root)
         if (stuck := up[up != root]).size:  # on cycles, each cycle vertex among them
             raise ValueError(f"parent pointers cycle through {np.unique(stuck).tolist()}")
         return depth
@@ -83,7 +84,7 @@ class SpanningTree:
             raise ValueError("parent must be a 1-D array")
         if (selfs := np.count_nonzero(self.parent == np.arange(n))) != 1:
             raise ValueError(f"exactly one vertex may be its own parent, found {selfs}")
-        if np.any(self.parent < 0) or np.any(self.parent >= n):
+        if self.parent.min() < 0 or self.parent.max() >= n:
             raise ValueError("parent index out of range")
         self.depths  # raises on a parent cycle
         w = self.edge_weight_to_parent
@@ -161,11 +162,14 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
     sum of +1 down, -1 up gives depths (``_euler_tour``).  Raises if the
     edge set is not a tree over exactly
     ``num_vertices`` vertices, naming the first bad edge (out of range or a
-    self-loop) or the unreachable vertices.
+    self-loop) or the unreachable vertices, or if there are more than
+    ``MAX_VERTICES``.
     """
     edges = np.asarray(edges, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     n = num_vertices
+    if n > MAX_VERTICES:
+        raise ValueError(f"root_tree takes at most 2^30 vertices, got {n}")
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range for {n} vertices")
     if edges.shape != (n - 1, 2):
@@ -173,11 +177,11 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
             f"a spanning tree over {n} vertices needs exactly {n - 1} edges, got {edges.shape[0]}"
         )
     eu, ev = edges[:, 0], edges[:, 1]
-    bad = np.flatnonzero((eu < 0) | (eu >= n) | (ev < 0) | (ev >= n) | (eu == ev))
-    if bad.size:
-        raise ValueError(f"bad edge ({eu[bad[0]]}, {ev[bad[0]]})")
+    if edges.min(initial=0) < 0 or edges.max(initial=0) >= n or np.any(eu == ev):
+        bad = np.flatnonzero((eu < 0) | (eu >= n) | (ev < 0) | (ev >= n) | (eu == ev))[0]
+        raise ValueError(f"bad edge ({eu[bad]}, {ev[bad]})")
     parent, depth = _euler_tour(eu, ev, n, root)
-    if not np.all(depth[np.arange(n) != root]):
+    if np.count_nonzero(depth) != n - 1:
         raise ValueError(
             f"edge set is not a spanning tree: vertices {_unreachable(eu, ev, n, root)} "
             f"unreachable from root"
@@ -196,23 +200,25 @@ def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.n
     root means the edges are no tree.
 
     Arc k < n - 1 is edge k forwards and arc k + n - 1 its twin; slots list
-    the arcs by (tail, head).  The tour is cut where it re-enters
-    the root and ranked by pointer doubling in ceil(log2(arcs)) rounds, enough
-    for a tour of every arc; the other closed walks of a graph with a cycle
-    never reach the cut, and the bound stops them too.
+    the arcs by tail, and around a tail by arc (any order of the arcs around
+    a vertex gives the same parents and depths).  The tour is cut where it
+    re-enters the root and ranked by pointer doubling (``_pointer_jump``) in
+    ceil(log2(arcs)) rounds, enough for a tour of every arc; the other
+    closed walks of a graph with a cycle never reach the cut, and the bound
+    stops them too.
     """
     parent = np.full(n, root, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
     arcs = 2 * (n - 1)
     tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
-    by_arc = np.argsort(tails * n + heads, kind="stable")  # slot -> arc
-    tail, head = tails[by_arc], heads[by_arc]
-    starts = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
+    by_arc = _stable_argsort(tails)  # slot -> arc
+    starts = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))])
     if starts[root] == starts[root + 1]:  # no arcs at the root (or n == 1)
         return parent, depth
     slot = np.empty(arcs, dtype=np.int64)
     slot[by_arc] = np.arange(arcs)
-    twin = slot[(by_arc + (n - 1)) % arcs]  # slot of each slot's reverse arc
+    # slot of each slot's reverse arc: arc k's twin is k + n - 1, cyclically
+    twin = np.concatenate([slot[n - 1 :], slot[: n - 1]])[by_arc]
     after = np.arange(1, arcs + 1)  # the next slot around the same tail, cyclically
     has = starts[1:] > starts[:-1]  # an edge set that is no tree may leave a vertex arcless
     after[starts[1:][has] - 1] = starts[:-1][has]
@@ -221,19 +227,43 @@ def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.n
     nxt[last] = last
     dist = np.ones(arcs, dtype=np.int64)  # arcs left to the end of the tour
     dist[last] = 0
-    for _ in range((arcs - 1).bit_length()):  # Wyllie list ranking
-        dist += dist.take(nxt)
-        nxt = nxt.take(nxt)
+    nxt, dist = _pointer_jump(nxt, dist, (arcs - 1).bit_length())  # Wyllie list ranking
     if np.all(nxt == last):
         step_at = (arcs - 1) - dist  # each arc's step of the tour
         down = dist > dist[twin]  # the tour takes it before its twin
         step = np.empty(arcs, dtype=np.int64)
         step[step_at] = np.where(down, 1, -1)
         at = np.flatnonzero(down)
-        kids = head[at]
-        parent[kids] = tail[at]
+        arc = by_arc[at]
+        kids = heads[arc]
+        parent[kids] = tails[arc]
         depth[kids] = np.cumsum(step)[step_at[at]]
     return parent, depth
+
+
+def _pointer_jump(up: np.ndarray, sums: np.ndarray, rounds: int,
+                  end: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer jumping over the int64 pointers ``up``: each round, every sum
+    adds the sum at its pointer and every pointer moves on to its pointer's
+    pointer, for ``rounds`` rounds or, given ``end``, until every pointer is
+    at ``end``.  Returns the pointers and the sums.
+
+    A round is one gather: each pointer and its running sum are packed into
+    one int64, pointer << 32 | sum.  The sums, nonnegative, must stay below
+    2^32; sums of 0 and 1 do over rounds <= 31.  Raises ValueError on a
+    pointer of 2^31 or more, which the packing cannot hold."""
+    if (top := int(up.max(initial=0))) >> 31:
+        raise ValueError(f"pointer jumping packs pointers below 2^31, got pointer {top}")
+    low = (1 << 32) - 1
+    packed = np.asarray(up, dtype=np.int64) << 32 | sums
+    for _ in range(rounds):
+        at = packed >> 32
+        if end is not None and np.all(at == end):
+            break
+        jumped = packed.take(at)
+        packed &= low
+        packed += jumped
+    return packed >> 32, packed & low
 
 
 def _unreachable(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> list[int]:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .lattice import FeatureMap
 from .mst import SpanningTree
-from .walk import Walk, _down, _up
+from .walk import ROW_BLOCK_BYTES, Walk, _down, _up
 
 NAIVE_SCAN_GUARD = 4096
 # Per-token sums of squares inside which the RMS projection uses h as it is.
@@ -56,10 +56,6 @@ NAIVE_SCAN_GUARD = 4096
 # backward's per-token factor ~ |d_y c_out| / (r^2 sqrt(m)) leaves the float
 # range, so the token is first divided by its max-abs.
 SQUARES_RANGE = (1e-200, 1e200)
-# Bytes per operand of one row block of the chained elementwise tails (the
-# vision d_a_bar, the projection's d_h): a block stays in cache through its
-# chain and the tail holds no full-size temporary.
-ROW_BLOCK_BYTES = 1 << 17
 
 
 @dataclass
@@ -197,7 +193,9 @@ def _check_instance(
 
 
 def _row_blocks(rows: int, row_bytes: int):
-    """Consecutive row slices of about ``ROW_BLOCK_BYTES`` each."""
+    """Consecutive row slices of about ``ROW_BLOCK_BYTES`` each (``walk``'s,
+    for the chained elementwise tails: the vision d_a_bar, the projection's
+    d_h)."""
     step = max(1, ROW_BLOCK_BYTES // max(row_bytes, 1))
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 

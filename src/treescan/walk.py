@@ -10,7 +10,8 @@ the layout's ``pos`` (cheaper than a scatter).
 
 A walk of height 1 takes one numpy step per level; the leaf-to-root step
 is one ``np.add.at`` over the level's rows and lanes, into the array
-viewed flat.  A walk of height k
+viewed flat, at an index built once per chunk of levels.  A level wider
+than ``ROW_BLOCK_BYTES`` steps by row blocks.  A walk of height k
 walks bands of k consecutive levels, O(k + depth / k) steps in place of
 depth (``_up``, ``_down``); ``tree_walk`` picks k = isqrt(depth) on a
 deep, narrow tree.  The banded walks re-associate the products, so their
@@ -35,6 +36,10 @@ if TYPE_CHECKING:
 # isqrt(D) levels instead of one level per step (measured: README "Banded
 # walks").
 BAND_ROWS_MAX = 4
+# Bytes per operand of one row block: the passes' level steps and their
+# chunks of index entries hold at most this much (and ``scan``'s chained
+# elementwise tails, so that a block stays in cache through its chain).
+ROW_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(eq=False)
@@ -184,16 +189,44 @@ def _stable_argsort(key: np.ndarray) -> np.ndarray:
     return np.argsort(key.astype(np.uint16), kind="stable")
 
 
+def _block_rows(u: np.ndarray) -> int:
+    """The rows of ``u`` in one ``ROW_BLOCK_BYTES`` block, at least 1; a
+    row of no lanes counts as one byte."""
+    return max(1, ROW_BLOCK_BYTES // max(u[0].nbytes, 1))
+
+
+def _chunks(bounds: list[int], rows: int) -> list[tuple[int, int, list]]:
+    """The level steps of the leaf-to-root pass below level 0, in chunks
+    of at most ``rows`` rows, deepest first: ``(lo, hi, steps)``, the
+    chunk's rows lo .. hi and its steps (s, e).  A chunk holds whole
+    consecutive levels, one step each, deepest first, or one row block of
+    a level that has more rows; a level's blocks go in row order.
+    ``_down`` takes the steps backwards."""
+    levels = [*zip(bounds[1:-1], bounds[2:])]  # level d's rows at d - 1
+    runs, d = [], 1  # the chunks of each run of levels, in row order
+    while d < len(bounds) - 1:
+        e = bisect_right(bounds, bounds[d] + rows) - 1  # levels d .. e - 1 fit
+        if e > d:
+            runs.append([(bounds[d], bounds[e], levels[d - 1 : e - 1][::-1])])
+        else:  # level d alone has more rows: its row blocks
+            e, cuts = d + 1, [*range(bounds[d], bounds[d + 1], rows), bounds[d + 1]]
+            runs.append([(s, t, [(s, t)]) for s, t in zip(cuts, cuts[1:])])
+        d = e
+    return [chunk for run in runs[::-1] for chunk in run]
+
+
 def _up(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     """Leaf-to-root pass in place on arrays in the walk's ``layout``: u[i]
     += sum over children j of u[j] * a[j].  ``u`` must be C-contiguous: it
     is viewed flat, and any other layout, whose flat form would be a copy,
     raises a ValueError instead of adding into the copy.  One level step a
-    level, deepest first: one ``np.add.at`` into the flat ``u`` at ``pm`` +
-    lane for every (row, lane) of the level, ``pm`` = ppos * m with m the
-    lanes, so that each parent adds its children in row order.  Above
-    height 1, ``_up_bands`` first finishes every row below level 1, and one
-    level step joins band 0's tops to the root.  ``a`` is not changed."""
+    level, deepest first: one ``np.add.at`` into the flat ``u`` at ppos * m
+    + lane for every (row, lane) of the level, m the lanes, so that each
+    parent adds its children in row order.  The index is built once per
+    chunk of levels (``_chunks``, at most ``ROW_BLOCK_BYTES`` of entries)
+    and sliced per level.  Above height 1, ``_up_bands`` first finishes
+    every row below level 1, and one level step joins band 0's tops to the
+    root.  ``a`` is not changed."""
     if not u.flags.c_contiguous:
         raise ValueError("_up needs a C-contiguous u: viewing it flat would copy")
     flat, ppos, b = u.reshape(-1), walk.ppos, walk.bounds
@@ -201,9 +234,12 @@ def _up(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
         _up_bands(walk, u, a)
         ppos, b = walk.bands.ppos, [0, *walk.bands.tops[:2]]  # level 1 alone
     m = u[0].size
-    pm, lanes = ppos * m, np.arange(m)
-    for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
-        np.add.at(flat, (pm[lo:hi, None] + lanes).ravel(), (u[lo:hi] * a[lo:hi]).ravel())
+    lanes = np.arange(m)
+    for lo, hi, steps in _chunks(b, _block_rows(u)):
+        index = (ppos[lo:hi, None] * m + lanes).ravel()
+        for s, e in steps:
+            np.add.at(flat, index[(s - lo) * m : (e - lo) * m], (u[s:e] * a[s:e]).ravel())
+        del index  # not held while the next chunk's is built
 
 
 def _up_bands(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
@@ -255,7 +291,8 @@ def _up_bands(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
 
 def _down(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     """Root-to-leaf pass in place on arrays in the walk's ``layout``: u[i]
-    += a[i] * u[parent] below the root, one level a step; above height 1,
+    += a[i] * u[parent] below the root, one level a step (a level wider
+    than ``ROW_BLOCK_BYTES`` by row blocks, ``_chunks``); above height 1,
     by ``bands`` in two phases, and ``a`` is overwritten:
 
     1. within bands, all bands at once, offset 1 to height - 1: u += a *
@@ -268,9 +305,14 @@ def _down(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
        top."""
     bands = walk.bands
     if bands is None:
-        b = walk.bounds
-        for lo, hi in zip(b[1:-1], b[2:]):
-            u[lo:hi] += a[lo:hi] * u.take(walk.ppos[lo:hi], axis=0)
+        # ``_up``'s steps backwards: the levels root first, a wide level's
+        # blocks last first (each reads only the level above)
+        for *_, steps in reversed(_chunks(walk.bounds, _block_rows(u))):
+            for lo, hi in reversed(steps):
+                step = u.take(walk.ppos[lo:hi], axis=0)
+                step *= a[lo:hi]
+                u[lo:hi] += step
+                del step  # not held while the next step gathers
         return
     o, ppos, anc = bands.offsets, bands.ppos, bands.anc
     for lo, hi in zip(o[1:-1], o[2:]):

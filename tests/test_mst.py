@@ -13,6 +13,7 @@ from treescan import (
     build_causal_graph,
     build_grid_graph,
     kruskal_mst,
+    mst,
     root_tree,
     walk,
 )
@@ -453,6 +454,27 @@ class TestRootTreeAgainstReference:
             t = assert_rooting_matches_reference(chain, rng.random(n - 1), n, r)
             assert t.depths.max() == n - 1
 
+    def test_past_16_bits_in_any_edge_order(self):
+        """A random tree of 70,000 vertices, whose arc tails pass 2^16 and
+        so take the comparison sort, roots like the reference with its
+        edges as built and shuffled and flipped; a fresh tree of its parents
+        finds the same depths by pointer jumping, and a 3-cycle spliced
+        into them is named."""
+        n = 70000
+        rng = np.random.default_rng(37)
+        v = np.arange(1, n)
+        edges, weights = np.stack([v, rng.integers(0, v)], axis=1), rng.random(n - 1)
+        for root in (0, int(rng.integers(0, n))):
+            for e, w in ((edges, weights), shuffled(rng, edges, weights)):
+                t = assert_rooting_matches_reference(e, w, n, root)
+                fresh = SpanningTree(t.parent.copy(), t.edge_weight_to_parent)
+                np.testing.assert_array_equal(fresh.depths, t.depths)
+        cycle = np.sort(rng.choice(np.flatnonzero(t.parent != np.arange(n)), 3, replace=False))
+        t.parent[cycle] = np.roll(cycle, 1)
+        message = f"parent pointers cycle through {cycle.tolist()}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            t.validate()
+
     def test_wide_star(self):
         n = 5001
         rng = np.random.default_rng(34)
@@ -508,6 +530,19 @@ class TestRootTreeAgainstReference:
                     bfs_root_tree(edges, np.zeros(n - 1), n, root)
                 except ValueError:
                     same_rooting_error(edges, n, root)
+
+
+def test_pointer_jumping_guards_its_packing():
+    """A pointer of 2^31 cannot be packed above a 32-bit sum: the jumping
+    raises instead of wrapping, and ``root_tree`` refuses a tree over 2^30
+    vertices before it reads an edge.  A chain of 4 jumps to its root in
+    two rounds, its sums the depths."""
+    with pytest.raises(ValueError, match=re.escape("below 2^31")):
+        mst._pointer_jump(np.array([0, 1, 2**31]), np.zeros(3, dtype=np.int64), 2)
+    with pytest.raises(ValueError, match=re.escape("at most 2^30 vertices, got 1073741825")):
+        root_tree(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 2**30 + 1, 0)
+    up, sums = mst._pointer_jump(np.array([0, 0, 1, 2]), np.array([0, 1, 1, 1]), 2)
+    assert (up.tolist(), sums.tolist()) == ([0, 0, 0, 0], [0, 1, 2, 3])
 
 
 @pytest.mark.parametrize("top", [1, 2**16 - 1, 2**16, 2**20, 2**40])

@@ -152,6 +152,81 @@ class TestLayoutStress:
         np.testing.assert_array_equal(u, before)
 
 
+BLOCK_TREES = {
+    "wide-grid": lambda: smooth_grid_tree(np.random.default_rng(0), root_last=True),
+    "star-1023": lambda: star_tree(1023),
+    "chain-2000": lambda: chain_tree(2000),
+    "causal-2000": lambda: causal_tree(np.random.default_rng(0), 2000),
+}
+
+
+@pytest.mark.parametrize("tree_name", BLOCK_TREES)
+def test_chunk_and_block_bounds_are_free(tree_name, monkeypatch):
+    """``_up`` and ``_down`` (on the tree's walk and on its per-level walk),
+    both forwards and both backwards give the same bytes with
+    ``walk.ROW_BLOCK_BYTES`` at one index entry, at 13 rows of the 4 lanes
+    (which cuts the star's level and the grid's wide levels mid-way) and
+    above the whole tree: neither the chunks of levels of the leaf-to-root
+    index nor the row blocks of a wide level move an addition.  The chain
+    and the causal tree band, so their level-1 join is covered; the star,
+    rooted at vertex 0, takes the vision kernels only."""
+    tree = BLOCK_TREES[tree_name]()
+    n = tree.num_vertices
+    rng = np.random.default_rng(14)
+    x, p = lane_inputs(rng, n, 2, 2, "random")
+    d_h, u = rng.standard_normal(p.shape), rng.standard_normal(p.shape)
+
+    def outputs():
+        out = []
+        for w in (tree.walk, replace(tree.walk, height=1)):
+            for walk_pass in (walk._up, walk._down):
+                out += walked(walk_pass, w, u, p.a_bar)
+        h, xi = tree_scan_vision_forward(x, p, tree)
+        g = tree_scan_vision_backward(x, p, tree, xi, h, d_h)
+        out += [h, xi, g.d_x, g.d_a_bar, g.d_b_bar]
+        if tree.root == n - 1:
+            h = tree_scan_language_forward(x, p, tree)
+            g = tree_scan_language_backward(x, p, tree, h, d_h)
+            out += [h, g.d_x, g.d_a_bar, g.d_b_bar]
+        return [arr.tobytes() for arr in out]
+
+    default = outputs()
+    for block_bytes in (8, 13 * 4 * 8, n * 4 * 8 + 8):
+        monkeypatch.setattr(walk, "ROW_BLOCK_BYTES", block_bytes)
+        assert outputs() == default
+
+
+def test_chunks_hold_whole_levels_or_one_block():
+    """Levels 1 .. 4 of 2, 1, 26 and 2 rows at 4 rows a chunk: levels 1
+    and 2 share a chunk, level 3 takes 7 row blocks, in row order, and
+    level 4 its own chunk; the chunks and the levels within a chunk go
+    deepest first."""
+    bounds = [0, 1, 3, 4, 30, 32]
+    blocks = [(s, min(s + 4, 30), [(s, min(s + 4, 30))]) for s in range(4, 30, 4)]
+    expected = [(30, 32, [(30, 32)]), *blocks, (1, 4, [(3, 4), (1, 3)])]
+    assert walk._chunks(bounds, 4) == expected
+
+
+def test_kernels_run_on_zero_states():
+    """An (L, C, 0) instance, which ``DiscreteScanParams`` accepts, walks
+    rows of no lanes: every kernel returns arrays of zero states and d_x
+    of zeros, on a per-level and a banded tree."""
+    rng = np.random.default_rng(5)
+    for tree in (random_tree(rng, 40), causal_tree(rng, 200, m=3)):
+        n = tree.num_vertices
+        x = FeatureMap(rng.standard_normal((n, 3)))
+        p = DiscreteScanParams(np.empty((n, 3, 0)), np.empty((n, 3, 0)))
+        h, xi = tree_scan_vision_forward(x, p, tree)
+        g = tree_scan_vision_backward(x, p, tree, xi, h, np.empty((n, 3, 0)))
+        assert h.shape == xi.shape == g.d_a_bar.shape == (n, 3, 0)
+        assert np.array_equal(g.d_x, np.zeros((n, 3)))
+        if tree.root == n - 1:
+            h = tree_scan_language_forward(x, p, tree)
+            g = tree_scan_language_backward(x, p, tree, h, np.empty((n, 3, 0)))
+            assert h.shape == g.d_b_bar.shape == (n, 3, 0)
+            assert np.array_equal(g.d_x, np.zeros((n, 3)))
+
+
 def up_by_rows(w, u, a):
     """The leaf-to-root pass one row at a time: the levels deepest first,
     the rows of a level in row order."""

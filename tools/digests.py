@@ -14,10 +14,12 @@ step writes), and digests of the integers of the step's tree's walk: its
 rows, parent rows and level bounds, and every field of its band plan (the
 passes' row layout first) at its own height and at heights 2 and 3.  Then
 it prints digests of ``treescan selfcheck``'s stdout and of
-``affinity_map`` on the first cli-grid tree at three anchors, and of every
+``affinity_map`` on the first cli-grid tree at three anchors, of every
 array of ``bench.build_instance`` at the sizes and seed of
-``test_linear_complexity_via_bench``.  It reads only public names of
-``treescan`` and of its walks and takes no options.
+``test_linear_complexity_via_bench``, and of ``root_tree``'s parents, depths
+and weights on a random tree above 2^16 vertices, its edges shuffled and
+flipped.  It reads only public names of ``treescan`` and of its walks and
+takes no options.
 """
 
 import os
@@ -38,11 +40,13 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 from tracing import NullTracer  # noqa: E402
-from treescan import affinity_map, bench, cli  # noqa: E402
+from treescan import affinity_map, bench, cli, root_tree  # noqa: E402
 
 SEEDS = (1, 2, 3)
 # the sizes and seed of tests/test_acceptance.py::test_linear_complexity_via_bench
 BENCH_SIZES, BENCH_SEED = (256, 512, 16384, 32768, 65536), 5
+# a random tree whose arc tails pass 2^16, so rooting sorts them by comparison
+ROOTED_SIZE, ROOTED_SEED = 70000, 7
 
 
 def blake(data: bytes) -> str:
@@ -115,6 +119,14 @@ def main() -> None:
         instance = dict(zip(("x", "params", "tree"), bench.build_instance(size, seed=BENCH_SEED)))
         for name, arr in arrays("", instance):
             print(f"  {name[1:]} {arr.dtype}{list(arr.shape)} {blake(arr.tobytes())}")
+    n, rng = ROOTED_SIZE, np.random.default_rng(ROOTED_SEED)
+    edges = np.stack([np.arange(1, n), rng.integers(0, np.arange(1, n))], axis=1)
+    flip = rng.random(n - 1) < 0.5
+    edges[flip] = edges[flip][:, ::-1]
+    tree = root_tree(edges[rng.permutation(n - 1)], rng.random(n - 1), n, int(rng.integers(0, n)))
+    print(f"root_tree size={n} seed={ROOTED_SEED} " + " ".join(
+        f"{name} {blake(getattr(tree, name).tobytes())}"
+        for name in ("parent", "depths", "edge_weight_to_parent")))
 
 
 if __name__ == "__main__":
