@@ -15,16 +15,18 @@ than ``ROW_BLOCK_BYTES`` steps by row blocks.  A walk of height k
 walks bands of k consecutive levels, O(k + depth / k) steps in place of
 depth (``_up``, ``_down``); ``tree_walk`` picks k = isqrt(depth) on a
 deep, narrow tree.  The banded walks re-associate the products, so their
-outputs differ from the per-level walk's in the last bits.
+outputs differ from the per-level walk's in the last bits.  In both
+layouts a parent's children sit in walk order, and every leaf-to-root add
+is an ``np.add.at`` in index order, so each parent adds them in vertex order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
+from math import isqrt, prod
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,13 +54,11 @@ class BandPlan:
 
     Pass row r holds vertex ``order[r]``: row 0 the root, then the band
     tops band by band (band b's are the rows ``tops[b]`` to ``tops[b +
-    1]``, in the walk's order), then the rows of each offset j = 1 .. k - 1
-    (``offsets[j]`` to ``offsets[j + 1]``, ``offsets[0]`` = 1 the first top
-    and ``offsets[k]`` = L), by rank group, then band.  ``groups[j]`` cuts
-    offset j's rows into its rank groups, counted from ``offsets[j]``: no
-    group holds a parent twice, so that each is one plain indexed add.  A
-    row's place among the rows of its offset is the row minus the offset's
-    first row.
+    1]``), then the rows of each offset j = 1 .. k - 1 (``offsets[j]`` to
+    ``offsets[j + 1]``, ``offsets[0]`` = 1 the first top and ``offsets[k]``
+    = L), band by band; a level's rows keep the walk's order.  A row's
+    place among the rows of its offset is the row minus the offset's first
+    row.
 
     Per row: ``pos`` is the inverse of ``order``, ``ppos`` each row's parent
     row (0 at the root), ``top`` its band top (the root and the band tops
@@ -73,7 +73,6 @@ class BandPlan:
     ppos: np.ndarray
     tops: list[int]
     offsets: list[int]
-    groups: list[list[int] | None]
     top: np.ndarray
     links: np.ndarray
     link_bounds: list[int]
@@ -103,29 +102,13 @@ class Walk:
     @cached_property
     def bands(self) -> BandPlan | None:
         """The plan of bands of ``height`` = k levels (the tree has more than
-        k); None at 1.  Its rank groups are the runs of each level, counted
-        from the level's start: a run is a stretch of rows in which the
-        parent ids climb, so it holds no parent twice."""
+        k); None at 1."""
         if self.height == 1:
             return None
         n, k, sizes = len(self.order), self.height, np.diff(self.bounds)  # rows per level
-        par = self.order[self.ppos]  # each row's parent vertex
-        level = np.repeat(np.arange(len(sizes)), sizes)
-        new_level = level[1:] != level[:-1]
-        run = np.cumsum((par[1:] <= par[:-1]) | new_level)  # of rows 1, 2, ... (row 0 is run 0)
-        rank = run - np.maximum.accumulate(np.where(new_level, run, 0))  # run within the level
-        off = (level[1:] - 1) % k
-        # the band tops first, in row order (band order); then by offset,
-        # then rank, then row: the rows are in band order already
-        key = np.where(off > 0, off * (int(rank.max()) + 1) + rank, 0)
-        lay = np.concatenate([[0], _stable_argsort(key) + 1])  # the walk row of each pass row
-        key = key[lay[1:] - 1]
-        offsets = [*(np.searchsorted(off[lay[1:] - 1], np.arange(k)) + 1).tolist(), n]
-        cuts = (np.flatnonzero(key[1:] != key[:-1]) + 2).tolist()  # rank groups, all offsets
-        groups = [None]
-        for lo, hi in zip(offsets[1:-1], offsets[2:]):
-            inside = cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)]
-            groups.append([0, *(c - lo for c in inside), hi - lo])
+        off = (np.repeat(np.arange(len(sizes)), sizes)[1:] - 1) % k  # of rows 1, 2, ...
+        lay = np.concatenate([[0], _stable_argsort(off) + 1])  # the walk row of each pass row
+        offsets = [1, *(np.cumsum(np.bincount(off, minlength=k)) + 1).tolist()]
         inv = np.empty(n, dtype=np.int64)
         inv[lay] = np.arange(n)
         ppos = inv[self.ppos[lay]]
@@ -143,7 +126,7 @@ class Walk:
         link_bounds = np.searchsorted(top[links[1:]], tops) + 1
         index[links] = np.arange(len(links))
         return BandPlan(order=self.order[lay], pos=inv[self.pos], ppos=ppos, tops=tops,
-                        offsets=offsets, groups=groups, top=top, links=links,
+                        offsets=offsets, top=top, links=links,
                         link_bounds=link_bounds.tolist(), anc=index[ppos[top]])
 
 
@@ -215,49 +198,69 @@ def _chunks(bounds: list[int], rows: int) -> list[tuple[int, int, list]]:
     return [chunk for run in runs[::-1] for chunk in run]
 
 
+def _flat_lanes(u: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """``u`` viewed flat (a ValueError where that would copy), its lanes a
+    row in that view, and whether they are pairs: an even count of float64
+    lanes as complex128, whose add is exactly the two float adds, so that
+    ``np.add.at`` adds half as many; the values added are viewed alike."""
+    m, flat = prod(u.shape[1:]), u.reshape(-1, copy=False)
+    if m % 2 or u.dtype != np.float64:
+        return flat, m, False
+    return flat.view(np.complex128), m // 2, True
+
+
+def _lane_index(rows: np.ndarray, m: int) -> np.ndarray:
+    """The flat index of every lane of ``rows``, row by row, at m lanes a row."""
+    return (rows[:, None] * m + np.arange(m)).ravel()
+
+
+def _scatter_add(u: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+    """``u[rows] += vals`` in place, a repeated row adding once per repeat,
+    in index order: one ``np.add.at`` over the rows' lanes."""
+    (flat, m, pairs), vals = _flat_lanes(u), vals.ravel()
+    np.add.at(flat, _lane_index(rows, m), vals.view(np.complex128) if pairs else vals)
+
+
 def _up(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     """Leaf-to-root pass in place on arrays in the walk's ``layout``: u[i]
     += sum over children j of u[j] * a[j].  ``u`` must be C-contiguous: it
-    is viewed flat, and any other layout, whose flat form would be a copy,
-    raises a ValueError instead of adding into the copy.  One level step a
-    level, deepest first: one ``np.add.at`` into the flat ``u`` at ppos * m
-    + lane for every (row, lane) of the level, m the lanes, so that each
-    parent adds its children in row order.  The index is built once per
-    chunk of levels (``_chunks``, at most ``ROW_BLOCK_BYTES`` of entries)
-    and sliced per level.  Above height 1, ``_up_bands`` first finishes
-    every row below level 1, and one level step joins band 0's tops to the
-    root.  ``a`` is not changed."""
-    if not u.flags.c_contiguous:
-        raise ValueError("_up needs a C-contiguous u: viewing it flat would copy")
-    flat, ppos, b = u.reshape(-1), walk.ppos, walk.bounds
+    is viewed flat (``_flat_lanes``), and any other layout, whose flat form
+    would be a copy, raises a ValueError instead of adding into the copy.
+    One level step a level, deepest first: one ``np.add.at`` into the flat
+    ``u`` at ppos * m + lane, m lanes a row, so that each parent adds its
+    children in row order, at an index built once per chunk of levels
+    (``_chunks``, at most ``ROW_BLOCK_BYTES`` of entries).  Above height 1,
+    ``_up_bands`` first finishes every row below level 1, and one level step
+    joins band 0's tops to the root.  ``a`` is not changed."""
+    (flat, m, pairs), ppos, b = _flat_lanes(u), walk.ppos, walk.bounds
     if walk.bands is not None:
         _up_bands(walk, u, a)
         ppos, b = walk.bands.ppos, [0, *walk.bands.tops[:2]]  # level 1 alone
-    m = u[0].size
-    lanes = np.arange(m)
     for lo, hi, steps in _chunks(b, _block_rows(u)):
-        index = (ppos[lo:hi, None] * m + lanes).ravel()
+        index = _lane_index(ppos[lo:hi], m)
         for s, e in steps:
-            np.add.at(flat, index[(s - lo) * m : (e - lo) * m], (u[s:e] * a[s:e]).ravel())
+            step = (u[s:e] * a[s:e]).ravel()
+            np.add.at(flat, index[(s - lo) * m : (e - lo) * m],
+                      step.view(np.complex128) if pairs else step)
         del index  # not held while the next chunk's is built
 
 
 def _up_bands(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     """``_up`` below level 1 by ``bands``, on slices of its layout, in
-    three phases:
+    three phases, each add one ``np.add.at`` (``_flat_lanes``):
 
     1. band-local subtree sums, all bands at once, offset height - 1 up to
-       1, one plain indexed add per rank group;
+       1, one add an offset;
     2. the band tops, last band first, each band's final: each top of bands
-       1, 2, ... adds (u * a) * q into its parent's band top by one
-       ``np.add.at`` a band, q the product of a from that parent up to just
-       below the band top, and u * a into ``below`` (both compact, one row
+       1, 2, ... adds (u * a) * q into its parent's band top, one add a
+       band, q the product of a from that parent up to just below the band
+       top; then every such top adds u * a into ``below`` (compact, one row
        per offset-(height - 1) row);
     3. the rows below the tops, offset height - 1 up to 1, take ``below``,
        the sum over the next band's tops under them, carried up from offset
-       to offset in compact buffers by rank groups like phase 1."""
+       to offset in compact buffers, one add an offset."""
     bands = walk.bands
-    k, o, ppos, groups = walk.height, bands.offsets, bands.ppos, bands.groups
+    k, o, ppos = walk.height, bands.offsets, bands.ppos
 
     def places(j):  # the places of offset j's parents among offset j - 1's rows
         return ppos[o[j] : o[j + 1]] - o[j - 1]
@@ -266,26 +269,23 @@ def _up_bands(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     for j in range(2, k):
         q = a[o[j] : o[j + 1]] * q.take(places(j), axis=0)
     for j in range(k - 1, 0, -1):
-        g, par = groups[j], ppos[o[j] : o[j + 1]]
-        step = u[o[j] : o[j + 1]] * a[o[j] : o[j + 1]]
-        for s, e in zip(g, g[1:]):
-            u[par[s:e]] += step[s:e]
-    below = np.zeros(q.shape)  # phase 3's start, gathered from the tops in phase 2
-    t = bands.tops
+        _scatter_add(u, ppos[o[j] : o[j + 1]], u[o[j] : o[j + 1]] * a[o[j] : o[j + 1]])
+    t, (flat, m, pairs) = bands.tops, _flat_lanes(u)
+    at = ppos[t[1] : t[-1]] - o[k - 1]  # the tops' parents among the last offset's rows
+    to_top = _lane_index(bands.top[ppos[t[1] : t[-1]]], m)
     for lo, hi in reversed([*zip(t[1:-1], t[2:])]):  # the tops of bands 1, 2, ...
-        top = u[lo:hi] * a[lo:hi]
-        at = ppos[lo:hi] - o[k - 1]
-        np.add.at(below, at, top)
-        top *= q.take(at, axis=0)
-        np.add.at(u, bands.top[ppos[lo:hi]], top)
+        top = (u[lo:hi] * a[lo:hi] * q.take(at[lo - t[1] : hi - t[1]], axis=0)).ravel()
+        np.add.at(flat, to_top[(lo - t[1]) * m : (hi - t[1]) * m],
+                  top.view(np.complex128) if pairs else top)
     del q  # not held through phase 3
+    below = np.zeros((o[k] - o[k - 1],) + u.shape[1:])
+    _scatter_add(below, at, u[t[1] : t[-1]] * a[t[1] : t[-1]])
     for j in range(k - 1, 0, -1):
         u[o[j] : o[j + 1]] += below
         if j > 1:
             below *= a[o[j] : o[j + 1]]
-            g, at, up = groups[j], places(j), np.zeros((o[j] - o[j - 1],) + u.shape[1:])
-            for s, e in zip(g, g[1:]):
-                up[at[s:e]] += below[s:e]
+            up = np.zeros((o[j] - o[j - 1],) + u.shape[1:])
+            _scatter_add(up, places(j), below)
             below = up
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from treescan import (
     ContinuousScanParams,
@@ -120,7 +121,9 @@ class TestLayoutStress:
     @pytest.mark.parametrize("tree_name", [*LAYOUT_TREES, "star", "one-wide-level"])
     def test_level_step_matches_a_per_row_reference(self, tree_name):
         """The per-level ``_up`` gives the bytes of ``up_by_rows``, on the
-        stress trees, a star and a tree of one wide level at three lanes."""
+        stress trees, a star and a tree of one wide level at three lanes,
+        with a float64 and a float32 ``u`` (whose sums round to float32 as
+        ``u[r] += v`` rounds them, lane by lane)."""
         rng = np.random.default_rng(3)
         if tree_name == "star":
             tree = star_tree(49)
@@ -131,12 +134,13 @@ class TestLayoutStress:
         else:
             x, p, tree = stress_instance(tree_name, "random")
         level = replace(tree.walk, height=1)
-        u = scan._input_terms(x, p, level.order)
         a = scan._swap(p.a_bar).take(level.order, axis=0)
-        expected = u.copy()
-        up_by_rows(level, expected, a)
-        walk._up(level, u, a)
-        assert u.tobytes() == expected.tobytes()
+        for dtype in (np.float64, np.float32):
+            u = scan._input_terms(x, p, level.order).astype(dtype)
+            expected = u.copy()
+            up_by_rows(level, expected, a)
+            walk._up(level, u, a)
+            assert u.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("height", [1, 2])
     def test_up_refuses_a_u_it_cannot_view_flat(self, height):
@@ -205,6 +209,61 @@ def test_chunks_hold_whole_levels_or_one_block():
     blocks = [(s, min(s + 4, 30), [(s, min(s + 4, 30))]) for s in range(4, 30, 4)]
     expected = [(30, 32, [(30, 32)]), *blocks, (1, 4, [(3, 4), (1, 3)])]
     assert walk._chunks(bounds, 4) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_scatter_add_matches_a_loop(data):
+    """``_scatter_add`` gives the bytes of ``u[r] += v`` for each row r and
+    value v in index order: rows that repeat, no rows at all, buffers of
+    no rows, 1 to 8 lanes (odd ones as float64, even ones as lane pairs)
+    in one or two lane axes, and values of both signs from 1e-300 to
+    1e300, ±0.0 among them (no sum of them overflows)."""
+    lanes = data.draw(st.integers(1, 8))
+    lane_shape = data.draw(st.sampled_from([(lanes,), (1, lanes)]))
+    n = data.draw(st.integers(0, 5))
+    rows = data.draw(st.lists(st.integers(0, n - 1), max_size=12) if n else st.just([]))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]),
+                      st.floats(-1e300, 1e300))
+    u = data.draw(hnp.arrays(np.float64, (n, *lane_shape), elements=value))
+    vals = data.draw(hnp.arrays(np.float64, (len(rows), *lane_shape), elements=value))
+    expected = u.copy()
+    for r, v in zip(rows, vals):
+        expected[r] += v
+    walk._scatter_add(u, np.array(rows, dtype=np.int64), vals)
+    assert u.tobytes() == expected.tobytes()
+
+
+def test_scatter_add_into_float32():
+    """Float64 values into a float32 ``u`` of 4 lanes give the bytes of
+    ``u[r] += v`` for each row r and value v in index order: each sum is
+    taken in float64 and rounded to float32, lane by lane."""
+    rng = np.random.default_rng(16)
+    u = rng.standard_normal((5, 2, 2)).astype(np.float32)
+    rows, vals = np.array([3, 0, 3, 3, 1]), rng.standard_normal((5, 2, 2))
+    expected = u.copy()
+    for r, v in zip(rows, vals):
+        expected[r] += v
+    walk._scatter_add(u, rows, vals)
+    assert u.tobytes() == expected.tobytes()
+
+
+def test_kernels_take_a_float32_d_h():
+    """A float32 d_h, whose eta the vision backward sums leaf to root in
+    float32, walks on a per-level and a banded tree: the gradients are
+    within float32 rounding of a float64 d_h's."""
+    rng = np.random.default_rng(17)
+    per_level, banded = random_tree(rng, 300), causal_tree(rng, 300)
+    assert per_level.walk.bands is None and banded.walk.bands is not None
+    for tree in (per_level, banded):
+        x, p = lane_inputs(rng, tree.num_vertices, 2, 2, "random")
+        d_h = rng.standard_normal(p.shape)
+        h, xi = tree_scan_vision_forward(x, p, tree)
+        ref = tree_scan_vision_backward(x, p, tree, xi, h, d_h)
+        got = tree_scan_vision_backward(x, p, tree, xi, h, d_h.astype(np.float32))
+        for name in ("d_x", "d_a_bar", "d_b_bar"):
+            np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=1e-5,
+                                       atol=1e-5)
 
 
 def test_kernels_run_on_zero_states():
@@ -536,14 +595,13 @@ class TestBandedWalks:
     @pytest.mark.parametrize("tree_name", BANDED_TREES)
     def test_plan_layout(self, tree_name):
         """The pass layout: the root, then each band's tops, then every
-        offset's rows once, with their parent rows, in rank groups that
-        hold no parent twice, in band order within a group; each row's
-        parent among the rows of the offset above (its place), and its band
-        top as a walk up its parents finds it.  At the tops of bands 1, 2,
-        ... (levels 1 + k, 1 + 2k, ...): the parent's band top and the
-        parent among the last offset's rows; those parents are the links,
-        band by band, and every row's ``anc`` finds its band top's parent
-        among them."""
+        offset's rows once, with their parent rows, by band and within a
+        band in walk order; each row's parent among the rows of the offset
+        above (its place), and its band top as a walk up its parents finds
+        it.  At the tops of bands 1, 2, ... (levels 1 + k, 1 + 2k, ...):
+        the parent's band top and the parent among the last offset's rows;
+        those parents are the links, band by band, and every row's ``anc``
+        finds its band top's parent among them."""
         tree = BANDED_TREES[tree_name]()
         w, plan, n = tree.walk, tree.walk.bands, tree.num_vertices
         k, o, t = w.height, plan.offsets, plan.tops
@@ -560,11 +618,9 @@ class TestBandedWalks:
             assert sorted(plan.order[lo:hi].tolist()) == at_j.tolist()
             par = plan.ppos[lo:hi]
             assert np.all((par >= o[j - 1]) & (par < o[j]))  # places among offset j - 1's rows
-            g = plan.groups[j]
-            assert g[0] == 0 and g[-1] == hi - lo and all(s < e for s, e in zip(g, g[1:]))
-            for s, e in zip(g, g[1:]):
-                assert np.unique(par[s:e]).size == e - s
-                assert np.all(np.diff(rows[lo + s : lo + e]) > 0)
+            band = (tree.depths[plan.order[lo:hi]] - 1) // k
+            assert np.all(np.diff(band) >= 0)  # ascending by band
+            assert np.all(np.diff(rows[lo:hi])[np.diff(band) == 0] > 0)  # in a band, by walk row
         assert rows[plan.top].tolist() == [band_top(tree, r) for r in rows.tolist()]
         assert np.flatnonzero(plan.top == np.arange(n)).tolist() == list(range(o[1]))
         tops = np.arange(t[1], t[-1])
@@ -583,14 +639,42 @@ class TestBandedWalks:
     def test_kernel_bytes_pinned(self, tree_name):
         """The bytes of every kernel output on the banded trees and a
         causal-train-sized one: a change to the banded walks that moves an
-        addition or a product, such as the order of two rank groups, fails
-        here."""
+        addition or a product, such as the order in which a parent adds two
+        children, fails here."""
         tree = PINNED_TREES[tree_name]()
         assert tree.walk.bands is not None
         digest = hashlib.blake2b(digest_size=16)
         for arr in kernel_outputs(tree):
             digest.update(arr.tobytes())
         assert digest.hexdigest() == KERNEL_DIGESTS[tree_name]
+
+    @pytest.mark.parametrize("lanes", [(3, 1), (2, 2)])
+    @pytest.mark.parametrize("tree_name", BANDED_TREES)
+    def test_lanes_walk_apart(self, tree_name, lanes):
+        """h, xi, h_lang and both backwards' d_a_bar and d_b_bar of a run
+        on C x N lanes equal, lane for lane, the bytes of C x N one-lane
+        runs: at C * N = 3 the walks add float64 lanes, at 4 lane pairs."""
+        tree = BANDED_TREES[tree_name]()
+        rng = np.random.default_rng(15)
+        c, n = lanes
+        x, p = lane_inputs(rng, tree.num_vertices, c, n, "random")
+        d_h = rng.standard_normal(p.shape)
+
+        def outputs(x, p, d_h):
+            h, xi = tree_scan_vision_forward(x, p, tree)
+            h_lang = tree_scan_language_forward(x, p, tree)
+            g_vision = tree_scan_vision_backward(x, p, tree, xi, h, d_h)
+            g_lang = tree_scan_language_backward(x, p, tree, h_lang, d_h)
+            return [h, xi, h_lang, g_vision.d_a_bar, g_vision.d_b_bar, g_lang.d_a_bar,
+                    g_lang.d_b_bar]
+
+        every = outputs(x, p, d_h)
+        for i in range(c):
+            for j in range(n):
+                lane = np.s_[:, i : i + 1, j : j + 1]
+                one = outputs(FeatureMap(x.data[:, i : i + 1]),
+                              DiscreteScanParams(p.a_bar[lane], p.b_bar[lane]), d_h[lane])
+                assert [arr[lane].tobytes() for arr in every] == [arr.tobytes() for arr in one]
 
     @pytest.mark.parametrize("a_kind", ["random", "near-one", "zeros", "small"])
     @pytest.mark.parametrize("tree_name", BANDED_TREES)
@@ -626,9 +710,10 @@ class TestBandedWalks:
     @pytest.mark.parametrize("tree_name", ["smooth-grid", "random-bushy"])
     def test_any_height_matches_the_level_walks(self, tree_name):
         """Plans of height 2, 3 and isqrt(depth) on trees that
-        ``BAND_ROWS_MAX`` does not band, with wide levels and many rank
-        groups per offset: the banded walks within 1e-9 of the per-level
-        ones at every row, the leaf-to-root walk leaving ``a`` as it was."""
+        ``BAND_ROWS_MAX`` does not band, with wide levels and parents of
+        many children at each offset: the banded walks within 1e-9 of the
+        per-level ones at every row, the leaf-to-root walk leaving ``a`` as
+        it was."""
         rng = np.random.default_rng(10)
         tree = {
             "smooth-grid": lambda: smooth_grid_tree(rng),
