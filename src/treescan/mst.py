@@ -46,11 +46,11 @@ class SpanningTree:
 
     @cached_property
     def depths(self) -> np.ndarray:
-        """Depth of every vertex, by pointer jumping up ``parent`` (``root_tree``
-        fills it in with the depths it computed; ``_pointer_jump``): each round
-        adds up the depths jumped and doubles the jump, until every pointer is
-        at the root, in at most ceil(log2(L)) rounds.  Raises ValueError naming
-        the vertices of a parent cycle."""
+        """Depth of every vertex, by pointer jumping up ``parent``
+        (``_pointer_jump``): each round adds up the depths jumped and doubles
+        the jump, until every pointer is at the root, in at most
+        ceil(log2(L)) rounds.  Raises ValueError naming the vertices of a
+        parent cycle."""
         n, root = self.num_vertices, self.root
         nonroot = (self.parent != np.arange(n)).astype(np.int64)
         up, depth = _pointer_jump(self.parent, nonroot, (n - 1).bit_length(), root)
@@ -73,9 +73,8 @@ class SpanningTree:
 
     def validate(self) -> None:
         """Check the structural invariants of the fields as they are now:
-        every value cached from earlier ones (the root and the depths that
-        ``root_tree`` fills in among them, and the walk) is dropped first.
-        Raises ValueError naming the first violation."""
+        every value cached from earlier ones (the root, the depths and the
+        walk) is dropped first.  Raises ValueError naming the first violation."""
         current = {f.name: getattr(self, f.name) for f in fields(self)}
         vars(self).clear()
         vars(self).update(current)
@@ -158,12 +157,12 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
 
     Each arc u -> v is followed by the arc after v -> u around v; the tour
     this walks from the root is ranked by pointer doubling.  An arc the tour
-    takes before its twin points down and names a parent, and the running
-    sum of +1 down, -1 up gives depths (``_euler_tour``).  Raises if the
-    edge set is not a tree over exactly
-    ``num_vertices`` vertices, naming the first bad edge (out of range or a
-    self-loop) or the unreachable vertices, or if there are more than
-    ``MAX_VERTICES``.
+    takes before its twin points down and names a parent (``_euler_tour``);
+    the depths are the tree's own, found from the parents when first read
+    (``SpanningTree.depths``).  Raises if the edge set is not a tree over
+    exactly ``num_vertices`` vertices, naming the first bad edge (out of
+    range or a self-loop) or the unreachable vertices, or if there are more
+    than ``MAX_VERTICES``.
     """
     edges = np.asarray(edges, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -180,41 +179,39 @@ def root_tree(edges: np.ndarray, weights: np.ndarray, num_vertices: int, root: i
     if edges.min(initial=0) < 0 or edges.max(initial=0) >= n or np.any(eu == ev):
         bad = np.flatnonzero((eu < 0) | (eu >= n) | (ev < 0) | (ev >= n) | (eu == ev))[0]
         raise ValueError(f"bad edge ({eu[bad]}, {ev[bad]})")
-    parent, depth = _euler_tour(eu, ev, n, root)
-    if np.count_nonzero(depth) != n - 1:
+    parent, is_tree = _euler_tour(eu, ev, n, root)
+    if not is_tree:
         raise ValueError(
             f"edge set is not a spanning tree: vertices {_unreachable(eu, ev, n, root)} "
             f"unreachable from root"
         )
     weight_to_parent = np.zeros(n, dtype=np.float64)
     weight_to_parent[np.where(parent[eu] == ev, eu, ev)] = weights
-    tree = SpanningTree(parent, weight_to_parent)
-    tree.root, tree.depths = int(root), depth  # known here, nothing to re-derive
-    return tree
+    return SpanningTree(parent, weight_to_parent)
 
 
-def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parent and depth of every vertex, read off the Euler tour from ``root``
-    of the n - 1 edges (eu, ev); unless the tour covers every arc, every
-    depth is left 0.  With n - 1 edges, a vertex left at depth 0 besides the
-    root means the edges are no tree.
+def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.ndarray, bool]:
+    """The parent of every vertex, read off the Euler tour from ``root`` of
+    the n - 1 edges (eu, ev), and whether the edges are a tree: the tour
+    covers every arc (as it may on n - 1 edges that hold two cycles, beside
+    vertices no edge reaches), and every vertex but the root heads one down
+    arc, an arc taken before its twin.
 
     Arc k < n - 1 is edge k forwards and arc k + n - 1 its twin; slots list
     the arcs by tail, and around a tail by arc (any order of the arcs around
-    a vertex gives the same parents and depths).  The tour is cut where it
-    re-enters the root and ranked by pointer doubling (``_pointer_jump``) in
+    a vertex gives the same parents).  The tour is cut where it re-enters
+    the root and ranked by pointer doubling (``_pointer_jump``) in
     ceil(log2(arcs)) rounds, enough for a tour of every arc; the other
     closed walks of a graph with a cycle never reach the cut, and the bound
     stops them too.
     """
     parent = np.full(n, root, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
     arcs = 2 * (n - 1)
     tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
     by_arc = _stable_argsort(tails)  # slot -> arc
     starts = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))])
     if starts[root] == starts[root + 1]:  # no arcs at the root (or n == 1)
-        return parent, depth
+        return parent, n == 1
     slot = np.empty(arcs, dtype=np.int64)
     slot[by_arc] = np.arange(arcs)
     # slot of each slot's reverse arc: arc k's twin is k + n - 1, cyclically
@@ -228,17 +225,13 @@ def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.n
     dist = np.ones(arcs, dtype=np.int64)  # arcs left to the end of the tour
     dist[last] = 0
     nxt, dist = _pointer_jump(nxt, dist, (arcs - 1).bit_length())  # Wyllie list ranking
-    if np.all(nxt == last):
-        step_at = (arcs - 1) - dist  # each arc's step of the tour
-        down = dist > dist[twin]  # the tour takes it before its twin
-        step = np.empty(arcs, dtype=np.int64)
-        step[step_at] = np.where(down, 1, -1)
-        at = np.flatnonzero(down)
-        arc = by_arc[at]
-        kids = heads[arc]
-        parent[kids] = tails[arc]
-        depth[kids] = np.cumsum(step)[step_at[at]]
-    return parent, depth
+    if not np.all(nxt == last):
+        return parent, False
+    arc = by_arc[dist > dist[twin]]  # the down arcs: the tour takes each before its twin
+    kids = heads[arc]
+    parent[kids] = tails[arc]
+    into = np.bincount(kids, minlength=n)  # the down arcs into each vertex
+    return parent, bool(np.all(into == (np.arange(n) != root)))
 
 
 def _pointer_jump(up: np.ndarray, sums: np.ndarray, rounds: int,

@@ -209,11 +209,11 @@ def _input_terms(x: FeatureMap, p: DiscreteScanParams, order: np.ndarray) -> np.
 
 
 def _gather(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows of a caller's (L, C, N) array, of any layout, as fresh (len(rows),
-    N, C) state-major memory (an index, unlike ``take``, reads any strides
-    without first copying the whole array, but keeps the caller's memory
-    order, which is then copied once)."""
-    return np.ascontiguousarray(_swap(np.asarray(arr))[rows])
+    """Rows of a caller's (L, C, N) array, of any layout and dtype, as fresh
+    (len(rows), N, C) float64 state-major memory (an index, unlike ``take``,
+    reads any strides without first copying the whole array, but keeps the
+    caller's memory order and dtype, which are then converted in one copy)."""
+    return np.ascontiguousarray(_swap(np.asarray(arr))[rows], dtype=np.float64)
 
 
 def _all_roots(walk: Walk, agg: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -64,8 +64,8 @@ class BandPlan:
     row (0 at the root), ``top`` its band top (the root and the band tops
     are their own) and ``anc`` the index in ``links`` of its band top's
     parent.  ``links`` is the root, then the rows that parent the next
-    band's tops, band by band (band b's are ``links[link_bounds[b]:
-    link_bounds[b + 1]]``).
+    band's tops, all among the last offset's rows, in row order, so band by
+    band (band b's are ``links[link_bounds[b]: link_bounds[b + 1]]``).
     """
 
     order: np.ndarray
@@ -121,8 +121,8 @@ class Walk:
             top = top[top]
         index = np.zeros(n, dtype=np.int64)  # marks the links, then numbers them
         index[ppos[tops[1] : tops[-1]]] = 1
-        links = np.flatnonzero(index)
-        links = np.concatenate([[0], links[np.argsort(top[links], kind="stable")]])
+        links = np.concatenate([[0], np.flatnonzero(index)])
+        # the links' band tops ascend by band, all that the search compares
         link_bounds = np.searchsorted(top[links[1:]], tops) + 1
         index[links] = np.arange(len(links))
         return BandPlan(order=self.order[lay], pos=inv[self.pos], ppos=ppos, tops=tops,
@@ -178,22 +178,23 @@ def _block_rows(u: np.ndarray) -> int:
     return max(1, ROW_BLOCK_BYTES // max(u[0].nbytes, 1))
 
 
-def _chunks(bounds: list[int], rows: int) -> list[tuple[int, int, list]]:
-    """The level steps of the leaf-to-root pass below level 0, in chunks
+def _chunks(cuts: list[int], rows: int) -> list[tuple[int, int, list]]:
+    """The steps of a leaf-to-root pass over the slices of rows between
+    ``cuts`` (levels, or band offsets), the first slice excepted, in chunks
     of at most ``rows`` rows, deepest first: ``(lo, hi, steps)``, the
     chunk's rows lo .. hi and its steps (s, e).  A chunk holds whole
-    consecutive levels, one step each, deepest first, or one row block of
-    a level that has more rows; a level's blocks go in row order.
+    consecutive slices, one step each, deepest first, or one row block of
+    a slice that has more rows; a slice's blocks go in row order.
     ``_down`` takes the steps backwards."""
-    levels = [*zip(bounds[1:-1], bounds[2:])]  # level d's rows at d - 1
-    runs, d = [], 1  # the chunks of each run of levels, in row order
-    while d < len(bounds) - 1:
-        e = bisect_right(bounds, bounds[d] + rows) - 1  # levels d .. e - 1 fit
+    slices = [*zip(cuts[1:-1], cuts[2:])]  # slice d's rows at d - 1
+    runs, d = [], 1  # the chunks of each run of slices, in row order
+    while d < len(cuts) - 1:
+        e = bisect_right(cuts, cuts[d] + rows) - 1  # slices d .. e - 1 fit
         if e > d:
-            runs.append([(bounds[d], bounds[e], levels[d - 1 : e - 1][::-1])])
-        else:  # level d alone has more rows: its row blocks
-            e, cuts = d + 1, [*range(bounds[d], bounds[d + 1], rows), bounds[d + 1]]
-            runs.append([(s, t, [(s, t)]) for s, t in zip(cuts, cuts[1:])])
+            runs.append([(cuts[d], cuts[e], slices[d - 1 : e - 1][::-1])])
+        else:  # slice d alone has more rows: its row blocks
+            e, blocks = d + 1, [*range(cuts[d], cuts[d + 1], rows), cuts[d + 1]]
+            runs.append([(s, t, [(s, t)]) for s, t in zip(blocks, blocks[1:])])
         d = e
     return [chunk for run in runs[::-1] for chunk in run]
 
@@ -226,31 +227,39 @@ def _up(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     += sum over children j of u[j] * a[j].  ``u`` must be C-contiguous: it
     is viewed flat (``_flat_lanes``), and any other layout, whose flat form
     would be a copy, raises a ValueError instead of adding into the copy.
-    One level step a level, deepest first: one ``np.add.at`` into the flat
+    One step a slice of rows, deepest first: one ``np.add.at`` into the flat
     ``u`` at ppos * m + lane, m lanes a row, so that each parent adds its
-    children in row order, at an index built once per chunk of levels
-    (``_chunks``, at most ``ROW_BLOCK_BYTES`` of entries).  Above height 1,
-    ``_up_bands`` first finishes every row below level 1, and one level step
-    joins band 0's tops to the root.  ``a`` is not changed."""
-    (flat, m, pairs), ppos, b = _flat_lanes(u), walk.ppos, walk.bounds
-    if walk.bands is not None:
+    children in row order, at an index built once per chunk of slices
+    (``_chunks``, at most ``ROW_BLOCK_BYTES`` of entries).  The slices are
+    the levels at height 1.  Above it, the band offsets first (phase 1,
+    band-local subtree sums, all bands at once), then ``_up_bands`` finishes
+    every row below level 1, and one step joins band 0's tops to the root.
+    ``a`` is not changed."""
+    flat, m, pairs = _flat_lanes(u)
+
+    def steps(ppos, cuts):  # the slices between cuts, the first excepted
+        for lo, hi, chunk in _chunks(cuts, _block_rows(u)):
+            index = _lane_index(ppos[lo:hi], m)
+            for s, e in chunk:
+                step = (u[s:e] * a[s:e]).ravel()
+                np.add.at(flat, index[(s - lo) * m : (e - lo) * m],
+                          step.view(np.complex128) if pairs else step)
+            del index  # not held while the next chunk's is built
+
+    bands = walk.bands
+    if bands is None:
+        steps(walk.ppos, walk.bounds)
+    else:
+        steps(bands.ppos, bands.offsets)
         _up_bands(walk, u, a)
-        ppos, b = walk.bands.ppos, [0, *walk.bands.tops[:2]]  # level 1 alone
-    for lo, hi, steps in _chunks(b, _block_rows(u)):
-        index = _lane_index(ppos[lo:hi], m)
-        for s, e in steps:
-            step = (u[s:e] * a[s:e]).ravel()
-            np.add.at(flat, index[(s - lo) * m : (e - lo) * m],
-                      step.view(np.complex128) if pairs else step)
-        del index  # not held while the next chunk's is built
+        steps(bands.ppos, [0, *bands.tops[:2]])  # level 1 alone
 
 
 def _up_bands(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
-    """``_up`` below level 1 by ``bands``, on slices of its layout, in
-    three phases, each add one ``np.add.at`` (``_flat_lanes``):
+    """Phases 2 and 3 of ``_up`` by ``bands``, on band-local subtree sums
+    in ``u``, on slices of its layout, each add one ``np.add.at``
+    (``_flat_lanes``):
 
-    1. band-local subtree sums, all bands at once, offset height - 1 up to
-       1, one add an offset;
     2. the band tops, last band first, each band's final: each top of bands
        1, 2, ... adds (u * a) * q into its parent's band top, one add a
        band, q the product of a from that parent up to just below the band
@@ -268,8 +277,6 @@ def _up_bands(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     q = a[o[1] : o[2]]
     for j in range(2, k):
         q = a[o[j] : o[j + 1]] * q.take(places(j), axis=0)
-    for j in range(k - 1, 0, -1):
-        _scatter_add(u, ppos[o[j] : o[j + 1]], u[o[j] : o[j + 1]] * a[o[j] : o[j + 1]])
     t, (flat, m, pairs) = bands.tops, _flat_lanes(u)
     at = ppos[t[1] : t[-1]] - o[k - 1]  # the tops' parents among the last offset's rows
     to_top = _lane_index(bands.top[ppos[t[1] : t[-1]]], m)
@@ -291,42 +298,41 @@ def _up_bands(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
 
 def _down(walk: Walk, u: np.ndarray, a: np.ndarray) -> None:
     """Root-to-leaf pass in place on arrays in the walk's ``layout``: u[i]
-    += a[i] * u[parent] below the root, one level a step (a level wider
-    than ``ROW_BLOCK_BYTES`` by row blocks, ``_chunks``); above height 1,
-    by ``bands`` in two phases, and ``a`` is overwritten:
+    += a[i] * u[parent] below the root, by ``_up``'s steps backwards, one
+    slice a step, root first (a slice wider than ``ROW_BLOCK_BYTES`` by row
+    blocks, ``_chunks``): at height 1 the levels.  Above it, by ``bands``
+    in two phases, and ``a`` is overwritten:
 
-    1. within bands, all bands at once, offset 1 to height - 1: u += a *
-       u[parent], then a *= a[parent], so that a row holds its sum and its
-       path product from its band top down;
+    1. within bands, all bands at once, the steps on the band offsets 1 to
+       height - 1, each followed by a *= a[parent], so that a row holds its
+       sum and its path product from its band top down;
     2. the final values of the ``links``, the rows that parent the next
        band's tops, band by band in a compact buffer, f = u + a * f[anc];
        then every row below the root, one offset's rows a step (the band
        tops first): u += a * f[anc], anc the link that parents its band
        top."""
     bands = walk.bands
+    ppos, cuts = (walk.ppos, walk.bounds) if bands is None else (bands.ppos, bands.offsets)
+    # the slices root first, a wide slice's blocks last first (each reads
+    # only the slice above)
+    for *_, steps in reversed(_chunks(cuts, _block_rows(u))):
+        for lo, hi in reversed(steps):
+            par = ppos[lo:hi]
+            step = u.take(par, axis=0)
+            step *= a[lo:hi]
+            u[lo:hi] += step
+            del step  # not held while the next gather runs
+            if bands is not None:
+                a[lo:hi] *= a.take(par, axis=0)
     if bands is None:
-        # ``_up``'s steps backwards: the levels root first, a wide level's
-        # blocks last first (each reads only the level above)
-        for *_, steps in reversed(_chunks(walk.bounds, _block_rows(u))):
-            for lo, hi in reversed(steps):
-                step = u.take(walk.ppos[lo:hi], axis=0)
-                step *= a[lo:hi]
-                u[lo:hi] += step
-                del step  # not held while the next step gathers
         return
-    o, ppos, anc = bands.offsets, bands.ppos, bands.anc
-    for lo, hi in zip(o[1:-1], o[2:]):
-        par = ppos[lo:hi]
-        step = u.take(par, axis=0)
-        step *= a[lo:hi]
-        u[lo:hi] += step
-        a[lo:hi] *= a.take(par, axis=0)
-    links, lb = bands.links, bands.link_bounds
+    anc, links, lb = bands.anc, bands.links, bands.link_bounds
     f, f_a, f_anc = u.take(links, axis=0), a.take(links, axis=0), anc[links]
     for lo, hi in zip(lb, lb[1:]):
         step = f.take(f_anc[lo:hi], axis=0)
         step *= f_a[lo:hi]
         f[lo:hi] += step
+    o = bands.offsets
     for lo, hi in zip(o, o[1:]):
         step = f.take(anc[lo:hi], axis=0)
         step *= a[lo:hi]

@@ -512,6 +512,15 @@ class TestRootTreeAgainstReference:
         for edges, n, root, message in cases:
             assert same_rooting_error(np.array(edges), n, root) == message
 
+    def test_a_tour_of_every_arc_is_not_enough(self):
+        """Five edges on vertices 0 .. 3 hold two cycles, and the tour from
+        vertex 0 takes all ten of their arcs; vertices 4 and 5 have no
+        edge, so rooting must find them cut off, not only see the tour
+        cover every arc."""
+        edges = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]])
+        assert same_rooting_error(edges, 6, 0) == (
+            "edge set is not a spanning tree: vertices [4, 5] unreachable from root")
+
     def test_random_cycles_and_duplicates_give_the_reference_error(self):
         rng = np.random.default_rng(35)
         for _ in range(60):

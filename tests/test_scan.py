@@ -161,6 +161,8 @@ BLOCK_TREES = {
     "star-1023": lambda: star_tree(1023),
     "chain-2000": lambda: chain_tree(2000),
     "causal-2000": lambda: causal_tree(np.random.default_rng(0), 2000),
+    "spider": lambda: BANDED_TREES["spider"](),
+    "broom-below-cut": lambda: BANDED_TREES["broom-below-cut"](),
 }
 
 
@@ -170,10 +172,12 @@ def test_chunk_and_block_bounds_are_free(tree_name, monkeypatch):
     both forwards and both backwards give the same bytes with
     ``walk.ROW_BLOCK_BYTES`` at one index entry, at 13 rows of the 4 lanes
     (which cuts the star's level and the grid's wide levels mid-way) and
-    above the whole tree: neither the chunks of levels of the leaf-to-root
-    index nor the row blocks of a wide level move an addition.  The chain
-    and the causal tree band, so their level-1 join is covered; the star,
-    rooted at vertex 0, takes the vision kernels only."""
+    above the whole tree: neither the chunks of levels or band offsets of
+    the leaf-to-root index nor the row blocks of a wide level or offset
+    move an addition.  The chain, the causal tree, the spider and the broom
+    band, so their level-1 join is covered, and the broom's offset 1 holds
+    199 rows; the star, rooted at vertex 0, takes the vision kernels
+    only."""
     tree = BLOCK_TREES[tree_name]()
     n = tree.num_vertices
     rng = np.random.default_rng(14)
@@ -248,22 +252,50 @@ def test_scatter_add_into_float32():
     assert u.tobytes() == expected.tobytes()
 
 
+def backward_outputs(tree, x, p, d_h):
+    """d_x, d_a_bar and d_b_bar of the vision backward and, on a tree rooted
+    at its last token, of the language backward, on ``d_h``."""
+    h, xi = tree_scan_vision_forward(x, p, tree)
+    grads = [tree_scan_vision_backward(x, p, tree, xi, h, d_h)]
+    if tree.root == tree.num_vertices - 1:
+        h = tree_scan_language_forward(x, p, tree)
+        grads.append(tree_scan_language_backward(x, p, tree, h, d_h))
+    return [getattr(g, name) for g in grads for name in ("d_x", "d_a_bar", "d_b_bar")]
+
+
 def test_kernels_take_a_float32_d_h():
-    """A float32 d_h, whose eta the vision backward sums leaf to root in
-    float32, walks on a per-level and a banded tree: the gradients are
-    within float32 rounding of a float64 d_h's."""
+    """A float32 d_h walks on a per-level and a banded tree: the gradients
+    are within float32 rounding of a float64 d_h's, and they are the bytes
+    of the same values cast to float64 first, since the kernels sum in
+    float64 whatever the caller's dtype."""
     rng = np.random.default_rng(17)
     per_level, banded = random_tree(rng, 300), causal_tree(rng, 300)
     assert per_level.walk.bands is None and banded.walk.bands is not None
     for tree in (per_level, banded):
         x, p = lane_inputs(rng, tree.num_vertices, 2, 2, "random")
         d_h = rng.standard_normal(p.shape)
-        h, xi = tree_scan_vision_forward(x, p, tree)
-        ref = tree_scan_vision_backward(x, p, tree, xi, h, d_h)
-        got = tree_scan_vision_backward(x, p, tree, xi, h, d_h.astype(np.float32))
-        for name in ("d_x", "d_a_bar", "d_b_bar"):
-            np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=1e-5,
-                                       atol=1e-5)
+        ref = backward_outputs(tree, x, p, d_h)
+        got = backward_outputs(tree, x, p, d_h.astype(np.float32))
+        for g, r in zip(got, ref):
+            np.testing.assert_allclose(g, r, rtol=1e-5, atol=1e-5)
+        cast = backward_outputs(tree, x, p, d_h.astype(np.float32).astype(np.float64))
+        assert [g.tobytes() for g in got] == [c.tobytes() for c in cast]
+
+
+def test_kernels_take_an_integer_d_h():
+    """An integer d_h in [-3, 3] on a per-level and a banded tree, both
+    rooted at their last token: both backward kernels give the bytes of the
+    same d_h cast to float64 first (summed in the caller's dtype, a
+    per-level walk would truncate and a banded one raise)."""
+    rng = np.random.default_rng(18)
+    per_level, banded = random_tree(rng, 300, root=299), causal_tree(rng, 300)
+    assert per_level.walk.bands is None and banded.walk.bands is not None
+    for tree in (per_level, banded):
+        x, p = lane_inputs(rng, tree.num_vertices, 2, 2, "random")
+        d_h = rng.integers(-3, 4, p.shape)
+        got = backward_outputs(tree, x, p, d_h)
+        cast = backward_outputs(tree, x, p, d_h.astype(np.float64))
+        assert len(got) == 6 and [g.tobytes() for g in got] == [c.tobytes() for c in cast]
 
 
 def test_kernels_run_on_zero_states():
