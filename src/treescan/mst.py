@@ -66,7 +66,7 @@ class SpanningTree:
 
     @property
     def levels(self) -> Levels:
-        """The walk's ``order`` cut into depth levels at its ``bounds``, each
+        """The walk's ``order`` cut into depth levels at its ``spans``, each
         a view made when it is read (``walk.Levels``); raises like
         ``depths``."""
         return Levels(self.walk)
@@ -81,6 +81,8 @@ class SpanningTree:
         n = self.num_vertices
         if self.parent.ndim != 1:
             raise ValueError("parent must be a 1-D array")
+        if not np.issubdtype(self.parent.dtype, np.integer):
+            raise ValueError(f"parent must be an integer array, got dtype {self.parent.dtype}")
         if (selfs := np.count_nonzero(self.parent == np.arange(n))) != 1:
             raise ValueError(f"exactly one vertex may be its own parent, found {selfs}")
         if self.parent.min() < 0 or self.parent.max() >= n:
@@ -208,7 +210,7 @@ def _euler_tour(eu: np.ndarray, ev: np.ndarray, n: int, root: int) -> tuple[np.n
     parent = np.full(n, root, dtype=np.int64)
     arcs = 2 * (n - 1)
     tails, heads = np.concatenate([eu, ev]), np.concatenate([ev, eu])
-    by_arc = _stable_argsort(tails)  # slot -> arc
+    by_arc = _stable_argsort(tails, n)  # slot -> arc
     starts = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))])
     if starts[root] == starts[root + 1]:  # no arcs at the root (or n == 1)
         return parent, n == 1

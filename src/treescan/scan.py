@@ -31,7 +31,7 @@ Outside the walks, every stage of a training step is held to a budget of
 full-size (L, C, N) passes and fresh full-size arrays: at training sizes a
 pass costs about a millisecond, and a fresh array more, as its pages fault
 in.  Arithmetic runs in place where a buffer exists, and a chain that needs
-a temporary runs by row blocks of ``ROW_BLOCK_BYTES`` so the temporary is
+a temporary runs by row blocks of ``walk.ROW_BLOCK_BYTES`` so the temporary is
 block-sized and the block stays in cache.  Broadcasts of (L, C) arrays and
 outer products run along C, and each contraction over N or C is one
 ``einsum`` written in (L, N, C) order.  ``tests/test_budget.py`` pins
@@ -42,13 +42,13 @@ each stage's full-size arrays at the peak (outputs included), and README
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import FeatureMap
 from .mst import SpanningTree
-from .walk import ROW_BLOCK_BYTES, Walk, _down, _up
+from .walk import Walk, _block_rows, _down, _up, tree_walk
 
 NAIVE_SCAN_GUARD = 4096
 # Per-token sums of squares inside which the RMS projection uses h as it is.
@@ -192,12 +192,12 @@ def _check_instance(
             raise ValueError(f"{name} shape {np.shape(arr)} does not match params shape {p.shape}")
 
 
-def _row_blocks(rows: int, row_bytes: int):
-    """Consecutive row slices of about ``ROW_BLOCK_BYTES`` each (``walk``'s,
-    for the chained elementwise tails: the vision d_a_bar, the projection's
-    d_h)."""
-    step = max(1, ROW_BLOCK_BYTES // max(row_bytes, 1))
-    return (slice(lo, lo + step) for lo in range(0, rows, step))
+def _row_blocks(arr: np.ndarray):
+    """Consecutive slices of the rows of ``arr``, ``walk._block_rows`` of
+    them each (for the chained elementwise tails: the vision d_a_bar, the
+    projection's d_h)."""
+    step = _block_rows(arr)
+    return (slice(lo, lo + step) for lo in range(0, len(arr), step))
 
 
 def _input_terms(x: FeatureMap, p: DiscreteScanParams, order: np.ndarray) -> np.ndarray:
@@ -217,10 +217,10 @@ def _gather(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _all_roots(walk: Walk, agg: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """On arrays in the walk's ``layout``, turn ``agg`` into subtree sums
+    """On arrays in the walk's rows, turn ``agg`` into subtree sums
     in place (``_up``), then return the aggregation over every vertex: (1 -
     a^2) * agg pushed down by ``_down``, with ``agg`` kept at the root.
-    ``a``, the caller's own copy in the layout, may be overwritten."""
+    ``a``, the caller's own copy in the walk's rows, may be overwritten."""
     _up(walk, agg, a)
     out = a * a
     np.subtract(1.0, out, out=out)
@@ -254,7 +254,7 @@ def tree_scan_vision_forward(
     """
     _check_instance(x, p, tree)
     walk = tree.walk
-    order, pos = walk.layout
+    order, pos = walk.order, walk.pos
     xi = _input_terms(x, p, order)
     h = _all_roots(walk, xi, _swap(p.a_bar).take(order, axis=0)).take(pos, axis=0)
     return _swap(h), _swap(xi.take(pos, axis=0))
@@ -283,7 +283,7 @@ def tree_scan_vision_backward(
     """
     _check_instance(x, p, tree, d_h=d_h, xi=xi, h=h)
     walk = tree.walk
-    order, pos = walk.layout
+    order, pos = walk.order, walk.pos
     a_bar = _swap(p.a_bar)
     eta = _gather(d_h, order)
     rho = _all_roots(walk, eta, a_bar.take(order, axis=0)).take(pos, axis=0)
@@ -292,7 +292,7 @@ def tree_scan_vision_backward(
     # (eta * h[par] + xi * rho[par]) - ((2 * a_bar) * eta) * xi, in that
     # order, by row blocks, with one block-sized term buffer
     d_a_bar = np.empty(rho.shape)
-    for r in _row_blocks(len(rho), d_a_bar[0].nbytes):
+    for r in _row_blocks(d_a_bar):
         out = d_a_bar[r]
         np.multiply(_gather(h, par[r]), eta[r], out=out)
         term = rho.take(par[r], axis=0)
@@ -316,7 +316,7 @@ def tree_scan_language_forward(
     """
     _check_instance(x, p, tree, causal=True)
     walk = tree.walk
-    order, pos = walk.layout
+    order, pos = walk.order, walk.pos
     h = _input_terms(x, p, order)
     _up(walk, h, _swap(p.a_bar).take(order, axis=0))
     return _swap(h.take(pos, axis=0))
@@ -338,7 +338,7 @@ def tree_scan_language_backward(
     """
     _check_instance(x, p, tree, causal=True, d_h=d_h, h=h)
     walk = tree.walk
-    order, pos = walk.layout
+    order, pos = walk.order, walk.pos
     rho = _gather(d_h, order)
     _down(walk, rho, _swap(p.a_bar).take(order, axis=0))
     rho = rho.take(pos, axis=0)
@@ -418,7 +418,7 @@ def _rms_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     inv 0.
     """
     squares = np.empty(len(h))
-    for r in _row_blocks(len(h), h[0].nbytes):
+    for r in _row_blocks(h):
         flat = _state_major(h[r]).reshape(len(squares[r]), -1)
         np.einsum("lk,lk->l", flat, flat, out=squares[r])
     lo, hi = SQUARES_RANGE
@@ -427,7 +427,7 @@ def _rms_scale(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     far, mx = far[mx > 0], mx[mx > 0]
     k = np.ones(len(h))
     k[far] = mx
-    m = h[0].size
+    m = max(h[0].size, 1)  # no lanes: squares of 0, not 0 / 0
     rows = _state_major(h[far]).reshape(len(far), m) / mx[:, None]
     squares[far] = np.einsum("lk,lk->l", rows, rows)
     inv = np.divide(1.0, np.sqrt(squares / m), out=np.zeros_like(squares), where=squares > 0)
@@ -457,7 +457,7 @@ def output_projection(h: np.ndarray, p: ContinuousScanParams, x: FeatureMap) -> 
     _check_instance(x, p, h=h)
     inv, k, far = _rms_scale(h)
     y = np.empty(x.data.shape)
-    for r in _row_blocks(len(y), h[0].nbytes):
+    for r in _row_blocks(h):
         y_r = np.einsum("ln,lnc->lc", p.c_out[r], _rms_rows(h, r, k, far), out=y[r])
         y_r *= inv[r, None]
         y_r += p.d[None, :] * x.data[r]
@@ -485,11 +485,11 @@ def output_projection_backward(
     if d_y.shape != x.data.shape:
         raise ValueError("d_y must have the feature map's (L, C) shape")
     inv, k, far = _rms_scale(h)
-    m = h[0].size
+    m = max(h[0].size, 1)  # no lanes: scale of 0, not 0 / 0
     scale = inv / k  # d_h = d_g / k on rescaled tokens
     d_h = np.empty((len(h), p.shape[2], p.shape[1]))
     d_c_out = np.empty(p.c_out.shape)
-    for r in _row_blocks(len(d_h), d_h[0].nbytes):
+    for r in _row_blocks(d_h):
         g, d_y_r, c_r = _rms_rows(h, r, k, far), d_y[r], p.c_out[r]
         s = np.einsum("lnc,lc->ln", g, d_y_r, out=d_c_out[r])  # scaled by 1 / r below
         inner = np.einsum("ln,ln->l", s, c_r)
@@ -544,7 +544,7 @@ def affinity_map(tree: SpanningTree, p: DiscreteScanParams, anchor: int) -> np.n
         raise ValueError("params length does not match the tree")
     if np.any(p.a_bar > 1.0):
         raise ValueError("affinity map requires a_bar entries in [0, 1]")
-    walk = tree.walk
+    walk = tree_walk(tree, 1)
     path = [int(walk.pos[anchor])]  # rows from the anchor up to the root
     while path[-1]:
         path.append(int(walk.ppos[path[-1]]))
@@ -553,5 +553,5 @@ def affinity_map(tree: SpanningTree, p: DiscreteScanParams, anchor: int) -> np.n
     prod[path[0]] = 1.0
     prod[path[1:]] = np.cumprod(a[path[:-1]], axis=0)
     a[path] = 0.0
-    _down(replace(walk, height=1), prod, a)
+    _down(walk, prod, a)
     return _swap(prod)[walk.pos].reshape(n, -1).mean(axis=1)  # lanes in (C, N) order

@@ -122,7 +122,7 @@ def check_scan_equivalence(
     if shape == "random":
         at = np.arange(n)
     else:
-        at = np.unique([tree.root, tree.walk.order[-1], *rng.integers(0, n, 3)])
+        at = np.unique([tree.root, tree.levels[-1][-1], *rng.integers(0, n, 3)])
     ref = naive_tree_scan(x, p, tree, roots=at, force=True)
     diff = float(np.max(np.abs(h[at] - ref)))
     if diff >= 1e-9:
@@ -135,7 +135,7 @@ def check_scan_equivalence(
     )
     if ident >= 1e-12:
         return False, f"two-traversal identity violated by {ident:.3e}", ident
-    return True, (f"{shape} L={n} C={c} N={s} levels={len(tree.walk.bounds) - 1} "
+    return True, (f"{shape} L={n} C={c} N={s} levels={len(tree.levels)} "
                   f"band height={tree.walk.height} diff={diff:.1e}"), diff
 
 

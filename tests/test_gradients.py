@@ -14,7 +14,6 @@ from treescan import (
     output_projection_backward,
     path_product,
     root_tree,
-    scan,
     sequential_selective_scan,
     tree_scan_language_backward,
     tree_scan_language_forward,
@@ -251,7 +250,8 @@ class TestLayoutStress:
                              ids=lambda v: v if isinstance(v, str) else "x".join(map(str, v)))
     def test_row_blocks_give_identical_gradients(self, instance, monkeypatch):
         """One row per block, 13 rows per block (a ragged last block on every
-        instance here) and a single block give the same vision-backward and
+        instance here) and a single block, in the walks and in the
+        elementwise tails, give the same vision-backward and
         ``output_projection_backward`` bytes as the default blocks; one
         token of h is at 1e-170, so the projection rescales it."""
         rng = np.random.default_rng(5)
@@ -273,7 +273,7 @@ class TestLayoutStress:
 
         default = outputs()
         for block_bytes in (1, 13 * c * s * 8 + 5, 2**62):
-            monkeypatch.setattr(scan, "ROW_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(walk, "ROW_BLOCK_BYTES", block_bytes)
             assert outputs() == default
 
 

@@ -193,6 +193,18 @@ def test_no_vertices_rejected():
         boruvka_mst(WeightedGraph(0, np.zeros((0, 2)), np.zeros(0)))
 
 
+def assert_levels_partition_the_walk(t):
+    """The levels of ``t`` are contiguous slices of its walk's ``order``
+    that cover it once, and by depth they concatenate to the order of its
+    walk of height 1, the vertices by (depth, vertex)."""
+    w, n = t.walk, t.num_vertices
+    spans = sorted(map(tuple, w.spans.tolist()))
+    assert [lo for lo, _ in spans] == [0, *[hi for _, hi in spans[:-1]]] and spans[-1][1] == n
+    for level, (lo, hi) in zip(t.levels, w.spans.tolist()):
+        assert np.shares_memory(level, w.order) and level.tolist() == w.order[lo:hi].tolist()
+    np.testing.assert_array_equal(np.concatenate(t.levels), walk.tree_walk(t, 1).order)
+
+
 class TestRootTree:
     def path(self):
         return np.array([[0, 1], [1, 2]]), np.array([0.25, 0.5])
@@ -227,7 +239,9 @@ class TestRootTree:
         and on a per-level tree: its length is the level count, read
         without ``walk.order``, so without making a level; item d is the
         view of ``walk.order`` that lists the depth-d vertices ascending,
-        negative indices counting from the end; the levels concatenate to
+        negative indices counting from the end; the levels partition
+        ``walk.order`` into contiguous slices and concatenate to the order
+        of the walk of height 1, which on the per-level tree is
         ``walk.order``."""
         rng = np.random.default_rng(37)
         t = causal_tree(rng, 2000) if banded else random_tree(rng, 300)
@@ -238,7 +252,7 @@ class TestRootTree:
         assert isinstance(levels, Sequence) and "levels" not in vars(t)
         with monkeypatch.context() as m:
             m.setattr(w, "order", None)  # every level is a view of it
-            assert len(t.levels) == depth == len(w.bounds) - 1
+            assert len(t.levels) == depth == len(w.spans)
         for d in range(depth):
             expected = np.flatnonzero(t.depths == d).tolist()
             assert levels[d].tolist() == levels[d - depth].tolist() == expected
@@ -248,7 +262,9 @@ class TestRootTree:
                 levels[d]
         with pytest.raises(TypeError):
             levels[0] = w.order[:1]
-        np.testing.assert_array_equal(np.concatenate(levels), w.order)
+        assert_levels_partition_the_walk(t)
+        if not banded:
+            np.testing.assert_array_equal(np.concatenate(levels), w.order)
 
     def test_levels_and_depths(self):
         edges = np.array([[0, 1], [1, 2], [1, 3]])
@@ -270,7 +286,7 @@ class TestRootTree:
         edges, weights = boruvka_mst(g)
         for r in range(40):
             t = root_tree(edges, weights, 40, r)
-            np.testing.assert_array_equal(np.concatenate(t.levels), t.walk.order)
+            assert_levels_partition_the_walk(t)
             for k in range(1, len(t.levels)):
                 assert set(t.parent[t.levels[k]].tolist()) <= set(t.levels[k - 1].tolist())
             nonroot = np.arange(40) != r
@@ -310,6 +326,8 @@ class TestRootTree:
         ("edge_weight_to_parent", np.zeros(2), "edge_weight_to_parent length must equal"),
         ("edge_weight_to_parent", np.array([0.0, -0.25, 0.5]),
          "edge weights to parent must be finite and >= 0"),
+        ("parent", np.array([0.0, 0.0, 1.0]),
+         "parent must be an integer array, got dtype float64"),
     ])
     def test_validate_names_the_violation(self, field, value, message):
         edges, w = self.path()
@@ -325,7 +343,8 @@ class TestRootTree:
         tree.validate()
         assert tree.depths.tolist() == [1, 1, 0, 2]
         assert tree.walk.order.tolist() == [2, 0, 1, 3]
-        assert tree.walk.bounds == [0, 1, 3, 4]
+        assert tree.walk.cuts == [1, 3, 4]
+        assert tree.walk.spans.tolist() == [[0, 1], [1, 3], [3, 4]]
 
     @pytest.mark.parametrize("parent,message", [
         ([1, 2, 0], "exactly one vertex may be its own parent, found 0"),
@@ -365,7 +384,7 @@ class TestRootTree:
             tree.validate()
         # depths raise the same, so no kernel walks the cycle either
         with pytest.raises(ValueError, match="cycle"):
-            tree.walk.bounds
+            tree.walk.cuts
 
     def test_invariants_for_every_root(self):
         rng = np.random.default_rng(3)
@@ -385,13 +404,16 @@ class TestRootTree:
 
 def assert_rooting_matches_reference(edges, weights, n, root):
     """``root_tree`` against the list-BFS reference: the same parents, depths
-    and weights, and a walk whose rows are the vertices by (depth, vertex)."""
+    and weights, a walk of height 1 whose rows are the vertices by (depth,
+    vertex), and levels that concatenate to the same order."""
     t = root_tree(edges, weights, n, root)
     ref = bfs_root_tree(edges, weights, n, root)
     np.testing.assert_array_equal(t.parent, ref.parent)
     np.testing.assert_array_equal(t.depths, ref.depths)
     np.testing.assert_array_equal(t.edge_weight_to_parent, ref.edge_weight_to_parent)
-    np.testing.assert_array_equal(t.walk.order, np.argsort(ref.depths, kind="stable"))
+    by_depth = np.argsort(ref.depths, kind="stable")
+    np.testing.assert_array_equal(walk.tree_walk(t, 1).order, by_depth)
+    np.testing.assert_array_equal(np.concatenate(t.levels), by_depth)
     t.validate()
     return t
 
@@ -567,5 +589,5 @@ def test_stable_argsort_is_numpys(top):
     key[:3] = [top, 0, top]
     for k in (key, key[:1], key[:0], np.sort(key), np.sort(key)[::-1]):
         expected = np.argsort(k, kind="stable")
-        got = walk._stable_argsort(k)
+        got = walk._stable_argsort(k, top + 1)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()

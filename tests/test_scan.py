@@ -1,6 +1,6 @@
 import hashlib
 import re
-from dataclasses import replace
+import warnings
 from math import isqrt
 
 import numpy as np
@@ -78,7 +78,7 @@ def subtree_only(p, tree, vertex):
     inside = [False] * tree.num_vertices
     inside[vertex] = True
     parent = tree.parent.tolist()
-    for v in tree.walk.order.tolist()[1:]:
+    for v in np.concatenate(tree.levels).tolist()[1:]:  # parents before children
         inside[v] = inside[v] or inside[parent[v]]
     return DiscreteScanParams(p.a_bar, p.b_bar * np.array(inside)[:, None, None])
 
@@ -104,7 +104,7 @@ class TestLayoutStress:
         x, p, tree = stress_instance(tree_name, a_kind)
         n = tree.num_vertices
         rng = np.random.default_rng(1)
-        at = np.unique([tree.root, tree.walk.order[-1], *rng.integers(0, n, 4)])
+        at = np.unique([tree.root, tree.levels[-1][-1], *rng.integers(0, n, 4)])
         h, xi = tree_scan_vision_forward(x, p, tree)
         h_lang = tree_scan_language_forward(x, p, tree)
         assert np.max(np.abs(h[at] - naive_tree_scan(x, p, tree, roots=at, force=True))) < 1e-9
@@ -133,7 +133,7 @@ class TestLayoutStress:
             x, p, _ = random_scan_instance(rng, tree.num_vertices, 3, 1)
         else:
             x, p, tree = stress_instance(tree_name, "random")
-        level = replace(tree.walk, height=1)
+        level = walk.tree_walk(tree, 1)
         a = scan._swap(p.a_bar).take(level.order, axis=0)
         for dtype in (np.float64, np.float32):
             u = scan._input_terms(x, p, level.order).astype(dtype)
@@ -147,7 +147,7 @@ class TestLayoutStress:
         """A row-order ``u`` that is not C-contiguous raises instead of
         being summed into a copy, and is left as it was."""
         x, p, tree = stress_instance("causal-2000", "random")
-        w = replace(tree.walk, height=height)
+        w = walk.tree_walk(tree, height)
         a = scan._swap(p.a_bar).take(w.order, axis=0)
         u = scan._swap(np.ascontiguousarray(scan._swap(scan._input_terms(x, p, w.order))))
         before = u.copy()
@@ -186,7 +186,7 @@ def test_chunk_and_block_bounds_are_free(tree_name, monkeypatch):
 
     def outputs():
         out = []
-        for w in (tree.walk, replace(tree.walk, height=1)):
+        for w in (tree.walk, walk.tree_walk(tree, 1)):
             for walk_pass in (walk._up, walk._down):
                 out += walked(walk_pass, w, u, p.a_bar)
         h, xi = tree_scan_vision_forward(x, p, tree)
@@ -209,10 +209,10 @@ def test_chunks_hold_whole_levels_or_one_block():
     and 2 share a chunk, level 3 takes 7 row blocks, in row order, and
     level 4 its own chunk; the chunks and the levels within a chunk go
     deepest first."""
-    bounds = [0, 1, 3, 4, 30, 32]
+    cuts = [1, 3, 4, 30, 32]
     blocks = [(s, min(s + 4, 30), [(s, min(s + 4, 30))]) for s in range(4, 30, 4)]
     expected = [(30, 32, [(30, 32)]), *blocks, (1, 4, [(3, 4), (1, 3)])]
-    assert walk._chunks(bounds, 4) == expected
+    assert walk._chunks(cuts, 4) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -301,7 +301,9 @@ def test_kernels_take_an_integer_d_h():
 def test_kernels_run_on_zero_states():
     """An (L, C, 0) instance, which ``DiscreteScanParams`` accepts, walks
     rows of no lanes: every kernel returns arrays of zero states and d_x
-    of zeros, on a per-level and a banded tree."""
+    of zeros, on a per-level and a banded tree.  The output projection
+    and its backward take the zero states without a warning: y = d * x,
+    d_x = d_y * d and d_h has zero states."""
     rng = np.random.default_rng(5)
     for tree in (random_tree(rng, 40), causal_tree(rng, 200, m=3)):
         n = tree.num_vertices
@@ -311,6 +313,16 @@ def test_kernels_run_on_zero_states():
         g = tree_scan_vision_backward(x, p, tree, xi, h, np.empty((n, 3, 0)))
         assert h.shape == xi.shape == g.d_a_bar.shape == (n, 3, 0)
         assert np.array_equal(g.d_x, np.zeros((n, 3)))
+        params = ContinuousScanParams(np.empty((3, 0)), np.empty((n, 0)), np.empty((n, 0)),
+                                      rng.standard_normal(3), rng.uniform(0.1, 1.0, (n, 3)))
+        d_y = rng.standard_normal((n, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = output_projection(h, params, x)
+            d_h, _, _, d_x = output_projection_backward(h, params, x, d_y)
+        assert np.array_equal(y.data, params.d * x.data)
+        assert np.array_equal(d_x, d_y * params.d)
+        assert d_h.shape == (n, 3, 0)
         if tree.root == n - 1:
             h = tree_scan_language_forward(x, p, tree)
             g = tree_scan_language_backward(x, p, tree, h, np.empty((n, 3, 0)))
@@ -319,10 +331,10 @@ def test_kernels_run_on_zero_states():
 
 
 def up_by_rows(w, u, a):
-    """The leaf-to-root pass one row at a time: the levels deepest first,
-    the rows of a level in row order."""
-    b = w.bounds
-    for lo, hi in reversed([*zip(b[1:-1], b[2:])]):
+    """The leaf-to-root pass one row at a time on a walk of height 1: the
+    levels deepest first, the rows of a level in row order."""
+    c = w.cuts
+    for lo, hi in reversed([*zip(c, c[1:])]):
         for r in range(lo, hi):
             u[w.ppos[r]] += u[r] * a[r]
 
@@ -352,8 +364,8 @@ def parent_vertex_order(tree):
 
 def assert_grouped_by_parent(tree):
     """Every level of the walk lists each parent's children in one run."""
-    w, b = tree.walk, tree.walk.bounds
-    for lo, hi in zip(b[1:], b[2:]):
+    w = tree.walk
+    for lo, hi in w.spans[1:].tolist():
         assert np.count_nonzero(np.diff(w.ppos[lo:hi])) + 1 == np.unique(w.ppos[lo:hi]).size
 
 
@@ -365,10 +377,10 @@ def permuted_instance(x, p, perm):
 def assert_level_order(tree):
     """The walk's ``ppos`` is each row's parent row, and its level d lists
     the vertices of depth d, ascending."""
-    w, b = tree.walk, tree.walk.bounds
+    w = tree.walk
     assert w.ppos[0] == 0
     np.testing.assert_array_equal(w.order[w.ppos[1:]], tree.parent[w.order[1:]])
-    for d, (lo, hi) in enumerate(zip(b, b[1:])):
+    for d, (lo, hi) in enumerate(w.spans.tolist()):
         assert w.order[lo:hi].tolist() == np.flatnonzero(tree.depths == d).tolist()
 
 
@@ -393,9 +405,9 @@ class TestRankSchedule:
         children together, in the same order."""
         tree = one_wide_level_tree()
         n = tree.num_vertices
-        assert np.diff(tree.walk.bounds).tolist() == [1, 10, 200, 100]
+        assert np.diff(tree.walk.spans).ravel().tolist() == [1, 10, 200, 100]
         assert_level_order(tree)
-        lo, hi = tree.walk.bounds[2:4]
+        lo, hi = tree.walk.spans[2]
         np.testing.assert_array_equal(tree.walk.ppos[lo:hi], np.tile(np.arange(1, 11), 20))
         grouped, perm = parent_vertex_order(tree)
         assert grouped.root == n - 1
@@ -418,7 +430,8 @@ class TestRankSchedule:
         assert grouped.root == tree.root == tree.num_vertices - 1
         assert_level_order(grouped)
         assert_grouped_by_parent(grouped)
-        assert grouped.walk.bounds == tree.walk.bounds
+        assert grouped.walk.cuts == tree.walk.cuts
+        np.testing.assert_array_equal(grouped.walk.spans, tree.walk.spans)
         got = scan_outputs(*permuted_instance(x, p, perm), grouped)
         assert got == [arr[perm].tobytes() for arr in scan_arrays(x, p, tree)]
 
@@ -435,21 +448,22 @@ class TestRankSchedule:
         np.testing.assert_array_equal(back.parent, grouped.parent)
         np.testing.assert_array_equal(back.walk.pos[back.walk.order], np.arange(n))
         np.testing.assert_array_equal(back.walk.order[back.walk.pos], np.arange(n))
-        assert back.walk.bounds == tree.walk.bounds
+        assert back.walk.cuts == tree.walk.cuts
+        np.testing.assert_array_equal(back.walk.spans, tree.walk.spans)
         assert_level_order(back)
         assert_grouped_by_parent(back)
         assert not np.array_equal(back.walk.ppos, tree.walk.ppos)
         xg, pg = permuted_instance(x, p, perm)
         new_label = np.argsort(perm)
-        for anchor in (tree.root, int(tree.walk.order[-1]), n // 2):
+        for anchor in (tree.root, int(tree.levels[-1][-1]), n // 2):
             assert (affinity_map(back, pg, int(new_label[anchor])).tobytes()
                     == affinity_map(tree, p, anchor)[perm].tobytes())
         assert scan_outputs(xg, pg, back) == [arr[perm].tobytes()
                                               for arr in scan_arrays(x, p, tree)]
 
     def test_tree_file_round_trips_the_walk(self, tmp_path):
-        """A tree written and read back has the same walk (rows, parent rows
-        and level bounds), scans to the same bytes and gives the same
+        """A tree written and read back has the same walk (rows, parent rows,
+        cuts and level spans), scans to the same bytes and gives the same
         affinity maps."""
         x, p, tree = stress_instance("wide-grid", "random")
         n = tree.num_vertices
@@ -457,8 +471,9 @@ class TestRankSchedule:
         back = io.read_tree(tmp_path / "t.json")
         for name in ("order", "pos", "ppos"):
             assert getattr(back.walk, name).tobytes() == getattr(tree.walk, name).tobytes()
-        assert back.walk.bounds == tree.walk.bounds
-        for anchor in (tree.root, int(tree.walk.order[-1]), n // 2):
+        assert back.walk.cuts == tree.walk.cuts
+        np.testing.assert_array_equal(back.walk.spans, tree.walk.spans)
+        for anchor in (tree.root, int(tree.levels[-1][-1]), n // 2):
             assert affinity_map(back, p, anchor).tobytes() == affinity_map(tree, p, anchor).tobytes()
         assert scan_outputs(x, p, back) == scan_outputs(x, p, tree)
 
@@ -552,12 +567,11 @@ def band_top(tree, row):
 
 def walked(walk_pass, w, u, a):
     """``walk_pass`` on ``w`` of the vertex-order arrays ``u`` and ``a``:
-    each gathered into ``w``'s layout, walked, and gathered back.  Returns
+    each gathered into ``w``'s rows, walked, and gathered back.  Returns
     ``(u, a)`` after the pass, in vertex order."""
-    order, pos = w.layout
-    u_w, a_w = u.take(order, axis=0), a.take(order, axis=0)
+    u_w, a_w = u.take(w.order, axis=0), a.take(w.order, axis=0)
     walk_pass(w, u_w, a_w)
-    return u_w.take(pos, axis=0), a_w.take(pos, axis=0)
+    return u_w.take(w.pos, axis=0), a_w.take(w.pos, axis=0)
 
 
 @st.composite
@@ -582,11 +596,43 @@ def walk_instances(draw):
         else:
             up = rng.integers(0, v)  # vertex v hangs off a smaller one
         tree = root_tree(np.stack([v, up], axis=1), np.zeros(n - 1), n, root)
-    height = draw(st.integers(2, len(tree.walk.bounds)))
+    height = draw(st.integers(2, len(tree.levels) + 1))
     return tree, height, draw(st.integers(1, 8)), rng
 
 
 class TestBandedWalks:
+    @settings(max_examples=100, deadline=None)
+    @given(instance=walk_instances())
+    def test_layout_at_every_height(self, instance):
+        """``tree_walk`` at every height from 1 to the level count + 1 on
+        small trees of every shape: ``pos`` inverts ``order``; ``ppos`` is
+        each row's parent row; every level is one contiguous slice of
+        ``order`` (``spans``), ascending by vertex; the rows between
+        consecutive ``cuts`` hold one level at height 1, above it the
+        levels of one offset 1, 2, ..., band by band, with the band tops
+        (offset 0) before the first cut; at height 1 ``order`` is the
+        vertices by (depth, vertex)."""
+        tree, n = instance[0], instance[0].num_vertices
+        depths, rows = tree.depths, np.arange(n)
+        below = np.flatnonzero(depths > 0)
+        for k in range(1, len(tree.levels) + 2):
+            w = walk.tree_walk(tree, k)
+            assert w.height == k and len(w.spans) == len(tree.levels)
+            np.testing.assert_array_equal(w.pos[w.order], rows)
+            assert w.order[0] == tree.root and w.ppos[0] == 0
+            np.testing.assert_array_equal(w.order[w.ppos[1:]], tree.parent[w.order[1:]])
+            level = depths[w.order]
+            np.testing.assert_array_equal(np.diff(w.spans).ravel(), np.bincount(depths))
+            assert np.all((w.spans[level, 0] <= rows) & (rows < w.spans[level, 1]))
+            assert np.all(np.diff(w.order)[np.diff(level) == 0] > 0)
+            if k == 1:
+                np.testing.assert_array_equal(w.order, np.argsort(depths, kind="stable"))
+                assert w.cuts == [*w.spans[1:, 0].tolist(), n]
+                continue
+            off = (depths[below] - 1) % k  # offset j's levels, then band by band
+            np.testing.assert_array_equal(w.order[1:], below[np.lexsort((depths[below], off))])
+            assert [1, *w.cuts] == np.cumsum([1, *np.bincount(off, minlength=k)]).tolist()
+
     @settings(max_examples=300, deadline=None)
     @given(instance=walk_instances())
     def test_any_band_height_matches_the_level_walk(self, instance):
@@ -596,7 +642,7 @@ class TestBandedWalks:
         tree, height, lanes, rng = instance
         a = rng.uniform(0.05, 0.95, (tree.num_vertices, lanes))
         u = rng.standard_normal(a.shape)
-        level_walk, banded = replace(tree.walk, height=1), replace(tree.walk, height=height)
+        level_walk, banded = walk.tree_walk(tree, 1), walk.tree_walk(tree, height)
         for walk_pass in (walk._up, walk._down):
             ref, _ = walked(walk_pass, level_walk, u, a)
             got, a_got = walked(walk_pass, banded, u, a)
@@ -617,7 +663,7 @@ class TestBandedWalks:
         cut = walk.BAND_ROWS_MAX * 64
         below, at_cut = broom(64, cut - 1 - 64), broom(64, cut - 64)
         assert (below.num_vertices, at_cut.num_vertices) == (cut - 1, cut)
-        assert len(below.walk.bounds) == len(at_cut.walk.bounds) == 65
+        assert len(below.levels) == len(at_cut.levels) == 64
         for tree in (chain_tree(1), chain_tree(2), chain_tree(3), at_cut,
                      smooth_grid_tree(np.random.default_rng(0))):
             assert tree.walk.bands is None
@@ -626,46 +672,49 @@ class TestBandedWalks:
 
     @pytest.mark.parametrize("tree_name", BANDED_TREES)
     def test_plan_layout(self, tree_name):
-        """The pass layout: the root, then each band's tops, then every
-        offset's rows once, with their parent rows, by band and within a
-        band in walk order; each row's parent among the rows of the offset
-        above (its place), and its band top as a walk up its parents finds
-        it.  At the tops of bands 1, 2, ... (levels 1 + k, 1 + 2k, ...):
-        the parent's band top and the parent among the last offset's rows;
-        those parents are the links, band by band, and every row's ``anc``
-        finds its band top's parent among them."""
+        """The banded walk's rows: the root, then each band's tops, then
+        every offset's rows once (between the walk's ``cuts``), with their
+        parent rows, by band and within a band in (depth, vertex) order;
+        each row's parent among the rows of the offset above (its place),
+        and its band top as a walk up its parents finds it.  At the tops of
+        bands 1, 2, ... (levels 1 + k, 1 + 2k, ...): the parent's band top
+        and the parent among the last offset's rows; those parents are the
+        links, band by band, and every row's ``anc`` finds its band top's
+        parent among them."""
         tree = BANDED_TREES[tree_name]()
         w, plan, n = tree.walk, tree.walk.bands, tree.num_vertices
-        k, o, t = w.height, plan.offsets, plan.tops
-        rows = w.pos[plan.order]  # the walk row of every pass row
-        np.testing.assert_array_equal(plan.pos[plan.order], np.arange(n))
-        assert plan.order[0] == tree.root and plan.ppos[0] == 0
-        np.testing.assert_array_equal(plan.order[plan.ppos[1:]], tree.parent[plan.order[1:]])
-        assert (o[0], o[1], o[k], len(t) - 1) == (1, t[-1], n, -(-(len(w.bounds) - 2) // k))
+        k, c, t = w.height, w.cuts, plan.tops
+        o = [1, *c]  # every offset's first row, then L
+        rows = walk.tree_walk(tree, 1).pos[w.order]  # the (depth, vertex) row of every row
+        np.testing.assert_array_equal(w.pos[w.order], np.arange(n))
+        assert w.order[0] == tree.root and w.ppos[0] == 0
+        np.testing.assert_array_equal(w.order[w.ppos[1:]], tree.parent[w.order[1:]])
+        assert (t[0], c[0], c[-1], len(c)) == (1, t[-1], n, k)
+        assert len(t) - 1 == -(-(len(tree.levels) - 1) // k)
         for b in range(len(t) - 1):
-            assert plan.order[t[b] : t[b + 1]].tolist() == tree.levels[1 + b * k].tolist()
+            assert w.order[t[b] : t[b + 1]].tolist() == tree.levels[1 + b * k].tolist()
         for j in range(1, k):
             lo, hi = o[j], o[j + 1]
             at_j = np.flatnonzero((tree.depths > 0) & ((tree.depths - 1) % k == j))
-            assert sorted(plan.order[lo:hi].tolist()) == at_j.tolist()
-            par = plan.ppos[lo:hi]
+            assert sorted(w.order[lo:hi].tolist()) == at_j.tolist()
+            par = w.ppos[lo:hi]
             assert np.all((par >= o[j - 1]) & (par < o[j]))  # places among offset j - 1's rows
-            band = (tree.depths[plan.order[lo:hi]] - 1) // k
+            band = (tree.depths[w.order[lo:hi]] - 1) // k
             assert np.all(np.diff(band) >= 0)  # ascending by band
-            assert np.all(np.diff(rows[lo:hi])[np.diff(band) == 0] > 0)  # in a band, by walk row
-        assert rows[plan.top].tolist() == [band_top(tree, r) for r in rows.tolist()]
+            # in a band, by (depth, vertex)
+            assert np.all(np.diff(rows[lo:hi])[np.diff(band) == 0] > 0)
+        assert plan.top.tolist() == [band_top(tree, r) for r in range(n)]
         assert np.flatnonzero(plan.top == np.arange(n)).tolist() == list(range(o[1]))
         tops = np.arange(t[1], t[-1])
-        assert np.all(plan.ppos[tops] >= o[k - 1])
-        assert rows[plan.top[plan.ppos[tops]]].tolist() == [
-            band_top(tree, int(w.ppos[r])) for r in rows[tops]]
+        assert np.all(w.ppos[tops] >= o[k - 1])
+        assert plan.top[w.ppos[tops]].tolist() == [band_top(tree, int(w.ppos[r])) for r in tops]
         links, lb = plan.links, plan.link_bounds
-        assert links[0] == 0 and sorted(links[1:].tolist()) == np.unique(plan.ppos[tops]).tolist()
+        assert links[0] == 0 and sorted(links[1:].tolist()) == np.unique(w.ppos[tops]).tolist()
         assert (lb[0], lb[-1], len(lb)) == (1, len(links), len(t))
         for b in range(len(t) - 1):
             band = plan.top[links[lb[b] : lb[b + 1]]]
             assert np.all((band >= t[b]) & (band < t[b + 1]))
-        np.testing.assert_array_equal(links[plan.anc], plan.ppos[plan.top])
+        np.testing.assert_array_equal(links[plan.anc], w.ppos[plan.top])
 
     @pytest.mark.parametrize("tree_name", PINNED_TREES)
     def test_kernel_bytes_pinned(self, tree_name):
@@ -721,7 +770,7 @@ class TestBandedWalks:
         rng = np.random.default_rng(7)
         n = tree.num_vertices
         x, p = lane_inputs(rng, n, 2, 2, a_kind)
-        at = np.unique([tree.root, tree.walk.order[-1], *rng.integers(0, n, 3)])
+        at = np.unique([tree.root, tree.levels[-1][-1], *rng.integers(0, n, 3)])
         h, xi = tree_scan_vision_forward(x, p, tree)
         h_lang = tree_scan_language_forward(x, p, tree)
         assert np.max(np.abs(h[at] - naive_tree_scan(x, p, tree, roots=at, force=True))) < 1e-9
@@ -733,7 +782,7 @@ class TestBandedWalks:
         a = p.a_bar
         u = rng.standard_normal(a.shape)
         for walk_pass in (walk._up, walk._down):
-            ref, _ = walked(walk_pass, replace(tree.walk, height=1), u, a)
+            ref, _ = walked(walk_pass, walk.tree_walk(tree, 1), u, a)
             got, a_got = walked(walk_pass, tree.walk, u, a)
             assert np.max(np.abs(got - ref)) < 1e-9
             if walk_pass is walk._up:
@@ -753,13 +802,13 @@ class TestBandedWalks:
                 [0, *rng.integers(np.arange(1, 2000) // 2, np.arange(1, 2000)).tolist()]),
         }[tree_name]()
         assert tree.walk.bands is None
-        depth = len(tree.walk.bounds) - 1
+        depth = len(tree.levels)
         assert depth > 3 and tree.num_vertices > walk.BAND_ROWS_MAX * depth
         x, p = lane_inputs(rng, tree.num_vertices, 2, 2, "random")
         a = p.a_bar
         u = rng.standard_normal(a.shape)
         for height in (2, 3, isqrt(depth)):
-            banded = replace(tree.walk, height=height)
+            banded = walk.tree_walk(tree, height)
             for walk_pass in (walk._up, walk._down):
                 ref, _ = walked(walk_pass, tree.walk, u, a)
                 got, a_got = walked(walk_pass, banded, u, a)
@@ -775,7 +824,7 @@ class TestBandedWalks:
         assert tree.walk.height == 109
         rng = np.random.default_rng(8)
         x, p = lane_inputs(rng, tree.num_vertices, 1, 1, "small")
-        a = p.a_bar.take(tree.walk.layout[0], axis=0)
+        a = p.a_bar.take(tree.walk.order, axis=0)
         walk._down(tree.walk, np.zeros(a.shape), a)
         assert np.all(p.a_bar > 0) and np.any(a == 0.0)
         at = np.array([tree.root, 0, 6000, 11000 - 1])
@@ -1113,7 +1162,7 @@ class TestLanguageForward:
         h = tree_scan_language_forward(x, p, tree)
         # brute force: h[i] = sum over j in subtree(i) of pathweight * b*x
         descendants = [set([v]) for v in range(n)]
-        for v in reversed(tree.walk.order.tolist()):
+        for v in reversed(np.concatenate(tree.levels).tolist()):  # children before parents
             if v != tree.root:
                 descendants[int(tree.parent[v])] |= descendants[v]
         unit = p.b_bar * x.data[:, :, None]
@@ -1275,9 +1324,9 @@ def rerooted_affinity(tree, p, anchor):
     key = np.where(tree.parent == anchored.parent, np.arange(n), anchored.parent)
     prod = np.zeros(p.shape)
     prod[0] = 1.0
-    level_walk = replace(anchored.walk, height=1)
-    walk._down(level_walk, prod, p.a_bar.take(key[anchored.walk.order], axis=0))
-    return prod.take(anchored.walk.pos, axis=0).reshape(n, -1).mean(axis=1)
+    level_walk = walk.tree_walk(anchored, 1)
+    walk._down(level_walk, prod, p.a_bar.take(key[level_walk.order], axis=0))
+    return prod.take(level_walk.pos, axis=0).reshape(n, -1).mean(axis=1)
 
 
 class TestAffinityMap:
@@ -1344,7 +1393,7 @@ class TestAffinityMap:
         1e-12."""
         _, p, tree = stress_instance(tree_name, a_kind)
         n = tree.num_vertices
-        anchors = sorted({tree.root, int(tree.walk.order[-1]), n // 2})
+        anchors = sorted({tree.root, int(tree.levels[-1][-1]), n // 2})
         at = np.unique([*anchors, *np.random.default_rng(2).integers(0, n, 20)])
         for anchor in anchors:
             expected = [path_product(tree, p, anchor, j).mean() for j in at]
@@ -1366,7 +1415,7 @@ class TestAffinityMap:
                 cases.append((DiscreteScanParams(a_bar, p.b_bar), tree))
         for p, tree in cases:
             n = tree.num_vertices
-            for anchor in {tree.root, 0, n - 1, int(tree.walk.order[-1]), n // 2}:
+            for anchor in {tree.root, 0, n - 1, int(tree.levels[-1][-1]), n // 2}:
                 assert (affinity_map(tree, p, anchor).tobytes()
                         == rerooted_affinity(tree, p, anchor).tobytes())
 

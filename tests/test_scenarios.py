@@ -73,10 +73,10 @@ def test_causal_tree_is_rooted_at_the_last_token(m):
 @pytest.mark.parametrize("leaves", [1, 9, 1023])
 def test_star_is_one_level_of_leaves(leaves):
     tree = S.star_tree(leaves)
-    assert tree.root == 0 and np.diff(tree.walk.bounds).tolist() == [1, leaves]
+    assert tree.root == 0 and [len(level) for level in tree.levels] == [1, leaves]
 
 
 @pytest.mark.parametrize("n", [1, 2, 50])
 def test_chain_depth_is_one_less_than_its_length(n):
     tree = S.chain_tree(n)
-    assert tree.root == n - 1 == tree.depths.max() == len(tree.walk.bounds) - 2
+    assert tree.root == n - 1 == tree.depths.max() == len(tree.levels) - 1

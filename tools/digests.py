@@ -10,9 +10,9 @@ and compare the two outputs line by line:
 For every perfbench workload it steps each input of the pools of seeds 1-3
 and prints the workload's own digest, then a blake2b digest of every array
 that the step returns (and, for cli-grid, of the tree and h files that the
-step writes), and digests of the integers of the step's tree's walk: its
-rows, parent rows and level bounds, and every field of its band plan (the
-passes' row layout first) at its own height and at heights 2 and 3.  Then
+step writes), and digests of the integers of the step's tree's walk and
+of its walks of height 2 and 3 (``tree_walk(tree, h)``): each walk's rows,
+parent rows, cuts and level spans, and every field of its band plan.  Then
 it prints digests of ``treescan selfcheck``'s stdout and of
 ``affinity_map`` on the first cli-grid tree at three anchors, of every
 array of ``bench.build_instance`` at the sizes and seed of
@@ -41,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 from tracing import NullTracer  # noqa: E402
 from treescan import affinity_map, bench, cli, root_tree  # noqa: E402
+from treescan.walk import tree_walk  # noqa: E402
 
 SEEDS = (1, 2, 3)
 # the sizes and seed of tests/test_acceptance.py::test_linear_complexity_via_bench
@@ -67,26 +68,21 @@ def arrays(name: str, value):
 
 
 def ints(value) -> bytes:
-    """The bytes of an integer array, or of a list of them (or of lists of
-    ints, or None) with each item's length before it."""
-    if value is None:
-        return b""
-    if isinstance(value, list) and value and not isinstance(value[0], int):
-        return b"".join(len(ints(item)).to_bytes(8, "little") + ints(item) for item in value)
+    """The bytes of an integer array or list, as int64."""
     return np.asarray(value, dtype=np.int64).tobytes()
 
 
-def walk_lines(walk):
-    """Digests of a walk's integers, then of every field of its band plan at
-    its own height and at heights 2 and 3."""
-    yield f"walk height={walk.height} " + " ".join(
-        f"{name} {blake(ints(getattr(walk, name)))}" for name in ("pos", "ppos", "bounds"))
-    for height in (walk.height, 2, 3):
-        plan = dataclasses.replace(walk, height=height).bands
-        if plan is not None:
-            yield f"bands height={height} " + " ".join(
-                f"{field.name} {blake(ints(getattr(plan, field.name)))}"
-                for field in dataclasses.fields(plan))
+def walk_lines(tree):
+    """Digests of the integers of the tree's walk and of its walks of height
+    2 and 3, each followed by every field of its band plan."""
+    for walk in (tree.walk, tree_walk(tree, 2), tree_walk(tree, 3)):
+        yield f"walk height={walk.height} " + " ".join(
+            f"{name} {blake(ints(getattr(walk, name)))}"
+            for name in ("pos", "ppos", "cuts", "spans"))
+        if walk.bands is not None:
+            yield f"bands height={walk.height} " + " ".join(
+                f"{field.name} {blake(ints(getattr(walk.bands, field.name)))}"
+                for field in dataclasses.fields(walk.bands))
 
 
 def main() -> None:
@@ -101,7 +97,7 @@ def main() -> None:
                     print(f"{wl.name} seed={seed} input={k} digest={wl.digest(inp, out)}")
                     for name, arr in arrays("", out):
                         print(f"  {name[1:]} {arr.dtype}{list(arr.shape)} {blake(arr.tobytes())}")
-                    for line in walk_lines(out["tree"].walk):
+                    for line in walk_lines(out["tree"]):
                         print(f"  {line}")
                     if wl.name == "cli-grid":
                         for path in wl.outputs(inp):
